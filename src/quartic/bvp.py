@@ -41,6 +41,10 @@ from .operators import (
 )
 
 __all__ = [
+    "BC_FAMILIES",
+    "DERIVATIVE_FAMILIES",
+    "bc_conditions",
+    "condition_value",
     "ProblemSpec",
     "BCFrame",
     "build_pq_lambda",
@@ -58,7 +62,36 @@ __all__ = [
     "resolvent_product_residual",
 ]
 
-_BC_FAMILIES = (1, 2, 3, 4, 5)
+# Each family's two condition kinds (a derivative order, or "S" for u'' + S u),
+# imposed in phi order at a, b, a, b.  Checks and oracles read this table; the
+# formulas in _solve_family do not, which keeps them independent of the solver.
+BC_FAMILIES = {1: (0, 2), 2: (1, "S"), 3: (0, 1), 4: (1, 2), 5: (0, "S")}
+
+# Families whose frames need the interval operators U and V to invert.
+DERIVATIVE_FAMILIES = (3, 4)
+
+_KIND_NAMES = {0: "u", 1: "u'", 2: "u''", "S": "(u''+{}u)"}
+
+
+def bc_conditions(family: int, s_name: str = "P") -> tuple:
+    """(name, endpoint index, kind) of the family's four conditions in phi order.
+
+    The endpoint index is 0 for a and -1 for b; ``s_name`` spells the operator
+    of the "S" kind in the names, e.g. "(u''+Pu)(b)".
+    """
+    if family not in BC_FAMILIES:
+        raise ValueError(f"unknown bc family {family}")
+    return tuple((f"{_KIND_NAMES[kind].format(s_name)}({side})", end, kind)
+                 for kind in BC_FAMILIES[family]
+                 for end, side in ((0, "a"), (-1, "b")))
+
+
+def condition_value(kind, deriv, apply_s):
+    """Value of one condition: deriv(order) gives u's derivative at the
+    endpoint, apply_s applies the operator of the "S" kind."""
+    if kind == "S":
+        return deriv(2) + apply_s(deriv(0))
+    return deriv(kind)
 
 
 @dataclass(frozen=True)
@@ -76,8 +109,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError("need a < b")
-        if self.bc_family not in _BC_FAMILIES:
-            raise ValueError(f"bc_family must be in {_BC_FAMILIES}")
+        if self.bc_family not in BC_FAMILIES:
+            raise ValueError(f"bc_family must be in {tuple(BC_FAMILIES)}")
         scale = max(1.0, float(np.max(np.abs(self.A.spectrum))))
         on_ray = (np.abs(self.A.spectrum.imag) < 1e-9 * scale) & (
             self.A.spectrum.real >= self.k - 1e-9 * scale
@@ -301,19 +334,10 @@ def _internal_to_field(grid: Grid, vals: np.ndarray) -> GridFunction:
     return GridFunction(grid, vals[:, :, 0].T)
 
 
-_DMAT_CACHE: dict = {}
-
-
 def _data_derivatives(grid: Grid, fv: np.ndarray):
     """First two x-derivatives of sampled data via local stencils."""
-    key = grid.nodes.tobytes()
-    mats = _DMAT_CACHE.get(key)
-    if mats is None:
-        mats = (grid.derivative_matrix(1), grid.derivative_matrix(2))
-        _DMAT_CACHE[key] = mats
-    d1, d2 = mats
-    fp = np.einsum("ab,bnr->anr", d1, fv)
-    fpp = np.einsum("ab,bnr->anr", d2, fv)
+    fp = np.einsum("ab,bnr->anr", grid.derivative_matrix(1), fv)
+    fpp = np.einsum("ab,bnr->anr", grid.derivative_matrix(2), fv)
     return fp, fpp
 
 
@@ -564,7 +588,8 @@ def _lambda_frame(spec: ProblemSpec, lam: complex) -> BCFrame:
     else:
         P, Q, B = build_pq_lambda(spec.A, spec.k, lam)
     try:
-        frame = assemble_frame(P, Q, B, spec.c, require_uv=spec.bc_family in (3, 4))
+        frame = assemble_frame(P, Q, B, spec.c,
+                               require_uv=spec.bc_family in DERIVATIVE_FAMILIES)
     except (FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:
         raise NotInResolventSet(f"frame assembly failed at lambda={lam}: {exc}") from exc
     frame.lam = complex(lam)
@@ -604,37 +629,13 @@ def boundary_residuals(grid: Grid, u: GridFunction, phi, bc: int,
     independent of the representation that produced u.
     """
     vals = u.values  # (n, N)
-    d1 = grid.derivative_matrix(1)
-    d2 = grid.derivative_matrix(2)
-    up = vals @ d1.T
-    upp = vals @ d2.T
-    p1, p2, p3, p4 = (np.asarray(x, dtype=complex) for x in phi)
-    if bc == 1:
-        res = (vals[:, 0] - p1, vals[:, -1] - p2, upp[:, 0] - p3, upp[:, -1] - p4)
-        names = ("u(a)", "u(b)", "u''(a)", "u''(b)")
-    elif bc == 2:
-        res = (
-            up[:, 0] - p1, up[:, -1] - p2,
-            upp[:, 0] + p_mat @ vals[:, 0] - p3,
-            upp[:, -1] + p_mat @ vals[:, -1] - p4,
-        )
-        names = ("u'(a)", "u'(b)", "(u''+Pu)(a)", "(u''+Pu)(b)")
-    elif bc == 3:
-        res = (vals[:, 0] - p1, vals[:, -1] - p2, up[:, 0] - p3, up[:, -1] - p4)
-        names = ("u(a)", "u(b)", "u'(a)", "u'(b)")
-    elif bc == 4:
-        res = (up[:, 0] - p1, up[:, -1] - p2, upp[:, 0] - p3, upp[:, -1] - p4)
-        names = ("u'(a)", "u'(b)", "u''(a)", "u''(b)")
-    elif bc == 5:
-        res = (
-            vals[:, 0] - p1, vals[:, -1] - p2,
-            upp[:, 0] + p_mat @ vals[:, 0] - p3,
-            upp[:, -1] + p_mat @ vals[:, -1] - p4,
-        )
-        names = ("u(a)", "u(b)", "(u''+Pu)(a)", "(u''+Pu)(b)")
-    else:
-        raise ValueError(f"unknown bc family {bc}")
-    return {name: float(np.linalg.norm(r)) for name, r in zip(names, res)}
+    derivs = (vals, vals @ grid.derivative_matrix(1).T, vals @ grid.derivative_matrix(2).T)
+    res = {}
+    for (name, end, kind), p in zip(bc_conditions(bc), phi):
+        got = condition_value(kind, lambda order: derivs[order][:, end],
+                              lambda v: p_mat @ v)
+        res[name] = float(np.linalg.norm(got - np.asarray(p, dtype=complex)))
+    return res
 
 
 def frame_identity_residual(frame: BCFrame) -> float:

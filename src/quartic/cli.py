@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .bvp import boundary_residuals, resolvent_solve, _lambda_frame, _SOLVERS
+from .bvp import DERIVATIVE_FAMILIES, boundary_residuals, _lambda_frame, _SOLVERS
 from .config import RunConfig, build_v0, load_config
 from .errors import (
     ConfigError,
@@ -80,7 +80,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     radii = np.logspace(np.log10(sw["radius_min"]), np.log10(sw["radius_max"]),
                         sw["n_radii"])
     excl = sw["exclusion_radius"]
-    if spec.bc_family in (3, 4) and excl <= 0:
+    if spec.bc_family in DERIVATIVE_FAMILIES and excl <= 0:
         excl = sw["radius_min"] / 2
     try:
         grid = make_sweep_grid(spec.k, spec.theta_a, radii=radii,
@@ -110,7 +110,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
             problem=spec, t_final=ev["t_final"], v0=v0, forcing=forcing,
             scheme=ev["scheme"], dt=ev["dt"], contour_points=ev["contour_points"],
         )
-        traj = evolve(espec, threads=_threads(args))
+        traj = evolve(espec)
     except SectorAngleExceeded as exc:
         print(f"angle gate: {exc}", file=sys.stderr)
         return EXIT_ANGLE_GATE
@@ -120,7 +120,7 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
     out = os.path.join(cfg.output_dir, "trajectory.csv")
     write_trajectory_csv(out, traj, v0.grid, ev["scheme"])
     print(f"wrote {out}")
-    if ev["growth_probe"] and spec.bc_family in (1, 2, 5):
+    if ev["growth_probe"] and spec.bc_family not in DERIVATIVE_FAMILIES:
         t_grid = np.linspace(0.0, ev["t_final"], 9)
         m_fit, flag, _ = growth_bound_probe(spec, t_grid)
         print(f"growth_bound_M = {m_fit:.6g} (violation={flag})")
@@ -132,7 +132,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     for r in results:
         print(r.line())
     n_fail = sum(0 if r.passed else 1 for r in results)
-    print(f"# {len(results) - n_fail}/{len(results)} checks passed in {elapsed:.1f}s")
+    print(f"# {len(results) - n_fail}/{len(results)} checks passed")
+    print(f"verify finished in {elapsed:.1f}s", file=sys.stderr)
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY_FAIL
 
 
@@ -147,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker threads for the sweep's lambda points (sweep "
+                            "only; default QUARTIC_THREADS or 1)")
         p.add_argument("--seed", type=int, default=1234)
         p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
         p.set_defaults(fn=fn)

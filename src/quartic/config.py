@@ -14,13 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bvp import ProblemSpec
+from .bvp import BC_FAMILIES, ProblemSpec
 from .errors import ConfigError
 from .grids import Grid, GridFunction, cgl_grid, uniform_grid
 from .io import parse_complex, read_gridfunction_csv, read_operator_file
 from .operators import OperatorHandle, dirichlet_laplacian_modes, make_operator
 
 __all__ = ["RunConfig", "load_config"]
+
+# Longest trajectory an [evolve] section may ask for, in dt steps.
+MAX_TIME_STEPS = 10**6
 
 
 def _parse_operator(spec_text: str, base_dir: str) -> OperatorHandle:
@@ -46,6 +49,21 @@ def _parse_operator(spec_text: str, base_dir: str) -> OperatorHandle:
         except Exception as exc:
             raise ConfigError(f"cannot read operator file {path}: {exc}") from exc
     raise ConfigError(f"unknown operator spec {spec_text!r}")
+
+
+def _number(sec, key: str, default: str, kind=float, minimum=None):
+    """One numeric field; junk, non-finite floats and values below
+    ``minimum`` raise ConfigError."""
+    text = sec.get(key, default)
+    try:
+        val = kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} = {text!r}: {exc}") from exc
+    if kind is float and not np.isfinite(val):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {text!r}")
+    return val
 
 
 def _parse_vector(text: str, dim: int) -> np.ndarray:
@@ -114,14 +132,11 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad [problem] numeric value: {exc}") from exc
     A = _parse_operator(prob.get("operator", "laplacian:1"), base_dir)
-    if bc not in (1, 2, 3, 4, 5):
-        raise ConfigError(f"bc_family must be 1..5, got {bc}")
+    if bc not in BC_FAMILIES:
+        raise ConfigError(f"bc_family must be one of {tuple(BC_FAMILIES)}, got {bc}")
 
     gsec = cp["grid"] if "grid" in cp else {}
-    try:
-        n_nodes = int(gsec.get("n_nodes", 64))
-    except ValueError as exc:
-        raise ConfigError(f"bad n_nodes: {exc}") from exc
+    n_nodes = _number(gsec, "n_nodes", "64", int, minimum=2)
     kind = str(gsec.get("kind", "cgl")).lower()
     if kind == "cgl":
         grid = cgl_grid(n_nodes, a, b)
@@ -165,12 +180,12 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
 
     swsec = cp["sweep"] if "sweep" in cp else {}
     sweep = {
-        "radius_min": float(swsec.get("radius_min", "1e-2")),
-        "radius_max": float(swsec.get("radius_max", "1e4")),
-        "n_radii": int(swsec.get("n_radii", "50")),
-        "n_angles": int(swsec.get("n_angles", "10")),
-        "exclusion_radius": float(swsec.get("exclusion_radius", "0.0")),
-        "n_nodes": int(swsec.get("n_nodes", "40")),
+        "radius_min": _number(swsec, "radius_min", "1e-2"),
+        "radius_max": _number(swsec, "radius_max", "1e4"),
+        "n_radii": _number(swsec, "n_radii", "50", int, minimum=1),
+        "n_angles": _number(swsec, "n_angles", "10", int, minimum=1),
+        "exclusion_radius": _number(swsec, "exclusion_radius", "0.0"),
+        "n_nodes": _number(swsec, "n_nodes", "40", int, minimum=2),
     }
     if sweep["radius_min"] <= 0 or sweep["radius_max"] <= sweep["radius_min"]:
         raise ConfigError("sweep radii must satisfy 0 < radius_min < radius_max")
@@ -178,14 +193,16 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     evsec = cp["evolve"] if "evolve" in cp else {}
     evolve = {
         "scheme": str(evsec.get("scheme", "CONTOUR")).upper(),
-        "dt": float(evsec.get("dt", "0.05")),
-        "t_final": float(evsec.get("t_final", "1.0")),
+        "dt": _number(evsec, "dt", "0.05"),
+        "t_final": _number(evsec, "t_final", "1.0"),
         "v0": str(evsec.get("v0", "sine:1")),
-        "contour_points": int(evsec.get("contour_points", "32")),
+        "contour_points": _number(evsec, "contour_points", "32", int, minimum=2),
         "growth_probe": str(evsec.get("growth_probe", "false")).lower() == "true",
     }
     if evolve["dt"] <= 0 or evolve["t_final"] <= 0:
         raise ConfigError("evolve dt and t_final must be positive")
+    if evolve["t_final"] / evolve["dt"] > MAX_TIME_STEPS:
+        raise ConfigError(f"evolve t_final/dt exceeds {MAX_TIME_STEPS} steps")
 
     return RunConfig(
         path=path,
@@ -211,7 +228,10 @@ def build_v0(cfg: RunConfig) -> GridFunction:
     if kind == "zero":
         return GridFunction.zeros(grid, dim)
     if kind == "sine":
-        m = int(arg) if arg else 1
+        try:
+            m = int(arg) if arg else 1
+        except ValueError as exc:
+            raise ConfigError(f"bad v0 mode in {spec_text!r}") from exc
         prof = np.sin(m * np.pi * (grid.nodes - grid.a) / (grid.b - grid.a))
         vals = np.tile(prof, (dim, 1)).astype(complex)
         return GridFunction(grid, vals)

@@ -49,10 +49,6 @@ class NonCommutingOperators(QuarticError):
     """The operator pair fails the commutation validation."""
 
 
-class QuadratureBreakdown(QuarticError):
-    """Grid too coarse: quadrature self-consistency estimate exceeded bound."""
-
-
 class NotInResolventSet(QuarticError):
     """Resolvent evaluation failed: parameter rejected or frame singular."""
 

@@ -9,14 +9,13 @@ instances for cross-validation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
-from .bvp import ProblemSpec, _lambda_frame, _SOLVERS
+from .bvp import DERIVATIVE_FAMILIES, ProblemSpec, _lambda_frame, _SOLVERS, bc_conditions
 from .errors import (
     BranchCut,
     ContourTooClose,
@@ -119,41 +118,32 @@ def default_contour(spec: ProblemSpec, ball_radius: float = 0.0) -> ContourParam
 
 
 def _contour_sum(spec: ProblemSpec, t: float, payload, n_points: int,
-                 params: ContourParams, threads: int = 1) -> np.ndarray:
+                 params: ContourParams) -> np.ndarray:
     """sum of weights * R(lam) payload(lam) over the hyperbola nodes.
 
     payload(lam) must already carry every e^{t lam}-type factor; all such
     factors decay along the contour tails, so no overflow can occur here.
     """
     lam, wgt = params.nodes(n_points, t)
-
-    def job(i):
-        data = payload(lam[i])
+    acc = None
+    for lam_i, wgt_i in zip(lam, wgt):
+        data = payload(lam_i)
         try:
-            frame = _lambda_frame(spec, -lam[i])
+            frame = _lambda_frame(spec, -lam_i)
             u = _SOLVERS[spec.bc_family](frame, data)
         except (NotInResolventSet, NearSpectrum) as exc:
-            raise ContourTooClose(f"contour node {lam[i]}: {exc}") from exc
-        return wgt[i] * u.values
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, range(n_points)))
-    else:
-        parts = [job(i) for i in range(n_points)]
-    acc = parts[0].copy()
-    for p in parts[1:]:
-        acc += p
+            raise ContourTooClose(f"contour node {lam_i}: {exc}") from exc
+        acc = wgt_i * u.values if acc is None else acc + wgt_i * u.values
     return acc
 
 
-def _converged_contour(spec, t, payload, n0, params, rel_tol, threads,
+def _converged_contour(spec, t, payload, n0, params, rel_tol,
                        max_doublings=4) -> np.ndarray:
-    prev = _contour_sum(spec, t, payload, n0, params, threads)
+    prev = _contour_sum(spec, t, payload, n0, params)
     n = n0
     for _ in range(max_doublings):
         n *= 2
-        cur = _contour_sum(spec, t, payload, n, params, threads)
+        cur = _contour_sum(spec, t, payload, n, params)
         scale = max(np.max(np.abs(cur)), 1e-300)
         if np.max(np.abs(cur - prev)) <= rel_tol * scale:
             return cur
@@ -168,7 +158,6 @@ def semigroup_apply_contour(
     n_points: int = 32,
     rel_tol: float = 1e-6,
     params: ContourParams | None = None,
-    threads: int = 1,
 ) -> GridFunction:
     """e^{tG} v0 by hyperbola quadrature with self-error control.
 
@@ -183,7 +172,7 @@ def semigroup_apply_contour(
     def payload(lam):
         return GridFunction(v0.grid, np.exp(t * lam) * v0.values)
 
-    vals = _converged_contour(spec, t, payload, n_points, params, rel_tol, threads)
+    vals = _converged_contour(spec, t, payload, n_points, params, rel_tol)
     return GridFunction(v0.grid, vals)
 
 
@@ -228,7 +217,7 @@ def _forced_payload(grid, v0_vals, f_samples, ts, t_now):
     return payload
 
 
-def evolve(espec: EvolutionSpec, threads: int = 1, rel_tol: float = 1e-6):
+def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     """Trajectory of the Cauchy problem at the scheme's time nodes.
 
     Returns a list of (t, GridFunction) including t = 0.  Implicit schemes
@@ -255,7 +244,7 @@ def evolve(espec: EvolutionSpec, threads: int = 1, rel_tol: float = 1e-6):
             else:
                 payload = _forced_payload(grid, espec.v0.values, f_samples, ts, t_now)
             vals = _converged_contour(spec, t_now, payload, espec.contour_points,
-                                      params, rel_tol, threads)
+                                      params, rel_tol)
             traj.append((float(t_now), GridFunction(grid, vals)))
         return traj
 
@@ -293,12 +282,12 @@ def evolve(espec: EvolutionSpec, threads: int = 1, rel_tol: float = 1e-6):
 def growth_bound_probe(spec: ProblemSpec, t_grid, n_nodes: int = 40):
     """Fit the smallest M with ||e^{tG}|| <= M e^{t k^2/4} over the t grid.
 
-    Defined for the value/second-derivative families (1, 2, 5) under the
+    Defined for the families outside DERIVATIVE_FAMILIES under the
     quarter-angle hypothesis.  Norms come from the dense-exponential oracle
     on the interior dofs; returns (M_fit, violation_flag, samples).
     """
-    if spec.bc_family not in (1, 2, 5):
-        raise ValueError("growth bound probe covers families 1, 2 and 5")
+    if spec.bc_family in DERIVATIVE_FAMILIES:
+        raise ValueError(f"growth bound probe excludes families {DERIVATIVE_FAMILIES}")
     _gate_angle(spec)
     gen = dense_generator(spec, n_nodes)
     G = gen.generator
@@ -378,13 +367,7 @@ def compatibility_check(espec: EvolutionSpec):
     vvec = espec.v0.values.T.reshape(-1)
     resid = sys_.R @ vvec
     scale = max(np.max(np.abs(vvec)), 1.0)
-    names = {
-        1: ("u(a)", "u''(a)", "u''(b)", "u(b)"),
-        2: ("u'(a)", "(u''+Au)(a)", "(u''+Au)(b)", "u'(b)"),
-        3: ("u(a)", "u'(a)", "u'(b)", "u(b)"),
-        4: ("u'(a)", "u''(a)", "u''(b)", "u'(b)"),
-        5: ("u(a)", "(u''+Au)(a)", "(u''+Au)(b)", "u(b)"),
-    }[spec.bc_family]
+    names = [name for name, _, _ in bc_conditions(spec.bc_family, s_name="A")]
     violated = []
     per_row = np.linalg.norm(resid.reshape(4, spec.A.dim), axis=1)
     for name, r in zip(names, per_row):

@@ -9,7 +9,7 @@ collocation oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,6 +107,7 @@ class Grid:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str = "cgl"
+    _dmats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x, w = np.asarray(self.nodes, float), np.asarray(self.weights, float)
@@ -130,7 +131,13 @@ class Grid:
         return len(self.nodes)
 
     def derivative_matrix(self, order: int) -> np.ndarray:
-        return stencil_derivative_matrix(self.nodes, order)
+        """Local-stencil derivative matrix, cached read-only on the grid."""
+        D = self._dmats.get(order)
+        if D is None:
+            D = stencil_derivative_matrix(self.nodes, order)
+            D.setflags(write=False)
+            self._dmats[order] = D
+        return D
 
 
 def cgl_grid(n: int, a: float, b: float) -> Grid:

@@ -133,12 +133,6 @@ class Propagator:
             out[i] = Q @ sla.expm(t * T) @ Q.conj().T
         return out
 
-    def exp_apply(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.modal:
-            return self._V @ (np.exp(t * self._w)[:, None] * (self._Vinv @ x))
-        T, Q = self.op.schur()
-        return Q @ (sla.expm(t * T) @ (Q.conj().T @ x))
-
     def step_weights(self, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(psi, chi) step-integral weights: each shape (J, MAX_DEG, n, n)."""
         hs = np.asarray(hs, dtype=float)

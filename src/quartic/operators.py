@@ -76,14 +76,6 @@ class OperatorHandle:
             self._schur_cache["TQ"] = (T, Q)
         return self._schur_cache["TQ"]
 
-    def apply_scalar_function(self, fn, label: str = "") -> "OperatorHandle":
-        """Return fn(A) as a new handle; fn maps complex arrays to arrays."""
-        if self.diagonalizable:
-            F = (self.eigvecs * fn(self.spectrum)) @ self.eigvecs_inv
-        else:
-            F = sla.funm(self.matrix, fn)
-        return make_operator(F, label=label or f"f({self.label})")
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
 

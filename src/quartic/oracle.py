@@ -1,11 +1,14 @@
 """Brute-force reference solvers used to validate every formula path.
 
-Nothing here shares machinery with the representation-formula solvers: the
-fourth-order problem is discretized by global Chebyshev collocation with the
-operator rows downsampled to interior first-kind points (rectangular
-collocation), boundary conditions appended as explicit rows, and the system
-solved densely.  A scalar closed-form solver over the characteristic
-exponential basis covers the X = C case with inhomogeneous data.
+The only thing shared with the representation-formula solvers is the table
+of boundary conditions (``bvp.BC_FAMILIES``), which says which condition
+each family imposes where; no solution formula or solver machinery is
+shared.  The fourth-order problem is discretized by global Chebyshev
+collocation with the operator rows downsampled to interior first-kind points
+(rectangular collocation), boundary conditions appended as explicit rows, and
+the system solved densely.  A scalar closed-form solver over the
+characteristic exponential basis covers the X = C case with inhomogeneous
+data.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import tolerances as tol
+from .bvp import bc_conditions, condition_value
 from .errors import CapExceeded, DegenerateRoots, DimensionMismatch, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid, chebyshev_gauss_nodes
 from .operators import OperatorHandle
@@ -99,7 +103,7 @@ def _build_system(
     coeff2: np.ndarray,
     coeff0: np.ndarray,
     bc_family: int,
-    bc_second_op: np.ndarray | None,
+    bc_second_op: np.ndarray,
 ) -> CollocationSystem:
     dim = coeff2.shape[0]
     grid = cgl_grid(n_nodes, a, b)
@@ -111,25 +115,12 @@ def _build_system(
     K = np.kron(D4, Idim) + np.kron(D2, coeff2) + np.kron(In, coeff0)
     E = np.kron(_downsample_matrix(n_nodes, a, b), Idim)
 
-    def row(mat_row, op=None):
-        return np.kron(mat_row[None, :], Idim if op is None else op)
-
-    val_a, val_b = In[0], In[-1]
-    d1_a, d1_b = D1[0], D1[-1]
-    d2_a, d2_b = D2[0], D2[-1]
-    S = bc_second_op
-    if bc_family == 1:
-        rows = [row(val_a), row(d2_a), row(d2_b), row(val_b)]
-    elif bc_family == 2:
-        rows = [row(d1_a), row(d2_a) + row(val_a, S), row(d2_b) + row(val_b, S), row(d1_b)]
-    elif bc_family == 3:
-        rows = [row(val_a), row(d1_a), row(d1_b), row(val_b)]
-    elif bc_family == 4:
-        rows = [row(d1_a), row(d2_a), row(d2_b), row(d1_b)]
-    elif bc_family == 5:
-        rows = [row(val_a), row(d2_a) + row(val_a, S), row(d2_b) + row(val_b, S), row(val_b)]
-    else:
-        raise ValueError(f"unknown bc family {bc_family}")
+    derivs = (In, D1, D2)
+    rows = [
+        condition_value(kind, lambda order: np.kron(derivs[order][end][None, :], Idim),
+                        lambda r: bc_second_op @ r)
+        for _, end, kind in bc_conditions(bc_family)
+    ]
     R = np.vstack(rows)
 
     node_b = np.array([0, 1, n_nodes - 2, n_nodes - 1])
@@ -435,30 +426,13 @@ def characteristic_root_solve(
         ]
         return np.stack(cols, axis=-1)
 
-    def cond_row(kind, x0):
-        if kind == "val":
-            return basis(x0, 0), u_part(x0, 0)
-        if kind == "d1":
-            return basis(x0, 1), u_part(x0, 1)
-        if kind == "d2":
-            return basis(x0, 2), u_part(x0, 2)
-        if kind == "d2pP":
-            return basis(x0, 2) + p_eff * basis(x0, 0), u_part(x0, 2) + p_eff * u_part(x0, 0)
-        raise ValueError(kind)
-
-    kinds = {
-        1: [("val", a), ("val", b), ("d2", a), ("d2", b)],
-        2: [("d1", a), ("d1", b), ("d2pP", a), ("d2pP", b)],
-        3: [("val", a), ("val", b), ("d1", a), ("d1", b)],
-        4: [("d1", a), ("d1", b), ("d2", a), ("d2", b)],
-        5: [("val", a), ("val", b), ("d2pP", a), ("d2pP", b)],
-    }[bc_family]
     A = np.zeros((4, 4), dtype=complex)
     rhs = np.zeros(4, dtype=complex)
-    for i, ((kind, x0), ph) in enumerate(zip(kinds, phi)):
-        rowvec, part_val = cond_row(kind, x0)
-        A[i] = rowvec
-        rhs[i] = complex(ph) - part_val
+    for i, ((_, end, kind), ph) in enumerate(zip(bc_conditions(bc_family), phi)):
+        x0 = (a, b)[end]
+        A[i] = condition_value(kind, lambda order: basis(x0, order), lambda v: p_eff * v)
+        rhs[i] = complex(ph) - condition_value(kind, lambda order: u_part(x0, order),
+                                               lambda v: p_eff * v)
     condA = np.linalg.cond(A)
     if not np.isfinite(condA) or condA > tol.CONDITION_CAP:
         raise SingularSystem(f"scalar boundary system condition {condA:.3e}")

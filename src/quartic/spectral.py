@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .bvp import ProblemSpec, _lambda_frame, resolvent_matrix
+from .bvp import DERIVATIVE_FAMILIES, ProblemSpec, _lambda_frame, resolvent_matrix
 from .errors import BranchCut, NearSpectrum, NotInResolventSet, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid
 from .operators import operator_norm
@@ -112,9 +112,6 @@ class SweepGrid:
         rho = np.asarray(self.radii, float)
         phi = np.asarray(self.angles, float)
         return (self.vertex + np.multiply.outer(np.exp(1j * phi), rho)).reshape(-1)
-
-    def index_pairs(self):
-        return [(ia, ir) for ia in range(len(self.angles)) for ir in range(len(self.radii))]
 
 
 def make_sweep_grid(
@@ -236,10 +233,10 @@ def run_sweep(
     """Measure resolvent norms over the sweep grid.
 
     Requires a positive exclusion radius for the clamped/derivative families
-    (3 and 4); per-parameter frame failures become findings in the report.
+    (DERIVATIVE_FAMILIES); per-parameter frame failures become findings.
     """
-    if spec.bc_family in (3, 4) and sweep.exclusion_radius <= 0:
-        raise ValueError("families 3 and 4 need exclusion_radius > 0")
+    if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
+        raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
     grid = cgl_grid(n_nodes, spec.a, spec.b)
     lams = sweep.points()
 

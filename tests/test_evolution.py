@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import smooth_field
-from quartic.bvp import ProblemSpec
+from quartic.bvp import ProblemSpec, boundary_residuals
 from quartic.errors import SectorAngleExceeded, StepRejected
 from quartic.evolution import (
     EvolutionSpec,
@@ -15,6 +17,29 @@ from quartic.evolution import (
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import make_operator
 from quartic.oracle import dense_expm, dense_generator
+
+
+# Each family's four conditions in phi order, written out by hand: the number
+# of primes is the derivative order, "+Pu" adds the operator times u.
+FAMILY_CONDITIONS = {
+    1: ("u(a)", "u(b)", "u''(a)", "u''(b)"),
+    2: ("u'(a)", "u'(b)", "(u''+Pu)(a)", "(u''+Pu)(b)"),
+    3: ("u(a)", "u(b)", "u'(a)", "u'(b)"),
+    4: ("u'(a)", "u'(b)", "u''(a)", "u''(b)"),
+    5: ("u(a)", "u(b)", "(u''+Pu)(a)", "(u''+Pu)(b)"),
+}
+
+
+def condition_row(name, a, b, p, degree=6):
+    """The named condition applied to x^0..x^degree for scalar operator p."""
+    x0 = a if name.endswith("(a)") else b
+
+    def deriv(order):
+        return np.array([math.perm(j, order) * x0 ** max(j - order, 0)
+                         for j in range(degree + 1)])
+
+    row = deriv(name.count("'"))
+    return row + p * deriv(0) if "+Pu" in name else row
 
 
 def sine_mode(grid, dim=1, m=1):
@@ -226,6 +251,27 @@ class TestCompatibility:
         ok, violated, _ = compatibility_check(es)
         assert not ok
         assert any("u(a)" in v for v in violated)
+
+    @pytest.mark.parametrize("bc", sorted(FAMILY_CONDITIONS))
+    @pytest.mark.parametrize("broken", range(4))
+    def test_single_broken_condition_named(self, scalar_op, bc, broken):
+        names = FAMILY_CONDITIONS[bc]
+        p = scalar_op.matrix[0, 0]
+        rows = np.array([condition_row(name, 0.0, np.pi, p) for name in names])
+        # degree-6 polynomial meeting three conditions and missing one by 1;
+        # the 7-point derivative stencils are exact on it
+        coeff = np.linalg.lstsq(rows, np.eye(4)[broken], rcond=None)[0]
+        grid = cgl_grid(32, 0.0, np.pi)
+        u = GridFunction(grid, np.polynomial.polynomial.polyval(grid.nodes, coeff))
+        spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, bc)
+        es = EvolutionSpec(spec, 1.0, u, scheme="IMPLICIT_EULER", dt=0.1)
+        ok, violated, _ = compatibility_check(es)
+        assert not ok
+        assert [v.split(" ")[0] for v in violated] == [names[broken].replace("P", "A")]
+        res = boundary_residuals(grid, u, [np.zeros(1)] * 4, bc, scalar_op.matrix)
+        assert set(res) == set(names)
+        assert res[names[broken]] == pytest.approx(1.0, rel=1e-6)
+        assert all(res[name] <= 1e-8 for name in names if name != names[broken])
 
     def test_sine_mode_compatible(self, scalar_op):
         spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)

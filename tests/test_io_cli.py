@@ -297,3 +297,33 @@ n_angles = 2
 n_nodes = 20
 """)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+FUZZ_BASE = {
+    "problem": {"a": "0", "b": "3.141592653589793", "k": "0", "bc_family": "1",
+                "operator": "diag:-1"},
+    "grid": {"n_nodes": "16"},
+    "sweep": {"radius_min": "1e-1", "radius_max": "1e1", "n_radii": "2",
+              "n_angles": "2", "exclusion_radius": "0", "n_nodes": "12"},
+    "evolve": {"scheme": "IMPLICIT_EULER", "dt": "0.25", "t_final": "0.5",
+               "v0": "sine:1", "contour_points": "8", "growth_probe": "false"},
+}
+FUZZ_FIELDS = [(sec, key) for sec in ("grid", "sweep", "evolve")
+               for key in FUZZ_BASE[sec]]
+FUZZ_VALUES = ["", "abc", "nan", "inf", "-inf", "1e400", "-1", "0", "1", "2", "5",
+               "2.5", "1e-300", "1e300", "sine:2.5", "true", "CONTOUR"]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES))
+    def test_one_bad_field_maps_to_exit_code(self, tmp_path_factory, field, value):
+        sec, key = field
+        cfg = {s: dict(kv) for s, kv in FUZZ_BASE.items()}
+        cfg[sec][key] = value
+        body = "\n".join(f"[{s}]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items())
+                         for s, kv in cfg.items())
+        out = tmp_path_factory.mktemp("fuzz")
+        path = write_config(out / "c.cfg", body)
+        command = "sweep" if sec == "sweep" else "evolve"
+        assert main([command, "--config", path, "--out", str(out)]) in {0, 2, 3, 4, 5}
