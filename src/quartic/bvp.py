@@ -4,16 +4,25 @@ The solver assembles, per spectral parameter, a frame of commuting operators
 (the quadratic factors P and Q, the semigroup generators l = -sqrt(-Q) and
 m = -sqrt(-P), the interval-length exponentials and their guarded inverses)
 and evaluates the closed-form representation of the solution under the five
-boundary-condition families.  All heavy objects are dense complex matrices;
-fields are sampled on a grid and batched over right-hand sides.
+boundary-condition families.  Fields are sampled on a grid and batched over
+right-hand sides.
+
+Every frame member is a scalar function of the base operator A.  When A is
+diagonalizable with a trusted eigenvector basis (eig_cond <= EIG_COND_CAP),
+the frame is modal: each member is the length-n array of its eigenvalues,
+data and boundary vectors are mapped into A's eigenbasis on entry and back
+on exit, and every member acts elementwise, so a parameter costs O(nN) work
+and no factorization.  Otherwise the frame is dense: members are (n, n)
+matrices from the Schur-backed functional calculus of ``operators``.  One
+set of formulas serves both; ``BCFrame.apply`` tells them apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import tolerances as tol
 from .errors import (
@@ -37,7 +46,9 @@ from .operators import (
     guarded_inverse_I_minus,
     make_operator,
     sector_half_angle,
+    shift_operator,
     sqrt_principal,
+    sqrt_symbols,
 )
 
 __all__ = [
@@ -135,54 +146,78 @@ class ProblemSpec:
         """Sector half-angle of -A (0 for negative-definite diagonal A)."""
         return sector_half_angle(self.A)
 
-    def phi_vectors(self) -> tuple:
-        if self.phi is None:
-            z = np.zeros(self.A.dim, dtype=complex)
-            return (z, z.copy(), z.copy(), z.copy())
-        return tuple(np.asarray(p, dtype=complex) for p in self.phi)
-
 
 @dataclass
 class BCFrame:
     """Operator bundle entering the representation formulas for one parameter.
 
-    All members are dense complex (n, n) matrices acting on X.  ``u_op`` and
-    ``v_op`` are the two interval operators whose invertibility governs the
-    value/derivative condition families; their inverses are None when the
-    guarded inversion refused (recorded in ``uv_ok``).
+    ``ops`` holds the members (p, q, b_op, m, l, their inverses, the interval
+    exponentials e_cm, e_cl, e_clm, the guarded inverses z, w, inv_ip_em, ...,
+    T-/T+, U = I - T-, V = I - T+, uinv, vinv, and the identity eye).  A modal
+    frame (``basis`` = (V, V^{-1}), the eigenvectors P, Q and B share) stores
+    each member as its (n,) eigenvalues and its propagators give (N, n)
+    exponentials and (J, 6, n) step weights; a dense frame (``basis`` None)
+    stores (n, n) matrices and (N, n, n), (J, 6, n, n) stacks.  Attribute
+    access ``frame.p``, ``frame.inv_im_el``, ... always gives the dense
+    matrix, built on first use as V diag(.) V^{-1} for a modal frame.
+    ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
+    (recorded in ``uv_ok``).
     """
 
     n: int
     c: float
     lam: complex | None
-    p: np.ndarray
-    q: np.ndarray
-    b_op: np.ndarray
-    m: np.ndarray
-    l: np.ndarray
-    binv: np.ndarray
-    minv: np.ndarray
-    linv: np.ndarray
-    e_cm: np.ndarray
-    e_cl: np.ndarray
-    e_clm: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-    t_minus: np.ndarray
-    t_plus: np.ndarray
-    u_op: np.ndarray
-    v_op: np.ndarray
-    uinv: np.ndarray | None
-    vinv: np.ndarray | None
+    ops: SimpleNamespace
+    basis: tuple | None
     uv_ok: bool
-    inv_ip_em: np.ndarray
-    inv_im_em: np.ndarray
-    inv_ip_el: np.ndarray
-    inv_im_el: np.ndarray
     prop_m: Propagator
     prop_l: Propagator
-    diagnostics: dict = field(default_factory=dict)
+    _dense: dict = field(default_factory=dict, repr=False)
     _grid_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def modal(self) -> bool:
+        return self.basis is not None
+
+    def __getattr__(self, name):
+        ops = self.__dict__.get("ops")
+        if ops is None or not hasattr(ops, name):
+            raise AttributeError(name)
+        x = getattr(ops, name)
+        if x is None or not self.modal:
+            return x
+        if name not in self._dense:
+            V, Vinv = self.basis
+            self._dense[name] = (V * x) @ Vinv
+        return self._dense[name]
+
+    def apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """x @ v for a member or grid-kit stack x in this frame's representation;
+        v is (n, r) or (N, n, r)."""
+        return x[..., None] * v if self.modal else x @ v
+
+    def to_modes(self, v: np.ndarray) -> np.ndarray:
+        """(..., n, r) data in X's coordinates -> the frame's coordinates."""
+        return self.basis[1] @ v if self.modal else v
+
+    def from_modes(self, v: np.ndarray) -> np.ndarray:
+        """Inverse of ``to_modes``."""
+        return self.basis[0] @ v if self.modal else v
+
+    @property
+    def diagnostics(self) -> dict:
+        """Contractivity of T-/T+ and square-root residuals, from dense members."""
+        nt_minus = float(np.linalg.norm(self.t_minus, 2))
+        nt_plus = float(np.linalg.norm(self.t_plus, 2))
+        pn = max(float(np.linalg.norm(self.p, 2)), 1e-300)
+        qn = max(float(np.linalg.norm(self.q, 2)), 1e-300)
+        return {
+            "norm_t_minus": nt_minus,
+            "norm_t_plus": nt_plus,
+            "res_m_sq": float(np.linalg.norm(self.m @ self.m + self.p) / pn),
+            "res_l_sq": float(np.linalg.norm(self.l @ self.l + self.q) / qn),
+            "contractive": bool(nt_minus < 1.0 and nt_plus < 1.0),
+        }
 
     def grid_kit(self, grid: Grid) -> dict:
         """Grid-dependent exponential stacks and step weights, cached."""
@@ -210,20 +245,18 @@ def build_pq_lambda(A: OperatorHandle, k: float, lam: complex):
     """Quadratic-factor operators for the shifted parameter.
 
     Returns (P, Q, B) handles with P = A - k/2 + i s, Q = A - k/2 - i s and
-    B = 2 i s I, where s is the principal square root of -lam - k^2/4.
-    Raises BranchCut when that argument falls on (-inf, 0].
+    B = 2 i s I, where s is the principal square root of -lam - k^2/4.  All
+    three share A's eigenvectors.  Raises BranchCut when that argument falls
+    on (-inf, 0].
     """
     s2 = -complex(lam) - k * k / 4.0
     scale = max(1.0, abs(s2))
     if abs(s2.imag) <= 1e-14 * scale and s2.real <= 1e-14 * scale:
         raise BranchCut(f"-lambda - k^2/4 = {s2} lies on the branch cut")
     s = np.sqrt(s2)
-    n = A.dim
-    eye = np.eye(n)
-    ak2 = A.matrix - (k / 2.0) * eye
-    P = make_operator(ak2 + 1j * s * eye, label="P_lam")
-    Q = make_operator(ak2 - 1j * s * eye, label="Q_lam")
-    B = make_operator(2j * s * eye, label="B_lam")
+    P = shift_operator(A, -k / 2.0 + 1j * s, label="P_lam")
+    Q = shift_operator(A, -k / 2.0 - 1j * s, label="Q_lam")
+    B = shift_operator(A, 2j * s, scale=0.0, label="B_lam")
     return P, Q, B
 
 
@@ -231,94 +264,168 @@ def _as_handle(op) -> OperatorHandle:
     return op if isinstance(op, OperatorHandle) else make_operator(op)
 
 
+class _Symbols:
+    """Calculus of a modal frame: members are (n,) eigenvalues in a basis of
+    condition kappa.  Norms are the bounds ||V diag(x) V^{-1}|| <= kappa max|x|,
+    so a guard refuses here whenever the dense guard would."""
+
+    def __init__(self, n: int, kappa: float):
+        self.eye = np.ones(n, dtype=complex)
+        self.kappa = kappa
+
+    @staticmethod
+    def of(X: OperatorHandle) -> np.ndarray:
+        return X.spectrum
+
+    def norm(self, x) -> float:
+        return self.kappa * float(np.max(np.abs(x)))
+
+    @staticmethod
+    def inv(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return 1.0 / x
+
+    @staticmethod
+    def mul(x, y):
+        return x * y
+
+    @staticmethod
+    def neg_sqrt_neg(x):
+        return -sqrt_symbols(-x)
+
+    @staticmethod
+    def propagator(x) -> Propagator:
+        return Propagator(x)
+
+    def inv_i_minus(self, t, label: str):
+        """(I - T)^{-1} under guarded_inverse_I_minus's condition cap."""
+        inv = self.inv(1.0 - t)
+        cond = (1.0 + self.norm(t)) * self.norm(inv)
+        if not np.isfinite(cond) or cond > tol.CONDITION_CAP:
+            raise SingularOrIllConditioned(f"I - {label} has condition estimate {cond:.3e}")
+        return inv
+
+
+class _Matrices:
+    """Calculus of a dense frame: members are (n, n) matrices."""
+
+    def __init__(self, n: int):
+        self.eye = np.eye(n)
+
+    @staticmethod
+    def of(X: OperatorHandle) -> np.ndarray:
+        return np.asarray(X.matrix)
+
+    @staticmethod
+    def norm(x) -> float:
+        return float(np.linalg.norm(x, 2))
+
+    @staticmethod
+    def inv(x):
+        return np.linalg.inv(x)
+
+    @staticmethod
+    def mul(x, y):
+        return x @ y
+
+    @staticmethod
+    def neg_sqrt_neg(x):
+        return -sqrt_principal(make_operator(-x)).matrix
+
+    @staticmethod
+    def propagator(x) -> Propagator:
+        return Propagator(make_operator(x))
+
+    @staticmethod
+    def inv_i_minus(t, label: str):
+        return guarded_inverse_I_minus(make_operator(t, label=label)).matrix
+
+
 def assemble_frame(P, Q, B, c: float, require_uv: bool = False) -> BCFrame:
     """Build the operator frame from commuting factors P, Q with P = Q + B.
 
-    Raises SpectrumOnCut when a square root is undefined, FrameSingular when
-    B or an interval operator needed unconditionally is not invertible, and
-    NonCommutingOperators when the factors fail the commutation validation.
-    With ``require_uv`` the two derivative-family operators must also invert.
+    The frame is modal when the three handles share one trusted eigenvector
+    basis (as ``build_pq_lambda`` makes them for diagonalizable A) and dense
+    otherwise.  Raises SpectrumOnCut when a square root is undefined,
+    FrameSingular when B or an interval operator needed unconditionally is not
+    invertible, and NonCommutingOperators when the factors fail the
+    commutation validation.  With ``require_uv`` the two derivative-family
+    operators must also invert.
     """
     P, Q, B = _as_handle(P), _as_handle(Q), _as_handle(B)
+    modal = P.eigvecs is not None and Q.eigvecs is P.eigvecs and B.eigvecs is P.eigvecs
+    return _build_frame(P, Q, B, c, require_uv, modal)
+
+
+def _build_frame(P, Q, B, c, require_uv=False, modal=True) -> BCFrame:
+    """assemble_frame on handles, in the representation ``modal`` selects."""
     if c <= 0:
         raise ValueError("interval length c must be positive")
     n = P.dim
     if Q.dim != n or B.dim != n:
         raise DimensionMismatch("P, Q, B must share dimensions")
-    pn, qn = max(P.norm(), 1e-300), max(Q.norm(), 1e-300)
-    comm = np.linalg.norm(P.matrix @ Q.matrix - Q.matrix @ P.matrix)
-    if comm > 1e-10 * pn * qn * n:
-        raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
-    gap = np.linalg.norm(P.matrix - Q.matrix - B.matrix)
-    if gap > 1e-10 * max(pn, B.norm()):
+    calc = _Symbols(n, P.eig_cond) if modal else _Matrices(n)
+    p, q, b = calc.of(P), calc.of(Q), calc.of(B)
+    pn, qn = max(calc.norm(p), 1e-300), max(calc.norm(q), 1e-300)
+    if not modal:  # a shared eigenbasis commutes exactly
+        comm = np.linalg.norm(p @ q - q @ p)
+        if comm > 1e-10 * pn * qn * n:
+            raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
+    gap = np.linalg.norm(p - q - b)
+    if gap > 1e-10 * max(pn, calc.norm(b)):
         raise FrameSingular(f"P - Q - B residual {gap:.3e}")
     try:
-        binv_norm = np.linalg.norm(np.linalg.inv(B.matrix), 2)
+        binv = calc.inv(b)
+        binv_norm = calc.norm(binv)
     except np.linalg.LinAlgError:
         binv_norm = np.inf
     # B is "invertible" only on the scale of the factors it separates
     if not np.isfinite(binv_norm) or binv_norm * max(pn, qn, 1.0) > tol.CONDITION_CAP:
         raise FrameSingular("B is not invertible")
 
-    m_mat = -sqrt_principal(make_operator(-P.matrix, label="-P")).matrix
-    l_mat = -sqrt_principal(make_operator(-Q.matrix, label="-Q")).matrix
-    prop_m = Propagator(make_operator(m_mat, label="m"))
-    prop_l = Propagator(make_operator(l_mat, label="l"))
+    m = calc.neg_sqrt_neg(p)
+    l = calc.neg_sqrt_neg(q)
+    prop_m = calc.propagator(m)
+    prop_l = calc.propagator(l)
     e_cm, e_2cm = prop_m.exp_stack(np.array([c, 2 * c]))
     e_cl, e_2cl = prop_l.exp_stack(np.array([c, 2 * c]))
-    e_clm = Propagator(make_operator(l_mat + m_mat, label="l+m")).exp_stack(
-        np.array([c]))[0]
+    lm = l + m
+    e_clm = calc.propagator(lm).exp_stack(np.array([c]))[0]
     try:
-        z = guarded_inverse_I_minus(make_operator(e_2cm, label="e2cM")).matrix
-        w = guarded_inverse_I_minus(make_operator(e_2cl, label="e2cL")).matrix
-        inv_im_em = guarded_inverse_I_minus(make_operator(e_cm, label="ecM")).matrix
-        inv_im_el = guarded_inverse_I_minus(make_operator(e_cl, label="ecL")).matrix
-        inv_ip_em = guarded_inverse_I_minus(make_operator(-e_cm, label="-ecM")).matrix
-        inv_ip_el = guarded_inverse_I_minus(make_operator(-e_cl, label="-ecL")).matrix
+        z = calc.inv_i_minus(e_2cm, "e2cM")
+        w = calc.inv_i_minus(e_2cl, "e2cL")
+        inv_im_em = calc.inv_i_minus(e_cm, "ecM")
+        inv_im_el = calc.inv_i_minus(e_cl, "ecL")
+        inv_ip_em = calc.inv_i_minus(-e_cm, "-ecM")
+        inv_ip_el = calc.inv_i_minus(-e_cl, "-ecL")
     except SingularOrIllConditioned as exc:
         raise FrameSingular(f"interval exponential not invertible: {exc}") from exc
 
-    binv = np.linalg.inv(B.matrix)
-    minv = np.linalg.inv(m_mat)
-    linv = np.linalg.inv(l_mat)
-    lm = l_mat + m_mat
-    gain = binv @ (lm @ lm) @ (e_cm - e_cl)
+    gain = calc.mul(calc.mul(binv, calc.mul(lm, lm)), e_cm - e_cl)
     t_minus = e_clm + gain
     t_plus = e_clm - gain
-    u_op = np.eye(n) - t_minus
-    v_op = np.eye(n) - t_plus
     uinv = vinv = None
     uv_ok = True
     try:
-        uinv = guarded_inverse_I_minus(make_operator(t_minus, label="T-")).matrix
-        vinv = guarded_inverse_I_minus(make_operator(t_plus, label="T+")).matrix
+        uinv = calc.inv_i_minus(t_minus, "T-")
+        vinv = calc.inv_i_minus(t_plus, "T+")
     except SingularOrIllConditioned as exc:
         uv_ok = False
         if require_uv:
             raise FrameSingular(f"U or V not invertible: {exc}") from exc
 
-    diagnostics = {
-        "norm_t_minus": float(np.linalg.norm(t_minus, 2)),
-        "norm_t_plus": float(np.linalg.norm(t_plus, 2)),
-        "res_m_sq": float(np.linalg.norm(m_mat @ m_mat + P.matrix) / pn),
-        "res_l_sq": float(np.linalg.norm(l_mat @ l_mat + Q.matrix) / qn),
-        "contractive": bool(
-            np.linalg.norm(t_minus, 2) < 1.0 and np.linalg.norm(t_plus, 2) < 1.0
-        ),
-    }
-    return BCFrame(
-        n=n, c=c, lam=None,
-        p=np.asarray(P.matrix), q=np.asarray(Q.matrix), b_op=np.asarray(B.matrix),
-        m=m_mat, l=l_mat, binv=binv, minv=minv, linv=linv,
+    ops = SimpleNamespace(
+        eye=calc.eye, p=p, q=q, b_op=b, m=m, l=l,
+        binv=binv, minv=calc.inv(m), linv=calc.inv(l),
         e_cm=e_cm, e_cl=e_cl, e_clm=e_clm, z=z, w=w,
-        t_minus=t_minus, t_plus=t_plus, u_op=u_op, v_op=v_op,
-        uinv=uinv, vinv=vinv, uv_ok=uv_ok,
+        t_minus=t_minus, t_plus=t_plus,
+        u_op=calc.eye - t_minus, v_op=calc.eye - t_plus, uinv=uinv, vinv=vinv,
         inv_ip_em=inv_ip_em, inv_im_em=inv_im_em,
         inv_ip_el=inv_ip_el, inv_im_el=inv_im_el,
-        prop_m=prop_m,
-        prop_l=prop_l,
-        diagnostics=diagnostics,
     )
+    basis = (P.eigvecs, P.eigvecs_inv) if modal else None
+    return BCFrame(n=n, c=c, lam=None, ops=ops, basis=basis, uv_ok=uv_ok,
+                   prop_m=prop_m, prop_l=prop_l)
 
 
 # ---------------------------------------------------------------------------
@@ -357,44 +464,46 @@ def _stage(prop: Propagator, grid: Grid, fv, fp, fpp, estep, weights):
 def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi) -> dict:
     """Particular solution F_{Phi,f} and its building blocks on the grid.
 
-    fv has shape (N, n, r); phi is a 4-tuple of (n,) vectors (broadcast over
-    the batch axis).  Returns every object the family solvers need.
+    fv has shape (N, n, r) and phi is a 4-tuple of (n, 1) columns (broadcast
+    over the batch axis), both in the frame's coordinates (``to_modes``).
+    Returns every object the family solvers need, in the same coordinates.
     """
+    o, ap = frame.ops, frame.apply
     kit = frame.grid_kit(grid)
-    p1, p2, p3, p4 = (np.asarray(p, dtype=complex)[:, None] for p in phi)
+    p1, p2, p3, p4 = phi
 
     fp, fpp = _data_derivatives(grid, fv)
     i_fwd, i_bwd = _stage(frame.prop_l, grid, fv, fp, fpp, kit["estep_l"], kit["w_l"])
     j1 = i_bwd[0]
     j2 = i_fwd[-1]
 
-    g1 = frame.w @ (p3 + frame.p @ p1)
-    g2 = frame.w @ (p4 + frame.p @ p2)
-    gj1 = 0.5 * frame.w @ (frame.linv @ j1)
-    gj2 = 0.5 * frame.w @ (frame.linv @ j2)
-    c_xa = g1 - frame.e_cl @ g2 - gj1 + frame.e_cl @ gj2
-    c_bx = -frame.e_cl @ g1 + g2 + frame.e_cl @ gj1 - gj2
-    ikern = 0.5 * frame.linv @ (i_fwd + i_bwd)
-    v0 = kit["exa_l"] @ c_xa + kit["ebx_l"] @ c_bx + ikern
-    v0p = frame.l @ (kit["exa_l"] @ c_xa) - frame.l @ (kit["ebx_l"] @ c_bx) \
+    g1 = ap(o.w, p3 + ap(o.p, p1))
+    g2 = ap(o.w, p4 + ap(o.p, p2))
+    gj1 = 0.5 * ap(o.w, ap(o.linv, j1))
+    gj2 = 0.5 * ap(o.w, ap(o.linv, j2))
+    c_xa = g1 - ap(o.e_cl, g2) - gj1 + ap(o.e_cl, gj2)
+    c_bx = -ap(o.e_cl, g1) + g2 + ap(o.e_cl, gj1) - gj2
+    ikern = 0.5 * ap(o.linv, i_fwd + i_bwd)
+    v0 = ap(kit["exa_l"], c_xa) + ap(kit["ebx_l"], c_bx) + ikern
+    v0p = ap(o.l, ap(kit["exa_l"], c_xa)) - ap(o.l, ap(kit["ebx_l"], c_bx)) \
         + 0.5 * (i_fwd - i_bwd)
-    v0pp = -(frame.q @ v0) + fv
+    v0pp = -ap(o.q, v0) + fv
 
     c_fwd, c_bwd = _stage(frame.prop_m, grid, v0, v0p, v0pp, kit["estep_m"], kit["w_m"])
     k1 = c_bwd[0]
     k2 = c_fwd[-1]
 
-    zq1 = frame.z @ p1
-    zq2 = frame.z @ p2
-    zk1 = 0.5 * frame.z @ (frame.minv @ k1)
-    zk2 = 0.5 * frame.z @ (frame.minv @ k2)
-    cm_xa = zq1 - frame.e_cm @ zq2 - zk1 + frame.e_cm @ zk2
-    cm_bx = -frame.e_cm @ zq1 + zq2 + frame.e_cm @ zk1 - zk2
-    mkern = 0.5 * frame.minv @ (c_fwd + c_bwd)
-    F = kit["exa_m"] @ cm_xa + kit["ebx_m"] @ cm_bx + mkern
-    Fp = frame.m @ (kit["exa_m"] @ cm_xa) - frame.m @ (kit["ebx_m"] @ cm_bx) \
+    zq1 = ap(o.z, p1)
+    zq2 = ap(o.z, p2)
+    zk1 = 0.5 * ap(o.z, ap(o.minv, k1))
+    zk2 = 0.5 * ap(o.z, ap(o.minv, k2))
+    cm_xa = zq1 - ap(o.e_cm, zq2) - zk1 + ap(o.e_cm, zk2)
+    cm_bx = -ap(o.e_cm, zq1) + zq2 + ap(o.e_cm, zk1) - zk2
+    mkern = 0.5 * ap(o.minv, c_fwd + c_bwd)
+    F = ap(kit["exa_m"], cm_xa) + ap(kit["ebx_m"], cm_bx) + mkern
+    Fp = ap(o.m, ap(kit["exa_m"], cm_xa)) - ap(o.m, ap(kit["ebx_m"], cm_bx)) \
         + 0.5 * (c_fwd - c_bwd)
-    Fpp = -(frame.p @ F) + v0
+    Fpp = -ap(o.p, F) + v0
 
     return {
         "F": F, "Fp": Fp, "Fpp": Fpp,
@@ -405,8 +514,22 @@ def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi) -> dict:
 
 
 def _zero_phi(n: int):
-    z = np.zeros(n, dtype=complex)
+    z = np.zeros((n, 1), dtype=complex)
     return (z, z, z, z)
+
+
+def _frame_phi(frame: BCFrame, phi, bc: int = 1):
+    """Boundary data as four (n, 1) columns in the frame's coordinates.
+
+    Family 5 data is reduced here, in X's coordinates, to the family 1 data
+    (phi1, phi2, phi3 - P phi1, phi4 - P phi2) that _solve_family solves.
+    """
+    if phi is None:
+        return _zero_phi(frame.n)
+    p1, p2, p3, p4 = (np.asarray(p, dtype=complex) for p in phi)
+    if bc == 5:
+        p3, p4 = p3 - frame.p @ p1, p4 - frame.p @ p2
+    return tuple(frame.to_modes(p.reshape(frame.n, 1)) for p in (p1, p2, p3, p4))
 
 
 def particular_solution_F(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
@@ -415,9 +538,9 @@ def particular_solution_F(frame: BCFrame, f: GridFunction, phi=None) -> GridFunc
     With homogeneous data the result vanishes at both endpoints together
     with its second derivative.
     """
-    phi = _zero_phi(frame.n) if phi is None else phi
-    part = _particular(frame, f.grid, _field_to_internal(f), phi)
-    return _internal_to_field(f.grid, part["F"])
+    fv = frame.to_modes(_field_to_internal(f))
+    part = _particular(frame, f.grid, fv, _frame_phi(frame, phi))
+    return _internal_to_field(f.grid, frame.from_modes(part["F"]))
 
 
 def fprime_boundary(frame: BCFrame, f: GridFunction):
@@ -426,66 +549,65 @@ def fprime_boundary(frame: BCFrame, f: GridFunction):
     Evaluated from the closed-form derivative expression (exponentials and
     full-interval kernel integrals), never by differencing F itself.
     """
-    part = _particular(frame, f.grid, _field_to_internal(f), _zero_phi(frame.n))
-    k1, k2 = part["k1"], part["k2"]
-    e2 = frame.e_cm @ frame.e_cm
-    eye = np.eye(frame.n)
-    fa = -0.5 * ((eye + e2) @ (frame.z @ k1)) + frame.e_cm @ (frame.z @ k2) - 0.5 * k1
-    fb = -frame.e_cm @ (frame.z @ k1) + 0.5 * ((eye + e2) @ (frame.z @ k2)) + 0.5 * k2
-    return fa[:, 0], fb[:, 0]
+    o, ap = frame.ops, frame.apply
+    fv = frame.to_modes(_field_to_internal(f))
+    part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
+    zk1, zk2 = ap(o.z, part["k1"]), ap(o.z, part["k2"])
+    e2zk1, e2zk2 = (ap(o.e_cm, ap(o.e_cm, v)) for v in (zk1, zk2))
+    fa = -0.5 * (zk1 + e2zk1) + ap(o.e_cm, zk2) - 0.5 * part["k1"]
+    fb = -ap(o.e_cm, zk1) + 0.5 * (zk2 + e2zk2) + 0.5 * part["k2"]
+    return frame.from_modes(fa)[:, 0], frame.from_modes(fb)[:, 0]
 
 
 def _mode_solution(frame, kit, alphas, base):
+    ap = frame.apply
     a1, a2, a3, a4 = alphas
     u = (
-        kit["exa_m"] @ (a1 + a3) + kit["ebx_m"] @ (a3 - a1)
-        + kit["exa_l"] @ (a2 + a4) + kit["ebx_l"] @ (a4 - a2)
+        ap(kit["exa_m"], a1 + a3) + ap(kit["ebx_m"], a3 - a1)
+        + ap(kit["exa_l"], a2 + a4) + ap(kit["ebx_l"], a4 - a2)
     )
     return u + base
 
 
 def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> np.ndarray:
-    """Dispatch on the boundary family; fv is (N, n, r), phi a 4-tuple (n,)."""
-    n = frame.n
-    if bc == 1:
-        part = _particular(frame, grid, fv, phi)
-        return part["F"]
-    if bc == 5:
-        p1, p2, p3, p4 = (np.asarray(p, dtype=complex) for p in phi)
-        reduced = (p1, p2, p3 - frame.p @ p1, p4 - frame.p @ p2)
-        part = _particular(frame, grid, fv, reduced)
-        return part["F"]
+    """Dispatch on the boundary family; fv is (N, n, r) and phi four (n, 1)
+    columns from _frame_phi, all in the frame's coordinates."""
+    o, ap = frame.ops, frame.apply
+    if bc in (1, 5):  # family 5 data arrives reduced to family 1 data
+        return _particular(frame, grid, fv, phi)["F"]
 
-    part = _particular(frame, grid, fv, _zero_phi(n))
+    part = _particular(frame, grid, fv, _zero_phi(frame.n))
     kit = part["kit"]
     fpa, fpb = part["fpa"], part["fpb"]
-    p1, p2, p3, p4 = (np.asarray(p, dtype=complex)[:, None] for p in phi)
-    eye = np.eye(n)
+    p1, p2, p3, p4 = phi
+    eye = o.eye
 
     if bc == 2:
         alphas = _family2_alphas(frame, part, phi)
         return _mode_solution(frame, kit, alphas, part["F"])
 
-    if not frame.uv_ok or frame.uinv is None or frame.vinv is None:
+    if not frame.uv_ok or o.uinv is None or o.vinv is None:
         raise FrameSingular(
             "derivative-family solve needs invertible interval operators; "
             "the parameter may belong to the spectrum"
         )
-    common = frame.binv @ (frame.l + frame.m)
+
+    def common(v):  # B^{-1} (L + M) v
+        return ap(o.binv, ap(o.l + o.m, v))
 
     if bc == 3:
         pt1 = 0.5 * (p3 + p4 - fpa - fpb)
         pt2 = 0.5 * (p3 - p4 - fpa + fpb)
         dm = p1 - p2
         sm = p1 + p2
-        a1 = 0.5 * common @ (frame.uinv @ (
-            frame.l @ ((eye + frame.e_cl) @ dm) - 2 * (eye - frame.e_cl) @ pt1))
-        a2 = -0.5 * common @ (frame.uinv @ (
-            frame.m @ ((eye + frame.e_cm) @ dm) - 2 * (eye - frame.e_cm) @ pt1))
-        a3 = 0.5 * common @ (frame.vinv @ (
-            frame.l @ ((eye - frame.e_cl) @ sm) - 2 * (eye + frame.e_cl) @ pt2))
-        a4 = -0.5 * common @ (frame.vinv @ (
-            frame.m @ ((eye - frame.e_cm) @ sm) - 2 * (eye + frame.e_cm) @ pt2))
+        a1 = 0.5 * common(ap(o.uinv,
+            ap(o.l, ap(eye + o.e_cl, dm)) - 2 * ap(eye - o.e_cl, pt1)))
+        a2 = -0.5 * common(ap(o.uinv,
+            ap(o.m, ap(eye + o.e_cm, dm)) - 2 * ap(eye - o.e_cm, pt1)))
+        a3 = 0.5 * common(ap(o.vinv,
+            ap(o.l, ap(eye - o.e_cl, sm)) - 2 * ap(eye + o.e_cl, pt2)))
+        a4 = -0.5 * common(ap(o.vinv,
+            ap(o.m, ap(eye - o.e_cm, sm)) - 2 * ap(eye + o.e_cm, pt2)))
         return _mode_solution(frame, kit, (a1, a2, a3, a4), part["F"])
 
     if bc == 4:
@@ -493,40 +615,41 @@ def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> n
         pt2 = 0.5 * (p1 - p2 - fpa + fpb)
         dm = p3 - p4
         sm = p3 + p4
-        lminv = frame.l @ frame.minv
-        mlinv = frame.m @ frame.linv
-        a1 = 0.5 * common @ (frame.vinv @ (
-            2 * (eye - frame.e_cl) @ (lminv @ pt1) - (eye + frame.e_cl) @ (frame.minv @ dm)))
-        a2 = -0.5 * common @ (frame.vinv @ (
-            2 * (eye - frame.e_cm) @ (mlinv @ pt1) - (eye + frame.e_cm) @ (frame.linv @ dm)))
-        a3 = 0.5 * common @ (frame.uinv @ (
-            2 * (eye + frame.e_cl) @ (lminv @ pt2) - (eye - frame.e_cl) @ (frame.minv @ sm)))
-        a4 = -0.5 * common @ (frame.uinv @ (
-            2 * (eye + frame.e_cm) @ (mlinv @ pt2) - (eye - frame.e_cm) @ (frame.linv @ sm)))
+        a1 = 0.5 * common(ap(o.vinv,
+            2 * ap(eye - o.e_cl, ap(o.l, ap(o.minv, pt1)))
+            - ap(eye + o.e_cl, ap(o.minv, dm))))
+        a2 = -0.5 * common(ap(o.vinv,
+            2 * ap(eye - o.e_cm, ap(o.m, ap(o.linv, pt1)))
+            - ap(eye + o.e_cm, ap(o.linv, dm))))
+        a3 = 0.5 * common(ap(o.uinv,
+            2 * ap(eye + o.e_cl, ap(o.l, ap(o.minv, pt2)))
+            - ap(eye - o.e_cl, ap(o.minv, sm))))
+        a4 = -0.5 * common(ap(o.uinv,
+            2 * ap(eye + o.e_cm, ap(o.m, ap(o.linv, pt2)))
+            - ap(eye - o.e_cm, ap(o.linv, sm))))
         return _mode_solution(frame, kit, (a1, a2, a3, a4), part["F"])
 
     raise ValueError(f"unknown bc family {bc}")
 
 
 def _solve_public(frame, f, phi, bc):
-    phi = _zero_phi(frame.n) if phi is None else tuple(
-        np.asarray(p, dtype=complex) for p in phi
-    )
-    vals = _solve_family(frame, f.grid, _field_to_internal(f), phi, bc)
-    return _internal_to_field(f.grid, vals)
+    fv = frame.to_modes(_field_to_internal(f))
+    vals = _solve_family(frame, f.grid, fv, _frame_phi(frame, phi, bc), bc)
+    return _internal_to_field(f.grid, frame.from_modes(vals))
 
 
 def _family2_alphas(frame: BCFrame, part: dict, phi):
+    o, ap = frame.ops, frame.apply
     fpa, fpb = part["fpa"], part["fpb"]
-    p1, p2, p3, p4 = (np.asarray(p, dtype=complex)[:, None] for p in phi)
-    eye = np.eye(frame.n)
+    p1, p2, p3, p4 = phi
     pt1 = 0.5 * (p1 + p2 - fpa - fpb)
     pt2 = 0.5 * (p1 - p2 - fpa + fpb)
-    a2 = frame.inv_im_el @ (frame.binv @ (0.5 * (p3 - p4)))
-    a4 = frame.inv_ip_el @ (frame.binv @ (0.5 * (p3 + p4)))
-    lm_inv = frame.l @ frame.minv
-    a1 = frame.inv_ip_em @ (frame.minv @ pt1 - (eye + frame.e_cl) @ (lm_inv @ a2))
-    a3 = frame.inv_im_em @ (frame.minv @ pt2 - (eye - frame.e_cl) @ (lm_inv @ a4))
+    a2 = ap(o.inv_im_el, ap(o.binv, 0.5 * (p3 - p4)))
+    a4 = ap(o.inv_ip_el, ap(o.binv, 0.5 * (p3 + p4)))
+    a1 = ap(o.inv_ip_em,
+            ap(o.minv, pt1) - ap(o.eye + o.e_cl, ap(o.l, ap(o.minv, a2))))
+    a3 = ap(o.inv_im_em,
+            ap(o.minv, pt2) - ap(o.eye - o.e_cl, ap(o.l, ap(o.minv, a4))))
     return a1, a2, a3, a4
 
 
@@ -535,14 +658,12 @@ def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
 
     Read-back seam for bookkeeping checks: the returned vectors are exactly
     the coefficients multiplying the four exponential mode stacks in the
-    assembled solution (same code path as the solver).
+    assembled solution (same code path as the solver), in X's coordinates.
     """
-    phi = _zero_phi(frame.n) if phi is None else tuple(
-        np.asarray(p, dtype=complex) for p in phi
-    )
-    part = _particular(frame, f.grid, _field_to_internal(f), _zero_phi(frame.n))
-    a1, a2, a3, a4 = _family2_alphas(frame, part, phi)
-    return a1[:, 0], a2[:, 0], a3[:, 0], a4[:, 0]
+    fv = frame.to_modes(_field_to_internal(f))
+    part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
+    alphas = _family2_alphas(frame, part, _frame_phi(frame, phi))
+    return tuple(frame.from_modes(a)[:, 0] for a in alphas)
 
 
 def solve_bc1(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
@@ -577,14 +698,9 @@ def _lambda_frame(spec: ProblemSpec, lam: complex) -> BCFrame:
     """Frame for the shifted equation; lam = 0 with k != 0 uses the direct
     factorization (A, A - k I) instead of the branch-cut parameterization."""
     if lam == 0 and spec.k != 0:
-        eye = np.eye(spec.A.dim)
-        shifted = make_operator(spec.A.matrix - spec.k * eye, label="A-k")
-        if spec.k > 0:
-            P, Q = shifted, spec.A
-            B = make_operator(-spec.k * eye, label="B0")
-        else:
-            P, Q = spec.A, shifted
-            B = make_operator(spec.k * eye, label="B0")
+        shifted = shift_operator(spec.A, -spec.k, label="A-k")
+        P, Q = (shifted, spec.A) if spec.k > 0 else (spec.A, shifted)
+        B = shift_operator(spec.A, -abs(spec.k), scale=0.0, label="B0")
     else:
         P, Q, B = build_pq_lambda(spec.A, spec.k, lam)
     try:
@@ -611,11 +727,19 @@ def resolvent_matrix(spec: ProblemSpec, lam: complex, grid: Grid,
     """Materialize f -> resolvent_solve(f) as a dense matrix on the grid.
 
     Degrees of freedom are node-major blocks of dim(A) components.  Used by
-    the sweep layer; shares one frame across all basis columns.
+    the sweep layer; shares one frame across all basis columns.  A modal
+    frame decouples the modes, so N columns (node deltas in every mode at
+    once) give each mode's N x N block, and V R_i V^{-1} assembles them.
     """
     if frame is None:
         frame = _lambda_frame(spec, lam)
     n, N = spec.A.dim, grid.n
+    if frame.modal:
+        deltas = np.repeat(np.eye(N, dtype=complex)[:, None, :], n, axis=1)
+        blocks = _solve_family(frame, grid, deltas, _zero_phi(n), spec.bc_family)
+        V, Vinv = frame.basis
+        return np.einsum("ai,xiy,ib->xayb", V, blocks, Vinv,
+                         optimize=True).reshape(N * n, N * n)
     basis = np.eye(n * N, dtype=complex).reshape(N, n, n * N)
     sol = _solve_family(frame, grid, basis, _zero_phi(n), spec.bc_family)
     return sol.reshape(N * n, N * n)

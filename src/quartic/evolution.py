@@ -33,7 +33,6 @@ from .oracle import _build_system, _coeffs_from_A, dense_generator
 
 __all__ = [
     "EvolutionSpec",
-    "SemigroupSample",
     "ContourParams",
     "default_contour",
     "semigroup_apply_contour",
@@ -68,15 +67,6 @@ class EvolutionSpec:
                 raise ValueError("stepping schemes need 0 < dt <= t_final")
         if self.v0.dim != self.problem.A.dim:
             raise DimensionMismatch("v0 dimension does not match the operator")
-
-
-@dataclass(frozen=True)
-class SemigroupSample:
-    """One evaluation of the semigroup: time, operator norm, applied result."""
-
-    t: float
-    operator_norm: float
-    applied: GridFunction
 
 
 @dataclass(frozen=True)

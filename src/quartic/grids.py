@@ -180,18 +180,10 @@ class GridFunction:
     def zeros(cls, grid: Grid, dim: int) -> "GridFunction":
         return cls(grid, np.zeros((dim, grid.n), dtype=complex))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, dim: int, fn) -> "GridFunction":
-        vals = np.array([np.asarray(fn(x), dtype=complex) for x in grid.nodes]).T
-        return cls(grid, vals.reshape(dim, grid.n))
-
     def norm(self) -> float:
         """Weighted-l2 surrogate of the L2(a,b;X) norm."""
         per_node = np.sum(np.abs(self.values) ** 2, axis=0)
         return float(np.sqrt(np.sum(self.grid.weights * per_node)))
-
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.grid, self.values + other.values)

@@ -13,10 +13,13 @@ Per step the needed weights are, with z = h X,
 
 computed per eigenmode when X is diagonalizable with a well-conditioned
 basis, and through the exponential of an augmented block matrix otherwise.
+In X's eigenbasis the weights are diagonal, so the modal stacks keep only
+their (..., n) diagonals and the convolution recurrence is elementwise.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -37,59 +40,60 @@ __all__ = [
 _SERIES_TERMS = 30
 
 
+@lru_cache(maxsize=16)
+def _series_table(kmax: int, mmax: int) -> np.ndarray:
+    """Read-only coefficients of z^0..z^{_SERIES_TERMS-1} (rows) in the
+    small-|z| series of phi_1..phi_kmax, 1/(i+k)!, then chi_0..chi_mmax,
+    1/(i! (m+i+1)) (columns)."""
+    inv_fact = np.array([1.0 / factorial(j) for j in range(_SERIES_TERMS + kmax)])
+    i = np.arange(_SERIES_TERMS)[:, None]
+    table = np.hstack([inv_fact[i + np.arange(1, kmax + 1)],
+                       inv_fact[i] / (np.arange(mmax + 1) + i + 1)])
+    table.setflags(write=False)
+    return table
+
+
+def _exp_integrals(z: np.ndarray, kmax: int, mmax: int):
+    """(phi_0..phi_kmax, chi_0..chi_mmax) for complex array z.
+
+    Upward recurrences, phi_{k+1} = (phi_k - 1/k!)/z and
+    chi_m = (e^z - m chi_{m-1})/z, except for |z| < PHI_SERIES_RADIUS, where
+    they cancel: there both come from one power matrix times the series
+    coefficient table.
+    """
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < tol.PHI_SERIES_RADIUS
+    zb = np.where(small, 1.0, z)  # avoid 0/0 in the recurrence branch
+    ez = np.exp(z)
+    phi = np.empty((kmax + 1,) + z.shape, dtype=complex)
+    chi = np.empty((mmax + 1,) + z.shape, dtype=complex)
+    phi[0] = ez
+    for k in range(kmax):
+        phi[k + 1] = (phi[k] - 1.0 / factorial(k)) / zb
+    if mmax >= 0:
+        chi[0] = (ez - 1.0) / zb
+    for m in range(1, mmax + 1):
+        chi[m] = (ez - m * chi[m - 1]) / zb
+    if np.any(small):
+        powers = np.vander(z[small], _SERIES_TERMS, increasing=True)
+        sums = (powers @ _series_table(kmax, mmax)).T
+        phi[1:, small] = sums[:kmax]
+        chi[:, small] = sums[kmax:]
+    return phi, chi
+
+
 def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
     """phi_0..phi_kmax for complex array z; phi_0 = e^z, phi_{k+1}=(phi_k-1/k!)/z.
 
     Returns shape (kmax+1,) + z.shape.  Small |z| uses the series
     phi_k(z) = sum_i z^i / (i+k)! to avoid cancellation.
     """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((kmax + 1,) + z.shape, dtype=complex)
-    small = np.abs(z) < tol.PHI_SERIES_RADIUS
-    zb = np.where(small, 0.0, z)  # avoid 0/0 in the recurrence branch
-    out[0] = np.exp(z)
-    rec = out[0]
-    for k in range(kmax):
-        rec = (rec - 1.0 / factorial(k)) / np.where(zb == 0, 1.0, zb)
-        out[k + 1] = rec
-    if np.any(small):
-        zs = z[small]
-        for k in range(1, kmax + 1):
-            acc = np.zeros_like(zs)
-            term = np.ones_like(zs)
-            for i in range(_SERIES_TERMS):
-                acc = acc + term / factorial(i + k)
-                term = term * zs
-            out[k][small] = acc
-    return out
+    return _exp_integrals(z, kmax, -1)[0]
 
 
 def chi_stack(z: np.ndarray, mmax: int) -> np.ndarray:
     """chi_0..chi_mmax = int_0^1 e^{zs} s^m ds for complex array z."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((mmax + 1,) + z.shape, dtype=complex)
-    small = np.abs(z) < tol.PHI_SERIES_RADIUS
-    zb = np.where(small, 1.0, z)
-    ez = np.exp(z)
-    out[0] = (ez - 1.0) / zb
-    for m in range(1, mmax + 1):
-        out[m] = (ez - m * out[m - 1]) / zb
-    if np.any(small):
-        zs = z[small]
-        for m in range(mmax + 1):
-            acc = np.zeros_like(zs)
-            term = np.ones_like(zs)
-            for i in range(_SERIES_TERMS):
-                acc = acc + term / (m + i + 1)
-                term = term * zs / (i + 1)
-            out[m][small] = acc
-    return out
-
-
-def _psi_from_phi(phis: np.ndarray) -> np.ndarray:
-    """psi_m = m! phi_{m+1}; phis has leading axis phi_0..phi_p."""
-    p = phis.shape[0] - 1
-    return np.stack([factorial(m) * phis[m + 1] for m in range(p)], axis=0)
+    return _exp_integrals(z, 0, mmax)[1]
 
 
 def _phi_block_matrices(hX: np.ndarray, p: int) -> list[np.ndarray]:
@@ -105,25 +109,40 @@ def _phi_block_matrices(hX: np.ndarray, p: int) -> list[np.ndarray]:
 
 
 class Propagator:
-    """Evaluates e^{tX} stacks and exponential step integrals for one X."""
+    """Evaluates e^{tX} stacks and exponential step integrals for one X.
+
+    Built from an OperatorHandle it returns dense (..., n, n) stacks.  Built
+    from the eigenvalues of X alone it returns modal (..., n) stacks, i.e. the
+    diagonals of the same stacks in X's eigenbasis.
+    """
 
     MAX_DEG = 6  # local polynomial model degree + 1
 
-    def __init__(self, op: OperatorHandle):
-        self.op = op
-        self.n = op.dim
-        self.modal = op.diagonalizable
-        if self.modal:
-            self._w = op.spectrum
-            self._V = op.eigvecs
-            self._Vinv = op.eigvecs_inv
+    def __init__(self, op):
+        self._V = self._Vinv = None
+        if isinstance(op, OperatorHandle):
+            self.op = op
+            self.n = op.dim
+            self.modal = op.diagonalizable
+            if self.modal:
+                self._w = op.spectrum
+                self._V = op.eigvecs
+                self._Vinv = op.eigvecs_inv
+        else:
+            self.op = None
+            self._w = np.asarray(op, dtype=complex)
+            self.n = len(self._w)
+            self.modal = True
 
     def _assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        """Turn modal coefficients (..., n) into dense stacks (..., n, n)."""
+        """Turn modal coefficients (..., n) into dense stacks (..., n, n);
+        a propagator without a basis keeps them modal."""
+        if self._V is None:
+            return coeffs
         return np.einsum("ij,...j,jk->...ik", self._V, coeffs, self._Vinv)
 
     def exp_stack(self, ts: np.ndarray) -> np.ndarray:
-        """Dense matrices e^{t X} for each t in ts: shape (len(ts), n, n)."""
+        """e^{t X} for each t in ts: shape (len(ts), n, n), or (len(ts), n) modal."""
         ts = np.asarray(ts, dtype=float)
         if self.modal:
             return self._assemble(np.exp(np.multiply.outer(ts, self._w)))
@@ -134,13 +153,15 @@ class Propagator:
         return out
 
     def step_weights(self, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, chi) step-integral weights: each shape (J, MAX_DEG, n, n)."""
+        """(psi, chi) step-integral weights: each (J, MAX_DEG, n, n), or
+        (J, MAX_DEG, n) modal."""
         hs = np.asarray(hs, dtype=float)
         p = self.MAX_DEG
         if self.modal:
             Z = np.multiply.outer(hs, self._w)  # (J, n)
-            psi = _psi_from_phi(phi_stack(Z, p))          # (p, J, n)
-            chi = chi_stack(Z, p - 1)                     # (p, J, n)
+            phis, chi = _exp_integrals(Z, p, p - 1)       # (p+1, J, n), (p, J, n)
+            # psi_m = m! phi_{m+1}
+            psi = phis[1:] * np.array([factorial(m) for m in range(p)])[:, None, None]
             psi_d = self._assemble(np.moveaxis(psi, 0, 1))
             chi_d = self._assemble(np.moveaxis(chi, 0, 1))
             return psi_d, chi_d
@@ -184,21 +205,33 @@ def hermite_step_coefficients(
     return np.stack([d0, d1, d2, d3, d4, d5], axis=1)
 
 
+def _step_contributions(nodes, d, weights):
+    """h_j sum_m W_jm d_jm for modal (J, 6, n) or dense (J, 6, n, n) weights."""
+    hs = np.diff(nodes)
+    spec = "jmi,jmir->jir" if weights.ndim == 3 else "jmik,jmkr->jir"
+    return hs[:, None, None] * np.einsum(spec, weights, d)
+
+
+def _propagate(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """e v for one step exponential: modal (n,) scales rows, dense (n, n) multiplies."""
+    return e[:, None] * v if e.ndim == 1 else e @ v
+
+
 def convolve_forward(
     prop: Propagator, nodes: np.ndarray, d: np.ndarray, exp_steps: np.ndarray,
     psi: np.ndarray,
 ) -> np.ndarray:
     """I(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds on the grid.
 
-    d: hermite coefficients (J, 6, n, r); exp_steps: e^{h_j X} (J, n, n);
-    psi: forward step weights (J, 6, n, n).  Returns (N, n, r).
+    d: hermite coefficients (J, 6, n, r); exp_steps: e^{h_j X}, (J, n, n) or
+    modal (J, n); psi: forward step weights, (J, 6, n, n) or modal (J, 6, n).
+    Returns (N, n, r).
     """
     J = d.shape[0]
-    hs = np.diff(nodes)
-    contrib = hs[:, None, None] * np.einsum("jmik,jmkr->jir", psi, d)
+    contrib = _step_contributions(nodes, d, psi)
     out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
     for j in range(J):
-        out[j + 1] = exp_steps[j] @ out[j] + contrib[j]
+        out[j + 1] = _propagate(exp_steps[j], out[j]) + contrib[j]
     return out
 
 
@@ -206,11 +239,11 @@ def convolve_backward(
     prop: Propagator, nodes: np.ndarray, d: np.ndarray, exp_steps: np.ndarray,
     chi: np.ndarray,
 ) -> np.ndarray:
-    """I(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds on the grid."""
+    """I(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds on the grid (shapes as
+    in convolve_forward)."""
     J = d.shape[0]
-    hs = np.diff(nodes)
-    contrib = hs[:, None, None] * np.einsum("jmik,jmkr->jir", chi, d)
+    contrib = _step_contributions(nodes, d, chi)
     out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
     for j in range(J - 1, -1, -1):
-        out[j] = exp_steps[j] @ out[j + 1] + contrib[j]
+        out[j] = _propagate(exp_steps[j], out[j + 1]) + contrib[j]
     return out

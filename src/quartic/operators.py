@@ -29,6 +29,8 @@ __all__ = [
     "SectorProbe",
     "make_operator",
     "dirichlet_laplacian_modes",
+    "shift_operator",
+    "sqrt_symbols",
     "sqrt_principal",
     "expm_apply",
     "resolvent_apply",
@@ -125,21 +127,39 @@ def dirichlet_laplacian_modes(n_modes: int) -> OperatorHandle:
     return make_operator(np.diag(d.astype(complex)), label=f"laplacian[{n_modes}]")
 
 
+def shift_operator(A: OperatorHandle, shift: complex, scale: float = 1.0,
+                   label: str = "") -> OperatorHandle:
+    """scale * A + shift * I, sharing A's eigenvectors: no new factorization."""
+    n = A.dim
+    M = scale * np.asarray(A.matrix) + shift * np.eye(n)
+    M.setflags(write=False)
+    return OperatorHandle(M, scale * A.spectrum + shift, label,
+                          A.eigvecs, A.eigvecs_inv, A.eig_cond)
+
+
+def sqrt_symbols(w: np.ndarray) -> np.ndarray:
+    """Principal square roots of the eigenvalues w.
+
+    Rejects any eigenvalue within tolerance of the cut (-inf, 0].
+    """
+    scale = max(np.max(np.abs(w)), 1.0)
+    on_cut = (w.real <= tol.FACTOR_RESIDUAL * scale) & (
+        np.abs(w.imag) <= 1e3 * tol.FACTOR_RESIDUAL * scale
+    )
+    if np.any(on_cut):
+        raise SpectrumOnCut(f"eigenvalue(s) {w[on_cut]} on the branch cut")
+    return np.sqrt(w)
+
+
 def sqrt_principal(T: OperatorHandle) -> OperatorHandle:
     """Principal matrix square root: spectrum in the open right half-plane.
 
     Rejects operators with an eigenvalue within tolerance of the cut
     (-inf, 0].
     """
-    scale = max(np.max(np.abs(T.spectrum)), 1.0)
-    on_cut = (T.spectrum.real <= tol.FACTOR_RESIDUAL * scale) & (
-        np.abs(T.spectrum.imag) <= 1e3 * tol.FACTOR_RESIDUAL * scale
-    )
-    if np.any(on_cut):
-        bad = T.spectrum[on_cut]
-        raise SpectrumOnCut(f"eigenvalue(s) {bad} on the branch cut")
+    roots = sqrt_symbols(T.spectrum)
     if T.diagonalizable:
-        S = (T.eigvecs * np.sqrt(T.spectrum)) @ T.eigvecs_inv
+        S = (T.eigvecs * roots) @ T.eigvecs_inv
     else:
         S = sla.sqrtm(np.asarray(T.matrix))
     out = make_operator(S, label=f"sqrt({T.label})")

@@ -16,10 +16,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances as tol
-from .bvp import DERIVATIVE_FAMILIES, ProblemSpec, _lambda_frame, resolvent_matrix
+from .bvp import (
+    DERIVATIVE_FAMILIES,
+    ProblemSpec,
+    _SOLVERS,
+    _field_to_internal,
+    _lambda_frame,
+    _particular,
+    _zero_phi,
+    resolvent_matrix,
+)
 from .errors import BranchCut, NearSpectrum, NotInResolventSet, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid
-from .operators import operator_norm
+from .operators import make_operator, operator_norm
 from .oracle import dense_generator
 
 __all__ = [
@@ -186,14 +195,15 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid,
 
     The adjoint application uses the resolvent of the conjugate-transposed
     problem; for the normal surrogates this is the exact discrete adjoint up
-    to quadrature asymmetry.
+    to quadrature asymmetry.  Both frames are built once and reused by every
+    iteration.
     """
-    from .operators import make_operator
-    from .bvp import resolvent_solve
-
     n = spec.A.dim
     adj_spec = ProblemSpec(spec.a, spec.b, spec.k,
                            make_operator(spec.A.matrix.conj().T), spec.bc_family)
+    solve = _SOLVERS[spec.bc_family]
+    frame = _lambda_frame(spec, lam)
+    adj_frame = _lambda_frame(adj_spec, np.conj(lam))
     w = _sweep_weights(grid, n)
     rng = np.random.default_rng(7)
     x = rng.normal(size=n * grid.n) + 1j * rng.normal(size=n * grid.n)
@@ -201,9 +211,9 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid,
     est = 0.0
     for _ in range(max_iter):
         gx = GridFunction(grid, x.reshape(grid.n, n).T)
-        y = resolvent_solve(spec, lam, gx).values.T.reshape(-1)
+        y = solve(frame, gx).values.T.reshape(-1)
         gy = GridFunction(grid, y.reshape(grid.n, n).T)
-        z = resolvent_solve(adj_spec, np.conj(lam), gy).values.T.reshape(-1)
+        z = solve(adj_frame, gy).values.T.reshape(-1)
         ray = np.vdot(x, w * z).real / np.vdot(x, w * x).real
         new = float(np.sqrt(max(ray, 0.0)))
         nz = np.linalg.norm(z)
@@ -299,11 +309,11 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
         m2e = operator_norm(frame.m @ frame.m @ frame.e_cm)
         l2e = operator_norm(frame.l @ frame.l @ frame.e_cl)
         ecm = operator_norm(frame.e_cm)
-        from .bvp import _particular, _field_to_internal, _zero_phi
-
-        part = _particular(frame, grid, _field_to_internal(f), _zero_phi(frame.n))
-        v0n = GridFunction(grid, part["v0"][:, :, 0].T).norm()
-        fpn = float(np.linalg.norm(part["fpa"]) + np.linalg.norm(part["fpb"]))
+        part = _particular(frame, grid, frame.to_modes(_field_to_internal(f)),
+                           _zero_phi(frame.n))
+        v0n = GridFunction(grid, frame.from_modes(part["v0"])[:, :, 0].T).norm()
+        fpn = float(np.linalg.norm(frame.from_modes(part["fpa"]))
+                    + np.linalg.norm(frame.from_modes(part["fpb"])))
         rows.append({
             "lam": lam, "dist": dist, "ml": ml, "lm": lm,
             "m2ecm": m2e, "l2ecl": l2e, "ecm": ecm,

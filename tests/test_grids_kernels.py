@@ -95,6 +95,53 @@ class TestStepIntegralFunctions:
             assert abs(got[m] - ref) < 1e-12 * max(1.0, abs(ref))
 
 
+def _mp_phi(z, k):
+    """phi_k(z) = (e^z - sum_{j<k} z^j/j!) / z^k in 80-digit arithmetic (the
+    sum cancels about 7k digits at |z| = 1e-7)."""
+    import mpmath as mp
+
+    with mp.workdps(80):
+        z = mp.mpc(z)
+        return complex((mp.exp(z) - sum(z**j / mp.factorial(j) for j in range(k))) / z**k)
+
+
+def _mp_chi(z, m):
+    """chi_m(z) = int_0^1 e^{zs} s^m ds in 40-digit arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        z = mp.mpc(z)
+        return complex(mp.quad(lambda s: mp.exp(z * s) * s**m, [0, 1]))
+
+
+class TestStepIntegralsAgainstMpmath:
+    """phi_0..phi_6 and chi_0..chi_5 on both sides of PHI_SERIES_RADIUS = 0.6.
+
+    Inside, the series is accurate to round-off.  Just outside, the upward
+    recurrences divide by z once per order, so their error grows like
+    k! eps / |z|^k (1.3e-12 for phi_6 at |z| = 0.61); far out it is back at
+    round-off.
+    """
+
+    ANGLES = np.linspace(-np.pi, np.pi, 7)
+
+    @pytest.mark.parametrize("radius,bound", [
+        (1e-7, 1e-14), (0.3, 1e-14), (0.599, 1e-14),    # series
+        (0.601, 5e-12), (0.9, 5e-12),                   # recurrence, cancelling
+        (3.0, 1e-14), (10.0, 1e-14),                    # recurrence
+    ])
+    def test_relative_error(self, radius, bound):
+        z = radius * np.exp(1j * self.ANGLES)
+        phis, chis = phi_stack(z, 6), chi_stack(z, 5)
+        for i, zi in enumerate(z):
+            for k in range(7):
+                ref = _mp_phi(zi, k)
+                assert abs(phis[k, i] - ref) <= bound * abs(ref), (zi, k)
+            for m in range(6):
+                ref = _mp_chi(zi, m)
+                assert abs(chis[m, i] - ref) <= bound * abs(ref), (zi, m)
+
+
 class TestHermiteModel:
     def test_quintic_reproduced_exactly(self):
         nodes = np.array([0.0, 0.4, 1.1, 1.5])
