@@ -87,6 +87,16 @@ def write_operator_file(path, matrix: np.ndarray) -> None:
             fh.write(" ".join(format_complex(z) for z in row) + "\n")
 
 
+def _write_rows(fh, rows, width: int) -> None:
+    """One line per (x, values) pair: x, then the real and imaginary parts of
+    the width complex values (flattened row-major) interleaved, each cell as
+    %.17g.  One row template serves the whole file."""
+    template = ",".join([f"%.{_PREC}g"] * (1 + 2 * width)) + "\n"
+    for x, values in rows:
+        flat = np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float)
+        fh.write(template % (x, *flat.tolist()))
+
+
 def write_gridfunction_csv(path, gf: GridFunction) -> None:
     """Manifest line then rows: x, re/im interleaved per component."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -94,12 +104,7 @@ def write_gridfunction_csv(path, gf: GridFunction) -> None:
             f"# gridfunc a={gf.grid.a:.{_PREC}g} b={gf.grid.b:.{_PREC}g} "
             f"n={gf.grid.n} dim={gf.dim} kind={gf.grid.kind}\n"
         )
-        for j, x in enumerate(gf.grid.nodes):
-            cells = [f"{x:.{_PREC}g}"]
-            for i in range(gf.dim):
-                z = gf.values[i, j]
-                cells += [f"{z.real:.{_PREC}g}", f"{z.imag:.{_PREC}g}"]
-            fh.write(",".join(cells) + "\n")
+        _write_rows(fh, zip(gf.grid.nodes.tolist(), gf.values.T), gf.dim)
 
 
 def read_gridfunction_csv(path) -> GridFunction:
@@ -158,9 +163,6 @@ def write_trajectory_csv(path, trajectory, grid: Grid, scheme: str) -> None:
             f"# trajectory a={grid.a:.{_PREC}g} b={grid.b:.{_PREC}g} n={grid.n} "
             f"dim={dim} scheme={scheme}\n"
         )
-        for t, gf in trajectory:
-            cells = [f"{t:.{_PREC}g}"]
-            flat = gf.values.reshape(-1)  # row-major: component-major blocks
-            for z in flat:
-                cells += [f"{z.real:.{_PREC}g}", f"{z.imag:.{_PREC}g}"]
-            fh.write(",".join(cells) + "\n")
+        # row-major values: component-major blocks
+        _write_rows(fh, ((t, gf.values) for t, gf in trajectory),
+                    trajectory[0][1].values.size)

@@ -14,7 +14,10 @@ Per step the needed weights are, with z = h X,
 computed per eigenmode when X is diagonalizable with a well-conditioned
 basis, and through the exponential of an augmented block matrix otherwise.
 In X's eigenbasis the weights are diagonal, so the modal stacks keep only
-their (..., n) diagonals and the convolution recurrence is elementwise.
+their (..., n) diagonals.  The convolution recurrence I_{j+1} = e^{h_j X} I_j
++ c_j is evaluated as one log-depth (Hillis-Steele) scan over the steps, whose
+compositions are elementwise products for modal steps and batched matrix
+products for dense ones.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ def _exp_integrals(z: np.ndarray, kmax: int, mmax: int):
     """(phi_0..phi_kmax, chi_0..chi_mmax) for complex array z.
 
     Upward recurrences, phi_{k+1} = (phi_k - 1/k!)/z and
-    chi_m = (e^z - m chi_{m-1})/z, except for |z| < PHI_SERIES_RADIUS, where
-    they cancel: there both come from one power matrix times the series
-    coefficient table.
+    chi_m = (e^z - m chi_{m-1})/z, except for |z| < PHI_SERIES_RADIUS.
+    The recurrences divide by z once per order, so their error grows like
+    k! eps / |z|^k; inside the radius both come from one power matrix times
+    the series coefficient table, which is at round-off there.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < tol.PHI_SERIES_RADIUS
@@ -212,9 +216,23 @@ def _step_contributions(nodes, d, weights):
     return hs[:, None, None] * np.einsum(spec, weights, d)
 
 
-def _propagate(e: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e v for one step exponential: modal (n,) scales rows, dense (n, n) multiplies."""
-    return e[:, None] * v if e.ndim == 1 else e @ v
+def _scan(steps: np.ndarray, y: np.ndarray) -> None:
+    """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), in place.
+
+    A log-depth (Hillis-Steele) scan: after the pass with shift s, (e_j, y_j)
+    is the composition of the 2s steps ending at j.  Modal steps (J, n)
+    compose elementwise, dense steps (J, n, n) by batched matrix products.
+    Composed steps are exponentials with Re <= 0, so they cannot overflow.
+    """
+    modal = steps.ndim == 2
+    mul = np.multiply if modal else np.matmul
+    e = np.array(steps[..., None] if modal else steps)
+    J, s = len(y), 1
+    while s < J:
+        y[s:] += mul(e[s:], y[:-s])
+        if 2 * s < J:
+            e[s:] = mul(e[s:], e[:-s])
+        s *= 2
 
 
 def convolve_forward(
@@ -225,13 +243,13 @@ def convolve_forward(
 
     d: hermite coefficients (J, 6, n, r); exp_steps: e^{h_j X}, (J, n, n) or
     modal (J, n); psi: forward step weights, (J, 6, n, n) or modal (J, 6, n).
-    Returns (N, n, r).
+    Returns (N, n, r): the running sums I(x_{j+1}) = e^{h_j X} I(x_j) + c_j
+    of the step contributions c_j, by one log-depth scan.  prop is unused.
     """
     J = d.shape[0]
-    contrib = _step_contributions(nodes, d, psi)
     out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
-    for j in range(J):
-        out[j + 1] = _propagate(exp_steps[j], out[j]) + contrib[j]
+    out[1:] = _step_contributions(nodes, d, psi)
+    _scan(exp_steps, out[1:])
     return out
 
 
@@ -240,10 +258,10 @@ def convolve_backward(
     chi: np.ndarray,
 ) -> np.ndarray:
     """I(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds on the grid (shapes as
-    in convolve_forward)."""
+    in convolve_forward): I(x_j) = e^{h_j X} I(x_{j+1}) + c_j, the forward
+    scan run on the reversed steps."""
     J = d.shape[0]
-    contrib = _step_contributions(nodes, d, chi)
     out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
-    for j in range(J - 1, -1, -1):
-        out[j] = _propagate(exp_steps[j], out[j + 1]) + contrib[j]
+    out[:J] = _step_contributions(nodes, d, chi)
+    _scan(exp_steps[::-1], out[J - 1::-1])
     return out

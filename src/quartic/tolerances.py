@@ -30,8 +30,10 @@ SECTOR_MARGIN = 0.05
 BLOWUP_CAP = 1e8
 
 # |z|-threshold separating the series evaluation of the exponential step
-# integrals from the upward recurrence.
-PHI_SERIES_RADIUS = 0.6
+# integrals from the upward recurrence.  The recurrence loses about
+# k! eps / |z|^k at order k (2.5e-15 for phi_6 at |z| = 2); the 30-term series
+# truncates at 2^30 / 30! ~ 4e-24 there.
+PHI_SERIES_RADIUS = 2.0
 
 # Default dense-oracle size cap (matrix side dim * n_nodes).
 DENSE_CAP = 2000

@@ -115,20 +115,20 @@ def _mp_chi(z, m):
 
 
 class TestStepIntegralsAgainstMpmath:
-    """phi_0..phi_6 and chi_0..chi_5 on both sides of PHI_SERIES_RADIUS = 0.6.
+    """phi_0..phi_6 and chi_0..chi_5 on both sides of PHI_SERIES_RADIUS = 2.
 
-    Inside, the series is accurate to round-off.  Just outside, the upward
+    Inside, the 30-term series is accurate to round-off.  Outside, the upward
     recurrences divide by z once per order, so their error grows like
-    k! eps / |z|^k (1.3e-12 for phi_6 at |z| = 0.61); far out it is back at
-    round-off.
+    k! eps / |z|^k, which is 2.5e-15 for phi_6 at |z| = 2 and falls further
+    out (but 3e-12 at |z| = 0.61, hence the radius).
     """
 
     ANGLES = np.linspace(-np.pi, np.pi, 7)
 
     @pytest.mark.parametrize("radius,bound", [
-        (1e-7, 1e-14), (0.3, 1e-14), (0.599, 1e-14),    # series
-        (0.601, 5e-12), (0.9, 5e-12),                   # recurrence, cancelling
-        (3.0, 1e-14), (10.0, 1e-14),                    # recurrence
+        (1e-7, 1e-14), (0.3, 1e-14), (0.599, 1e-14), (0.601, 1e-14),
+        (0.9, 1e-14), (1.5, 1e-14), (1.99, 1e-14),       # series
+        (2.01, 1e-14), (3.0, 1e-14), (10.0, 1e-14),      # recurrence
     ])
     def test_relative_error(self, radius, bound):
         z = radius * np.exp(1j * self.ANGLES)
@@ -222,3 +222,102 @@ class TestConvolution:
             for x in nodes
         ])
         assert np.max(np.abs(fwd[:, 0] - exact)) < 1e-9
+
+
+def _loop_convolution(nodes, d, exp_steps, weights, backward):
+    """Plain-loop reference of the convolution recurrence: the step
+    contributions c_j = h_j sum_m W_jm d_jm, then I_{j+1} = e_j I_j + c_j
+    (forward) or I_j = e_j I_{j+1} + c_j (backward), one step at a time."""
+    J = d.shape[0]
+    hs = np.diff(nodes)
+    out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
+    for j in (range(J - 1, -1, -1) if backward else range(J)):
+        e, w = exp_steps[j], weights[j]
+        if e.ndim == 1:
+            c = hs[j] * np.einsum("mi,mir->ir", w, d[j])
+            step = lambda v: e[:, None] * v
+        else:
+            c = hs[j] * np.einsum("mik,mkr->ir", w, d[j])
+            step = lambda v: e @ v
+        if backward:
+            out[j] = step(out[j + 1]) + c
+        else:
+            out[j + 1] = step(out[j]) + c
+    return out
+
+
+class TestConvolutionScan:
+    """The log-depth scan against the step-by-step reference recurrence."""
+
+    N_DIM = 3
+
+    def _case(self, rng, J, r, modal, stiff=False):
+        n = self.N_DIM
+        nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.05, J))])
+        hs = np.diff(nodes)
+        w = -rng.uniform(0.1, 3.0, n) + 1j * rng.normal(size=n)
+        if stiff:
+            w[:2] = [-1e5, -2e5 + 3j]  # e^{hX} underflows to 0 in these modes
+        if modal:
+            est = np.exp(np.multiply.outer(hs, w))
+            weights = rng.normal(size=(J, 6, n)) + 1j * rng.normal(size=(J, 6, n))
+        else:
+            V = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+            Vinv = np.linalg.inv(V)
+            est = np.einsum("ij,tj,jk->tik", V, np.exp(np.multiply.outer(hs, w)), Vinv)
+            if not stiff:  # steps that do not commute pin the composition order
+                est = est + 0.1 * rng.normal(size=(J, n, n))
+            weights = (rng.normal(size=(J, 6, n, n))
+                       + 1j * rng.normal(size=(J, 6, n, n)))
+        d = rng.normal(size=(J, 6, n, r)) + 1j * rng.normal(size=(J, 6, n, r))
+        return nodes, d, est, weights
+
+    @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
+    @pytest.mark.parametrize("J", [1, 2, 3, 5, 128])
+    @pytest.mark.parametrize("r", [1, 7])
+    def test_matches_loop(self, rng, modal, J, r):
+        nodes, d, est, weights = self._case(rng, J, r, modal)
+        for conv, backward in ((convolve_forward, False), (convolve_backward, True)):
+            got = conv(None, nodes, d, est, weights)
+            ref = _loop_convolution(nodes, d, est, weights, backward)
+            assert got.shape == (J + 1, self.N_DIM, r)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
+    def test_stiff_steps_underflow(self, rng, modal):
+        nodes, d, est, weights = self._case(rng, 40, 2, modal, stiff=True)
+        if modal:
+            assert np.count_nonzero(est[:, :2] == 0) == 80
+        for conv, backward in ((convolve_forward, False), (convolve_backward, True)):
+            got = conv(None, nodes, d, est, weights)
+            ref = _loop_convolution(nodes, d, est, weights, backward)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_inputs_not_modified(self, rng):
+        nodes, d, est, weights = self._case(rng, 9, 2, modal=False)
+        copies = [a.copy() for a in (d, est, weights)]
+        convolve_forward(None, nodes, d, est, weights)
+        convolve_backward(None, nodes, d, est, weights)
+        for a, b in zip((d, est, weights), copies):
+            assert np.array_equal(a, b)
+
+
+class TestDataDerivatives:
+    """The real-view BLAS stencil products against the per-order einsum."""
+
+    @pytest.mark.parametrize("shape", [(12, 1), (4, 48)])
+    def test_matches_einsum(self, rng, shape):
+        from quartic.bvp import _data_derivatives
+
+        grid = cgl_grid(129, 0.0, np.pi)
+        fv = rng.normal(size=(129,) + shape) + 1j * rng.normal(size=(129,) + shape)
+        # a non-contiguous view of the same data takes the same path
+        wide = np.zeros((129, shape[0], 2 * shape[1]), dtype=complex)
+        wide[:, :, ::2] = fv
+        for data in (fv, wide[:, :, ::2], np.asfortranarray(fv)):
+            got = _data_derivatives(grid, data)
+            for k, g in zip((1, 2), got):
+                ref = np.einsum("ab,bnr->anr", grid.derivative_matrix(k), fv)
+                assert g.shape == fv.shape
+                assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -16,6 +16,7 @@ from quartic.io import (
     read_operator_file,
     write_gridfunction_csv,
     write_operator_file,
+    write_trajectory_csv,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64,
@@ -73,6 +74,50 @@ class TestGridFunctionFile:
         back = read_gridfunction_csv(path)
         assert np.array_equal(back.values, gf.values)
         assert np.allclose(back.grid.nodes, grid.nodes)
+
+
+def _edge_values(rng, dim, n):
+    """Random complex values with nan, +-inf, -0.0, 1e-300 and 1e300 cells."""
+    vals = rng.normal(size=(dim, n)) + 1j * rng.normal(size=(dim, n))
+    edges = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 1e300, -1e-300, -1e300]
+    flat = vals.reshape(-1)
+    for i, x in enumerate(edges):
+        flat[3 * i] = complex(x, edges[-1 - i])
+    flat[1] = complex(-0.0, -0.0)
+    return vals
+
+
+class TestRowWriters:
+    """Both CSV writers against a reference that formats every value with
+    f"{x:.17g}", byte for byte."""
+
+    def test_gridfunction_csv(self, tmp_path, rng):
+        grid = cgl_grid(20, -1.0, 2.0)
+        # a transposed (non-contiguous) value array, as the solvers hand over
+        gf = GridFunction(grid, np.ascontiguousarray(_edge_values(rng, 20, 3)).T)
+        write_gridfunction_csv(tmp_path / "f.csv", gf)
+        want = ["# gridfunc a=-1 b=2 n=20 dim=3 kind=cgl"]
+        for j, x in enumerate(grid.nodes):
+            cells = [f"{x:.17g}"]
+            for z in gf.values[:, j]:
+                cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+            want.append(",".join(cells))
+        assert (tmp_path / "f.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_trajectory_csv(self, tmp_path, rng):
+        grid = cgl_grid(17, 0.0, np.pi)
+        traj = [(t, GridFunction(grid, _edge_values(rng, 2, 17)))
+                for t in (0.0, 0.1, 1e-300, 0.30000000000000004)]
+        write_trajectory_csv(tmp_path / "t.csv", traj, grid, "IMPLICIT_EULER")
+        want = [f"# trajectory a=0 b={np.pi:.17g} n=17 dim=2 scheme=IMPLICIT_EULER"]
+        for t, gf in traj:
+            cells = [f"{t:.17g}"]
+            for z in gf.values.reshape(-1):
+                cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+            want.append(",".join(cells))
+        text = (tmp_path / "t.csv").read_text()
+        assert text == "\n".join(want) + "\n"
+        assert "nan" in text and "-inf" in text and "-0," in text and "1e+300" in text
 
 
 def write_config(path, body):
