@@ -15,9 +15,11 @@ computed per eigenmode when X is diagonalizable with a well-conditioned
 basis, and through the exponential of an augmented block matrix otherwise.
 In X's eigenbasis the weights are diagonal, so the modal stacks keep only
 their (..., n) diagonals.  The convolution recurrence I_{j+1} = e^{h_j X} I_j
-+ c_j is evaluated as one log-depth (Hillis-Steele) scan over the steps, whose
-compositions are elementwise products for modal steps and batched matrix
-products for dense ones.
++ c_j is evaluated for modal steps as one log-depth (Hillis-Steele) scan over
+the steps, whose compositions are exact elementwise products.  Dense steps
+(the fallback for an ill-conditioned eigenbasis) run the plain recurrence:
+composing such steps explicitly multiplies their round-off by their
+non-normality at every pass.
 """
 
 from __future__ import annotations
@@ -219,19 +221,23 @@ def _step_contributions(nodes, d, weights):
 def _scan(steps: np.ndarray, y: np.ndarray) -> None:
     """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), in place.
 
-    A log-depth (Hillis-Steele) scan: after the pass with shift s, (e_j, y_j)
-    is the composition of the 2s steps ending at j.  Modal steps (J, n)
-    compose elementwise, dense steps (J, n, n) by batched matrix products.
+    Modal steps (J, n) run a log-depth (Hillis-Steele) scan: after the pass
+    with shift s, (e_j, y_j) is the composition of the 2s steps ending at j.
     Composed steps are exponentials with Re <= 0, so they cannot overflow.
+    Dense steps (J, n, n) only occur for an ill-conditioned eigenbasis, where
+    an explicit composition would amplify round-off by the step's
+    non-normality; they run the sequential recurrence instead.
     """
-    modal = steps.ndim == 2
-    mul = np.multiply if modal else np.matmul
-    e = np.array(steps[..., None] if modal else steps)
+    if steps.ndim == 3:
+        for j in range(1, len(y)):
+            y[j] += steps[j] @ y[j - 1]
+        return
+    e = steps[..., None].copy()
     J, s = len(y), 1
     while s < J:
-        y[s:] += mul(e[s:], y[:-s])
+        y[s:] += e[s:] * y[:-s]
         if 2 * s < J:
-            e[s:] = mul(e[s:], e[:-s])
+            e[s:] = e[s:] * e[:-s]
         s *= 2
 
 
@@ -244,7 +250,7 @@ def convolve_forward(
     d: hermite coefficients (J, 6, n, r); exp_steps: e^{h_j X}, (J, n, n) or
     modal (J, n); psi: forward step weights, (J, 6, n, n) or modal (J, 6, n).
     Returns (N, n, r): the running sums I(x_{j+1}) = e^{h_j X} I(x_j) + c_j
-    of the step contributions c_j, by one log-depth scan.  prop is unused.
+    of the step contributions c_j, by ``_scan``.  prop is unused.
     """
     J = d.shape[0]
     out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
