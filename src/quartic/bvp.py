@@ -15,6 +15,14 @@ on exit, and every member acts elementwise, so a parameter costs O(nN) work
 and no factorization.  Otherwise the frame is dense: members are (n, n)
 matrices from the Schur-backed functional calculus of ``operators``.  One
 set of formulas serves both; ``BCFrame.apply`` tells them apart.
+
+A modal frame may also hold K parameters at once (``_lambda_frames``): its
+members are the K rows of n eigenvalues flattened parameter-major to one axis
+of length K n, and the basis maps act on each parameter's block of n rows.
+The kernels, the grid kit and the family formulas run on that longer axis
+unchanged, so K resolvent solves cost one.  Every guard of the frame
+assembly compares per parameter row, with the per-parameter thresholds, so a
+batch refuses exactly when one of its parameters would.
 """
 
 from __future__ import annotations
@@ -162,11 +170,17 @@ class BCFrame:
     matrix, built on first use as V diag(.) V^{-1} for a modal frame.
     ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
     (recorded in ``uv_ok``).
+
+    A batch frame (``_lambda_frames``) is a modal frame whose members have
+    K n entries, the n eigenvalues of each of its K parameters in turn; ``n``
+    is then K n, ``lam`` the array of the K parameters, data and boundary
+    vectors are stacked the same way, and ``to_modes``/``from_modes`` map
+    each block of dim(A) rows.  It has no dense member views.
     """
 
     n: int
     c: float
-    lam: complex | None
+    lam: complex | np.ndarray | None
     ops: SimpleNamespace
     basis: tuple | None
     uv_ok: bool
@@ -188,6 +202,8 @@ class BCFrame:
             return x
         if name not in self._dense:
             V, Vinv = self.basis
+            if len(x) != len(V):
+                raise AttributeError(f"{name}: a batch frame has no dense member views")
             self._dense[name] = (V * x) @ Vinv
         return self._dense[name]
 
@@ -198,11 +214,11 @@ class BCFrame:
 
     def to_modes(self, v: np.ndarray) -> np.ndarray:
         """(..., n, r) data in X's coordinates -> the frame's coordinates."""
-        return self.basis[1] @ v if self.modal else v
+        return _blockwise(self.basis[1], v) if self.modal else v
 
     def from_modes(self, v: np.ndarray) -> np.ndarray:
         """Inverse of ``to_modes``."""
-        return self.basis[0] @ v if self.modal else v
+        return _blockwise(self.basis[0], v) if self.modal else v
 
     @property
     def diagnostics(self) -> dict:
@@ -241,6 +257,32 @@ class BCFrame:
         return kit
 
 
+def _blockwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ each block of len(M) rows of (..., K len(M), r) data."""
+    blocks = v.reshape(v.shape[:-2] + (-1, len(M), v.shape[-1]))
+    return (M @ blocks).reshape(v.shape)
+
+
+def _cut_shifts(k: float, lam: complex):
+    """(p, q, b) with P = A + p, Q = A + q, B = b I: p, q = -k/2 +- i s and
+    b = 2 i s, s the principal square root of -lam - k^2/4.  Raises BranchCut
+    when that argument falls on (-inf, 0]."""
+    s2 = -complex(lam) - k * k / 4.0
+    scale = max(1.0, abs(s2))
+    if abs(s2.imag) <= 1e-14 * scale and s2.real <= 1e-14 * scale:
+        raise BranchCut(f"-lambda - k^2/4 = {s2} lies on the branch cut")
+    s = np.sqrt(s2)
+    return -k / 2.0 + 1j * s, -k / 2.0 - 1j * s, 2j * s
+
+
+def _factor_shifts(k: float, lam: complex):
+    """_cut_shifts, except lam = 0 with k != 0, which factors directly as
+    (A - k, A) for k > 0 and (A, A - k) for k < 0 with B = -|k| I."""
+    if lam == 0 and k != 0:
+        return (-k, 0.0, -abs(k)) if k > 0 else (0.0, -k, -abs(k))
+    return _cut_shifts(k, lam)
+
+
 def build_pq_lambda(A: OperatorHandle, k: float, lam: complex):
     """Quadratic-factor operators for the shifted parameter.
 
@@ -249,36 +291,49 @@ def build_pq_lambda(A: OperatorHandle, k: float, lam: complex):
     three share A's eigenvectors.  Raises BranchCut when that argument falls
     on (-inf, 0].
     """
-    s2 = -complex(lam) - k * k / 4.0
-    scale = max(1.0, abs(s2))
-    if abs(s2.imag) <= 1e-14 * scale and s2.real <= 1e-14 * scale:
-        raise BranchCut(f"-lambda - k^2/4 = {s2} lies on the branch cut")
-    s = np.sqrt(s2)
-    P = shift_operator(A, -k / 2.0 + 1j * s, label="P_lam")
-    Q = shift_operator(A, -k / 2.0 - 1j * s, label="Q_lam")
-    B = shift_operator(A, 2j * s, scale=0.0, label="B_lam")
-    return P, Q, B
+    p, q, b = _cut_shifts(k, lam)
+    return (shift_operator(A, p, label="P_lam"), shift_operator(A, q, label="Q_lam"),
+            shift_operator(A, b, scale=0.0, label="B_lam"))
 
 
 def _as_handle(op) -> OperatorHandle:
     return op if isinstance(op, OperatorHandle) else make_operator(op)
 
 
-class _Symbols:
-    """Calculus of a modal frame: members are (n,) eigenvalues in a basis of
-    condition kappa.  Norms are the bounds ||V diag(x) V^{-1}|| <= kappa max|x|,
-    so a guard refuses here whenever the dense guard would."""
+def _refuse(bad, exc_type, message: str, *values):
+    """Raise exc_type at the first row (parameter) where the guard ``bad``
+    holds, with ``message`` formatted from that row's ``values``."""
+    bad = np.atleast_1d(bad)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise exc_type(message.format(*(np.atleast_1d(v)[i] for v in values)))
 
-    def __init__(self, n: int, kappa: float):
-        self.eye = np.ones(n, dtype=complex)
+
+class _Symbols:
+    """Calculus of a modal frame: each member holds the n eigenvalues of each
+    of K parameters' operators in one basis of condition kappa, flattened
+    parameter-major to (K n,).  Norms are per parameter row, the bounds
+    ||V diag(x) V^{-1}|| <= kappa max|x|, so a guard refuses a row whenever
+    the dense guard would refuse that parameter, and never because of the
+    scale of another row."""
+
+    def __init__(self, K: int, n: int, kappa: float):
+        self.shape = (K, n)
+        self.eye = np.ones(K * n, dtype=complex)
         self.kappa = kappa
 
     @staticmethod
     def of(X: OperatorHandle) -> np.ndarray:
         return X.spectrum
 
-    def norm(self, x) -> float:
-        return self.kappa * float(np.max(np.abs(x)))
+    def rows(self, x) -> np.ndarray:
+        return np.reshape(x, self.shape)
+
+    def norm(self, x) -> np.ndarray:
+        return self.kappa * np.max(np.abs(self.rows(x)), axis=1)
+
+    def fro(self, x) -> np.ndarray:
+        return np.linalg.norm(self.rows(x), axis=1)
 
     @staticmethod
     def inv(x):
@@ -289,20 +344,19 @@ class _Symbols:
     def mul(x, y):
         return x * y
 
-    @staticmethod
-    def neg_sqrt_neg(x):
-        return -sqrt_symbols(-x)
+    def neg_sqrt_neg(self, x):
+        return -sqrt_symbols(-self.rows(x)).reshape(-1)
 
     @staticmethod
     def propagator(x) -> Propagator:
         return Propagator(x)
 
     def inv_i_minus(self, t, label: str):
-        """(I - T)^{-1} under guarded_inverse_I_minus's condition cap."""
+        """(I - T)^{-1} under guarded_inverse_I_minus's condition cap, per row."""
         inv = self.inv(1.0 - t)
         cond = (1.0 + self.norm(t)) * self.norm(inv)
-        if not np.isfinite(cond) or cond > tol.CONDITION_CAP:
-            raise SingularOrIllConditioned(f"I - {label} has condition estimate {cond:.3e}")
+        _refuse(~np.isfinite(cond) | (cond > tol.CONDITION_CAP), SingularOrIllConditioned,
+                f"I - {label} has condition estimate {{:.3e}}", cond)
         return inv
 
 
@@ -319,6 +373,10 @@ class _Matrices:
     @staticmethod
     def norm(x) -> float:
         return float(np.linalg.norm(x, 2))
+
+    @staticmethod
+    def fro(x) -> float:
+        return float(np.linalg.norm(x))
 
     @staticmethod
     def inv(x):
@@ -341,17 +399,26 @@ class _Matrices:
         return guarded_inverse_I_minus(make_operator(t, label=label)).matrix
 
 
-def assemble_frame(P, Q, B, c: float, require_uv: bool = False) -> BCFrame:
+def assemble_frame(P, Q, B, c: float, require_uv: bool = False,
+                   basis: tuple | None = None) -> BCFrame:
     """Build the operator frame from commuting factors P, Q with P = Q + B.
 
     The frame is modal when the three handles share one trusted eigenvector
     basis (as ``build_pq_lambda`` makes them for diagonalizable A) and dense
-    otherwise.  Raises SpectrumOnCut when a square root is undefined,
+    otherwise.  With ``basis`` = (V, V^{-1}, cond(V)), P, Q and B are instead
+    (K, n) arrays holding the eigenvalues in that basis of K parameters'
+    factors, and the frame is one modal batch frame over the K n flattened
+    rows.  Raises SpectrumOnCut when a square root is undefined,
     FrameSingular when B or an interval operator needed unconditionally is not
     invertible, and NonCommutingOperators when the factors fail the
-    commutation validation.  With ``require_uv`` the two derivative-family
-    operators must also invert.
+    commutation validation; on a batch, when any parameter's would.  With
+    ``require_uv`` the two derivative-family operators must also invert.
     """
+    if basis is not None:
+        V, Vinv, kappa = basis
+        calc = _Symbols(*np.shape(P), kappa)
+        p, q, b = (np.reshape(x, -1) for x in (P, Q, B))
+        return _frame(calc, p, q, b, c, require_uv, (V, Vinv))
     P, Q, B = _as_handle(P), _as_handle(Q), _as_handle(B)
     modal = P.eigvecs is not None and Q.eigvecs is P.eigvecs and B.eigvecs is P.eigvecs
     return _build_frame(P, Q, B, c, require_uv, modal)
@@ -359,29 +426,37 @@ def assemble_frame(P, Q, B, c: float, require_uv: bool = False) -> BCFrame:
 
 def _build_frame(P, Q, B, c, require_uv=False, modal=True) -> BCFrame:
     """assemble_frame on handles, in the representation ``modal`` selects."""
-    if c <= 0:
-        raise ValueError("interval length c must be positive")
     n = P.dim
     if Q.dim != n or B.dim != n:
         raise DimensionMismatch("P, Q, B must share dimensions")
-    calc = _Symbols(n, P.eig_cond) if modal else _Matrices(n)
+    calc = _Symbols(1, n, P.eig_cond) if modal else _Matrices(n)
     p, q, b = calc.of(P), calc.of(Q), calc.of(B)
-    pn, qn = max(calc.norm(p), 1e-300), max(calc.norm(q), 1e-300)
     if not modal:  # a shared eigenbasis commutes exactly
         comm = np.linalg.norm(p @ q - q @ p)
-        if comm > 1e-10 * pn * qn * n:
+        if comm > 1e-10 * max(calc.norm(p), 1e-300) * max(calc.norm(q), 1e-300) * n:
             raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
-    gap = np.linalg.norm(p - q - b)
-    if gap > 1e-10 * max(pn, calc.norm(b)):
-        raise FrameSingular(f"P - Q - B residual {gap:.3e}")
+    basis = (P.eigvecs, P.eigvecs_inv) if modal else None
+    return _frame(calc, p, q, b, c, require_uv, basis)
+
+
+def _frame(calc, p, q, b, c, require_uv, basis) -> BCFrame:
+    """The frame of the members p, q, b in the calculus ``calc``; every guard
+    compares per row of ``calc`` (one row for a single parameter)."""
+    if c <= 0:
+        raise ValueError("interval length c must be positive")
+    pn, qn = np.maximum(calc.norm(p), 1e-300), np.maximum(calc.norm(q), 1e-300)
+    gap = calc.fro(p - q - b)
+    _refuse(gap > 1e-10 * np.maximum(pn, calc.norm(b)), FrameSingular,
+            "P - Q - B residual {:.3e}", gap)
     try:
         binv = calc.inv(b)
         binv_norm = calc.norm(binv)
     except np.linalg.LinAlgError:
         binv_norm = np.inf
     # B is "invertible" only on the scale of the factors it separates
-    if not np.isfinite(binv_norm) or binv_norm * max(pn, qn, 1.0) > tol.CONDITION_CAP:
-        raise FrameSingular("B is not invertible")
+    _refuse(~np.isfinite(binv_norm)
+            | (binv_norm * np.maximum(np.maximum(pn, qn), 1.0) > tol.CONDITION_CAP),
+            FrameSingular, "B is not invertible")
 
     m = calc.neg_sqrt_neg(p)
     l = calc.neg_sqrt_neg(q)
@@ -423,8 +498,7 @@ def _build_frame(P, Q, B, c, require_uv=False, modal=True) -> BCFrame:
         inv_ip_em=inv_ip_em, inv_im_em=inv_im_em,
         inv_ip_el=inv_ip_el, inv_im_el=inv_im_el,
     )
-    basis = (P.eigvecs, P.eigvecs_inv) if modal else None
-    return BCFrame(n=n, c=c, lam=None, ops=ops, basis=basis, uv_ok=uv_ok,
+    return BCFrame(n=len(calc.eye), c=c, lam=None, ops=ops, basis=basis, uv_ok=uv_ok,
                    prop_m=prop_m, prop_l=prop_l)
 
 
@@ -698,22 +772,53 @@ def solve_bc5(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
 _SOLVERS = {1: solve_bc1, 2: solve_bc2, 3: solve_bc3, 4: solve_bc4, 5: solve_bc5}
 
 
-def _lambda_frame(spec: ProblemSpec, lam: complex) -> BCFrame:
-    """Frame for the shifted equation; lam = 0 with k != 0 uses the direct
-    factorization (A, A - k I) instead of the branch-cut parameterization."""
-    if lam == 0 and spec.k != 0:
-        shifted = shift_operator(spec.A, -spec.k, label="A-k")
-        P, Q = (shifted, spec.A) if spec.k > 0 else (spec.A, shifted)
-        B = shift_operator(spec.A, -abs(spec.k), scale=0.0, label="B0")
-    else:
-        P, Q, B = build_pq_lambda(spec.A, spec.k, lam)
+def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
+    """One frame for the shifted equation at each parameter of ``lams``.
+
+    The factors are P = A - k/2 + i s, Q = A - k/2 - i s and B = 2 i s with
+    s = sqrt(-lam - k^2/4), except lam = 0 with k != 0, which uses the direct
+    factorization (A, A - k I) instead of the branch-cut parameterization.
+    For A with a trusted eigenbasis the frame is modal and built from A's
+    eigenvalues alone, with no factorization, and K parameters make one batch
+    frame over the flattened (parameter, mode) axis; otherwise ``lams`` must
+    hold one parameter, and the frame is dense.
+
+    A batch refuses exactly when one of its parameters would: it raises the
+    exception of the first refused parameter in node order, BranchCut for a
+    parameter on the cut, and NotInResolventSet (carrying ``lam``) for a
+    frame that cannot be assembled.
+    """
+    A = spec.A
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    require_uv = spec.bc_family in DERIVATIVE_FAMILIES
     try:
-        frame = assemble_frame(P, Q, B, spec.c,
-                               require_uv=spec.bc_family in DERIVATIVE_FAMILIES)
-    except (FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:
-        raise NotInResolventSet(f"frame assembly failed at lambda={lam}: {exc}") from exc
-    frame.lam = complex(lam)
+        shifts = np.array([_factor_shifts(spec.k, lam) for lam in lams])
+        if A.diagonalizable:
+            p, q = (A.spectrum + shifts[:, j, None] for j in (0, 1))
+            b = 0.0 * A.spectrum + shifts[:, 2, None]
+            frame = assemble_frame(p, q, b, spec.c, require_uv,
+                                   basis=(A.eigvecs, A.eigvecs_inv, A.eig_cond))
+        elif len(lams) == 1:
+            (p, q, b), = shifts
+            frame = assemble_frame(shift_operator(A, p), shift_operator(A, q),
+                                   shift_operator(A, b, scale=0.0), spec.c, require_uv)
+        else:
+            raise ValueError("only A with a trusted eigenbasis batches parameters")
+    except (BranchCut, FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:
+        if len(lams) > 1:  # the first refused parameter names the refusal
+            for lam in lams:
+                _lambda_frames(spec, lam)
+        if isinstance(exc, BranchCut):
+            raise
+        raise NotInResolventSet(f"frame assembly failed at lambda={lams[0]}: {exc}",
+                                lam=lams[0]) from exc
+    frame.lam = lams if len(lams) > 1 else complex(lams[0])
     return frame
+
+
+def _lambda_frame(spec: ProblemSpec, lam: complex) -> BCFrame:
+    """Frame for the shifted equation at one parameter (``_lambda_frames``)."""
+    return _lambda_frames(spec, lam)
 
 
 def resolvent_solve(spec: ProblemSpec, lam: complex, f: GridFunction) -> GridFunction:

@@ -50,7 +50,14 @@ class NonCommutingOperators(QuarticError):
 
 
 class NotInResolventSet(QuarticError):
-    """Resolvent evaluation failed: parameter rejected or frame singular."""
+    """Resolvent evaluation failed: parameter rejected or frame singular.
+
+    ``lam`` is the refused parameter, when known.
+    """
+
+    def __init__(self, message: str = "", lam: complex | None = None):
+        super().__init__(message)
+        self.lam = lam
 
 
 class SingularSystem(QuarticError):

@@ -15,7 +15,14 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .bvp import DERIVATIVE_FAMILIES, ProblemSpec, _lambda_frame, _SOLVERS, bc_conditions
+from .bvp import (
+    DERIVATIVE_FAMILIES,
+    ProblemSpec,
+    _lambda_frame,
+    _lambda_frames,
+    _SOLVERS,
+    bc_conditions,
+)
 from .errors import (
     BranchCut,
     ContourTooClose,
@@ -26,7 +33,7 @@ from .errors import (
     SectorAngleExceeded,
     StepRejected,
 )
-from .grids import GridFunction
+from .grids import Grid, GridFunction
 from .kernels import phi_stack
 from .operators import operator_norm
 from .oracle import _build_system, _coeffs_from_A, dense_generator
@@ -43,6 +50,12 @@ __all__ = [
 ]
 
 _SCHEMES = ("CONTOUR", "IMPLICIT_EULER", "CRANK_NICOLSON")
+
+# Contour nodes solved as one batch frame hold at most this many
+# (node x mode x grid step) elements: the grid kit, the step weights and the
+# convolution buffers of a batch all scale with it, so it bounds a pass's
+# memory whatever its node count.
+CONTOUR_BATCH_ELEMENTS = 1536
 
 
 @dataclass(frozen=True)
@@ -111,19 +124,29 @@ def _contour_sum(spec: ProblemSpec, t: float, payload, n_points: int,
                  params: ContourParams) -> np.ndarray:
     """sum of weights * R(lam) payload(lam) over the hyperbola nodes.
 
-    payload(lam) must already carry every e^{t lam}-type factor; all such
-    factors decay along the contour tails, so no overflow can occur here.
+    payload (a ``_Payload``) must already carry every e^{t lam}-type factor;
+    all such factors decay along the contour tails, so no overflow can occur
+    here.  For A with a trusted eigenbasis the nodes are solved in batches of
+    up to CONTOUR_BATCH_ELEMENTS / (dim(A) x grid steps) nodes, each batch one
+    frame over the flattened (node, mode) axis (``bvp._lambda_frames``) whose
+    guards act per node; the dense route solves one node at a time.  A
+    refused node raises ContourTooClose naming the first refused node.
     """
     lam, wgt = params.nodes(n_points, t)
-    acc = None
-    for lam_i, wgt_i in zip(lam, wgt):
-        data = payload(lam_i)
+    dim = spec.A.dim
+    size = 1
+    if spec.A.diagonalizable:
+        size = max(1, CONTOUR_BATCH_ELEMENTS // (dim * (payload.grid.n - 1)))
+    acc = 0.0
+    for i in range(0, len(lam), size):
+        nodes = lam[i:i + size]
         try:
-            frame = _lambda_frame(spec, -lam_i)
-            u = _SOLVERS[spec.bc_family](frame, data)
+            frame = _lambda_frames(spec, -nodes)
+            u = _SOLVERS[spec.bc_family](frame, payload(nodes))
         except (NotInResolventSet, NearSpectrum) as exc:
-            raise ContourTooClose(f"contour node {lam_i}: {exc}") from exc
-        acc = wgt_i * u.values if acc is None else acc + wgt_i * u.values
+            node = -exc.lam if getattr(exc, "lam", None) is not None else nodes[0]
+            raise ContourTooClose(f"contour node {node}: {exc}") from exc
+        acc = acc + np.tensordot(wgt[i:i + size], u.values.reshape(len(nodes), dim, -1), 1)
     return acc
 
 
@@ -159,19 +182,50 @@ def semigroup_apply_contour(
     if params is None:
         params = default_contour(spec)
 
-    def payload(lam):
-        return GridFunction(v0.grid, np.exp(t * lam) * v0.values)
-
-    vals = _converged_contour(spec, t, payload, n_points, params, rel_tol)
+    vals = _converged_contour(spec, t, _Payload(v0.grid, v0.values, t), n_points,
+                              params, rel_tol)
     return GridFunction(v0.grid, vals)
 
 
-def _forced_payload(grid, v0_vals, f_samples, ts, t_now):
+@dataclass(frozen=True)
+class _Payload:
+    """Transformed data of one output time t at the contour nodes.
+
+    e^{t lam} v0, plus the transform of piecewise-linear forcing given as the
+    steps' lengths ``dts``, right ends ``ends`` and values ``f0``/``f1``
+    (S, dim, N) at both ends, less the algebraic tail of the last step (see
+    ``_forced_payload``).
+    """
+
+    grid: Grid
+    v0: np.ndarray
+    t: float
+    dts: np.ndarray | None = None
+    ends: np.ndarray | None = None
+    f0: np.ndarray | None = None
+    f1: np.ndarray | None = None
+
+    def __call__(self, lams: np.ndarray) -> GridFunction:
+        """Data of the K nodes lams, stacked node-major as a (K dim, N) field."""
+        lams = np.asarray(lams, dtype=complex)
+        data = np.exp(self.t * lams)[:, None, None] * self.v0
+        if self.dts is not None:
+            ph = phi_stack(np.multiply.outer(lams, self.dts), 2)  # (3, K, S)
+            decay = self.dts * np.exp(np.multiply.outer(lams, self.t - self.ends))
+            data = data + np.tensordot(decay * (ph[1] - ph[2]), self.f0, 1) \
+                + np.tensordot(decay * ph[2], self.f1, 1)
+            f_end, slope_end = self.f1[-1], (self.f1[-1] - self.f0[-1]) / self.dts[-1]
+            data = data + f_end / lams[:, None, None] + slope_end / (lams * lams)[:, None, None]
+        return GridFunction(self.grid, data.reshape(-1, self.grid.n))
+
+
+def _forced_payload(grid, v0_vals, f_samples, ts, t_now) -> _Payload:
     """Initial data plus the transform of piecewise-linear forcing.
 
     int_0^t e^{(t-s)lam} f(s) ds over each forcing step reduces to the
-    order-0/1 exponential step integrals.  The s = t endpoint of the last
-    step leaves algebraic terms -f(t)/lam - f'(t-)/lam^2 whose resolvent
+    order-0/1 exponential step integrals, evaluated for all nodes and steps of
+    a batch by one ``phi_stack`` call.  The s = t endpoint of the last step
+    leaves algebraic terms -f(t)/lam - f'(t-)/lam^2 whose resolvent
     integrals over the closed left contour vanish exactly (both poles are
     enclosed and the partial fractions cancel); removing them keeps every
     surviving term exponentially damped, so the trapezoid sum converges
@@ -183,28 +237,10 @@ def _forced_payload(grid, v0_vals, f_samples, ts, t_now):
         frac = (t_now - ts[idx]) / (ts[idx + 1] - ts[idx])
         f_mid = f_samples[idx] * (1 - frac) + f_samples[idx + 1] * frac
         steps.append((ts[idx], t_now, f_samples[idx], f_mid))
-    if steps:
-        t0, t1, f0, f1 = steps[-1]
-        f_end = f1
-        slope_end = (f1 - f0) / (t1 - t0)
-    else:
-        f_end = slope_end = None
-
-    def payload(lam):
-        field = np.exp(t_now * lam) * v0_vals
-        for (t0, t1, f0, f1) in steps:
-            dtj = t1 - t0
-            ph = phi_stack(np.array([dtj * lam]), 2)
-            psi0 = ph[1][0]
-            psi1 = ph[2][0]
-            field = field + dtj * np.exp((t_now - t1) * lam) * (
-                f0 * (psi0 - psi1) + f1 * psi1
-            )
-        if f_end is not None:
-            field = field + f_end / lam + slope_end / (lam * lam)
-        return GridFunction(grid, field)
-
-    return payload
+    if not steps:
+        return _Payload(grid, v0_vals, t_now)
+    t0, t1, f0, f1 = (np.array(col) for col in zip(*steps))
+    return _Payload(grid, v0_vals, t_now, dts=t1 - t0, ends=t1, f0=f0, f1=f1)
 
 
 def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
@@ -229,8 +265,7 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
         traj = [(0.0, espec.v0.copy())]
         for t_now in ts[1:]:
             if f_samples is None:
-                payload = (lambda tn: lambda lam: GridFunction(
-                    grid, np.exp(tn * lam) * espec.v0.values))(t_now)
+                payload = _Payload(grid, espec.v0.values, t_now)
             else:
                 payload = _forced_payload(grid, espec.v0.values, f_samples, ts, t_now)
             vals = _converged_contour(spec, t_now, payload, espec.contour_points,

@@ -138,11 +138,13 @@ def shift_operator(A: OperatorHandle, shift: complex, scale: float = 1.0,
 
 
 def sqrt_symbols(w: np.ndarray) -> np.ndarray:
-    """Principal square roots of the eigenvalues w.
+    """Principal square roots of the eigenvalues w: one operator's (n,), or
+    (K, n) rows of K operators'.
 
-    Rejects any eigenvalue within tolerance of the cut (-inf, 0].
+    Rejects any eigenvalue within tolerance of the cut (-inf, 0], measured on
+    the scale of its own row.
     """
-    scale = max(np.max(np.abs(w)), 1.0)
+    scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1.0)
     on_cut = (w.real <= tol.FACTOR_RESIDUAL * scale) & (
         np.abs(w.imag) <= 1e3 * tol.FACTOR_RESIDUAL * scale
     )

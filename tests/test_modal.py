@@ -10,12 +10,13 @@ from quartic.bvp import (
     ProblemSpec,
     _build_frame,
     _lambda_frame,
+    _lambda_frames,
     assemble_frame,
     build_pq_lambda,
     resolvent_matrix,
 )
 from quartic.errors import FrameSingular
-from quartic.grids import cgl_grid
+from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import make_operator, shift_operator
 from quartic.oracle import collocation_solve
 from quartic.verify import _random_sectorial
@@ -142,4 +143,29 @@ class TestNoFactorizationPerParameter:
         frame = _lambda_frame(spec, lam)
         frame.grid_kit(cgl_grid(32, 0.0, np.pi))
         assert frame.modal
+        assert calls == []
+
+    @pytest.mark.parametrize("bc", [1, 3])
+    def test_batch_skips_make_operator_and_eig(self, monkeypatch, rng, bc):
+        spec = ProblemSpec(0.0, np.pi, 1.0, _operators()[1], bc)
+        calls = []
+
+        def counting(fn, name):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (bvp, operators):
+            monkeypatch.setattr(mod, "make_operator",
+                                counting(operators.make_operator, "make_operator"))
+        monkeypatch.setattr(np.linalg, "eig", counting(np.linalg.eig, "eig"))
+        lams = [-3.0 + 2.0j, 0.0, -40.0 + 7.0j, -1.0 - 5.0j, -300.0]
+        frame = _lambda_frames(spec, lams)
+        grid = cgl_grid(32, 0.0, np.pi)
+        frame.grid_kit(grid)
+        data = GridFunction(grid, np.concatenate(
+            [smooth_field(rng, grid, spec.A.dim).values for _ in lams]))
+        u = _SOLVERS[bc](frame, data)
+        assert frame.modal and u.values.shape == (len(lams) * spec.A.dim, grid.n)
         assert calls == []
