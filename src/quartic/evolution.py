@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .bvp import (
     DERIVATIVE_FAMILIES,
@@ -314,6 +313,8 @@ def growth_bound_probe(spec: ProblemSpec, t_grid, n_nodes: int = 40):
     if spec.bc_family in DERIVATIVE_FAMILIES:
         raise ValueError(f"growth bound probe excludes families {DERIVATIVE_FAMILIES}")
     _gate_angle(spec)
+    import scipy.linalg as sla
+
     gen = dense_generator(spec, n_nodes)
     G = gen.generator
     w = gen.weights()
@@ -335,6 +336,8 @@ def variation_of_constants_check(L1, L2, B, psi, x_grid) -> float:
     exactly per eigenmode when the pair shares a diagonalizing basis and by
     panel Gauss quadrature otherwise.
     """
+    import scipy.linalg as sla
+
     L1m = np.asarray(getattr(L1, "matrix", L1), dtype=complex)
     L2m = np.asarray(getattr(L2, "matrix", L2), dtype=complex)
     Bm = np.asarray(getattr(B, "matrix", B), dtype=complex)

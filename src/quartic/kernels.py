@@ -28,7 +28,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import tolerances as tol
 from .operators import OperatorHandle
@@ -104,6 +103,8 @@ def chi_stack(z: np.ndarray, mmax: int) -> np.ndarray:
 
 def _phi_block_matrices(hX: np.ndarray, p: int) -> list[np.ndarray]:
     """phi_1(hX)..phi_p(hX) via one exponential of an augmented block matrix."""
+    import scipy.linalg as sla
+
     n = hX.shape[0]
     C = np.zeros(((p + 1) * n, (p + 1) * n), dtype=complex)
     C[:n, :n] = hX
@@ -152,6 +153,8 @@ class Propagator:
         ts = np.asarray(ts, dtype=float)
         if self.modal:
             return self._assemble(np.exp(np.multiply.outer(ts, self._w)))
+        import scipy.linalg as sla
+
         T, Q = self.op.schur()
         out = np.empty((len(ts), self.n, self.n), dtype=complex)
         for i, t in enumerate(ts):

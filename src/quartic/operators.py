@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import tolerances as tol
 from .errors import (
@@ -68,6 +67,8 @@ class OperatorHandle:
     def schur(self):
         """Complex Schur form (T, Q), computed once and cached."""
         if "TQ" not in self._schur_cache:
+            import scipy.linalg as sla
+
             T, Q = sla.schur(self.matrix, output="complex")
             nrm = max(np.linalg.norm(self.matrix), 1.0)
             res = np.linalg.norm(Q @ T @ Q.conj().T - self.matrix) / nrm
@@ -163,6 +164,8 @@ def sqrt_principal(T: OperatorHandle) -> OperatorHandle:
     if T.diagonalizable:
         S = (T.eigvecs * roots) @ T.eigvecs_inv
     else:
+        import scipy.linalg as sla
+
         S = sla.sqrtm(np.asarray(T.matrix))
     out = make_operator(S, label=f"sqrt({T.label})")
     res = np.linalg.norm(out.matrix @ out.matrix - T.matrix) / max(
@@ -186,6 +189,8 @@ def expm_apply(T: OperatorHandle, t: float, v: np.ndarray) -> np.ndarray:
         y = T.eigvecs_inv @ v.reshape(T.dim, -1)
         y = np.exp(t * T.spectrum)[:, None] * y
         return (T.eigvecs @ y).reshape(v.shape)
+    import scipy.linalg as sla
+
     return sla.expm(t * np.asarray(T.matrix)) @ v
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from numpy.polynomial.chebyshev import chebint
 
 from . import tolerances as tol
 from .bvp import bc_conditions, condition_value
@@ -181,6 +179,8 @@ def collocation_solve(
             f"collocation system condition {cond:.3e} at lambda={lam}"
         )
     rhs = dr * sys_.rhs(f.values)
+    import scipy.linalg as sla
+
     lu = sla.lu_factor(Ms)
     u = sla.lu_solve(lu, rhs)
     u += sla.lu_solve(lu, rhs - Ms @ u)  # one refinement step
@@ -233,6 +233,8 @@ class DenseGenerator:
                 self.minus_generator - lam * np.eye(self.minus_generator.shape[0]),
                 self.project(f_values))
         dr = 1.0 / np.maximum(np.max(np.abs(A), axis=1), 1e-300)
+        import scipy.linalg as sla
+
         lu = sla.lu_factor(dr[:, None] * A)
         rhs = dr * b
         u = sla.lu_solve(lu, rhs)
@@ -308,6 +310,8 @@ def dense_expm(G: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("v0 length does not match generator")
     if t == 0:
         return np.asarray(v0, dtype=complex).copy()
+    import scipy.linalg as sla
+
     return sla.expm(t * G) @ v0
 
 
@@ -345,6 +349,8 @@ def ode_residual(coeff2: np.ndarray, coeff0: np.ndarray, lam: complex,
         raise DimensionMismatch(
             f"interior residual needs u and f on one CGL grid, got {u.grid.kind} "
             f"({u.grid.n} nodes) and {f.grid.kind} ({f.grid.n} nodes)")
+    from numpy.polynomial.chebyshev import chebint
+
     scl = (u.grid.b - u.grid.a) / 2.0
     cu = _cgl_coefficients(u.values)
     terms = [

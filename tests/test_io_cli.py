@@ -347,6 +347,46 @@ v0 = zero
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
 
 
+class TestStartupImports:
+    """scipy is only imported by the paths that need it (the dense fallback
+    and the oracles), so a modal run never loads it."""
+
+    def test_modal_evolve_leaves_scipy_unloaded(self, tmp_path):
+        import subprocess
+        import sys
+
+        cfg = write_config(tmp_path / "c.cfg", """
+[problem]
+operator = laplacian:3
+bc_family = 1
+[grid]
+n_nodes = 32
+[forcing]
+type = sines
+coefficients = 1.0
+[evolve]
+scheme = CONTOUR
+t_final = 0.1
+dt = 0.05
+v0 = sine:1
+""")
+        script = (
+            "import sys\n"
+            "import quartic.cli\n"
+            "assert 'scipy' not in sys.modules, 'import quartic.cli loaded scipy'\n"
+            f"rc = quartic.cli.main(['evolve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'scipy' not in sys.modules, 'a modal evolve loaded scipy'\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "trajectory.csv").exists()
+
+
 class TestCliVerify:
     def test_default_seed_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", DEMO)
