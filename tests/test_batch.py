@@ -21,7 +21,7 @@ from quartic.errors import (
 from quartic.evolution import ContourParams, default_contour
 from quartic.grids import GridFunction, cgl_grid
 from quartic.kernels import phi_stack
-from quartic.operators import dirichlet_laplacian_modes, make_operator
+from quartic.operators import dirichlet_laplacian_modes, make_operator, sqrt_symbols
 from test_modal import _nonnormal
 
 REFUSALS = (FrameSingular, SingularOrIllConditioned, SpectrumOnCut)
@@ -157,6 +157,14 @@ class TestBatchRefusals:
         assert _lambda_frames(spec, lams).n == 6
 
 
+def test_cut_check_per_row():
+    # 1e-8 is clear of the cut on its own row's scale, not on the next row's
+    rows = np.array([[1e-8 + 0j, 4.0], [1e12, 2.0]])
+    assert np.allclose(sqrt_symbols(rows) ** 2, rows, rtol=1e-15, atol=0)
+    with pytest.raises(SpectrumOnCut):
+        sqrt_symbols(np.array([[-1e-3 + 0j, 4.0], [1e12, 2.0]]))
+
+
 def _node_data(grid, v0, t, lam, steps):
     """Per-node transform of v0 and piecewise-linear forcing: the node loop
     the batched payload replaces, one phi_stack call per node and step."""
@@ -203,3 +211,20 @@ class TestContourSumBatches:
                   for lam_i, w in zip(lam, wgt))
         assert got.shape == (A.dim, grid.n)
         assert _relative_gap(got, ref) <= 1e-13
+
+    def test_batches_bounded_by_budget(self, monkeypatch, rng):
+        A = _operator("laplacian3")
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(64, 0.0, np.pi)
+        sizes = []
+
+        def recording(spec_, lams):
+            sizes.append(len(lams))
+            return _lambda_frames(spec_, lams)
+
+        monkeypatch.setattr(evolution, "_lambda_frames", recording)
+        payload = evolution._Payload(grid, smooth_field(rng, grid, 3).values, 0.1)
+        evolution._contour_sum(spec, 0.1, payload, 64, default_contour(spec))
+        budget = evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1))
+        assert sum(sizes) == 64
+        assert 1 < max(sizes) <= budget
