@@ -326,11 +326,11 @@ class _Symbols:
     def of(X: OperatorHandle) -> np.ndarray:
         return X.spectrum
 
-    def rows(self, x) -> np.ndarray:
-        return np.reshape(x, self.shape)
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.shape)
 
-    def norm(self, x) -> np.ndarray:
-        return self.kappa * np.max(np.abs(self.rows(x)), axis=1)
+    def norm(self, x: np.ndarray) -> np.ndarray:
+        return self.kappa * np.abs(self.rows(x)).max(axis=1)
 
     def fro(self, x) -> np.ndarray:
         return np.linalg.norm(self.rows(x), axis=1)
