@@ -601,6 +601,8 @@ def _frame_phi(frame: BCFrame, phi, bc: int = 1):
 
     Family 5 data is reduced here, in X's coordinates, to the family 1 data
     (phi1, phi2, phi3 - P phi1, phi4 - P phi2) that _solve_family solves.
+    The reduction needs the dense view of P, so a batch frame takes family 5
+    data only when it is homogeneous.
     """
     if phi is None:
         return _zero_phi(frame.n)

@@ -2,7 +2,8 @@
 
 The semigroup is evaluated either by inverse-Laplace quadrature on a
 left-opening hyperbola (each node is one resolvent solve of the stationary
-code path) or by implicit one-step schemes whose stage operators are again
+code path; with a trusted eigenbasis of A a batch of nodes shares one
+frame) or by implicit one-step schemes whose stage operators are again
 resolvents at real shifts.  A dense-exponential oracle covers small
 instances for cross-validation.
 """
