@@ -13,6 +13,7 @@ from quartic.bvp import (
     build_pq_lambda,
 )
 from quartic.errors import (
+    ContourTooClose,
     FrameSingular,
     NotInResolventSet,
     SingularOrIllConditioned,
@@ -228,3 +229,23 @@ class TestContourSumBatches:
         budget = evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1))
         assert sum(sizes) == 64
         assert 1 < max(sizes) <= budget
+
+    def test_refused_node_named(self, rng):
+        # nodes 11 and 13 sit on the refused parameter LAM0 of
+        # TestBatchRefusals (contour nodes are solved at -lam); node 11 is
+        # the first refused one in node order and inside the first batch
+        spec = ProblemSpec(0.0, np.pi, 0.0, TestBatchRefusals._operator(), 3)
+        grid = cgl_grid(48, 0.0, np.pi)
+        lam = -(20.0 + 5.0j * np.arange(1, 25))
+        lam[11] = lam[13] = -TestBatchRefusals.LAM0
+
+        class Nodes:
+            def nodes(self, n_points, t):
+                return lam[:n_points], np.full(n_points, 0.1 + 0j)
+
+        payload = evolution._Payload(grid, smooth_field(rng, grid, 2).values, 0.1)
+        assert evolution.CONTOUR_BATCH_ELEMENTS // (2 * (grid.n - 1)) > 13
+        with pytest.raises(ContourTooClose) as exc:
+            evolution._contour_sum(spec, 0.1, payload, 24, Nodes())
+        assert str(exc.value).startswith(f"contour node {lam[11]}: ")
+        assert isinstance(exc.value.__cause__, NotInResolventSet)
