@@ -78,7 +78,7 @@ class TestBatchMatchesPerParameter:
                                    phis[start + i]).values
                 assert _relative_gap(got[i], ref) <= 1e-13, (start + i, lam)
 
-    def test_single_parameter_is_a_batch_of_one(self, rng):
+    def test_single_parameter_is_a_batch_of_one(self):
         A = _operator("cond30")
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 3)
         frame = _lambda_frames(spec, -3.0 + 2.0j)
