@@ -36,18 +36,6 @@ EXIT_TOLERANCE = 4
 EXIT_ANGLE_GATE = 5
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QUARTIC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def cmd_solve(cfg: RunConfig, args) -> int:
     spec = cfg.problem
     try:
@@ -85,7 +73,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     try:
         grid = make_sweep_grid(spec.k, spec.theta_a, radii=radii,
                                n_angles=sw["n_angles"], exclusion_radius=excl)
-        report = run_sweep(spec, grid, n_nodes=sw["n_nodes"], threads=_threads(args))
+        report = run_sweep(spec, grid, n_nodes=sw["n_nodes"])
     except ValueError as exc:
         print(f"sweep setup failed: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -149,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the sweep's lambda points (sweep "
-                            "only; default QUARTIC_THREADS or 1)")
+                       help="accepted and ignored: every command runs its "
+                            "lambda points serially")
         p.add_argument("--seed", type=int, default=1234)
         p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
         p.set_defaults(fn=fn)

@@ -124,13 +124,10 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     if "problem" not in cp:
         raise ConfigError("config needs a [problem] section")
     prob = cp["problem"]
-    try:
-        a = prob.getfloat("a", 0.0)
-        b = prob.getfloat("b", float(np.pi))
-        k = prob.getfloat("k", 0.0)
-        bc = prob.getint("bc_family", 1)
-    except ValueError as exc:
-        raise ConfigError(f"bad [problem] numeric value: {exc}") from exc
+    a = _number(prob, "a", "0.0")
+    b = _number(prob, "b", repr(np.pi))
+    k = _number(prob, "k", "0.0")
+    bc = _number(prob, "bc_family", "1", int)
     A = _parse_operator(prob.get("operator", "laplacian:1"), base_dir)
     if bc not in BC_FAMILIES:
         raise ConfigError(f"bc_family must be one of {tuple(BC_FAMILIES)}, got {bc}")
@@ -164,10 +161,7 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     phi = tuple(
         _parse_vector(ssec.get(f"phi{i}", "0"), A.dim) for i in range(1, 5)
     )
-    try:
-        solve_tol = float(ssec.get("tol_residual", "1e-6"))
-    except ValueError as exc:
-        raise ConfigError(f"bad tol_residual: {exc}") from exc
+    solve_tol = _number(ssec, "tol_residual", "1e-6")
     if solve_tol <= 0:
         raise ConfigError("tol_residual must be positive")
 

@@ -36,14 +36,14 @@ def _clenshaw_curtis_weights(n: int, a: float, b: float) -> np.ndarray:
     if n == 1:
         return np.array([b - a])
     m = n - 1
-    c = np.zeros(n)
-    for j in range(n):
-        # integral of the j-th Lagrange cardinal = sum over even k of cosine terms
-        s = 1.0
-        for k in range(1, m // 2 + 1):
-            f = 2.0 if 2 * k < m else 1.0
-            s -= f * np.cos(2 * k * np.pi * j / m) / (4 * k * k - 1)
-        c[j] = 2.0 * s / m
+    # integral of the j-th Lagrange cardinal = 1 - sum over even 2k of cosine
+    # terms; the cumulative sum subtracts them from 1 in increasing k order
+    j = np.arange(n)[:, None]
+    k = np.arange(1, m // 2 + 1)
+    f = np.where(2 * k < m, 2.0, 1.0)
+    terms = f * np.cos(2 * k * np.pi * j / m) / (4 * k * k - 1)
+    s = np.cumsum(np.hstack([np.ones((n, 1)), -terms]), axis=1)[:, -1]
+    c = 2.0 * s / m
     c[0] /= 2.0
     c[-1] /= 2.0
     return c[::-1] * (b - a) / 2.0
@@ -55,31 +55,36 @@ def chebyshev_gauss_nodes(n: int, a: float, b: float) -> np.ndarray:
     return (a + b) / 2 + (b - a) / 2 * t
 
 
-def fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
+def fornberg_weights(z, x: np.ndarray, m: int) -> np.ndarray:
     """Finite-difference weights for derivatives 0..m at z from nodes x.
 
-    Classic recursive algorithm; returns array (m+1, len(x)).
+    Classic recursive algorithm.  For scalar z and x of shape (n,) returns
+    (m+1, n); for z of shape (R,) and x of shape (R, n) it runs the R
+    stencils at once and returns (m+1, R, n), with w[k, ..., i] the weight
+    of node x[..., i] for the k-th derivative.
     """
-    n = len(x)
-    w = np.zeros((m + 1, n))
-    w[0, 0] = 1.0
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    w = np.zeros((m + 1,) + x.shape)
+    w[0, ..., 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - z
+    c4 = x[..., 0] - z
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[..., i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+                    w[k, ..., i] = c1 * (k * w[k - 1, ..., i - 1] - c5 * w[k, ..., i - 1]) / c2
+                w[0, ..., i] = -c1 * c5 * w[0, ..., i - 1] / c2
             for k in range(mn, 0, -1):
-                w[k, j] = ((x[i] - z) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (x[i] - z) * w[0, j] / c3
+                w[k, ..., j] = (c4 * w[k, ..., j] - k * w[k - 1, ..., j]) / c3
+            w[0, ..., j] = c4 * w[0, ..., j] / c3
         c1 = c2
     return w
 
@@ -92,11 +97,10 @@ def stencil_derivative_matrix(nodes: np.ndarray, order: int, width: int = 7) -> 
     """
     n = len(nodes)
     width = min(width, n)
+    lo = np.clip(np.arange(n) - width // 2, 0, n - width)
+    idx = lo[:, None] + np.arange(width)
     D = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        idx = np.arange(lo, lo + width)
-        D[i, idx] = fornberg_weights(nodes[i], nodes[idx], order)[order]
+    np.put_along_axis(D, idx, fornberg_weights(nodes, nodes[idx], order)[order], axis=1)
     return D
 
 

@@ -11,12 +11,14 @@ Per step the needed weights are, with z = h X,
     psi_m(z) = int_0^1 e^{z(1-s)} s^m ds   (forward kernel e^{(x-s)X})
     chi_m(z) = int_0^1 e^{z s} s^m ds      (backward kernel e^{(s-x)X})
 
-computed per eigenmode when X is diagonalizable with a well-conditioned
-basis, and through the exponential of an augmented block matrix otherwise.
-In X's eigenbasis the weights are diagonal, so the modal stacks keep only
-their (..., n) diagonals.  The convolution recurrence I_{j+1} = e^{h_j X} I_j
-+ c_j is evaluated for modal steps as one log-depth (Hillis-Steele) scan over
-the steps, whose compositions are exact elementwise products.  Dense steps
+computed per eigenmode when X is given by its eigenvalues (a modal frame),
+and through the exponential of an augmented block matrix when X is a dense
+matrix (the frame of an A whose eigenbasis is too ill-conditioned to use),
+whose e^{tX} comes from its Schur form.  In X's eigenbasis the weights are
+diagonal, so the modal stacks keep only their (..., n) diagonals.  The
+convolution recurrence I_{j+1} = e^{h_j X} I_j + c_j is evaluated for modal
+steps as one log-depth (Hillis-Steele) scan over the steps, whose
+compositions are exact elementwise products.  Dense steps
 (the fallback for an ill-conditioned eigenbasis) run the plain recurrence:
 composing such steps explicitly multiplies their round-off by their
 non-normality at every pass.
@@ -118,41 +120,30 @@ def _phi_block_matrices(hX: np.ndarray, p: int) -> list[np.ndarray]:
 class Propagator:
     """Evaluates e^{tX} stacks and exponential step integrals for one X.
 
-    Built from an OperatorHandle it returns dense (..., n, n) stacks.  Built
-    from the eigenvalues of X alone it returns modal (..., n) stacks, i.e. the
-    diagonals of the same stacks in X's eigenbasis.
+    Built from the eigenvalues of X it returns modal (..., n) stacks, the
+    diagonals of the stacks in X's eigenbasis.  Built from an OperatorHandle
+    it returns dense (..., n, n) stacks through X's Schur form; a frame only
+    holds such members when A's eigenbasis is too ill-conditioned to use.
     """
 
     MAX_DEG = 6  # local polynomial model degree + 1
 
     def __init__(self, op):
-        self._V = self._Vinv = None
         if isinstance(op, OperatorHandle):
             self.op = op
             self.n = op.dim
-            self.modal = op.diagonalizable
-            if self.modal:
-                self._w = op.spectrum
-                self._V = op.eigvecs
-                self._Vinv = op.eigvecs_inv
+            self.modal = False
         else:
             self.op = None
             self._w = np.asarray(op, dtype=complex)
             self.n = len(self._w)
             self.modal = True
 
-    def _assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        """Turn modal coefficients (..., n) into dense stacks (..., n, n);
-        a propagator without a basis keeps them modal."""
-        if self._V is None:
-            return coeffs
-        return np.einsum("ij,...j,jk->...ik", self._V, coeffs, self._Vinv)
-
     def exp_stack(self, ts: np.ndarray) -> np.ndarray:
         """e^{t X} for each t in ts: shape (len(ts), n, n), or (len(ts), n) modal."""
         ts = np.asarray(ts, dtype=float)
         if self.modal:
-            return self._assemble(np.exp(np.multiply.outer(ts, self._w)))
+            return np.exp(np.multiply.outer(ts, self._w))
         import scipy.linalg as sla
 
         T, Q = self.op.schur()
@@ -171,9 +162,7 @@ class Propagator:
             phis, chi = _exp_integrals(Z, p, p - 1)       # (p+1, J, n), (p, J, n)
             # psi_m = m! phi_{m+1}
             psi = phis[1:] * np.array([factorial(m) for m in range(p)])[:, None, None]
-            psi_d = self._assemble(np.moveaxis(psi, 0, 1))
-            chi_d = self._assemble(np.moveaxis(chi, 0, 1))
-            return psi_d, chi_d
+            return np.moveaxis(psi, 0, 1), np.moveaxis(chi, 0, 1)
         X = np.asarray(self.op.matrix)
         J = len(hs)
         psi_d = np.empty((J, p, self.n, self.n), dtype=complex)

@@ -195,6 +195,9 @@ class DenseGenerator:
     diagonal negative surrogates); ``embed`` reconstructs all node values
     from interior dofs, ``project`` maps a forcing field to the reduced
     right-hand side so that (-G - lam)^{-1} project(f) solves the problem.
+    ``stiffness`` and ``mass`` form the pencil with -G = mass^{-1} stiffness,
+    and ``E_rows`` maps forcing values to its right-hand side;
+    ``resolvent_apply`` and ``low_spectrum`` solve through that pencil.
     """
 
     grid: Grid
@@ -203,9 +206,9 @@ class DenseGenerator:
     embed_matrix: np.ndarray
     project_matrix: np.ndarray
     iidx: np.ndarray
-    stiffness: np.ndarray | None = None
-    mass: np.ndarray | None = None
-    E_rows: np.ndarray | None = None
+    stiffness: np.ndarray
+    mass: np.ndarray
+    E_rows: np.ndarray
 
     @property
     def generator(self) -> np.ndarray:
@@ -227,16 +230,11 @@ class DenseGenerator:
         """
         fvec = np.asarray(f_values, dtype=complex).T.reshape(-1)
         A = self.stiffness - lam * self.mass
-        b = self.E_rows @ fvec if self.E_rows is not None else None
-        if b is None:
-            return np.linalg.solve(
-                self.minus_generator - lam * np.eye(self.minus_generator.shape[0]),
-                self.project(f_values))
         dr = 1.0 / np.maximum(np.max(np.abs(A), axis=1), 1e-300)
         import scipy.linalg as sla
 
         lu = sla.lu_factor(dr[:, None] * A)
-        rhs = dr * b
+        rhs = dr * (self.E_rows @ fvec)
         u = sla.lu_solve(lu, rhs)
         u += sla.lu_solve(lu, rhs - (dr[:, None] * A) @ u)
         return u

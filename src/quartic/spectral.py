@@ -10,7 +10,6 @@ they witness the excluded ball around the vertex.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,7 +237,6 @@ def run_sweep(
     spec: ProblemSpec,
     sweep: SweepGrid,
     n_nodes: int = 40,
-    threads: int = 1,
 ) -> SweepReport:
     """Measure resolvent norms over the sweep grid.
 
@@ -258,11 +256,7 @@ def run_sweep(
         except (NotInResolventSet, BranchCut, NearSpectrum, SingularSystem) as exc:
             return SweepRecord(lam, np.nan, np.nan, False, type(exc).__name__)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(job, lams))
-    else:
-        records = [job(lam) for lam in lams]
+    records = [job(lam) for lam in lams]
 
     good = [r for r in records if r.frame_ok]
     failures = [r for r in records if not r.frame_ok]

@@ -8,11 +8,6 @@ tolerance policy can be audited (and scaled by the verify CLI) in one place.
 # back-substitution checks of direct solves.
 FACTOR_RESIDUAL = 1e-12
 
-# Relative tolerance for algebraic identity property tests
-# (square-root squares back, semigroup law, resolvent identity, frame
-# identities).
-IDENTITY = 1e-10
-
 # Condition-estimate cap used by guarded inversion, resolvent solves and the
 # collocation oracle: beyond this the shift is treated as "near spectrum"
 # rather than a member of the resolvent set.

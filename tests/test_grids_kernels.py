@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from quartic.grids import (
     GridFunction,
+    _clenshaw_curtis_weights,
     cgl_grid,
     chebyshev_gauss_nodes,
     fornberg_weights,
@@ -66,6 +67,49 @@ class TestStencils:
         f = np.sin(2 * g.nodes)
         exact = (2.0**order) * np.sin(2 * g.nodes + order * np.pi / 2)
         assert np.max(np.abs(D @ f - exact)) < 1e-6
+
+
+def _clenshaw_curtis_loop(n, a, b):
+    """Reference: the weights' cosine sums, one node and one term at a time."""
+    if n == 1:
+        return np.array([b - a])
+    m = n - 1
+    c = np.zeros(n)
+    for j in range(n):
+        s = 1.0
+        for k in range(1, m // 2 + 1):
+            f = 2.0 if 2 * k < m else 1.0
+            s -= f * np.cos(2 * k * np.pi * j / m) / (4 * k * k - 1)
+        c[j] = 2.0 * s / m
+    c[0] /= 2.0
+    c[-1] /= 2.0
+    return c[::-1] * (b - a) / 2.0
+
+
+class TestGridSetup:
+    """Array forms of the grid set-up give the loops' numbers bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 48, 344])
+    def test_clenshaw_curtis_matches_loop(self, n):
+        assert np.array_equal(_clenshaw_curtis_weights(n, -0.5, 2.0),
+                              _clenshaw_curtis_loop(n, -0.5, 2.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 48, 344])
+    def test_batched_fornberg_matches_rows(self, n):
+        nodes = chebyshev_gauss_nodes(n, 0.0, np.pi)
+        width = min(7, n)
+        lo = np.clip(np.arange(n) - width // 2, 0, n - width)
+        idx = lo[:, None] + np.arange(width)
+        batched = fornberg_weights(nodes, nodes[idx], 4)
+        assert batched.shape == (5, n, width)
+        D = {order: stencil_derivative_matrix(nodes, order) for order in (1, 2)}
+        for r in range(n):
+            row = fornberg_weights(nodes[r], nodes[idx[r]], 4)
+            assert np.array_equal(batched[:, r], row)
+            for order, Dk in D.items():
+                want = np.zeros(n)
+                want[idx[r]] = row[order]
+                assert np.array_equal(Dk[r], want)
 
 
 def _quad_complex(fn, lo, hi):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +300,27 @@ exclusion_radius = 1e-2
 """)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_threads_flag_and_env_are_ignored(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.cfg", DEMO + """
+[sweep]
+radius_min = 1e-1
+radius_max = 1e1
+n_radii = 3
+n_angles = 2
+n_nodes = 20
+""")
+        monkeypatch.delenv("QUARTIC_THREADS", raising=False)
+        runs = {}
+        for name, extra, env in (("plain", [], None), ("flag", ["--threads", "3"], None),
+                                 ("env", [], "2")):
+            if env is not None:
+                monkeypatch.setenv("QUARTIC_THREADS", env)
+            out = tmp_path / name
+            assert main(["sweep", "--config", cfg, "--out", str(out)] + extra) == 0
+            runs[name] = (out / "sweep.csv").read_bytes()
+        assert runs["flag"] == runs["plain"]
+        assert runs["env"] == runs["plain"]
+
 
 class TestCliEvolve:
     def test_trajectory_written(self, tmp_path):
@@ -349,7 +371,8 @@ v0 = zero
 
 class TestStartupImports:
     """scipy is only imported by the paths that need it (the dense fallback
-    and the oracles), so a modal run never loads it."""
+    and the oracles), so a modal run never loads it; nothing loads a thread
+    pool."""
 
     def test_modal_evolve_leaves_scipy_unloaded(self, tmp_path):
         import subprocess
@@ -374,6 +397,8 @@ v0 = sine:1
             "import sys\n"
             "import quartic.cli\n"
             "assert 'scipy' not in sys.modules, 'import quartic.cli loaded scipy'\n"
+            "assert 'concurrent.futures' not in sys.modules, "
+            "'import quartic.cli loaded concurrent.futures'\n"
             f"rc = quartic.cli.main(['evolve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'a modal evolve loaded scipy'\n"
@@ -411,18 +436,32 @@ class TestCliVerify:
         assert first == second
 
 
-class TestThreadsEnv:
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QUARTIC_THREADS", "2")
-        cfg = write_config(tmp_path / "c.cfg", DEMO + """
+NON_FINITE_SWEEP_EVOLVE = """
 [sweep]
 radius_min = 1e-1
 radius_max = 1e1
-n_radii = 3
+n_radii = 2
 n_angles = 2
-n_nodes = 20
-""")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+n_nodes = 12
+[evolve]
+scheme = IMPLICIT_EULER
+dt = 0.25
+t_final = 0.5
+v0 = sine:1
+"""
+
+
+class TestNonFiniteProblemNumbers:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "evolve"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["a", "b", "k", "bc_family", "tol_residual"])
+    def test_exit2_names_field(self, tmp_path, capsys, field, value, command):
+        body = re.sub(rf"^{field} = .*$", f"{field} = {value}", DEMO, flags=re.M)
+        assert body != DEMO
+        cfg = write_config(tmp_path / "c.cfg", body + NON_FINITE_SWEEP_EVOLVE)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err or f"bad {field} =" in err
 
 
 FUZZ_BASE = {

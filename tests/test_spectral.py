@@ -156,15 +156,6 @@ class TestRunSweep:
             u = resolvent_solve(spec, 0.0, f)
             assert np.all(np.isfinite(u.values.real))
 
-    def test_threads_match_serial(self, scalar_op):
-        spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
-        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 2, 5), n_angles=2)
-        r1 = run_sweep(spec, g, n_nodes=24, threads=1)
-        r2 = run_sweep(spec, g, n_nodes=24, threads=3)
-        assert r1.c_empirical == r2.c_empirical
-        for a, b in zip(r1.records, r2.records):
-            assert a.lam == b.lam and a.norm == b.norm
-
 
 class TestDecayDiagnostics:
     def test_scalar_factor_ratio_bounded(self, scalar_op):
