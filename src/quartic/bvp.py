@@ -122,8 +122,6 @@ class ProblemSpec:
     k: float
     A: OperatorHandle
     bc_family: int
-    phi: tuple | None = None  # four vectors in X, None = homogeneous
-    f: GridFunction | None = None
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -138,12 +136,6 @@ class ProblemSpec:
             raise ValueError(
                 f"[k, inf) with k={self.k} intersects the spectrum of A"
             )
-        if self.phi is not None:
-            if len(self.phi) != 4:
-                raise ValueError("phi must have four entries")
-            for p in self.phi:
-                if np.asarray(p).shape[-1] != self.A.dim:
-                    raise DimensionMismatch("phi entries must have dim(A) entries")
 
     @property
     def c(self) -> float:
@@ -175,7 +167,8 @@ class BCFrame:
     K n entries, the n eigenvalues of each of its K parameters in turn; ``n``
     is then K n, ``lam`` the array of the K parameters, data and boundary
     vectors are stacked the same way, and ``to_modes``/``from_modes`` map
-    each block of dim(A) rows.  It has no dense member views.
+    each block of dim(A) rows, one block per parameter.  It has no dense
+    member views, so it takes family 5 boundary data only as None.
     """
 
     n: int
@@ -236,23 +229,19 @@ class BCFrame:
         }
 
     def grid_kit(self, grid: Grid) -> dict:
-        """Grid-dependent exponential stacks and step weights, cached."""
+        """Grid stacks, cached: kit["nodes"] and, for X in "m" and "l", kit[X]
+        holding "prop" (X's propagator), "exa" e^{(x-a)X}, "ebx" e^{(b-x)X},
+        "estep" e^{h_j X} and "weights", the (psi, chi) step weights."""
         key = grid.nodes.tobytes()
         kit = self._grid_cache.get(key)
         if kit is None:
             x = grid.nodes
             hs = np.diff(x)
-            kit = {
-                "hs": hs,
-                "exa_m": self.prop_m.exp_stack(x - x[0]),
-                "ebx_m": self.prop_m.exp_stack(x[-1] - x),
-                "exa_l": self.prop_l.exp_stack(x - x[0]),
-                "ebx_l": self.prop_l.exp_stack(x[-1] - x),
-                "estep_m": self.prop_m.exp_stack(hs),
-                "estep_l": self.prop_l.exp_stack(hs),
-            }
-            kit["w_m"] = self.prop_m.step_weights(hs)
-            kit["w_l"] = self.prop_l.step_weights(hs)
+            kit = {"nodes": x}
+            for name, prop in (("m", self.prop_m), ("l", self.prop_l)):
+                kit[name] = {"prop": prop, "exa": prop.exp_stack(x - x[0]),
+                             "ebx": prop.exp_stack(x[-1] - x),
+                             "estep": prop.exp_stack(hs), "weights": prop.step_weights(hs)}
             self._grid_cache[key] = kit
         return kit
 
@@ -526,69 +515,55 @@ def _data_derivatives(grid: Grid, fv: np.ndarray):
                  for k in (1, 2))
 
 
-def _stage(prop: Propagator, grid: Grid, fv, fp, fpp, estep, weights):
-    """Running convolutions of f against the exponential kernel of one generator.
+# Each generator's frame members: X, X^{-1}, e^{cX}, (I - e^{2cX})^{-1} and the
+# quadratic factor S = -X^2 (l = -sqrt(-Q), m = -sqrt(-P)).
+_GENERATORS = {"l": ("l", "linv", "e_cl", "w", "q"), "m": ("m", "minv", "e_cm", "z", "p")}
 
-    Returns (fwd, bwd) with fwd[i] = int_a^{x_i} e^{(x_i-s)X} f ds and
-    bwd[i] = int_{x_i}^b e^{(s-x_i)X} f ds, each (N, n, r).
+
+def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_b):
+    """v'' - X^2 v = f with v(a) = v_a, v(b) = v_b, X the ``generator`` "l" or "m".
+
+    f, fp, fpp are (N, n, r) data and its first two x-derivatives, v_a, v_b
+    (n, r) columns, all in the frame's coordinates.  With I+(x) =
+    int_a^x e^{(x-s)X} f ds and I-(x) = int_x^b e^{(s-x)X} f ds, v is
+    e^{(x-a)X} c_a + e^{(b-x)X} c_b + X^{-1} (I+ + I-) / 2, the endpoint values
+    fixing c_a, c_b through (I - e^{2cX})^{-1}.  Returns (v, v', v'', I-(a), I+(b)).
     """
-    d = hermite_step_coefficients(grid.nodes, fv, fp, fpp)
-    psi, chi = weights
-    fwd = convolve_forward(prop, grid.nodes, d, estep, psi)
-    bwd = convolve_backward(prop, grid.nodes, d, estep, chi)
-    return fwd, bwd
+    o, ap = frame.ops, frame.apply
+    x, x_inv, e_c, g, s = (getattr(o, name) for name in _GENERATORS[generator])
+    stacks, nodes = kit[generator], kit["nodes"]
+    d = hermite_step_coefficients(nodes, f, fp, fpp)
+    psi, chi = stacks["weights"]
+    fwd = convolve_forward(stacks["prop"], nodes, d, stacks["estep"], psi)
+    bwd = convolve_backward(stacks["prop"], nodes, d, stacks["estep"], chi)
+    k_a, k_b = bwd[0], fwd[-1]
+    g_a, g_b = ap(g, v_a), ap(g, v_b)
+    gk_a, gk_b = (0.5 * ap(g, ap(x_inv, k)) for k in (k_a, k_b))
+    c_a = g_a - ap(e_c, g_b) - gk_a + ap(e_c, gk_b)
+    c_b = -ap(e_c, g_a) + g_b + ap(e_c, gk_a) - gk_b
+    e_a, e_b = ap(stacks["exa"], c_a), ap(stacks["ebx"], c_b)
+    v = e_a + e_b + 0.5 * ap(x_inv, fwd + bwd)
+    vp = ap(x, e_a) - ap(x, e_b) + 0.5 * (fwd - bwd)
+    return v, vp, -ap(s, v) + f, k_a, k_b
 
 
 def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi) -> dict:
     """Particular solution F_{Phi,f} and its building blocks on the grid.
 
     fv has shape (N, n, r) and phi is a 4-tuple of (n, 1) columns (broadcast
-    over the batch axis), both in the frame's coordinates (``to_modes``).
+    over the r right-hand sides), both in the frame's coordinates.
+    The two second-order solves follow (d^2 + P)(d^2 + Q): first
+    v0'' + Q v0 = f with v0 = F'' + P F at the endpoints, then F'' + P F = v0.
     Returns every object the family solvers need, in the same coordinates.
     """
     o, ap = frame.ops, frame.apply
     kit = frame.grid_kit(grid)
     p1, p2, p3, p4 = phi
-
-    fp, fpp = _data_derivatives(grid, fv)
-    i_fwd, i_bwd = _stage(frame.prop_l, grid, fv, fp, fpp, kit["estep_l"], kit["w_l"])
-    j1 = i_bwd[0]
-    j2 = i_fwd[-1]
-
-    g1 = ap(o.w, p3 + ap(o.p, p1))
-    g2 = ap(o.w, p4 + ap(o.p, p2))
-    gj1 = 0.5 * ap(o.w, ap(o.linv, j1))
-    gj2 = 0.5 * ap(o.w, ap(o.linv, j2))
-    c_xa = g1 - ap(o.e_cl, g2) - gj1 + ap(o.e_cl, gj2)
-    c_bx = -ap(o.e_cl, g1) + g2 + ap(o.e_cl, gj1) - gj2
-    ikern = 0.5 * ap(o.linv, i_fwd + i_bwd)
-    v0 = ap(kit["exa_l"], c_xa) + ap(kit["ebx_l"], c_bx) + ikern
-    v0p = ap(o.l, ap(kit["exa_l"], c_xa)) - ap(o.l, ap(kit["ebx_l"], c_bx)) \
-        + 0.5 * (i_fwd - i_bwd)
-    v0pp = -ap(o.q, v0) + fv
-
-    c_fwd, c_bwd = _stage(frame.prop_m, grid, v0, v0p, v0pp, kit["estep_m"], kit["w_m"])
-    k1 = c_bwd[0]
-    k2 = c_fwd[-1]
-
-    zq1 = ap(o.z, p1)
-    zq2 = ap(o.z, p2)
-    zk1 = 0.5 * ap(o.z, ap(o.minv, k1))
-    zk2 = 0.5 * ap(o.z, ap(o.minv, k2))
-    cm_xa = zq1 - ap(o.e_cm, zq2) - zk1 + ap(o.e_cm, zk2)
-    cm_bx = -ap(o.e_cm, zq1) + zq2 + ap(o.e_cm, zk1) - zk2
-    mkern = 0.5 * ap(o.minv, c_fwd + c_bwd)
-    F = ap(kit["exa_m"], cm_xa) + ap(kit["ebx_m"], cm_bx) + mkern
-    Fp = ap(o.m, ap(kit["exa_m"], cm_xa)) - ap(o.m, ap(kit["ebx_m"], cm_bx)) \
-        + 0.5 * (c_fwd - c_bwd)
-    Fpp = -ap(o.p, F) + v0
-
-    return {
-        "F": F, "Fp": Fp, "Fpp": Fpp,
-        "v0": v0, "v0p": v0p, "v0pp": v0pp,
-        "k1": k1, "k2": k2, "kit": kit,
-        "fpa": Fp[0], "fpb": Fp[-1],
-    }
+    v0, v0p, v0pp, _, _ = _second_order(frame, kit, "l", fv, *_data_derivatives(grid, fv),
+                                        p3 + ap(o.p, p1), p4 + ap(o.p, p2))
+    F, Fp, _, k1, k2 = _second_order(frame, kit, "m", v0, v0p, v0pp, p1, p2)
+    return {"F": F, "v0": v0, "k1": k1, "k2": k2, "kit": kit,
+            "fpa": Fp[0], "fpb": Fp[-1]}
 
 
 def _zero_phi(n: int):
@@ -599,10 +574,11 @@ def _zero_phi(n: int):
 def _frame_phi(frame: BCFrame, phi, bc: int = 1):
     """Boundary data as four (n, 1) columns in the frame's coordinates.
 
+    Each phi has frame.n entries: on a batch frame, one block per parameter.
     Family 5 data is reduced here, in X's coordinates, to the family 1 data
     (phi1, phi2, phi3 - P phi1, phi4 - P phi2) that _solve_family solves.
     The reduction needs the dense view of P, so a batch frame takes family 5
-    data only when it is homogeneous.
+    data only as None; even all-zero vectors fail there.
     """
     if phi is None:
         return _zero_phi(frame.n)
@@ -640,11 +616,11 @@ def fprime_boundary(frame: BCFrame, f: GridFunction):
 
 
 def _mode_solution(frame, kit, alphas, base):
-    ap = frame.apply
+    ap, m, l = frame.apply, kit["m"], kit["l"]
     a1, a2, a3, a4 = alphas
     u = (
-        ap(kit["exa_m"], a1 + a3) + ap(kit["ebx_m"], a3 - a1)
-        + ap(kit["exa_l"], a2 + a4) + ap(kit["ebx_l"], a4 - a2)
+        ap(m["exa"], a1 + a3) + ap(m["ebx"], a3 - a1)
+        + ap(l["exa"], a2 + a4) + ap(l["ebx"], a4 - a2)
     )
     return u + base
 

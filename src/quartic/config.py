@@ -31,9 +31,13 @@ def _parse_operator(spec_text: str, base_dir: str) -> OperatorHandle:
     kind = kind.strip().lower()
     if kind == "laplacian":
         try:
-            return dirichlet_laplacian_modes(int(arg))
+            count = int(arg)
         except ValueError as exc:
             raise ConfigError(f"bad laplacian mode count {arg!r}") from exc
+        if count < 1:
+            raise ConfigError(f"operator = {spec_text!r}: the laplacian mode count "
+                              "must be at least 1")
+        return dirichlet_laplacian_modes(count)
     if kind == "diag":
         try:
             entries = [parse_complex(p) for p in arg.split(",")]
@@ -127,6 +131,8 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     a = _number(prob, "a", "0.0")
     b = _number(prob, "b", repr(np.pi))
     k = _number(prob, "k", "0.0")
+    if not a < b:
+        raise ConfigError(f"the interval needs a < b, got a = {a!r}, b = {b!r}")
     bc = _number(prob, "bc_family", "1", int)
     A = _parse_operator(prob.get("operator", "laplacian:1"), base_dir)
     if bc not in BC_FAMILIES:
@@ -135,12 +141,13 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     gsec = cp["grid"] if "grid" in cp else {}
     n_nodes = _number(gsec, "n_nodes", "64", int, minimum=2)
     kind = str(gsec.get("kind", "cgl")).lower()
-    if kind == "cgl":
-        grid = cgl_grid(n_nodes, a, b)
-    elif kind == "uniform":
-        grid = uniform_grid(n_nodes, a, b)
-    else:
+    if kind not in ("cgl", "uniform"):
         raise ConfigError(f"grid kind must be cgl or uniform, got {kind!r}")
+    try:
+        grid = (cgl_grid if kind == "cgl" else uniform_grid)(n_nodes, a, b)
+    except ValueError as exc:
+        raise ConfigError(f"no {kind} grid of n_nodes = {n_nodes} on the interval "
+                          f"a = {a!r}, b = {b!r}: {exc}") from exc
 
     fsec = cp["forcing"] if "forcing" in cp else {}
     ftype = str(fsec.get("type", "zero")).lower()
@@ -151,6 +158,9 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
         forcing = read_gridfunction_csv(fpath)
         if forcing.dim != A.dim:
             raise ConfigError("forcing file dimension does not match operator")
+        if forcing.grid.n != grid.n or not np.allclose(forcing.grid.nodes, grid.nodes):
+            raise ConfigError(f"forcing file {fpath} has {forcing.grid.n} {forcing.grid.kind} "
+                              f"nodes, not those of [grid] n_nodes = {grid.n}, kind = {kind}")
     else:
         profile = _forcing_profile(ftype, fsec.get("coefficients", ""), grid, a, b)
         weights = _parse_vector(fsec.get("component_weights", "1"), A.dim)
@@ -166,10 +176,8 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
         raise ConfigError("tol_residual must be positive")
 
     try:
-        spec = ProblemSpec(a, b, k, A, bc, phi=phi)
-    except (ValueError, Exception) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        spec = ProblemSpec(a, b, k, A, bc)
+    except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
     swsec = cp["sweep"] if "sweep" in cp else {}

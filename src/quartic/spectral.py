@@ -184,26 +184,20 @@ class SweepReport:
         }
 
 
-def _sweep_weights(grid: Grid, dim: int) -> np.ndarray:
-    return np.repeat(grid.weights, dim)
-
-
-def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid,
-                    rel_tol: float = 1e-6, max_iter: int = 200) -> float:
+def _map_norm_power(spec: ProblemSpec, adj_spec: ProblemSpec, lam: complex, grid: Grid,
+                    w: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 200) -> float:
     """Norm estimate without materialization: power iteration on R~* R.
 
-    The adjoint application uses the resolvent of the conjugate-transposed
-    problem; for the normal surrogates this is the exact discrete adjoint up
-    to quadrature asymmetry.  Both frames are built once and reused by every
+    The adjoint application uses the resolvent of ``adj_spec``, the
+    conjugate-transposed problem; for the normal surrogates this is the exact
+    discrete adjoint up to quadrature asymmetry.  ``w`` holds the norm's
+    quadrature weights.  Both frames are built once and reused by every
     iteration.
     """
     n = spec.A.dim
-    adj_spec = ProblemSpec(spec.a, spec.b, spec.k,
-                           make_operator(spec.A.matrix.conj().T), spec.bc_family)
     solve = _SOLVERS[spec.bc_family]
     frame = _lambda_frame(spec, lam)
     adj_frame = _lambda_frame(adj_spec, np.conj(lam))
-    w = _sweep_weights(grid, n)
     rng = np.random.default_rng(7)
     x = rng.normal(size=n * grid.n) + 1j * rng.normal(size=n * grid.n)
     x /= np.linalg.norm(x)
@@ -225,14 +219,6 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid,
     return float(est)
 
 
-def _norm_at(spec: ProblemSpec, lam: complex, grid: Grid) -> tuple[float, str]:
-    n = spec.A.dim
-    if n * grid.n <= tol.DENSE_CAP:
-        mat = resolvent_matrix(spec, lam, grid)
-        return operator_norm(mat, _sweep_weights(grid, n)), "dense"
-    return _map_norm_power(spec, lam, grid), "power"
-
-
 def run_sweep(
     spec: ProblemSpec,
     sweep: SweepGrid,
@@ -242,15 +228,24 @@ def run_sweep(
 
     Requires a positive exclusion radius for the clamped/derivative families
     (DERIVATIVE_FAMILIES); per-parameter frame failures become findings.
+    Norms are weighted SVDs of the materialized resolvent while
+    dim(A) * n_nodes <= DENSE_CAP, and power iterations beyond.
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
     grid = cgl_grid(n_nodes, spec.a, spec.b)
     lams = sweep.points()
+    weights = np.repeat(grid.weights, spec.A.dim)
+    power = spec.A.dim * grid.n > tol.DENSE_CAP
+    adj_spec = ProblemSpec(spec.a, spec.b, spec.k, make_operator(spec.A.matrix.conj().T),
+                           spec.bc_family) if power else None
 
     def job(lam):
         try:
-            nrm, how = _norm_at(spec, lam, grid)
+            if power:
+                nrm, how = _map_norm_power(spec, adj_spec, lam, grid, weights), "power"
+            else:
+                nrm, how = operator_norm(resolvent_matrix(spec, lam, grid), weights), "dense"
             ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
             return SweepRecord(lam, nrm, ratio, True, how)
         except (NotInResolventSet, BranchCut, NearSpectrum, SingularSystem) as exc:

@@ -1,7 +1,10 @@
-"""Single table of numeric tolerances and guard thresholds.
+"""Shared numeric tolerances and guard thresholds.
 
-Every residual check in the package refers to one of these constants, so
-tolerance policy can be audited (and scaled by the verify CLI) in one place.
+The factorization, condition, eigenbasis, sector, series-radius and
+dense-size guards read these constants.  Other checks keep local literals:
+bvp's commutation and P - Q - B gaps (1e-10) and branch-cut margin (1e-14),
+ProblemSpec's spectrum-on-ray margin (1e-9) and the oracles' degeneracy
+tests; the verify command scales only its own per-check bounds.
 """
 
 # Relative residual accepted for eigen/Schur factorizations and for

@@ -216,6 +216,32 @@ class TestCliSolve:
                            DEMO.replace("operator = diag:-1", "operator = file:op.txt"))
         assert main(["solve", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_laplacian_mode_count_exit2(self, tmp_path, capsys, count):
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
+            "operator = diag:-1", f"operator = laplacian:{count}"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "operator = 'laplacian:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, b", [("1", "1"), ("2", "1"), ("0", "1e-320")])
+    def test_bad_interval_exit2(self, tmp_path, capsys, a, b):
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace("a = 0", f"a = {a}").replace(
+            "b = 3.141592653589793", f"b = {b}"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"a = {float(a)!r}, b = {float(b)!r}" in err
+
+    def test_forcing_file_on_other_grid_exit2(self, tmp_path, capsys):
+        grid = cgl_grid(33, 0.0, np.pi)
+        write_gridfunction_csv(tmp_path / "f.csv",
+                               GridFunction(grid, np.sin(grid.nodes)[None, :] + 0j))
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
+            "n_nodes = 96", "n_nodes = 64").replace(
+            "type = sines\ncoefficients = 1.0, 0.5", "type = file\npath = f.csv"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "33 cgl nodes" in err and "n_nodes = 64" in err
+
     def test_frame_singular_exit3(self, tmp_path):
         # refine the first singular parameter of the clamped family for a
         # sectorial two-mode operator, then ask the solver to hit it

@@ -3,6 +3,11 @@ import pytest
 
 from conftest import smooth_field
 from quartic.bvp import (
+    ProblemSpec,
+    _data_derivatives,
+    _field_to_internal,
+    _lambda_frame,
+    _second_order,
     assemble_frame,
     boundary_residuals,
     build_pq_lambda,
@@ -59,6 +64,32 @@ class TestParticularSolution:
         F = particular_solution_F(frame, f, phi)
         res = boundary_residuals(grid, F, phi, 1, frame.p)
         assert max(res.values()) <= 1e-7 * max(f.norm(), 1.0)
+
+
+class TestSecondOrderStage:
+    """v'' - X^2 v = f for one generator X, on a modal and on a dense frame."""
+
+    @pytest.mark.parametrize("lam", [-1.0 + 2.0j, -300.0])
+    @pytest.mark.parametrize("generator", ["l", "m"])
+    @pytest.mark.parametrize("A", [np.diag([-1.0, -4.0, -9.0]),
+                                   np.array([[-2.0, 1.0], [0.0, -2.0]])],
+                             ids=["modal", "jordan"])
+    def test_endpoint_values_and_slope(self, rng, A, generator, lam):
+        op = make_operator(A)
+        frame = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, op, 1), lam)
+        assert frame.modal == op.diagonalizable
+        grid = cgl_grid(64, 0.0, np.pi)
+        fv = frame.to_modes(_field_to_internal(smooth_field(rng, grid, op.dim)))
+        v_a, v_b = (frame.to_modes(rng.normal(size=(op.dim, 1))
+                                   + 1j * rng.normal(size=(op.dim, 1))) for _ in range(2))
+        v, vp, vpp, _, _ = _second_order(frame, frame.grid_kit(grid), generator, fv,
+                                         *_data_derivatives(grid, fv), v_a, v_b)
+        for got, want in ((v[0], v_a), (v[-1], v_b)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        # the returned derivatives against stencil derivatives of the samples
+        for order, got in ((1, vp), (2, vpp)):
+            stencil = np.einsum("ij,jkr->ikr", grid.derivative_matrix(order), v)
+            assert np.max(np.abs(stencil - got)) <= 1e-4 * np.max(np.abs(got))
 
 
 class TestEndpointDerivative:

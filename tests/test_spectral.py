@@ -157,6 +157,30 @@ class TestRunSweep:
             assert np.all(np.isfinite(u.values.real))
 
 
+    def test_power_route_builds_adjoint_once(self, monkeypatch, diag3_op):
+        from quartic import spectral, tolerances
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, diag3_op, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0, 3.0, 10.0]),
+                            n_angles=1, angle_min=np.pi)  # negative real axis
+        dense = run_sweep(spec, g, n_nodes=16)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_operator(*args, **kwargs)
+
+        monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
+        monkeypatch.setattr(spectral, "make_operator", counting)
+        power = run_sweep(spec, g, n_nodes=16)
+        assert [r.note for r in dense.records] == ["dense"] * 3
+        assert [r.note for r in power.records] == ["power"] * 3
+        assert len(calls) == 1
+        # the power route's adjoint is exact only up to quadrature asymmetry
+        for d, p in zip(dense.records, power.records):
+            assert p.norm == pytest.approx(d.norm, rel=1e-2)
+
+
 class TestDecayDiagnostics:
     def test_scalar_factor_ratio_bounded(self, scalar_op):
         spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
