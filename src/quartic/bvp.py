@@ -76,6 +76,7 @@ __all__ = [
     "solve_bc4",
     "solve_bc5",
     "resolvent_solve",
+    "resolvent_blocks",
     "boundary_residuals",
     "frame_identity_residual",
     "resolvent_product_residual",
@@ -809,23 +810,43 @@ def resolvent_solve(spec: ProblemSpec, lam: complex, f: GridFunction) -> GridFun
     return _SOLVERS[spec.bc_family](frame, f)
 
 
+def resolvent_blocks(spec: ProblemSpec, lam: complex, grid: Grid,
+                     frame: BCFrame | None = None) -> np.ndarray:
+    """Per-mode resolvent blocks R_i of a modal frame, shape (dim(A), N, N).
+
+    A modal frame decouples the modes, so one solve with N columns (node
+    deltas in every mode at once) gives them all: R_i[x, y] is mode i's
+    value at node x for a unit delta at node y.  The resolvent on the grid
+    is V R_i V^{-1} with V = A's eigenbasis.  A dense frame has no per-mode
+    blocks and raises ValueError.
+    """
+    if frame is None:
+        frame = _lambda_frame(spec, lam)
+    if not frame.modal:
+        raise ValueError("only a modal frame has per-mode resolvent blocks")
+    n, N = spec.A.dim, grid.n
+    deltas = np.repeat(np.eye(N, dtype=complex)[:, None, :], n, axis=1)
+    sol = _solve_family(frame, grid, deltas, _zero_phi(n), spec.bc_family)
+    return sol.transpose(1, 0, 2)
+
+
 def resolvent_matrix(spec: ProblemSpec, lam: complex, grid: Grid,
                      frame: BCFrame | None = None) -> np.ndarray:
     """Materialize f -> resolvent_solve(f) as a dense matrix on the grid.
 
-    Degrees of freedom are node-major blocks of dim(A) components.  Used by
-    the sweep layer; shares one frame across all basis columns.  A modal
-    frame decouples the modes, so N columns (node deltas in every mode at
-    once) give each mode's N x N block, and V R_i V^{-1} assembles them.
+    Degrees of freedom are node-major blocks of dim(A) components.  A modal
+    frame assembles V R_i V^{-1} from ``resolvent_blocks``; a dense frame
+    solves nN unit columns.  The sweep takes the norm of this matrix unless
+    A's eigenbasis is unitary, where the largest per-mode block norm is the
+    same number for a fraction of the work (``spectral.run_sweep``).
     """
     if frame is None:
         frame = _lambda_frame(spec, lam)
     n, N = spec.A.dim, grid.n
     if frame.modal:
-        deltas = np.repeat(np.eye(N, dtype=complex)[:, None, :], n, axis=1)
-        blocks = _solve_family(frame, grid, deltas, _zero_phi(n), spec.bc_family)
         V, Vinv = frame.basis
-        return np.einsum("ai,xiy,ib->xayb", V, blocks, Vinv,
+        blocks = resolvent_blocks(spec, lam, grid, frame)
+        return np.einsum("ai,ixy,ib->xayb", V, blocks, Vinv,
                          optimize=True).reshape(N * n, N * n)
     basis = np.eye(n * N, dtype=complex).reshape(N, n, n * N)
     sol = _solve_family(frame, grid, basis, _zero_phi(n), spec.bc_family)

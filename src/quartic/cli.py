@@ -56,8 +56,9 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     for name, val in rel.items():
         print(f"residual {name} = {val:.6e}")
     print(f"wrote {out}")
-    if max(rel.values()) > cfg.solve_tol:
-        print(f"residuals exceed tolerance {cfg.solve_tol:g}", file=sys.stderr)
+    if not all(val <= cfg.solve_tol for val in rel.values()):  # NaN fails too
+        print(f"residuals exceed tolerance {cfg.solve_tol:g} or are not finite",
+              file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
 

@@ -9,6 +9,7 @@ CLI can map problems to its config exit code.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -133,6 +134,10 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     k = _number(prob, "k", "0.0")
     if not a < b:
         raise ConfigError(f"the interval needs a < b, got a = {a!r}, b = {b!r}")
+    if not math.isfinite(b - a):
+        raise ConfigError(f"the interval length b - a overflows, got a = {a!r}, b = {b!r}")
+    if not math.isfinite(k * k / 4.0):
+        raise ConfigError(f"k^2/4 overflows, got k = {k!r}")
     bc = _number(prob, "bc_family", "1", int)
     A = _parse_operator(prob.get("operator", "laplacian:1"), base_dir)
     if bc not in BC_FAMILIES:

@@ -23,9 +23,10 @@ from .bvp import (
     _lambda_frame,
     _particular,
     _zero_phi,
+    resolvent_blocks,
     resolvent_matrix,
 )
-from .errors import BranchCut, NearSpectrum, NotInResolventSet, SingularSystem
+from .errors import BranchCut, NearSpectrum, NonFinite, NotInResolventSet, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid
 from .operators import make_operator, operator_norm
 from .oracle import dense_generator
@@ -219,6 +220,19 @@ def _map_norm_power(spec: ProblemSpec, adj_spec: ProblemSpec, lam: complex, grid
     return float(est)
 
 
+def _per_mode_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
+    """max_i ||W^{1/2} R_i W^{-1/2}||_2 over (n, N, N) per-mode blocks R_i.
+
+    ``weights`` are the N node weights W.  With A's eigenbasis V unitary this
+    is the weighted norm of V R_i V^{-1} assembled, since V acts on the
+    components and W on the nodes; otherwise it is off by up to cond(V) - 1.
+    """
+    if not np.all(np.isfinite(blocks)):
+        raise NonFinite("resolvent blocks have non-finite entries")
+    d = np.sqrt(weights)
+    return float(np.max(np.linalg.norm(d[:, None] * blocks / d, 2, axis=(1, 2))))
+
+
 def run_sweep(
     spec: ProblemSpec,
     sweep: SweepGrid,
@@ -228,8 +242,12 @@ def run_sweep(
 
     Requires a positive exclusion radius for the clamped/derivative families
     (DERIVATIVE_FAMILIES); per-parameter frame failures become findings.
-    Norms are weighted SVDs of the materialized resolvent while
-    dim(A) * n_nodes <= DENSE_CAP, and power iterations beyond.
+    While dim(A) * n_nodes <= DENSE_CAP every norm is exact (note "dense"):
+    for A with a unitary eigenbasis (eig_cond - 1 <= UNITARY_BASIS_GAP) it is
+    the largest weighted norm of the per-mode blocks (``resolvent_blocks``),
+    and for every other A the weighted SVD of the materialized resolvent
+    (``resolvent_matrix``).  Beyond the cap norms come from power iteration
+    (note "power").
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
@@ -237,6 +255,7 @@ def run_sweep(
     lams = sweep.points()
     weights = np.repeat(grid.weights, spec.A.dim)
     power = spec.A.dim * grid.n > tol.DENSE_CAP
+    per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1.0 <= tol.UNITARY_BASIS_GAP
     adj_spec = ProblemSpec(spec.a, spec.b, spec.k, make_operator(spec.A.matrix.conj().T),
                            spec.bc_family) if power else None
 
@@ -244,6 +263,9 @@ def run_sweep(
         try:
             if power:
                 nrm, how = _map_norm_power(spec, adj_spec, lam, grid, weights), "power"
+            elif per_mode:
+                nrm = _per_mode_norm(resolvent_blocks(spec, lam, grid), grid.weights)
+                how = "dense"
             else:
                 nrm, how = operator_norm(resolvent_matrix(spec, lam, grid), weights), "dense"
             ratio = (1.0 + abs(lam - sweep.vertex)) * nrm

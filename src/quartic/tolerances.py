@@ -1,7 +1,7 @@
 """Shared numeric tolerances and guard thresholds.
 
-The factorization, condition, eigenbasis, sector, series-radius and
-dense-size guards read these constants.  Other checks keep local literals:
+The factorization, condition, eigenbasis, unitary-basis, sector,
+series-radius and dense-size guards read these constants.  Other checks keep local literals:
 bvp's commutation and P - Q - B gaps (1e-10) and branch-cut margin (1e-14),
 ProblemSpec's spectrum-on-ray margin (1e-9) and the oracles' degeneracy
 tests; the verify command scales only its own per-check bounds.
@@ -19,6 +19,10 @@ CONDITION_CAP = 1e12
 # Eigenvector condition number below which functions of a matrix are
 # evaluated through the eigendecomposition; above it the Schur form is used.
 EIG_COND_CAP = 1e6
+
+# eig_cond - 1 at or below which an eigenbasis counts as unitary: the sweep
+# then takes resolvent norms mode by mode, off by at most eig_cond - 1.
+UNITARY_BASIS_GAP = 1e-12
 
 # Probe margin (radians) added around closed sectors when sampling: the
 # sector boundary itself is excluded by this angular gap.

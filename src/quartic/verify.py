@@ -19,6 +19,7 @@ from .bvp import (
     boundary_residuals,
     frame_identity_residual,
     particular_solution_F,
+    resolvent_matrix,
     resolvent_product_residual,
     resolvent_solve,
     solve_bc1,
@@ -33,11 +34,12 @@ from .operators import (
     expm_apply,
     guarded_inverse_I_minus,
     make_operator,
+    operator_norm,
     resolvent_apply,
     sqrt_principal,
 )
 from .oracle import ScalarForcing, characteristic_root_solve, collocation_solve, dense_generator, low_spectrum
-from .spectral import classify_lambda, classify_lambda_by_argument
+from .spectral import classify_lambda, classify_lambda_by_argument, make_sweep_grid, run_sweep
 
 __all__ = ["CheckResult", "run_verification"]
 
@@ -240,5 +242,19 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     evs = low_spectrum(gen, 3)
     target = np.array([4.0, 25.0, 100.0])
     add("generator_low_modes", np.max(np.abs(evs - target) / target), 1e-6)
+
+    # sweep norms of a unitary-basis A, mode by mode, against the weighted
+    # SVD of the assembled resolvent
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    spec_u = ProblemSpec(0.0, np.pi, 0.0, make_operator((U * [-1.0, -4.0, -9.0]) @ U.conj().T), 1)
+    sweep = make_sweep_grid(0.0, 0.0, radii=np.array([0.5, 5.0, 50.0]), n_angles=1,
+                            angle_min=2.0)
+    grid32 = cgl_grid(32, 0.0, np.pi)
+    weights = np.repeat(grid32.weights, 3)
+    gaps = []
+    for rec in run_sweep(spec_u, sweep, n_nodes=32).records:
+        full = operator_norm(resolvent_matrix(spec_u, rec.lam, grid32), weights)
+        gaps.append(abs(rec.norm - full) / full)
+    add("sweep_per_mode_norm", np.max(gaps), 1e-12)  # NaN propagates and fails
 
     return out, time.time() - start

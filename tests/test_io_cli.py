@@ -231,6 +231,31 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert f"a = {float(a)!r}, b = {float(b)!r}" in err
 
+    def test_overflowing_interval_length_exit2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace("a = 0", "a = -1e308").replace(
+            "b = 3.141592653589793", "b = 1e308"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "a = -1e+308, b = 1e+308" in capsys.readouterr().err
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_non_finite_residual_exit4(self, tmp_path):
+        # b - a is finite, but the stencil weights overflow on this interval
+        # and the residuals come out NaN (numpy warns on stderr)
+        import subprocess
+        import sys
+
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace("a = 0", "a = -1e300").replace(
+            "b = 3.141592653589793", "b = 1e300"))
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "quartic.cli", "solve", "--config", cfg,
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert "= nan" in proc.stdout
+        assert proc.returncode == 4, proc.stderr
+        assert "not finite" in proc.stderr
+
     def test_forcing_file_on_other_grid_exit2(self, tmp_path, capsys):
         grid = cgl_grid(33, 0.0, np.pi)
         write_gridfunction_csv(tmp_path / "f.csv",
@@ -453,6 +478,13 @@ class TestCliVerify:
         assert rc == 1
         assert "FAIL" in out
 
+    def test_checks_per_mode_sweep_norm(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", DEMO)
+        assert main(["verify", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^PASS sweep_per_mode_norm value=", out, flags=re.M)
+        assert "# 21/21 checks passed" in out
+
     def test_deterministic_for_fixed_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", DEMO)
         main(["verify", "--config", cfg, "--seed", "77"])
@@ -488,6 +520,15 @@ class TestNonFiniteProblemNumbers:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{field} must be finite" in err or f"bad {field} =" in err
+
+
+class TestOverflowingK:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "evolve"])
+    def test_exit2_names_k(self, tmp_path, capsys, command):
+        body = DEMO.replace("k = 0", "k = 1e200")
+        cfg = write_config(tmp_path / "c.cfg", body + NON_FINITE_SWEEP_EVOLVE)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "k = 1e+200" in capsys.readouterr().err
 
 
 FUZZ_BASE = {

@@ -3,10 +3,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quartic.bvp import ProblemSpec
-from quartic.errors import BranchCut
+from quartic.bvp import ProblemSpec, resolvent_matrix
+from quartic.errors import BranchCut, NonFinite
 from quartic.grids import cgl_grid
-from quartic.operators import make_operator, sector_angle_probe
+from quartic.operators import (
+    dirichlet_laplacian_modes,
+    make_operator,
+    operator_norm,
+    sector_angle_probe,
+)
 from quartic.oracle import dense_generator
 from quartic.spectral import (
     INSIDE_SECTOR,
@@ -179,6 +184,119 @@ class TestRunSweep:
         # the power route's adjoint is exact only up to quadrature asymmetry
         for d, p in zip(dense.records, power.records):
             assert p.norm == pytest.approx(d.norm, rel=1e-2)
+
+
+def _unitary(seed, n):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _in_basis(V, spectrum):
+    return make_operator((V * np.asarray(spectrum, complex)) @ np.linalg.inv(V))
+
+
+def _assembled_norms(spec, report, n_nodes):
+    grid = cgl_grid(n_nodes, spec.a, spec.b)
+    weights = np.repeat(grid.weights, spec.A.dim)
+    return [operator_norm(resolvent_matrix(spec, r.lam, grid), weights)
+            for r in report.records if r.frame_ok]
+
+
+def _counting_operator_norm(monkeypatch):
+    from quartic import spectral
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return operator_norm(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "operator_norm", counting)
+    return calls
+
+
+NORMAL_OPERATORS = {
+    "rotated": lambda: _in_basis(_unitary(5, 3), [-1.0, -4.0, -9.0]),
+    "laplacian3": lambda: dirichlet_laplacian_modes(3),
+}
+
+
+class TestPerModeNorm:
+    """Sweep norms of A with a unitary eigenbasis, taken mode by mode."""
+
+    @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("op", sorted(NORMAL_OPERATORS))
+    def test_matches_assembled_norm_and_failures(self, monkeypatch, op, bc):
+        from quartic import tolerances
+
+        A = NORMAL_OPERATORS[op]()
+        assert A.eig_cond - 1.0 <= tolerances.UNITARY_BASIS_GAP
+        spec = ProblemSpec(0.0, np.pi, 0.5, A, bc)
+        # centred on the vertex of k = 0, the grid's point -1e-2 lies on the
+        # branch cut of k = 0.5: a refusal both routes must record alike
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-2, 3, 5), n_angles=3,
+                            exclusion_radius=5e-3 if bc in (3, 4) else 0.0)
+        calls = _counting_operator_norm(monkeypatch)
+        per_mode = run_sweep(spec, g, n_nodes=24)
+        assert calls == []
+        monkeypatch.setattr(tolerances, "UNITARY_BASIS_GAP", -1.0)
+        assembled = run_sweep(spec, g, n_nodes=24)
+        assert len(calls) == len(assembled.records) - len(assembled.failures)
+        assert per_mode.failures == assembled.failures
+        assert [r.note for r in per_mode.failures] == ["BranchCut"]
+        assert [r.note for r in per_mode.records] == [r.note for r in assembled.records]
+        got = [r.norm for r in per_mode.records if r.frame_ok]
+        want = [r.norm for r in assembled.records if r.frame_ok]
+        assert want == _assembled_norms(spec, per_mode, 24)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("spectrum", [[-1.0, -1.0, -4.0], [-4.0, -1.0, -1.0]])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_repeated_eigenvalue_matches_either_route(self, rotate, spectrum):
+        V = _unitary(11, 3) if rotate else np.eye(3)
+        A = _in_basis(V, spectrum)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 2, 4), n_angles=2)
+        rep = run_sweep(spec, g, n_nodes=20)
+        assert not rep.failures
+        np.testing.assert_allclose([r.norm for r in rep.records],
+                                   _assembled_norms(spec, rep, 20), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["cond30", "jordan"])
+    def test_non_normal_keeps_assembled_route(self, monkeypatch, case):
+        if case == "jordan":
+            A = make_operator([[-2.0, 1.0], [0.0, -2.0]])
+            assert not A.diagonalizable
+        else:
+            rng = np.random.default_rng(3)
+            q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            A = _in_basis(q1 @ np.diag([1.0, 5.0, 30.0]) @ q2, [-1.0, -4.0, -9.0])
+            assert A.diagonalizable and A.eig_cond > 2.0
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 2, 3), n_angles=2)
+        calls = _counting_operator_norm(monkeypatch)
+        rep = run_sweep(spec, g, n_nodes=20)
+        assert not rep.failures
+        assert len(calls) == len(rep.records)
+        assert [r.norm for r in rep.records] == _assembled_norms(spec, rep, 20)
+
+    def test_non_finite_block_raises(self, monkeypatch, diag3_op):
+        from quartic import spectral
+
+        blocks = spectral.resolvent_blocks
+
+        def poisoned(*args, **kwargs):
+            out = blocks(*args, **kwargs)
+            out[1, 2, 3] = np.nan
+            return out
+
+        monkeypatch.setattr(spectral, "resolvent_blocks", poisoned)
+        spec = ProblemSpec(0.0, np.pi, 0.0, diag3_op, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0]), n_angles=1, angle_min=np.pi)
+        with pytest.raises(NonFinite):
+            run_sweep(spec, g, n_nodes=16)
 
 
 class TestDecayDiagnostics:
