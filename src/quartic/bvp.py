@@ -84,7 +84,7 @@ __all__ = [
 
 # Each family's two condition kinds (a derivative order, or "S" for u'' + S u),
 # imposed in phi order at a, b, a, b.  Checks and oracles read this table; the
-# formulas in _solve_family do not, which keeps them independent of the solver.
+# formulas in _mode_coefficients do not, which keeps them independent of the solver.
 BC_FAMILIES = {1: (0, 2), 2: (1, "S"), 3: (0, 1), 4: (1, 2), 5: (0, "S")}
 
 # Families whose frames need the interval operators U and V to invert.
@@ -616,77 +616,24 @@ def fprime_boundary(frame: BCFrame, f: GridFunction):
     return frame.from_modes(fa)[:, 0], frame.from_modes(fb)[:, 0]
 
 
-def _mode_solution(frame, kit, alphas, base):
-    ap, m, l = frame.apply, kit["m"], kit["l"]
-    a1, a2, a3, a4 = alphas
-    u = (
-        ap(m["exa"], a1 + a3) + ap(m["ebx"], a3 - a1)
-        + ap(l["exa"], a2 + a4) + ap(l["ebx"], a4 - a2)
-    )
-    return u + base
-
-
 def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> np.ndarray:
     """Dispatch on the boundary family; fv is (N, n, r) and phi four (n, 1)
-    columns from _frame_phi, all in the frame's coordinates."""
-    o, ap = frame.ops, frame.apply
+    columns from _frame_phi, all in the frame's coordinates.  Families 2-4 add
+    to the homogeneous particular solution F the four mode stacks weighted by
+    _mode_coefficients."""
     if bc in (1, 5):  # family 5 data arrives reduced to family 1 data
         return _particular(frame, grid, fv, phi)["F"]
-
-    part = _particular(frame, grid, fv, _zero_phi(frame.n))
-    kit = part["kit"]
-    fpa, fpb = part["fpa"], part["fpb"]
-    p1, p2, p3, p4 = phi
-    eye = o.eye
-
-    if bc == 2:
-        alphas = _family2_alphas(frame, part, phi)
-        return _mode_solution(frame, kit, alphas, part["F"])
-
-    if not frame.uv_ok or o.uinv is None or o.vinv is None:
+    if bc in DERIVATIVE_FAMILIES and not frame.uv_ok:
         raise FrameSingular(
             "derivative-family solve needs invertible interval operators; "
             "the parameter may belong to the spectrum"
         )
-
-    def common(v):  # B^{-1} (L + M) v
-        return ap(o.binv, ap(o.l + o.m, v))
-
-    if bc == 3:
-        pt1 = 0.5 * (p3 + p4 - fpa - fpb)
-        pt2 = 0.5 * (p3 - p4 - fpa + fpb)
-        dm = p1 - p2
-        sm = p1 + p2
-        a1 = 0.5 * common(ap(o.uinv,
-            ap(o.l, ap(eye + o.e_cl, dm)) - 2 * ap(eye - o.e_cl, pt1)))
-        a2 = -0.5 * common(ap(o.uinv,
-            ap(o.m, ap(eye + o.e_cm, dm)) - 2 * ap(eye - o.e_cm, pt1)))
-        a3 = 0.5 * common(ap(o.vinv,
-            ap(o.l, ap(eye - o.e_cl, sm)) - 2 * ap(eye + o.e_cl, pt2)))
-        a4 = -0.5 * common(ap(o.vinv,
-            ap(o.m, ap(eye - o.e_cm, sm)) - 2 * ap(eye + o.e_cm, pt2)))
-        return _mode_solution(frame, kit, (a1, a2, a3, a4), part["F"])
-
-    if bc == 4:
-        pt1 = 0.5 * (p1 + p2 - fpa - fpb)
-        pt2 = 0.5 * (p1 - p2 - fpa + fpb)
-        dm = p3 - p4
-        sm = p3 + p4
-        a1 = 0.5 * common(ap(o.vinv,
-            2 * ap(eye - o.e_cl, ap(o.l, ap(o.minv, pt1)))
-            - ap(eye + o.e_cl, ap(o.minv, dm))))
-        a2 = -0.5 * common(ap(o.vinv,
-            2 * ap(eye - o.e_cm, ap(o.m, ap(o.linv, pt1)))
-            - ap(eye + o.e_cm, ap(o.linv, dm))))
-        a3 = 0.5 * common(ap(o.uinv,
-            2 * ap(eye + o.e_cl, ap(o.l, ap(o.minv, pt2)))
-            - ap(eye - o.e_cl, ap(o.minv, sm))))
-        a4 = -0.5 * common(ap(o.uinv,
-            2 * ap(eye + o.e_cm, ap(o.m, ap(o.linv, pt2)))
-            - ap(eye - o.e_cm, ap(o.linv, sm))))
-        return _mode_solution(frame, kit, (a1, a2, a3, a4), part["F"])
-
-    raise ValueError(f"unknown bc family {bc}")
+    part = _particular(frame, grid, fv, _zero_phi(frame.n))
+    a1, a2, a3, a4 = _mode_coefficients(frame, part, phi, bc)
+    ap, m, l = frame.apply, part["kit"]["m"], part["kit"]["l"]
+    u = (ap(m["exa"], a1 + a3) + ap(m["ebx"], a3 - a1)
+         + ap(l["exa"], a2 + a4) + ap(l["ebx"], a4 - a2))
+    return u + part["F"]
 
 
 def _solve_public(frame, f, phi, bc):
@@ -695,19 +642,48 @@ def _solve_public(frame, f, phi, bc):
     return _internal_to_field(f.grid, frame.from_modes(vals))
 
 
-def _family2_alphas(frame: BCFrame, part: dict, phi):
-    o, ap = frame.ops, frame.apply
+def _mode_coefficients(frame: BCFrame, part: dict, phi, bc: int):
+    """Coefficients (a1, a2, a3, a4) of e^{(x-a)M} (a1 + a3), e^{(b-x)M} (a3 - a1),
+    e^{(x-a)L} (a2 + a4) and e^{(b-x)L} (a4 - a2) in the family 2-4 solutions.
+
+    Each family splits its data into a slope pair, the derivative conditions
+    (phi3, phi4) in family 3 and (phi1, phi2) in families 2 and 4, and a data
+    pair, the other two.  The parity s = +1 gives (a1, a2) and s = -1 gives
+    (a3, a4) from pt_s = (slope_a + s slope_b - F'(a) - s F'(b)) / 2 and
+    d_s = data_a - s data_b.
+
+    Families 3 and 4 share one formula over the generator pairs (X, Y^{-1}):
+    (L, M^{-1}) gives M's coefficient, +1/2 B^{-1}(L + M) W_s r, and (M, L^{-1})
+    gives L's, -1/2 B^{-1}(L + M) W_s r, with e = e^{cX} and
+        family 3:  r = X (I + s e) d_s - 2 (I - s e) pt_s,
+                   W_{+1} = U^{-1}, W_{-1} = V^{-1};
+        family 4:  r = 2 (I - s e) X Y^{-1} pt_s - (I + s e) Y^{-1} d_s,
+                   W_{+1} = V^{-1}, W_{-1} = U^{-1},
+    where U^{-1} = (I - T-)^{-1} and V^{-1} = (I - T+)^{-1}.  Family 2 is
+    triangular: a_L = (I - s e^{cL})^{-1} B^{-1} d_s / 2, then
+    a_M = (I + s e^{cM})^{-1} (M^{-1} pt_s - (I + s e^{cL}) L M^{-1} a_L).
+    """
+    o, ap, eye = frame.ops, frame.apply, frame.ops.eye
     fpa, fpb = part["fpa"], part["fpb"]
-    p1, p2, p3, p4 = phi
-    pt1 = 0.5 * (p1 + p2 - fpa - fpb)
-    pt2 = 0.5 * (p1 - p2 - fpa + fpb)
-    a2 = ap(o.inv_im_el, ap(o.binv, 0.5 * (p3 - p4)))
-    a4 = ap(o.inv_ip_el, ap(o.binv, 0.5 * (p3 + p4)))
-    a1 = ap(o.inv_ip_em,
-            ap(o.minv, pt1) - ap(o.eye + o.e_cl, ap(o.l, ap(o.minv, a2))))
-    a3 = ap(o.inv_im_em,
-            ap(o.minv, pt2) - ap(o.eye - o.e_cl, ap(o.l, ap(o.minv, a4))))
-    return a1, a2, a3, a4
+    slope, data = (phi[2:], phi[:2]) if bc == 3 else (phi[:2], phi[2:])
+    w = (o.uinv, o.vinv) if bc == 3 else (o.vinv, o.uinv)  # W_s at s = +1, -1
+    alphas = []
+    # s = +1, -1 as the ufunc pair (+, -) or (-, +), so each sum rounds as written
+    for i, (plus, minus) in enumerate(((np.add, np.subtract), (np.subtract, np.add))):
+        pt = 0.5 * minus(plus(*slope) - fpa, fpb)
+        d = minus(*data)
+        if bc == 2:
+            a_l = ap((o.inv_im_el, o.inv_ip_el)[i], ap(o.binv, 0.5 * d))
+            alphas += [ap((o.inv_ip_em, o.inv_im_em)[i], ap(o.minv, pt)
+                          - ap(plus(eye, o.e_cl), ap(o.l, ap(o.minv, a_l)))), a_l]
+            continue
+        for x, y_inv, e, half in ((o.l, o.minv, o.e_cl, 0.5), (o.m, o.linv, o.e_cm, -0.5)):
+            if bc == 3:  # X multiplies the data term
+                r = ap(x, ap(plus(eye, e), d)) - 2 * ap(minus(eye, e), pt)
+            else:  # X multiplies the slope term
+                r = 2 * ap(minus(eye, e), ap(x, ap(y_inv, pt))) - ap(plus(eye, e), ap(y_inv, d))
+            alphas.append(half * ap(o.binv, ap(o.l + o.m, ap(w[i], r))))
+    return tuple(alphas)
 
 
 def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
@@ -719,7 +695,7 @@ def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
     """
     fv = frame.to_modes(_field_to_internal(f))
     part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
-    alphas = _family2_alphas(frame, part, _frame_phi(frame, phi))
+    alphas = _mode_coefficients(frame, part, _frame_phi(frame, phi), 2)
     return tuple(frame.from_modes(a)[:, 0] for a in alphas)
 
 

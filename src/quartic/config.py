@@ -40,10 +40,7 @@ def _parse_operator(spec_text: str, base_dir: str) -> OperatorHandle:
                               "must be at least 1")
         return dirichlet_laplacian_modes(count)
     if kind == "diag":
-        try:
-            entries = [parse_complex(p) for p in arg.split(",")]
-        except ConfigError as exc:
-            raise ConfigError(f"bad diag operator {arg!r}: {exc}") from exc
+        entries = [_complex("operator", p) for p in arg.split(",")]
         return make_operator(np.diag(entries), label="diag")
     if kind == "file":
         path = os.path.join(base_dir, arg.strip())
@@ -71,13 +68,21 @@ def _number(sec, key: str, default: str, kind=float, minimum=None):
     return val
 
 
-def _parse_vector(text: str, dim: int) -> np.ndarray:
+def _complex(key: str, text: str) -> complex:
+    """parse_complex, its ConfigError naming the field ``key``."""
+    try:
+        return parse_complex(text)
+    except ConfigError as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
+def _parse_vector(key: str, text: str, dim: int) -> np.ndarray:
     parts = [p for p in text.split(",") if p.strip()]
-    vals = [parse_complex(p) for p in parts]
+    vals = [_complex(key, p) for p in parts]
     if len(vals) == 1:
         return np.full(dim, vals[0], dtype=complex)
     if len(vals) != dim:
-        raise ConfigError(f"vector {text!r} has {len(vals)} entries, wanted {dim}")
+        raise ConfigError(f"{key} = {text!r} has {len(vals)} entries, wanted {dim}")
     return np.asarray(vals, dtype=complex)
 
 
@@ -86,13 +91,13 @@ def _forcing_profile(kind: str, arg: str, grid: Grid, a: float, b: float):
     if kind == "zero" or kind == "":
         return np.zeros(grid.n, dtype=complex)
     if kind == "poly":
-        coeffs = [parse_complex(p) for p in arg.split(",")]
+        coeffs = [_complex("coefficients", p) for p in arg.split(",")]
         out = np.zeros(grid.n, dtype=complex)
         for j, cj in enumerate(coeffs):
             out += cj * x**j
         return out
     if kind == "sines":
-        amps = [parse_complex(p) for p in arg.split(",")]
+        amps = [_complex("coefficients", p) for p in arg.split(",")]
         out = np.zeros(grid.n, dtype=complex)
         for m, am in enumerate(amps, start=1):
             out += am * np.sin(m * np.pi * (x - a) / (b - a))
@@ -167,14 +172,19 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
             raise ConfigError(f"forcing file {fpath} has {forcing.grid.n} {forcing.grid.kind} "
                               f"nodes, not those of [grid] n_nodes = {grid.n}, kind = {kind}")
     else:
-        profile = _forcing_profile(ftype, fsec.get("coefficients", ""), grid, a, b)
-        weights = _parse_vector(fsec.get("component_weights", "1"), A.dim)
-        forcing = GridFunction(grid, np.outer(weights, profile))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+            profile = _forcing_profile(ftype, fsec.get("coefficients", ""), grid, a, b)
+            weights = _parse_vector("component_weights", fsec.get("component_weights", "1"),
+                                    A.dim)
+            forcing = GridFunction(grid, np.outer(weights, profile))
+    if not np.all(np.isfinite(forcing.values)):
+        raise ConfigError(f"[forcing] type = {ftype}: the samples are not all finite "
+                          "(coefficients, component_weights or file values overflow)")
 
     ssec = cp["solve"] if "solve" in cp else {}
-    lam = parse_complex(ssec.get("lambda", "-4")) if ssec.get("lambda") else complex(-4.0)
+    lam = _complex("lambda", ssec["lambda"]) if ssec.get("lambda") else complex(-4.0)
     phi = tuple(
-        _parse_vector(ssec.get(f"phi{i}", "0"), A.dim) for i in range(1, 5)
+        _parse_vector(f"phi{i}", ssec.get(f"phi{i}", "0"), A.dim) for i in range(1, 5)
     )
     solve_tol = _number(ssec, "tol_residual", "1e-6")
     if solve_tol <= 0:
@@ -246,5 +256,8 @@ def build_v0(cfg: RunConfig) -> GridFunction:
         fpath = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), arg.strip())
         if not os.path.exists(fpath):
             raise ConfigError(f"v0 file {fpath} does not exist")
-        return read_gridfunction_csv(fpath)
+        v0 = read_gridfunction_csv(fpath)
+        if not np.all(np.isfinite(v0.values)):
+            raise ConfigError(f"v0 file {fpath}: the samples are not all finite")
+        return v0
     raise ConfigError(f"unknown v0 spec {spec_text!r}")

@@ -38,15 +38,19 @@ _PURE_IMAG_RE = re.compile(
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "a+bi" / "a-bi" / "a" / "bi" forms."""
+    """Parse "a+bi" / "a-bi" / "a" / "bi" forms; a part that overflows to
+    infinity raises ConfigError."""
     m = _PURE_IMAG_RE.match(text)
     if m:
-        return complex(0.0, float(m.group(1)))
-    m = _COMPLEX_RE.match(text)
-    if not m:
-        raise ConfigError(f"cannot parse complex number {text!r}")
-    re_part = float(m.group(1))
-    im_part = float(m.group(2)) if m.group(2) is not None else 0.0
+        re_part, im_part = 0.0, float(m.group(1))
+    else:
+        m = _COMPLEX_RE.match(text)
+        if not m:
+            raise ConfigError(f"cannot parse complex number {text!r}")
+        re_part = float(m.group(1))
+        im_part = float(m.group(2)) if m.group(2) is not None else 0.0
+    if not (np.isfinite(re_part) and np.isfinite(im_part)):
+        raise ConfigError(f"complex number {text!r} is not finite")
     return complex(re_part, im_part)
 
 

@@ -28,7 +28,7 @@ from .bvp import (
 )
 from .errors import BranchCut, NearSpectrum, NonFinite, NotInResolventSet, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid
-from .operators import make_operator, operator_norm
+from .operators import _outside_closed_sector, make_operator, operator_norm
 from .oracle import dense_generator
 
 __all__ = [
@@ -59,12 +59,7 @@ def classify_lambda(lam: complex, k: float, theta_a: float) -> str:
     w = complex(lam) + k * k / 4.0
     if w == 0:
         return VERTEX
-    alpha = 2.0 * theta_a
-    if alpha == 0.0:
-        inside = (w.imag == 0.0) and (w.real > 0.0)
-    else:
-        inside = abs(np.angle(w)) <= alpha
-    return INSIDE_SECTOR if inside else OUTSIDE_SECTOR
+    return OUTSIDE_SECTOR if _outside_closed_sector(w, 2.0 * theta_a) else INSIDE_SECTOR
 
 
 def classify_lambda_by_argument(lam: complex, k: float, theta_a: float) -> str:
@@ -99,7 +94,11 @@ def branch_angle_check(lam: complex, k: float, theta_a: float):
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Polar sample grid around the branch vertex, outside the closed sector."""
+    """Polar sample grid around the branch vertex, outside the closed sector.
+
+    Every point must lie at its radius from the vertex to 1e-3 relative: a
+    vertex -k^2/4 far larger than the radii rounds the offsets away.
+    """
 
     vertex: complex
     radii: np.ndarray
@@ -111,7 +110,12 @@ class SweepGrid:
     def __post_init__(self):
         if len(self.radii) == 0 or len(self.angles) == 0:
             raise ValueError("sweep grid must have radii and angles")
-        for lam in self.points():
+        radii = np.tile(np.asarray(self.radii, float), len(self.angles))
+        for lam, rho in zip(self.points(), radii):
+            if abs(abs(lam - self.vertex) - rho) > 1e-3 * rho:
+                raise ValueError(
+                    f"grid point at radius {rho:g} lies {abs(lam - self.vertex):g} from the "
+                    f"vertex {self.vertex} (k = {self.k!r}): the vertex rounds the radius away")
             if classify_lambda(lam, self.k, self.theta_a) != OUTSIDE_SECTOR:
                 raise ValueError(f"grid point {lam} is not outside the closed sector")
             if abs(lam - self.vertex) <= self.exclusion_radius * (1 - 1e-12):

@@ -41,6 +41,11 @@ class TestComplexFormat:
             with pytest.raises(ConfigError):
                 parse_complex(bad)
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e400i", "1-1e400i", "2e308+1i"])
+    def test_reject_overflow(self, text):
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_complex(text)
+
     @settings(max_examples=200, deadline=None)
     @given(finite, finite)
     def test_roundtrip_property(self, re, im):
@@ -351,6 +356,21 @@ exclusion_radius = 1e-2
 """)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_vertex_that_rounds_radii_away_exit2(self, tmp_path, capsys):
+        # -k^2/4 = -2.5e307: vertex + r e^{i phi} keeps no real offset for r <= 10
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace("k = 0", "k = 1e154") + """
+[sweep]
+radius_min = 1e-1
+radius_max = 1e1
+n_radii = 3
+n_angles = 4
+n_nodes = 12
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "k = 1e+154" in err and "vertex -2.5e+307" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_threads_flag_and_env_are_ignored(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.cfg", DEMO + """
 [sweep]
@@ -520,6 +540,54 @@ class TestNonFiniteProblemNumbers:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{field} must be finite" in err or f"bad {field} =" in err
+
+
+NON_FINITE_DATA = {
+    "operator": [("operator = diag:-1", "operator = diag:1e400")],
+    "coefficients": [("type = sines", "type = poly"),
+                     ("coefficients = 1.0, 0.5", "coefficients = 1e400")],
+    "component_weights": [("type = sines", "type = poly"),
+                          ("coefficients = 1.0, 0.5",
+                           "coefficients = 1e300\ncomponent_weights = 1e300")],
+    "phi1": [("phi1 = 0.25", "phi1 = 1e400")],
+    "lambda": [("lambda = -4", "lambda = 1e400i")],
+}
+
+
+class TestNonFiniteConfigData:
+    """Complex entries that overflow, and forcing samples that do, exit 2
+    with a message naming the field."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "evolve"])
+    @pytest.mark.parametrize("field", list(NON_FINITE_DATA))
+    def test_exit2_names_field(self, tmp_path, capsys, field, command):
+        body = DEMO
+        for old, new in NON_FINITE_DATA[field]:
+            assert old in body
+            body = body.replace(old, new)
+        cfg = write_config(tmp_path / "c.cfg", body + NON_FINITE_SWEEP_EVOLVE)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("field", ["forcing", "v0"])
+    def test_file_with_nan_exit2(self, tmp_path, capsys, field):
+        grid = cgl_grid(96, 0.0, np.pi)
+        vals = np.sin(grid.nodes)[None, :] + 0j
+        vals[0, 5] = np.nan
+        write_gridfunction_csv(tmp_path / "f.csv", GridFunction(grid, vals))
+        body = DEMO + NON_FINITE_SWEEP_EVOLVE.replace("n_nodes = 12\n", "")
+        if field == "forcing":
+            body = body.replace("type = sines\ncoefficients = 1.0, 0.5",
+                                "type = file\npath = f.csv")
+        else:
+            body = body.replace("v0 = sine:1", "v0 = file:f.csv")
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "not all finite" in err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestOverflowingK:

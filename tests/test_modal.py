@@ -12,13 +12,14 @@ from quartic.bvp import (
     _lambda_frame,
     _lambda_frames,
     assemble_frame,
+    boundary_residuals,
     build_pq_lambda,
     resolvent_matrix,
 )
 from quartic.errors import FrameSingular
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import make_operator, shift_operator
-from quartic.oracle import collocation_solve
+from quartic.oracle import _coeffs_from_A, collocation_solve, ode_residual
 from quartic.verify import _random_sectorial
 
 
@@ -122,6 +123,34 @@ class TestDenseFallback:
             assert not frame.modal
             ref = collocation_solve(spec, lam, f).values
             assert _relative_gap(_SOLVERS[bc](frame, f).values, ref) <= 1e-8
+
+
+class TestVectorBoundaryData:
+    """Nonzero boundary data on a vector A, scored by checks that share no
+    formula with the solver: stencil boundary residuals and the integrated
+    interior residual."""
+
+    @pytest.mark.parametrize("lam", [-3.0, -1.0 + 2.0j])
+    @pytest.mark.parametrize("name", ["jordan", "nonnormal3"])
+    @pytest.mark.parametrize("bc", [2, 3, 4])
+    def test_boundary_and_interior_residuals(self, rng, bc, name, lam):
+        if name == "jordan":
+            A = make_operator([[-2.0, 1.0], [0.0, -2.0]])
+        else:
+            A = _nonnormal(np.random.default_rng(3), 3)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        frame = _lambda_frame(spec, lam)
+        assert frame.modal == (name == "nonnormal3")
+        grid = cgl_grid(96, 0.0, np.pi)
+        weights = rng.normal(size=(A.dim, 1)) + 1j * rng.normal(size=(A.dim, 1))
+        f = GridFunction(grid, weights * np.exp(grid.nodes / 2))
+        phi = [rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim) for _ in range(4)]
+        u = _SOLVERS[bc](frame, f, phi)
+        res = boundary_residuals(grid, u, phi, bc, frame.p)
+        scale = max(f.norm(), max(np.linalg.norm(p) for p in phi))
+        assert max(res.values()) <= 1e-8 * scale
+        coeff2, coeff0 = _coeffs_from_A(A, spec.k)
+        assert ode_residual(coeff2, coeff0, lam, u, f) <= 1e-10
 
 
 class TestNoFactorizationPerParameter:
