@@ -1,16 +1,24 @@
 """Abstract Cauchy problem v' = G v + f via the analytic-semigroup structure.
 
 The semigroup is evaluated either by inverse-Laplace quadrature on a
-left-opening hyperbola (each node is one resolvent solve of the stationary
-code path; with a trusted eigenbasis of A a batch of nodes shares one
-frame) or by implicit one-step schemes whose stage operators are again
-resolvents at real shifts.  A dense-exponential oracle covers small
-instances for cross-validation.
+left-opening hyperbola or by implicit one-step schemes whose stage operators
+are again resolvents at real shifts.  A dense-exponential oracle covers
+small instances for cross-validation.
+
+The quadrature groups the output times into windows [t_s, 8 t_s] (narrower
+for wide sectors).  A window has one hyperbola whose mu is fixed by the
+truncation bound at t_s, after Weideman & Trefethen, Math. Comp. 76 (2007),
+and Lopez-Fernandez, Palencia & Schaedle, SINUM 44 (2006).  Each node is one
+resolvent solve of the stationary code path on the distinct data columns,
+v0 and the forcing samples; with a trusted eigenbasis of A a batch of nodes
+shares one frame.  Every output of the window is a weighted sum of those
+solves, and each refinement n -> 2n - 1 solves only the new trapezoid
+midpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,6 +29,8 @@ from .bvp import (
     _lambda_frame,
     _lambda_frames,
     _SOLVERS,
+    _solve_family,
+    _zero_phi,
     bc_conditions,
 )
 from .errors import (
@@ -54,8 +64,21 @@ _SCHEMES = ("CONTOUR", "IMPLICIT_EULER", "CRANK_NICOLSON")
 # Contour nodes solved as one batch frame hold at most this many
 # (node x mode x grid step) elements: the grid kit, the step weights and the
 # convolution buffers of a batch all scale with it, so it bounds a pass's
-# memory whatever its node count.
+# memory whatever its node count.  Data columns are not counted: the frame,
+# its grid kit and its step weights serve every column, and only the data
+# and convolution buffers grow with their number (two for steady forcing).
 CONTOUR_BATCH_ELEMENTS = 1536
+
+# Output times in [t_s, WINDOW_RATIO t_s] share one hyperbola.  Its mu keeps
+# e^{t lam} at the truncated ends below e^{-TAIL_EXPONENT} e^{t vertex} for
+# every t of the window, and a window narrows below WINDOW_RATIO t_s where
+# e^{t lam} at the vertex, the round-off the sum amplifies, would pass
+# e^{VERTEX_EXPONENT}.
+WINDOW_RATIO = 8.0
+TAIL_EXPONENT = 37.0
+VERTEX_EXPONENT = 8.0
+# Trapezoid refinements n -> 2n - 1 before QuadratureNotConverged.
+MAX_REFINEMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -84,11 +107,14 @@ class EvolutionSpec:
 
 @dataclass(frozen=True)
 class ContourParams:
-    """Left-opening hyperbola lam(th) = vertex + mu (1 - sin(beta - i th)).
+    """Left-opening hyperbola lam(th) = vertex + mu (1 - sin(beta - i th)),
+    |th| <= half_width, sampled by the trapezoid rule in th (``at``).
 
     The rightmost point sits at vertex + mu(1 - sin beta) > vertex, so every
     node stays clear of the branch ray; the asymptote half-angle pi/2 + beta
-    must stay below pi minus the spectral sector angle.
+    must stay below pi minus the spectral sector angle.  A window of output
+    times shares one mu (``window``); ``nodes(n, t)`` is the n-node rule of
+    the single time t at mu = mu_over_n n / t.
     """
 
     vertex: float
@@ -96,13 +122,34 @@ class ContourParams:
     mu_over_n: float = 0.4
     half_width: float = 3.0
 
-    def nodes(self, n_points: int, t: float):
-        mu = self.mu_over_n * n_points / t
-        th = np.linspace(-self.half_width, self.half_width, n_points)
-        h = th[1] - th[0]
+    def at(self, mu: float, th: np.ndarray, h: float):
+        """Nodes lam(th) and their weights lam'(th) h / (2 pi i) at scale mu."""
         lam = self.vertex + mu * (1.0 - np.sin(self.beta - 1j * th))
         dlam = mu * 1j * np.cos(self.beta - 1j * th)
         return lam, dlam * h / (2j * np.pi)
+
+    def nodes(self, n_points: int, t: float):
+        th = np.linspace(-self.half_width, self.half_width, n_points)
+        return self.at(self.mu_over_n * n_points / t, th, th[1] - th[0])
+
+    def window(self, t_s: float):
+        """(mu, t_max) of the window of output times [t_s, t_max].
+
+        mu = TAIL_EXPONENT / ((sin beta cosh H - 1) t_s) bounds the truncated
+        tail for every t >= t_s at any node count, so refinement controls the
+        discretization error alone.  t_max is WINDOW_RATIO t_s, or less where
+        t_max mu (1 - sin beta) would pass VERTEX_EXPONENT (never below t_s).
+        """
+        decay = np.sin(self.beta) * np.cosh(self.half_width) - 1.0
+        if decay <= 0:
+            raise QuadratureNotConverged(
+                f"hyperbola with beta {self.beta:.3g} and half-width "
+                f"{self.half_width:g} has no decaying tail")
+        mu = TAIL_EXPONENT / (decay * t_s)
+        vertex_rate = TAIL_EXPONENT * (1.0 - np.sin(self.beta)) / decay  # per t / t_s
+        if vertex_rate * WINDOW_RATIO <= VERTEX_EXPONENT:
+            return mu, WINDOW_RATIO * t_s
+        return mu, max(1.0, VERTEX_EXPONENT / vertex_rate) * t_s
 
 
 def _gate_angle(spec: ProblemSpec):
@@ -120,45 +167,90 @@ def default_contour(spec: ProblemSpec, ball_radius: float = 0.0) -> ContourParam
     return ContourParams(vertex=vertex, beta=beta)
 
 
-def _contour_sum(spec: ProblemSpec, t: float, payload, n_points: int,
-                 params: ContourParams) -> np.ndarray:
-    """sum of weights * R(lam) payload(lam) over the hyperbola nodes.
+def _distinct_columns(fields):
+    """(columns, sel): the distinct fields stacked as (r, dim, N) columns and
+    the (len(fields), r) 0/1 matrix with fields[i] = sel[i] @ columns."""
+    index, columns, rows = {}, [], []
+    for f in fields:
+        f = np.asarray(f, dtype=complex)
+        rows.append(index.setdefault(f.tobytes(), len(columns)))
+        if rows[-1] == len(columns):
+            columns.append(f)
+    return np.stack(columns), np.eye(len(columns))[rows]
 
-    payload (a ``_Payload``) must already carry every e^{t lam}-type factor;
-    all such factors decay along the contour tails, so no overflow can occur
-    here.  For A with a trusted eigenbasis the nodes are solved in batches of
-    up to CONTOUR_BATCH_ELEMENTS / (dim(A) x grid steps) nodes, each batch one
+
+def _node_sums(spec: ProblemSpec, grid: Grid, lams, weights, columns) -> np.ndarray:
+    """sum_k,c weights[o, k, c] R(lams[k]) columns[c] for every output o.
+
+    columns (r, dim, N) are the data all nodes share and weights (O, K, r)
+    carry every e^{t lam}-type factor; those decay along the contour tails,
+    so no overflow can occur here.  Returns (O, dim, N).  For A with a
+    trusted eigenbasis the nodes are solved in batches of up to
+    CONTOUR_BATCH_ELEMENTS / (dim(A) x grid steps) nodes, each batch one
     frame over the flattened (node, mode) axis (``bvp._lambda_frames``) whose
-    guards act per node; the dense route solves one node at a time.  A
-    refused node raises ContourTooClose naming the first refused node.
+    guards act per node, solved on all r columns at once; the dense route
+    solves one node at a time.  A refused node raises ContourTooClose naming
+    the first refused node.
     """
-    lam, wgt = params.nodes(n_points, t)
-    dim = spec.A.dim
+    r, dim, n_grid = columns.shape
     size = 1
     if spec.A.diagonalizable:
-        size = max(1, CONTOUR_BATCH_ELEMENTS // (dim * (payload.grid.n - 1)))
+        size = max(1, CONTOUR_BATCH_ELEMENTS // (dim * (n_grid - 1)))
+    data = np.ascontiguousarray(columns.transpose(2, 1, 0))  # (N, dim, r)
     acc = 0.0
-    for i in range(0, len(lam), size):
-        nodes = lam[i:i + size]
+    for i in range(0, len(lams), size):
+        nodes = lams[i:i + size]
         try:
             frame = _lambda_frames(spec, -nodes)
-            u = _SOLVERS[spec.bc_family](frame, payload(nodes))
+            fv = np.tile(frame.to_modes(data), (1, len(nodes), 1))
+            u = _solve_family(frame, grid, fv, _zero_phi(frame.n), spec.bc_family)
         except (NotInResolventSet, NearSpectrum) as exc:
             node = -exc.lam if getattr(exc, "lam", None) is not None else nodes[0]
             raise ContourTooClose(f"contour node {node}: {exc}") from exc
-        acc = acc + np.tensordot(wgt[i:i + size], u.values.reshape(len(nodes), dim, -1), 1)
-    return acc
+        u = u.reshape(n_grid, len(nodes), dim, r)
+        acc = acc + frame.from_modes(np.tensordot(u, weights[:, i:i + size], ([1, 3], [1, 2])))
+    return acc.transpose(2, 1, 0)
 
 
-def _converged_contour(spec, t, payload, n0, params, rel_tol,
-                       max_doublings=4) -> np.ndarray:
-    prev = _contour_sum(spec, t, payload, n0, params)
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
-        cur = _contour_sum(spec, t, payload, n, params)
-        scale = max(np.max(np.abs(cur)), 1e-300)
-        if np.max(np.abs(cur - prev)) <= rel_tol * scale:
+def _contour_sum(spec: ProblemSpec, t: float, payload, n_points: int,
+                 params: ContourParams) -> np.ndarray:
+    """sum of weights * R(lam) payload(lam) over t's n_points-node hyperbola
+    (``ContourParams.nodes``): ``_node_sums`` on the payload's data columns."""
+    lam, wgt = params.nodes(n_points, t)
+    columns, weights = payload.split()
+    return _node_sums(spec, payload.grid, lam, (weights.transform(lam) * wgt[:, None])[None],
+                      columns)[0]
+
+
+def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
+                 params: ContourParams, rel_tol: float, scale_floor: float) -> np.ndarray:
+    """Converged contour sums of a window's outputs on one hyperbola: (O, dim, N).
+
+    Each payload holds one output's weights over the data columns
+    (``_Payload.split``), and mu is the window's (``ContourParams.window``).
+    Every pass halves the trapezoid step (n -> 2n - 1 nodes), so it solves
+    only the new midpoints; the earlier nodes enter through the previous
+    sum.  Each output's change over a pass must fall to rel_tol times the
+    larger of its size and scale_floor, the data's size: the quadrature's
+    error is relative to the data, and a decayed solution lies below the
+    sum's round-off.  QuadratureNotConverged after MAX_REFINEMENTS passes.
+    """
+    grid = payloads[0].grid
+
+    def pass_sum(th, h):
+        lam, wgt = params.at(mu, th, h)
+        weights = np.stack([p.transform(lam) * wgt[:, None] for p in payloads])
+        return _node_sums(spec, grid, lam, weights, columns)
+
+    n = n_points
+    th = np.linspace(-params.half_width, params.half_width, n)
+    prev = pass_sum(th, th[1] - th[0])
+    for _ in range(MAX_REFINEMENTS):
+        n = 2 * n - 1
+        th = np.linspace(-params.half_width, params.half_width, n)
+        cur = 0.5 * prev + pass_sum(th[1::2], th[1] - th[0])
+        scale = np.maximum(np.max(np.abs(cur), axis=(1, 2)), max(scale_floor, 1e-300))
+        if np.all(np.max(np.abs(cur - prev), axis=(1, 2)) <= rel_tol * scale):
             return cur
         prev = cur
     raise QuadratureNotConverged(f"contour self-error above {rel_tol} at {n} nodes")
@@ -174,17 +266,20 @@ def semigroup_apply_contour(
 ) -> GridFunction:
     """e^{tG} v0 by hyperbola quadrature with self-error control.
 
-    Doubles the node count until the relative change is below rel_tol;
-    raises QuadratureNotConverged if the budget runs out.
+    The window of the one time t (``_window_sums``): refines n_points nodes
+    n -> 2n - 1 at fixed mu until the change is below rel_tol times
+    max(|e^{tG} v0|, |v0|); raises QuadratureNotConverged if the budget runs
+    out.
     """
     if t <= 0:
         raise ValueError("contour evaluation needs t > 0")
     if params is None:
         params = default_contour(spec)
-
-    vals = _converged_contour(spec, t, _Payload(v0.grid, v0.values, t), n_points,
-                              params, rel_tol)
-    return GridFunction(v0.grid, vals)
+    columns, weights = _Payload(v0.grid, v0.values, t).split()
+    mu, _ = params.window(t)
+    vals = _window_sums(spec, mu, [weights], columns, n_points, params, rel_tol,
+                        np.max(np.abs(v0.values)))
+    return GridFunction(v0.grid, vals[0])
 
 
 @dataclass(frozen=True)
@@ -194,7 +289,10 @@ class _Payload:
     e^{t lam} v0, plus the transform of piecewise-linear forcing given as the
     steps' lengths ``dts``, right ends ``ends`` and values ``f0``/``f1``
     (S, dim, N) at both ends, less the algebraic tail of the last step (see
-    ``_forced_payload``).
+    ``_forced_payload``).  The transform is linear in v0, f0 and f1 and takes
+    them of any shape (``transform``): as fields it gives the data at the
+    nodes, as weight vectors over data columns (``split``) each column's
+    weight.
     """
 
     grid: Grid
@@ -205,18 +303,33 @@ class _Payload:
     f0: np.ndarray | None = None
     f1: np.ndarray | None = None
 
-    def __call__(self, lams: np.ndarray) -> GridFunction:
-        """Data of the K nodes lams, stacked node-major as a (K dim, N) field."""
+    def transform(self, lams: np.ndarray) -> np.ndarray:
+        """The transform at the K nodes lams, (K,) + v0.shape."""
         lams = np.asarray(lams, dtype=complex)
-        data = np.exp(self.t * lams)[:, None, None] * self.v0
+        col = lams.reshape((-1,) + (1,) * np.ndim(self.v0))
+        data = np.exp(self.t * col) * self.v0
         if self.dts is not None:
             ph = phi_stack(np.multiply.outer(lams, self.dts), 2)  # (3, K, S)
             decay = self.dts * np.exp(np.multiply.outer(lams, self.t - self.ends))
             data = data + np.tensordot(decay * (ph[1] - ph[2]), self.f0, 1) \
                 + np.tensordot(decay * ph[2], self.f1, 1)
             f_end, slope_end = self.f1[-1], (self.f1[-1] - self.f0[-1]) / self.dts[-1]
-            data = data + f_end / lams[:, None, None] + slope_end / (lams * lams)[:, None, None]
-        return GridFunction(self.grid, data.reshape(-1, self.grid.n))
+            data = data + f_end / col + slope_end / (col * col)
+        return data
+
+    def __call__(self, lams: np.ndarray) -> GridFunction:
+        """Data of the K nodes lams, stacked node-major as a (K dim, N) field."""
+        return GridFunction(self.grid, self.transform(lams).reshape(-1, self.grid.n))
+
+    def split(self):
+        """(columns, weights): the distinct fields among v0, f0 and f1 as
+        (r, dim, N) columns, and this payload over their weight vectors."""
+        fields = [self.v0] if self.dts is None else [self.v0, *self.f0, *self.f1]
+        columns, sel = _distinct_columns(fields)
+        if self.dts is None:
+            return columns, replace(self, v0=sel[0])
+        s = len(self.dts)
+        return columns, replace(self, v0=sel[0], f0=sel[1:s + 1], f1=sel[s + 1:])
 
 
 def _forced_payload(grid, v0_vals, f_samples, ts, t_now) -> _Payload:
@@ -229,7 +342,9 @@ def _forced_payload(grid, v0_vals, f_samples, ts, t_now) -> _Payload:
     integrals over the closed left contour vanish exactly (both poles are
     enclosed and the partial fractions cancel); removing them keeps every
     surviving term exponentially damped, so the trapezoid sum converges
-    geometrically again.
+    geometrically again.  Linear in v0_vals and f_samples: given weight
+    vectors over data columns for them, the payload gives the columns'
+    weights.
     """
     idx = int(np.searchsorted(ts, t_now, side="right")) - 1
     steps = [(ts[j], ts[j + 1], f_samples[j], f_samples[j + 1]) for j in range(idx)]
@@ -247,8 +362,11 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     """Trajectory of the Cauchy problem at the scheme's time nodes.
 
     Returns a list of (t, GridFunction) including t = 0.  Implicit schemes
-    reuse one resolvent frame across all steps; the contour scheme folds
-    piecewise-linear forcing into the transform evaluated at each node.
+    reuse one resolvent frame across all steps.  The contour scheme solves
+    each node once on the distinct data columns among v0 and the forcing
+    samples, and every output time of a window (``ContourParams.window``)
+    weighs those solves with its own transform of v0 and the
+    piecewise-linear forcing (``_forced_payload``).
     """
     spec = espec.problem
     _gate_angle(spec)
@@ -258,19 +376,23 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     if espec.scheme == "CONTOUR":
         n_out = max(int(round(espec.t_final / espec.dt)), 1) if espec.dt else 8
         ts = np.linspace(0.0, espec.t_final, n_out + 1)
-        f_samples = None
+        fields = [espec.v0.values]
         if espec.forcing is not None:
-            f_samples = [np.asarray(espec.forcing(t), dtype=complex) for t in ts]
+            fields += [espec.forcing(t) for t in ts]
+        columns, sel = _distinct_columns(fields)
         params = default_contour(spec)
+        scale = np.max(np.abs(espec.v0.values))
         traj = [(0.0, espec.v0.copy())]
-        for t_now in ts[1:]:
-            if f_samples is None:
-                payload = _Payload(grid, espec.v0.values, t_now)
-            else:
-                payload = _forced_payload(grid, espec.v0.values, f_samples, ts, t_now)
-            vals = _converged_contour(spec, t_now, payload, espec.contour_points,
-                                      params, rel_tol)
-            traj.append((float(t_now), GridFunction(grid, vals)))
+        i = 1
+        while i < len(ts):
+            mu, t_max = params.window(ts[i])
+            j = max(int(np.searchsorted(ts, t_max * (1 + 1e-12), side="right")), i + 1)
+            payloads = [_Payload(grid, sel[0], t) if espec.forcing is None
+                        else _forced_payload(grid, sel[0], sel[1:], ts, t) for t in ts[i:j]]
+            vals = _window_sums(spec, mu, payloads, columns, espec.contour_points,
+                                params, rel_tol, scale)
+            traj += [(float(t), GridFunction(grid, v)) for t, v in zip(ts[i:j], vals)]
+            i = j
         return traj
 
     dt = float(espec.dt)

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field
-from quartic.bvp import ProblemSpec, boundary_residuals
-from quartic.errors import SectorAngleExceeded, StepRejected
+from quartic import evolution
+from quartic.bvp import ProblemSpec, _lambda_frames, boundary_residuals
+from quartic.errors import QuadratureNotConverged, SectorAngleExceeded, StepRejected
 from quartic.evolution import (
     EvolutionSpec,
     compatibility_check,
+    default_contour,
     evolve,
     growth_bound_probe,
     semigroup_apply_contour,
     variation_of_constants_check,
 )
 from quartic.grids import GridFunction, cgl_grid
-from quartic.operators import make_operator
+from quartic.operators import dirichlet_laplacian_modes, make_operator
 from quartic.oracle import dense_expm, dense_generator
+from test_batch import _operator, _relative_gap
 
 
 # Each family's four conditions in phi order, written out by hand: the number
@@ -98,6 +101,85 @@ class TestContour:
         u_d = gen.embed(dense_expm(gen.generator, t, v_in))
         rel = np.max(np.abs(u_c.values - u_d)) / np.max(np.abs(u_d))
         assert rel <= 1e-6
+
+
+class TestContourWindow:
+    """Output times of a window share one hyperbola and its node solves."""
+
+    def test_node_solves_shared_by_outputs(self, monkeypatch):
+        # laplacian:3, N = 64, steady forcing, 2 outputs: one window of one
+        # refinement, 32 + 31 nodes, where one contour per output took 192
+        A = dirichlet_laplacian_modes(3)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(64, 0.0, np.pi)
+        v0 = sine_mode(grid, dim=3)
+        weights = np.array([0.7, 1.1, 0.9])
+        fvals = weights[:, None] * v0.values
+        lams = []
+
+        def counting(spec_, nodes):
+            lams.extend(np.atleast_1d(nodes))
+            return _lambda_frames(spec_, nodes)
+
+        monkeypatch.setattr(evolution, "_lambda_frames", counting)
+        es = EvolutionSpec(spec, 0.1, v0, forcing=lambda t: fvals, dt=0.05,
+                           contour_points=32)
+        traj = evolve(es)
+        assert len(lams) <= 63
+        rho = (1.0 + np.arange(1, 4) ** 2.0) ** 2  # -A_ii = i^2, rate (1 + i^2)^2
+        for t, u in traj[1:]:
+            e = np.exp(-rho * t)
+            want = (e + (1 - e) * weights / rho)[:, None] * v0.values
+            assert _relative_gap(u.values, want) <= 1e-10
+
+    @pytest.mark.parametrize("name,n_nodes", [("laplacian3", 32), ("cond30", 32),
+                                              ("jordan", 12)])
+    def test_time_dependent_forcing_matches_per_output_sums(self, rng, name, n_nodes):
+        # 4 outputs in one window, 6 distinct data columns (v0 and 5 samples);
+        # each output against its own contour (mu = 0.4 n / t) at n = 64
+        A = _operator(name)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(n_nodes, 0.0, np.pi)
+        v0 = smooth_field(rng, grid, A.dim).values
+        g0, g1 = (smooth_field(rng, grid, A.dim).values for _ in range(2))
+
+        def forcing(t):
+            return np.cos(3.0 * t) * g0 + t * g1
+
+        traj = evolve(EvolutionSpec(spec, 0.4, GridFunction(grid, v0), forcing=forcing,
+                                    dt=0.1))
+        ts = np.linspace(0.0, 0.4, 5)
+        f_samples = [forcing(t) for t in ts]
+        params = default_contour(spec)
+        assert len(traj) == 5
+        for t, u in traj[1:]:
+            payload = evolution._forced_payload(grid, v0, f_samples, ts, t)
+            ref = evolution._contour_sum(spec, t, payload, 64, params)
+            assert _relative_gap(u.values, ref) <= 1e-10
+
+    def test_budget_exhausted_names_node_count(self, scalar_op):
+        spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
+        grid = cgl_grid(32, 0.0, np.pi)
+        n = 32
+        for _ in range(evolution.MAX_REFINEMENTS):
+            n = 2 * n - 1
+        with pytest.raises(QuadratureNotConverged, match=f"above 1e-17 at {n} nodes"):
+            semigroup_apply_contour(spec, 0.5, sine_mode(grid), n_points=32, rel_tol=1e-17)
+
+    def test_wide_sector_matches_dense_exponential(self):
+        # sector half-angle 0.5: a window narrows until the vertex factor
+        # e^{t lam} stays bounded, and the quadrature converges
+        A = make_operator(np.diag([-np.exp(0.5j), -2.0 * np.exp(-0.5j)]))
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        gen = dense_generator(spec, 32)
+        grid = gen.grid
+        v0 = GridFunction(grid, np.vstack([np.sin(grid.nodes),
+                                           np.sin(2 * grid.nodes)]).astype(complex))
+        v_in = v0.values.T.reshape(-1)[gen.iidx]
+        traj = evolve(EvolutionSpec(spec, 1.0, v0, dt=0.125))
+        for t, u in traj[1:]:
+            u_d = gen.embed(dense_expm(gen.generator, t, v_in))
+            assert _relative_gap(u.values, u_d) <= 1e-6
 
 
 class TestEvolve:

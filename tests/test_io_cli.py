@@ -423,6 +423,29 @@ v0 = sine:1
             assert np.max(np.abs(row[1::2] - want)) <= 1e-10
             assert np.max(np.abs(row[2::2])) <= 1e-10
 
+    @pytest.mark.parametrize("t_final", [1, 10])
+    def test_decayed_contour_solution_converges(self, tmp_path, t_final):
+        # e^{-25 t} sin 2x falls to 1.4e-11 at t = 1, below the round-off of
+        # a contour sum of unit size: the self-error is taken against the data
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
+            "operator = diag:-1", "operator = laplacian:1").replace(
+            "n_nodes = 96", "n_nodes = 32").replace(
+            "type = sines\ncoefficients = 1.0, 0.5", "type = zero") + f"""
+[evolve]
+scheme = CONTOUR
+dt = 0.5
+t_final = {t_final}
+v0 = sine:2
+""")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", comments="#")
+        x = cgl_grid(32, 0.0, np.pi).nodes
+        assert len(rows) == 1 + 2 * t_final
+        v0_max = np.max(np.abs(np.sin(2 * x)))
+        for row in rows:
+            want = np.exp(-25.0 * row[0]) * np.sin(2 * x)
+            assert np.max(np.abs(row[1::2] + 1j * row[2::2] - want)) <= 1e-11 * v0_max
+
     def test_angle_gate_exit5(self, tmp_path):
         from quartic.io import write_operator_file
 
