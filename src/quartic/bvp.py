@@ -43,12 +43,7 @@ from .errors import (
     SpectrumOnCut,
 )
 from .grids import Grid, GridFunction
-from .kernels import (
-    Propagator,
-    convolve_backward,
-    convolve_forward,
-    hermite_step_coefficients,
-)
+from .kernels import Propagator, convolve_nodes, scan_factors
 from .operators import (
     OperatorHandle,
     guarded_inverse_I_minus,
@@ -157,8 +152,8 @@ class BCFrame:
     T-/T+, U = I - T-, V = I - T+, uinv, vinv, and the identity eye).  A modal
     frame (``basis`` = (V, V^{-1}), the eigenvectors P, Q and B share) stores
     each member as its (n,) eigenvalues and its propagators give (N, n)
-    exponentials and (J, 6, n) step weights; a dense frame (``basis`` None)
-    stores (n, n) matrices and (N, n, n), (J, 6, n, n) stacks.  Attribute
+    exponentials and (6, J, n) node weights; a dense frame (``basis`` None)
+    stores (n, n) matrices and (N, n, n), (6, J, n, n) stacks.  Attribute
     access ``frame.p``, ``frame.inv_im_el``, ... always gives the dense
     matrix, built on first use as V diag(.) V^{-1} for a modal frame.
     ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
@@ -169,7 +164,7 @@ class BCFrame:
     is then K n, ``lam`` the array of the K parameters, data and boundary
     vectors are stacked the same way, and ``to_modes``/``from_modes`` map
     each block of dim(A) rows, one block per parameter.  It has no dense
-    member views, so it takes family 5 boundary data only as None.
+    member views.
     """
 
     n: int
@@ -230,19 +225,22 @@ class BCFrame:
         }
 
     def grid_kit(self, grid: Grid) -> dict:
-        """Grid stacks, cached: kit["nodes"] and, for X in "m" and "l", kit[X]
-        holding "prop" (X's propagator), "exa" e^{(x-a)X}, "ebx" e^{(b-x)X},
-        "estep" e^{h_j X} and "weights", the (psi, chi) step weights."""
+        """Grid stacks, cached: for X in "m" and "l", kit[X] holds "exa"
+        e^{(x-a)X}, "ebx" e^{(b-x)X}, "weights", the node weights of the step
+        integrals (``Propagator.step_weights``), and "scans", the
+        ``scan_factors`` of the steps e^{h_j X} forward and reversed.  Solves
+        only read them."""
         key = grid.nodes.tobytes()
         kit = self._grid_cache.get(key)
         if kit is None:
             x = grid.nodes
             hs = np.diff(x)
-            kit = {"nodes": x}
+            kit = {}
             for name, prop in (("m", self.prop_m), ("l", self.prop_l)):
-                kit[name] = {"prop": prop, "exa": prop.exp_stack(x - x[0]),
-                             "ebx": prop.exp_stack(x[-1] - x),
-                             "estep": prop.exp_stack(hs), "weights": prop.step_weights(hs)}
+                steps = prop.exp_stack(hs)
+                kit[name] = {"exa": prop.exp_stack(x - x[0]), "ebx": prop.exp_stack(x[-1] - x),
+                             "weights": prop.step_weights(hs),
+                             "scans": (scan_factors(steps), scan_factors(steps[::-1]))}
             self._grid_cache[key] = kit
         return kit
 
@@ -528,15 +526,15 @@ def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_
     (n, r) columns, all in the frame's coordinates.  With I+(x) =
     int_a^x e^{(x-s)X} f ds and I-(x) = int_x^b e^{(s-x)X} f ds, v is
     e^{(x-a)X} c_a + e^{(b-x)X} c_b + X^{-1} (I+ + I-) / 2, the endpoint values
-    fixing c_a, c_b through (I - e^{2cX})^{-1}.  Returns (v, v', v'', I-(a), I+(b)).
+    fixing c_a, c_b through (I - e^{2cX})^{-1}.  Both integrals come from the
+    kit's node weights applied to (f, f', f'') (``convolve_nodes``), so the
+    stage builds no polynomial model of its own.  Returns (v, v', v'', I-(a),
+    I+(b)).
     """
     o, ap = frame.ops, frame.apply
     x, x_inv, e_c, g, s = (getattr(o, name) for name in _GENERATORS[generator])
-    stacks, nodes = kit[generator], kit["nodes"]
-    d = hermite_step_coefficients(nodes, f, fp, fpp)
-    psi, chi = stacks["weights"]
-    fwd = convolve_forward(stacks["prop"], nodes, d, stacks["estep"], psi)
-    bwd = convolve_backward(stacks["prop"], nodes, d, stacks["estep"], chi)
+    stacks = kit[generator]
+    fwd, bwd = convolve_nodes(stacks["weights"], stacks["scans"], f, fp, fpp)
     k_a, k_b = bwd[0], fwd[-1]
     g_a, g_b = ap(g, v_a), ap(g, v_b)
     gk_a, gk_b = (0.5 * ap(g, ap(x_inv, k)) for k in (k_a, k_b))
@@ -576,17 +574,17 @@ def _frame_phi(frame: BCFrame, phi, bc: int = 1):
     """Boundary data as four (n, 1) columns in the frame's coordinates.
 
     Each phi has frame.n entries: on a batch frame, one block per parameter.
-    Family 5 data is reduced here, in X's coordinates, to the family 1 data
-    (phi1, phi2, phi3 - P phi1, phi4 - P phi2) that _solve_family solves.
-    The reduction needs the dense view of P, so a batch frame takes family 5
-    data only as None; even all-zero vectors fail there.
+    Family 5 data is reduced here, in the frame's coordinates, to the family 1
+    data (phi1, phi2, phi3 - P phi1, phi4 - P phi2) that _solve_family
+    solves, so it needs no dense view of P and a batch frame takes it too.
     """
     if phi is None:
         return _zero_phi(frame.n)
-    p1, p2, p3, p4 = (np.asarray(p, dtype=complex) for p in phi)
+    p1, p2, p3, p4 = (frame.to_modes(np.asarray(p, dtype=complex).reshape(frame.n, 1))
+                      for p in phi)
     if bc == 5:
-        p3, p4 = p3 - frame.p @ p1, p4 - frame.p @ p2
-    return tuple(frame.to_modes(p.reshape(frame.n, 1)) for p in (p1, p2, p3, p4))
+        p3, p4 = p3 - frame.apply(frame.ops.p, p1), p4 - frame.apply(frame.ops.p, p2)
+    return p1, p2, p3, p4
 
 
 def particular_solution_F(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:

@@ -1,27 +1,34 @@
 """Exponential-kernel machinery for the representation formulas.
 
-The convolution integrals int e^{(x-s)X} f(s) ds are evaluated by exact
-integration of a local degree-5 polynomial model of f against the matrix
-exponential kernel.  The kernel side is exact for every step size, so the
-scheme stays stable for arbitrarily stiff generators; the only error is the
-local-model error O(h^6 f^(6)).
+The convolutions I+(x) = int_a^x e^{(x-s)X} f(s) ds and I-(x) =
+int_x^b e^{(s-x)X} f(s) ds integrate a local degree-5 polynomial model of f
+exactly against the matrix exponential kernel.  The kernel side is exact for
+every step size, so the scheme stays stable for arbitrarily stiff
+generators; the only error is the local-model error O(h^6 f^(6)).
 
-Per step the needed weights are, with z = h X,
+On step j (length h, z = h X) the model is the two-point Hermite interpolant
+of the node data (f_j, f'_j, f''_j, f_{j+1}, f'_{j+1}, f''_{j+1}): its
+coefficients are d = T g, g the k-th datum times h^{e_k} (e = 0, 1, 2, 0, 1,
+2), for one constant 6 x 6 matrix T read from ``hermite_step_coefficients``.
+The forward step integral h int_0^1 e^{z(1-s)} p(s) ds is thus a sum of node
+data times the weights G_k = h^{1+e_k} sum_m m! phi_{m+1}(z) T_mk, which
+depend on X and the grid alone: a grid kit computes them once
+(``Propagator.step_weights``) and a solve only multiplies and adds
+(``convolve_nodes``).  The backward step integral int_0^1 e^{zs} p(s) ds =
+int_0^1 e^{z(1-u)} p(1-u) du is the forward one on the reflected model,
+whose node data swap the two ends and negate the slopes, so it reuses the
+forward weights and only phi_1..phi_6 are evaluated.
 
-    psi_m(z) = int_0^1 e^{z(1-s)} s^m ds   (forward kernel e^{(x-s)X})
-    chi_m(z) = int_0^1 e^{z s} s^m ds      (backward kernel e^{(s-x)X})
-
-computed per eigenmode when X is given by its eigenvalues (a modal frame),
-and through the exponential of an augmented block matrix when X is a dense
-matrix (the frame of an A whose eigenbasis is too ill-conditioned to use),
-whose e^{tX} comes from its Schur form.  In X's eigenbasis the weights are
-diagonal, so the modal stacks keep only their (..., n) diagonals.  The
-convolution recurrence I_{j+1} = e^{h_j X} I_j + c_j is evaluated for modal
-steps as one log-depth (Hillis-Steele) scan over the steps, whose
-compositions are exact elementwise products.  Dense steps
-(the fallback for an ill-conditioned eigenbasis) run the plain recurrence:
-composing such steps explicitly multiplies their round-off by their
-non-normality at every pass.
+The phi functions come per eigenmode when X is given by its eigenvalues (a
+modal frame; the stacks keep only their (..., n) diagonals), and from the
+exponential of an augmented block matrix when X is a dense matrix (the
+frame of an A whose eigenbasis is too ill-conditioned to use, whose e^{tX}
+comes from its Schur form).  The recurrence I_{j+1} = e^{h_j X} I_j + c_j
+runs for modal steps as one log-depth (Hillis-Steele) scan, whose step
+compositions are exact elementwise products that a grid kit also computes
+once per direction (``scan_factors``).  Dense steps run the plain
+recurrence: composing such steps explicitly multiplies their round-off by
+their non-normality at every pass.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ __all__ = [
     "chi_stack",
     "Propagator",
     "hermite_step_coefficients",
-    "convolve_forward",
-    "convolve_backward",
+    "scan_factors",
+    "convolve_nodes",
 ]
 
 _SERIES_TERMS = 30
@@ -82,11 +89,21 @@ def _exp_integrals(z: np.ndarray, kmax: int, mmax: int):
     for m in range(1, mmax + 1):
         chi[m] = (ez - m * chi[m - 1]) / zb
     if np.any(small):
-        powers = np.vander(z[small], _SERIES_TERMS, increasing=True)
-        sums = (powers @ _series_table(kmax, mmax)).T
+        zs = z[small]
+        powers = np.empty((_SERIES_TERMS, zs.size), dtype=complex)
+        powers[0] = 1.0
+        for i in range(1, _SERIES_TERMS):
+            np.multiply(powers[i - 1], zs, out=powers[i])
+        sums = _real_product(_series_table(kmax, mmax).T, powers)
         phi[1:, small] = sums[:kmax]
         chi[:, small] = sums[kmax:]
     return phi, chi
+
+
+def _real_product(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """M @ Z for a real matrix M and a complex (k, l) array Z, as one real
+    BLAS product on Z's real view."""
+    return (M @ np.ascontiguousarray(Z).view(float)).view(complex)
 
 
 def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
@@ -152,33 +169,21 @@ class Propagator:
             out[i] = Q @ sla.expm(t * T) @ Q.conj().T
         return out
 
-    def step_weights(self, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, chi) step-integral weights: each (J, MAX_DEG, n, n), or
-        (J, MAX_DEG, n) modal."""
+    def step_weights(self, hs: np.ndarray) -> np.ndarray:
+        """Node weights G of the forward step integrals over steps of lengths
+        hs (module docstring): shape (6, J, n, n), or (6, J, n) modal, with
+        G[k, j] multiplying node datum k of step j in ``convolve_nodes``.
+        Only phi_1..phi_MAX_DEG are evaluated."""
         hs = np.asarray(hs, dtype=float)
         p = self.MAX_DEG
         if self.modal:
-            Z = np.multiply.outer(hs, self._w)  # (J, n)
-            phis, chi = _exp_integrals(Z, p, p - 1)       # (p+1, J, n), (p, J, n)
-            # psi_m = m! phi_{m+1}
-            psi = phis[1:] * np.array([factorial(m) for m in range(p)])[:, None, None]
-            return np.moveaxis(psi, 0, 1), np.moveaxis(chi, 0, 1)
-        X = np.asarray(self.op.matrix)
-        J = len(hs)
-        psi_d = np.empty((J, p, self.n, self.n), dtype=complex)
-        chi_d = np.empty((J, p, self.n, self.n), dtype=complex)
-        binom = [[factorial(m) // (factorial(j) * factorial(m - j)) for j in range(m + 1)]
-                 for m in range(p)]
-        for i, h in enumerate(hs):
-            phis = _phi_block_matrices(h * X, p + 1)
-            for m in range(p):
-                psi_d[i, m] = factorial(m) * phis[m]
-                # chi_m(z) = sum_j (-1)^j C(m,j) j! phi_{j+1}(z)
-                acc = np.zeros((self.n, self.n), dtype=complex)
-                for j in range(m + 1):
-                    acc += ((-1) ** j) * binom[m][j] * factorial(j) * phis[j]
-                chi_d[i, m] = acc
-        return psi_d, chi_d
+            phi = _exp_integrals(np.multiply.outer(hs, self._w), p, -1)[0][1:]
+        else:
+            X = np.asarray(self.op.matrix)
+            phi = np.moveaxis(np.array([_phi_block_matrices(h * X, p) for h in hs]), 1, 0)
+        G = _real_product(_PSI_MODEL.T, phi.reshape(p, -1)).reshape(phi.shape)
+        scale = hs ** (1 + _SLOPE_ORDER)[:, None]  # (6, J)
+        return G * scale.reshape(scale.shape + (1,) * (phi.ndim - 2))
 
 
 def hermite_step_coefficients(
@@ -203,63 +208,101 @@ def hermite_step_coefficients(
     return np.stack([d0, d1, d2, d3, d4, d5], axis=1)
 
 
-def _step_contributions(nodes, d, weights):
-    """h_j sum_m W_jm d_jm for modal (J, 6, n) or dense (J, 6, n, n) weights."""
-    hs = np.diff(nodes)
-    spec = "jmi,jmir->jir" if weights.ndim == 3 else "jmik,jmkr->jir"
-    return hs[:, None, None] * np.einsum(spec, weights, d)
+# Node datum k of step j is (f_j, f'_j, f''_j, f_{j+1}, f'_{j+1}, f''_{j+1})[k];
+# _SLOPE_ORDER[k] is its derivative order, the power of h that scales it in g.
+_SLOPE_ORDER = np.array([0, 1, 2, 0, 1, 2])
 
 
-def _scan(steps: np.ndarray, y: np.ndarray) -> None:
-    """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), in place.
+def _model_matrix() -> np.ndarray:
+    """m! T_mk: T maps the scaled node data g of a unit step to the model
+    coefficients d, read from hermite_step_coefficients on unit data."""
+    unit = np.eye(6).reshape(6, 1, 6)  # unit[k] selects g_k: (f, fp, fpp) x 2 nodes
+    d = hermite_step_coefficients(np.array([0.0, 1.0]), unit[0::3], unit[1::3], unit[2::3])
+    psi_order = np.array([factorial(m) for m in range(6)], dtype=float)
+    return psi_order[:, None] * d[0, :, 0, :]
 
-    Modal steps (J, n) run a log-depth (Hillis-Steele) scan: after the pass
-    with shift s, (e_j, y_j) is the composition of the 2s steps ending at j.
-    Composed steps are exponentials with Re <= 0, so they cannot overflow.
-    Dense steps (J, n, n) only occur for an ill-conditioned eigenbasis, where
-    an explicit composition would amplify round-off by the step's
-    non-normality; they run the sequential recurrence instead.
+
+_PSI_MODEL = _model_matrix()
+_PSI_MODEL.setflags(write=False)
+
+# The reflected model p(1 - s) gives node datum k the weight of datum
+# _REFLECT[k] (the other end), negated for the slopes (_SLOPE_ORDER odd).
+_REFLECT = (3, 4, 5, 0, 1, 2)
+
+
+def scan_factors(steps: np.ndarray):
+    """The factors ``_scan`` applies for the step factors e^{h_j X}.
+
+    Modal steps (J, n) give a tuple of read-only (J - s, n, 1) arrays, one per
+    pass of the log-depth scan with shift s = 1, 2, 4, ... < J: the
+    compositions of the s steps ending at each j >= s, formed as exact
+    elementwise products.  Composed steps are exponentials with Re <= 0, so
+    they cannot overflow.  Dense steps (J, n, n) are returned as they are;
+    they run the sequential recurrence.  Pass steps[::-1] for the backward
+    scan.
     """
     if steps.ndim == 3:
+        return steps
+    factors, e, s = [], steps[1:, :, None].copy(), 1
+    while len(e):
+        e.setflags(write=False)
+        factors.append(e)
+        e = e[s:] * e[:-s]  # compositions of 2s steps ending at j >= 2s
+        s *= 2
+    return tuple(factors)
+
+
+def _scan(factors, y: np.ndarray) -> None:
+    """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), in place, for the
+    steps that ``scan_factors`` prepared.
+
+    Modal factors run a log-depth (Hillis-Steele) scan: after the pass with
+    shift s, y_j sums the contributions of the 2s steps ending at j.  Dense
+    steps only occur for an ill-conditioned eigenbasis, where an explicit
+    composition would amplify round-off by the step's non-normality; they run
+    the sequential recurrence instead.
+    """
+    if isinstance(factors, np.ndarray):
         for j in range(1, len(y)):
-            y[j] += steps[j] @ y[j - 1]
+            y[j] += factors[j] @ y[j - 1]
         return
-    e = steps[..., None].copy()
-    J, s = len(y), 1
-    while s < J:
-        y[s:] += e[s:] * y[:-s]
-        if 2 * s < J:
-            e[s:] = e[s:] * e[:-s]
+    s = 1
+    for e in factors:
+        y[s:] += e * y[:-s]
         s *= 2
 
 
-def convolve_forward(
-    prop: Propagator, nodes: np.ndarray, d: np.ndarray, exp_steps: np.ndarray,
-    psi: np.ndarray,
-) -> np.ndarray:
-    """I(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds on the grid.
+def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndarray,
+                   fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I+, I-) on the grid, I+(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds and
+    I-(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds, each of shape (N, n, r).
 
-    d: hermite coefficients (J, 6, n, r); exp_steps: e^{h_j X}, (J, n, n) or
-    modal (J, n); psi: forward step weights, (J, 6, n, n) or modal (J, 6, n).
-    Returns (N, n, r): the running sums I(x_{j+1}) = e^{h_j X} I(x_j) + c_j
-    of the step contributions c_j, by ``_scan``.  prop is unused.
+    f, fp, fpp: (N, n, r) node values and first two derivatives of the data;
+    weights: the grid's node weights from ``Propagator.step_weights``; scans:
+    ``scan_factors`` of the steps e^{h_j X} and of the reversed steps.  The
+    step contributions c_j are sums of weights times node data, the backward
+    ones under the reflection, and the running sums I+(x_{j+1}) =
+    e^{h_j X} I+(x_j) + c_j and I-(x_j) = e^{h_j X} I-(x_{j+1}) + c_j come
+    from ``_scan``.
     """
-    J = d.shape[0]
-    out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
-    out[1:] = _step_contributions(nodes, d, psi)
-    _scan(exp_steps, out[1:])
-    return out
-
-
-def convolve_backward(
-    prop: Propagator, nodes: np.ndarray, d: np.ndarray, exp_steps: np.ndarray,
-    chi: np.ndarray,
-) -> np.ndarray:
-    """I(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds on the grid (shapes as
-    in convolve_forward): I(x_j) = e^{h_j X} I(x_{j+1}) + c_j, the forward
-    scan run on the reversed steps."""
-    J = d.shape[0]
-    out = np.zeros((J + 1,) + d.shape[2:], dtype=complex)
-    out[:J] = _step_contributions(nodes, d, chi)
-    _scan(exp_steps[::-1], out[J - 1::-1])
-    return out
+    J = len(f) - 1
+    if weights.ndim == 3:
+        G, mul = weights[..., None], np.multiply
+    else:
+        G, mul = weights, np.matmul
+    data = (f[:-1], fp[:-1], fpp[:-1], f[1:], fp[1:], fpp[1:])
+    fwd = np.zeros((J + 1,) + f.shape[1:], dtype=complex)
+    bwd = np.zeros_like(fwd)
+    c_fwd, c_bwd = fwd[1:], bwd[:J]
+    tmp = np.empty_like(c_fwd)
+    for k, x in enumerate(data):
+        mul(G[k], x, out=tmp)
+        c_fwd += tmp
+        mul(G[_REFLECT[k]], x, out=tmp)
+        if _SLOPE_ORDER[k] == 1:
+            c_bwd -= tmp
+        else:
+            c_bwd += tmp
+    _scan(scans[0], c_fwd)
+    _scan(scans[1], bwd[J - 1::-1])
+    return fwd, bwd

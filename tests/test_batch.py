@@ -61,16 +61,13 @@ class TestBatchMatchesPerParameter:
         fields = [smooth_field(rng, grid, n).values for _ in range(K)]
         phis = [[rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
                 for _ in range(K)]
-        if bc == 5:  # a batch takes homogeneous family 5 data only
-            phis = [None] * K
         for start in range(0, K, BATCH):
             sl = slice(start, start + BATCH)
             frame = _lambda_frames(spec, lams[sl])
             size = len(lams[sl])
             assert frame.modal and frame.n == size * n
             data = GridFunction(grid, np.concatenate(fields[sl]))
-            phi = None if bc == 5 else [np.concatenate([p[j] for p in phis[sl]])
-                                        for j in range(4)]
+            phi = [np.concatenate([p[j] for p in phis[sl]]) for j in range(4)]
             got = _SOLVERS[bc](frame, data, phi).values.reshape(size, n, grid.n)
             for i, lam in enumerate(lams[sl]):
                 ref = _SOLVERS[bc](_per_parameter_frame(spec, lam),

@@ -13,11 +13,12 @@ from quartic.grids import (
 )
 from quartic.kernels import (
     Propagator,
+    _phi_block_matrices,
     chi_stack,
-    convolve_backward,
-    convolve_forward,
+    convolve_nodes,
     hermite_step_coefficients,
     phi_stack,
+    scan_factors,
 )
 from quartic.operators import make_operator
 
@@ -206,6 +207,40 @@ class TestHermiteModel:
                 assert val == pytest.approx(p(nodes[j] + sigma * h), abs=1e-12)
 
 
+def _scans(steps):
+    """The forward and backward scan factors of step factors e^{h_j X}."""
+    return scan_factors(steps), scan_factors(steps[::-1])
+
+
+def _psi_chi(z):
+    """psi_m(z) = m! phi_{m+1}(z) = int_0^1 e^{z(1-s)} s^m ds and chi_m(z) =
+    int_0^1 e^{zs} s^m ds, m = 0..5, for complex array z: each (6,) + z.shape."""
+    from math import factorial
+
+    order = np.array([factorial(m) for m in range(6)]).reshape((6,) + (1,) * z.ndim)
+    return order * phi_stack(z, 6)[1:], chi_stack(z, 5)
+
+
+def _dense_psi_chi(X, hs):
+    """psi_m(hX) and chi_m(hX) for a dense X, each (J, 6, n, n): phi_1..phi_6
+    from the augmented exponential, chi_m = sum_j (-1)^j C(m, j) j! phi_{j+1}."""
+    from math import comb, factorial
+
+    psi, chi = [], []
+    for h in hs:
+        phis = _phi_block_matrices(h * X, 6)
+        psi.append([factorial(m) * phis[m] for m in range(6)])
+        chi.append([sum((-1) ** j * comb(m, j) * factorial(j) * phis[j] for j in range(m + 1))
+                    for m in range(6)])
+    return np.array(psi), np.array(chi)
+
+
+def _step_contributions(nodes, d, weights):
+    """h_j sum_m W_jm d_jm for modal (J, 6, n) or dense (J, 6, n, n) weights."""
+    spec = "jmi,jmir->jir" if weights.ndim == 3 else "jmik,jmkr->jir"
+    return np.diff(nodes)[:, None, None] * np.einsum(spec, weights, d)
+
+
 class TestConvolution:
     def _run(self, op, nodes, fn, d1fn, d2fn):
         prop = Propagator(op)
@@ -213,11 +248,8 @@ class TestConvolution:
         f = np.array([np.atleast_1d(fn(x)) for x in nodes])[:, :, None]
         fp = np.array([np.atleast_1d(d1fn(x)) for x in nodes])[:, :, None]
         fpp = np.array([np.atleast_1d(d2fn(x)) for x in nodes])[:, :, None]
-        d = hermite_step_coefficients(nodes, f, fp, fpp)
-        est = prop.exp_stack(hs)
-        psi, chi = prop.step_weights(hs)
-        fwd = convolve_forward(prop, nodes, d, est, psi)
-        bwd = convolve_backward(prop, nodes, d, est, chi)
+        fwd, bwd = convolve_nodes(prop.step_weights(hs), _scans(prop.exp_stack(hs)),
+                                  f, fp, fpp)
         return fwd[:, :, 0], bwd[:, :, 0]
 
     def test_scalar_sine_closed_form(self):
@@ -291,7 +323,9 @@ def _loop_convolution(nodes, d, exp_steps, weights, backward):
 
 
 class TestConvolutionScan:
-    """The log-depth scan against the step-by-step reference recurrence."""
+    """The log-depth scan against the step-by-step reference recurrence, on
+    random node data whose step weights psi (forward) and chi (backward) are
+    computed here from the eigenvalues."""
 
     N_DIM = 3
 
@@ -302,49 +336,152 @@ class TestConvolutionScan:
         w = -rng.uniform(0.1, 3.0, n) + 1j * rng.normal(size=n)
         if stiff:
             w[:2] = [-1e5, -2e5 + 3j]  # e^{hX} underflows to 0 in these modes
+        z = np.multiply.outer(hs, w)
+        psi, chi = (np.moveaxis(a, 0, 1) for a in _psi_chi(z))  # (J, 6, n)
         if modal:
-            est = np.exp(np.multiply.outer(hs, w))
-            weights = rng.normal(size=(J, 6, n)) + 1j * rng.normal(size=(J, 6, n))
+            est = np.exp(z)
+            node_weights = Propagator(w).step_weights(hs)
         else:
             V = np.eye(n) + 0.3 * rng.normal(size=(n, n))
             Vinv = np.linalg.inv(V)
-            est = np.einsum("ij,tj,jk->tik", V, np.exp(np.multiply.outer(hs, w)), Vinv)
+            est = np.einsum("ij,tj,jk->tik", V, np.exp(z), Vinv)
             if not stiff:  # steps that do not commute pin the composition order
                 est = est + 0.1 * rng.normal(size=(J, n, n))
-            weights = (rng.normal(size=(J, 6, n, n))
-                       + 1j * rng.normal(size=(J, 6, n, n)))
-        d = rng.normal(size=(J, 6, n, r)) + 1j * rng.normal(size=(J, 6, n, r))
-        return nodes, d, est, weights
+            psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
+            X = make_operator(V @ np.diag(w) @ Vinv)
+            node_weights = Propagator(X).step_weights(hs)
+        data = tuple(rng.normal(size=(J + 1, n, r)) + 1j * rng.normal(size=(J + 1, n, r))
+                     for _ in range(3))
+        d = hermite_step_coefficients(nodes, *data)
+        return nodes, data, d, est, node_weights, (psi, chi)
 
     @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
     @pytest.mark.parametrize("J", [1, 2, 3, 5, 128])
     @pytest.mark.parametrize("r", [1, 7])
     def test_matches_loop(self, rng, modal, J, r):
-        nodes, d, est, weights = self._case(rng, J, r, modal)
-        for conv, backward in ((convolve_forward, False), (convolve_backward, True)):
-            got = conv(None, nodes, d, est, weights)
-            ref = _loop_convolution(nodes, d, est, weights, backward)
-            assert got.shape == (J + 1, self.N_DIM, r)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        nodes, data, d, est, node_weights, weights = self._case(rng, J, r, modal)
+        got = convolve_nodes(node_weights, _scans(est), *data)
+        for g, w, backward in zip(got, weights, (False, True)):
+            ref = _loop_convolution(nodes, d, est, w, backward)
+            assert g.shape == (J + 1, self.N_DIM, r)
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
     def test_stiff_steps_underflow(self, rng, modal):
-        nodes, d, est, weights = self._case(rng, 40, 2, modal, stiff=True)
+        nodes, data, d, est, node_weights, weights = self._case(rng, 40, 2, modal, stiff=True)
         if modal:
             assert np.count_nonzero(est[:, :2] == 0) == 80
-        for conv, backward in ((convolve_forward, False), (convolve_backward, True)):
-            got = conv(None, nodes, d, est, weights)
-            ref = _loop_convolution(nodes, d, est, weights, backward)
-            assert np.all(np.isfinite(got))
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        got = convolve_nodes(node_weights, _scans(est), *data)
+        for g, w, backward in zip(got, weights, (False, True)):
+            ref = _loop_convolution(nodes, d, est, w, backward)
+            assert np.all(np.isfinite(g))
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_inputs_not_modified(self, rng):
-        nodes, d, est, weights = self._case(rng, 9, 2, modal=False)
-        copies = [a.copy() for a in (d, est, weights)]
-        convolve_forward(None, nodes, d, est, weights)
-        convolve_backward(None, nodes, d, est, weights)
-        for a, b in zip((d, est, weights), copies):
+        for modal in (True, False):
+            _, data, _, est, node_weights, _ = self._case(rng, 9, 2, modal)
+            scans = _scans(est)
+            inputs = (*data, est, node_weights) + tuple(
+                e for scan in scans for e in (scan if isinstance(scan, tuple) else (scan,)))
+            copies = [a.copy() for a in inputs]
+            convolve_nodes(node_weights, scans, *data)
+            for a, b in zip(inputs, copies):
+                assert np.array_equal(a, b)
+
+
+class TestNodeWeights:
+    """Step contributions from the node weights against h_j sum_m W_jm d_jm,
+    with d from hermite_step_coefficients and W = psi (forward) or chi
+    (backward, the reflected weights).  Zero step factors make the
+    convolutions return the contributions themselves."""
+
+    N = 17  # uniform steps of h = 1/16
+
+    def _case(self, rng, z, dense):
+        nodes = np.linspace(0.0, 1.0, self.N)
+        hs = np.diff(nodes)
+        w = z / hs[0]
+        n, J = len(w), len(hs)
+        psi, chi = (np.moveaxis(a, 0, 1) for a in _psi_chi(np.multiply.outer(hs, w)))
+        if dense:
+            V = np.eye(n) + 0.2 * rng.normal(size=(n, n))
+            Vinv = np.linalg.inv(V)
+            psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
+            prop = Propagator(make_operator(V @ np.diag(w) @ Vinv))
+            zero_steps = np.zeros((J, n, n))
+        else:
+            prop = Propagator(w)
+            zero_steps = np.zeros((J, n))
+        data = tuple(rng.normal(size=(self.N, n, 3)) + 1j * rng.normal(size=(self.N, n, 3))
+                     for _ in range(3))
+        fwd, bwd = convolve_nodes(prop.step_weights(hs), _scans(zero_steps), *data)
+        d = hermite_step_coefficients(nodes, *data)
+        return ((fwd[1:], _step_contributions(nodes, d, psi)),
+                (bwd[:-1], _step_contributions(nodes, d, chi)))
+
+    @staticmethod
+    def _left_half_plane(*radii):
+        return np.array(radii) * np.exp(1j * np.linspace(0.5 * np.pi, 1.5 * np.pi, len(radii)))
+
+    # z = h w per mode: inside PHI_SERIES_RADIUS = 2 (series), outside it
+    # (recurrence), close on both sides, and stiff modes with Re z <= -1e5
+    CASES = {
+        "series": _left_half_plane(1e-6, 0.3, 1.0, 1.99),
+        "recurrence": _left_half_plane(2.01, 5.0, 40.0, 300.0),
+        "straddle": _left_half_plane(1.9, 1.99, 2.01, 2.2),
+        "stiff": np.array([-1e5, -2e5 + 3e4j, -1e6 + 5.0j]),
+    }
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["modal", "dense"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_forward_and_reflected_backward(self, rng, case, dense):
+        for got, ref in self._case(rng, self.CASES[case], dense):
+            # a modal mode against its own scale: stiff modes are 1/|z| smaller
+            scale = np.max(np.abs(ref), axis=None if dense else (0, 2), keepdims=True)
+            assert np.max(np.abs(got - ref) / scale) <= 1e-13
+
+
+def _kit_arrays(kit):
+    """Every array a grid kit holds, in a fixed order."""
+    out = []
+    for stacks in (kit["m"], kit["l"]):
+        for key in sorted(stacks):
+            items = stacks[key] if isinstance(stacks[key], tuple) else (stacks[key],)
+            for item in items:
+                out += list(item) if isinstance(item, tuple) else [item]
+    return out
+
+
+class TestKitReuse:
+    """A grid kit is only read by solves: a second solve on the same kit
+    repeats the first bit for bit, and no kit array changes."""
+
+    @pytest.mark.parametrize("bc", [1, 3])
+    @pytest.mark.parametrize("A", [np.diag([-1.0, -4.0, -9.0]), [[-2.0, 1.0], [0.0, -2.0]]],
+                             ids=["modal", "dense"])
+    def test_second_solve_identical(self, rng, A, bc):
+        from quartic.bvp import _SOLVERS, ProblemSpec, _lambda_frame
+
+        A = make_operator(A)
+        frame = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, A, bc), -1.0 + 2.0j)
+        assert frame.modal == A.diagonalizable
+        grid = cgl_grid(40, 0.0, np.pi)
+        kit = frame.grid_kit(grid)
+        before = [a.copy() for a in _kit_arrays(kit)]
+        shape = (A.dim, grid.n)
+        f = GridFunction(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        phi = [rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim) for _ in range(4)]
+        first = _SOLVERS[bc](frame, f, phi).values
+        second = _SOLVERS[bc](frame, f, phi).values
+        assert frame.grid_kit(grid) is kit
+        assert np.array_equal(first, second)
+        after = _kit_arrays(kit)
+        assert len(after) == len(before)
+        for a, b in zip(after, before):
             assert np.array_equal(a, b)
+        if frame.modal:  # the cached compositions cannot be written in place
+            factors = kit["m"]["scans"][0] + kit["l"]["scans"][1]
+            assert factors and not any(e.flags.writeable for e in factors)
 
 
 class TestDataDerivatives:
@@ -396,12 +533,13 @@ class TestDenseRouteConvolution:
         x, hs = grid.nodes, np.diff(grid.nodes)
         fv = np.stack([np.sin((m + 1) * x) + 1j * np.cos(m * x) for m in range(4)],
                       axis=1)[:, :, None]
-        d = hermite_step_coefficients(x, fv, *_data_derivatives(grid, fv))
+        derivs = _data_derivatives(grid, fv)
+        d = hermite_step_coefficients(x, fv, *derivs)
         J = len(hs)
         for prop in (frame.prop_m, frame.prop_l):
             assert not prop.modal
             est = prop.exp_stack(hs)
-            psi, chi = prop.step_weights(hs)
+            psi, chi = _dense_psi_chi(np.asarray(prop.op.matrix), hs)
             c_fwd = hs[:, None, None] * np.einsum("jmik,jmkr->jir", psi, d)
             c_bwd = hs[:, None, None] * np.einsum("jmik,jmkr->jir", chi, d)
             ref_fwd = np.zeros((J + 1, 4, 1), dtype=complex)
@@ -415,7 +553,6 @@ class TestDenseRouteConvolution:
                 if i < J:
                     E = prop.exp_stack(x[i:J] - x[i])
                     ref_bwd[i] = np.einsum("jab,jbr->ar", E, c_bwd[i:])
-            got_fwd = convolve_forward(prop, x, d, est, psi)
-            got_bwd = convolve_backward(prop, x, d, est, chi)
+            got_fwd, got_bwd = convolve_nodes(prop.step_weights(hs), _scans(est), fv, *derivs)
             for got, ref in ((got_fwd, ref_fwd), (got_bwd, ref_bwd)):
                 assert np.max(np.abs(got - ref)) <= 1e-4 * np.max(np.abs(ref))
