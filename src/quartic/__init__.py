@@ -12,7 +12,6 @@ from .bvp import (
     BCFrame,
     ProblemSpec,
     assemble_frame,
-    build_pq_lambda,
     fprime_boundary,
     particular_solution_F,
     resolvent_solve,

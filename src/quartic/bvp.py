@@ -7,14 +7,17 @@ and evaluates the closed-form representation of the solution under the five
 boundary-condition families.  Fields are sampled on a grid and batched over
 right-hand sides.
 
-Every frame member is a scalar function of the base operator A.  When A is
-diagonalizable with a trusted eigenvector basis (eig_cond <= EIG_COND_CAP),
-the frame is modal: each member is the length-n array of its eigenvalues,
-data and boundary vectors are mapped into A's eigenbasis on entry and back
-on exit, and every member acts elementwise, so a parameter costs O(nN) work
-and no factorization.  Otherwise the frame is dense: members are (n, n)
-matrices from the Schur-backed functional calculus of ``operators``.  One
-set of formulas serves both; ``BCFrame.apply`` tells them apart.
+Every frame member is a scalar function of the base operator A, and the
+factors are A shifted by scalars, so ``_lambda_frames`` builds every frame
+from A alone.  When A is diagonalizable with a trusted eigenvector basis
+(eig_cond <= EIG_COND_CAP), the frame is modal: each member is the length-n
+array of its eigenvalues, data and boundary vectors are mapped into A's
+eigenbasis on entry and back on exit, and every member acts elementwise, so
+a parameter costs O(nN) work and no factorization.  Otherwise the frame is
+dense: members are plain (n, n) matrices, whose square roots and
+exponentials come from their Schur forms (``operators.sqrt_matrix``,
+``kernels.Propagator``).  One set of formulas serves both;
+``BCFrame.apply`` tells them apart.
 
 A modal frame may also hold K parameters at once (``_lambda_frames``): its
 members are the K rows of n eigenvalues flattened parameter-major to one axis
@@ -38,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     FrameSingular,
     NonCommutingOperators,
+    NonFinite,
     NotInResolventSet,
     SingularOrIllConditioned,
     SpectrumOnCut,
@@ -46,11 +50,9 @@ from .grids import Grid, GridFunction
 from .kernels import Propagator, convolve_nodes, scan_factors
 from .operators import (
     OperatorHandle,
-    guarded_inverse_I_minus,
-    make_operator,
+    inverse_I_minus,
     sector_half_angle,
-    shift_operator,
-    sqrt_principal,
+    sqrt_matrix,
     sqrt_symbols,
 )
 
@@ -61,7 +63,6 @@ __all__ = [
     "condition_value",
     "ProblemSpec",
     "BCFrame",
-    "build_pq_lambda",
     "assemble_frame",
     "particular_solution_F",
     "fprime_boundary",
@@ -147,17 +148,18 @@ class ProblemSpec:
 class BCFrame:
     """Operator bundle entering the representation formulas for one parameter.
 
-    ``ops`` holds the members (p, q, b_op, m, l, their inverses, the interval
-    exponentials e_cm, e_cl, e_clm, the guarded inverses z, w, inv_ip_em, ...,
-    T-/T+, U = I - T-, V = I - T+, uinv, vinv, and the identity eye).  A modal
-    frame (``basis`` = (V, V^{-1}), the eigenvectors P, Q and B share) stores
-    each member as its (n,) eigenvalues and its propagators give (N, n)
-    exponentials and (6, J, n) node weights; a dense frame (``basis`` None)
-    stores (n, n) matrices and (N, n, n), (6, J, n, n) stacks.  Attribute
-    access ``frame.p``, ``frame.inv_im_el``, ... always gives the dense
-    matrix, built on first use as V diag(.) V^{-1} for a modal frame.
-    ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
-    (recorded in ``uv_ok``).
+    Frames come from ``_lambda_frames`` (or ``assemble_frame`` on given
+    factors).  ``ops`` holds the members (p, q, b_op, m, l, their inverses,
+    the interval exponentials e_cm, e_cl, e_clm, the guarded inverses z, w,
+    inv_ip_em, ..., T-/T+, U = I - T-, V = I - T+, uinv, vinv, and the
+    identity eye).  A modal frame (``basis`` = (V, V^{-1}), the eigenvectors
+    P, Q and B share) stores each member as its (n,) eigenvalues and its
+    propagators give (N, n) exponentials and (6, J, n) node weights; a dense
+    frame (``basis`` None) stores plain (n, n) matrices and (N, n, n),
+    (6, J, n, n) stacks.  Attribute access ``frame.p``, ``frame.inv_im_el``,
+    ... always gives the dense matrix, built on first use as V diag(.) V^{-1}
+    for a modal frame.  ``uinv``/``vinv`` are None when the guarded inversion
+    of U or V refused (recorded in ``uv_ok``).
 
     A batch frame (``_lambda_frames``) is a modal frame whose members have
     K n entries, the n eigenvalues of each of its K parameters in turn; ``n``
@@ -271,23 +273,6 @@ def _factor_shifts(k: float, lam: complex):
     return _cut_shifts(k, lam)
 
 
-def build_pq_lambda(A: OperatorHandle, k: float, lam: complex):
-    """Quadratic-factor operators for the shifted parameter.
-
-    Returns (P, Q, B) handles with P = A - k/2 + i s, Q = A - k/2 - i s and
-    B = 2 i s I, where s is the principal square root of -lam - k^2/4.  All
-    three share A's eigenvectors.  Raises BranchCut when that argument falls
-    on (-inf, 0].
-    """
-    p, q, b = _cut_shifts(k, lam)
-    return (shift_operator(A, p, label="P_lam"), shift_operator(A, q, label="Q_lam"),
-            shift_operator(A, b, scale=0.0, label="B_lam"))
-
-
-def _as_handle(op) -> OperatorHandle:
-    return op if isinstance(op, OperatorHandle) else make_operator(op)
-
-
 def _refuse(bad, exc_type, message: str, *values):
     """Raise exc_type at the first row (parameter) where the guard ``bad``
     holds, with ``message`` formatted from that row's ``values``."""
@@ -310,10 +295,6 @@ class _Symbols:
         self.eye = np.ones(K * n, dtype=complex)
         self.kappa = kappa
 
-    @staticmethod
-    def of(X: OperatorHandle) -> np.ndarray:
-        return X.spectrum
-
     def rows(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.shape)
 
@@ -335,12 +316,8 @@ class _Symbols:
     def neg_sqrt_neg(self, x):
         return -sqrt_symbols(-self.rows(x)).reshape(-1)
 
-    @staticmethod
-    def propagator(x) -> Propagator:
-        return Propagator(x)
-
     def inv_i_minus(self, t, label: str):
-        """(I - T)^{-1} under guarded_inverse_I_minus's condition cap, per row."""
+        """(I - T)^{-1} under inverse_I_minus's condition cap, per row."""
         inv = self.inv(1.0 - t)
         cond = (1.0 + self.norm(t)) * self.norm(inv)
         _refuse(~np.isfinite(cond) | (cond > tol.CONDITION_CAP), SingularOrIllConditioned,
@@ -349,14 +326,11 @@ class _Symbols:
 
 
 class _Matrices:
-    """Calculus of a dense frame: members are (n, n) matrices."""
+    """Calculus of a dense frame: members are plain (n, n) matrices, and the
+    functions of them come from ``operators``' Schur-based numerics."""
 
     def __init__(self, n: int):
         self.eye = np.eye(n)
-
-    @staticmethod
-    def of(X: OperatorHandle) -> np.ndarray:
-        return np.asarray(X.matrix)
 
     @staticmethod
     def norm(x) -> float:
@@ -376,55 +350,44 @@ class _Matrices:
 
     @staticmethod
     def neg_sqrt_neg(x):
-        return -sqrt_principal(make_operator(-x)).matrix
-
-    @staticmethod
-    def propagator(x) -> Propagator:
-        return Propagator(make_operator(x))
+        return -sqrt_matrix(-x)
 
     @staticmethod
     def inv_i_minus(t, label: str):
-        return guarded_inverse_I_minus(make_operator(t, label=label)).matrix
+        return inverse_I_minus(t, label)
 
 
 def assemble_frame(P, Q, B, c: float, require_uv: bool = False,
                    basis: tuple | None = None) -> BCFrame:
     """Build the operator frame from commuting factors P, Q with P = Q + B.
 
-    The frame is modal when the three handles share one trusted eigenvector
-    basis (as ``build_pq_lambda`` makes them for diagonalizable A) and dense
-    otherwise.  With ``basis`` = (V, V^{-1}, cond(V)), P, Q and B are instead
-    (K, n) arrays holding the eigenvalues in that basis of K parameters'
-    factors, and the frame is one modal batch frame over the K n flattened
-    rows.  Raises SpectrumOnCut when a square root is undefined,
-    FrameSingular when B or an interval operator needed unconditionally is not
-    invertible, and NonCommutingOperators when the factors fail the
-    commutation validation; on a batch, when any parameter's would.  With
-    ``require_uv`` the two derivative-family operators must also invert.
+    Without ``basis``, P, Q and B are plain (n, n) matrices and the frame is
+    dense; the matrices must share one size (DimensionMismatch), be finite
+    (NonFinite) and commute (NonCommutingOperators).  With ``basis`` =
+    (V, V^{-1}, cond(V)), P, Q and B are (K, n) arrays holding the
+    eigenvalues in that basis of K parameters' factors, and the frame is one
+    modal batch frame over the K n flattened rows.  Raises SpectrumOnCut when
+    a square root is undefined and FrameSingular when B or an interval
+    operator needed unconditionally is not invertible; on a batch, when any
+    parameter's would.  With ``require_uv`` the two derivative-family
+    operators must also invert.
     """
     if basis is not None:
         V, Vinv, kappa = basis
         calc = _Symbols(*np.shape(P), kappa)
         p, q, b = (np.reshape(x, -1) for x in (P, Q, B))
         return _frame(calc, p, q, b, c, require_uv, (V, Vinv))
-    P, Q, B = _as_handle(P), _as_handle(Q), _as_handle(B)
-    modal = P.eigvecs is not None and Q.eigvecs is P.eigvecs and B.eigvecs is P.eigvecs
-    return _build_frame(P, Q, B, c, require_uv, modal)
-
-
-def _build_frame(P, Q, B, c, require_uv=False, modal=True) -> BCFrame:
-    """assemble_frame on handles, in the representation ``modal`` selects."""
-    n = P.dim
-    if Q.dim != n or B.dim != n:
-        raise DimensionMismatch("P, Q, B must share dimensions")
-    calc = _Symbols(1, n, P.eig_cond) if modal else _Matrices(n)
-    p, q, b = calc.of(P), calc.of(Q), calc.of(B)
-    if not modal:  # a shared eigenbasis commutes exactly
-        comm = np.linalg.norm(p @ q - q @ p)
-        if comm > 1e-10 * max(calc.norm(p), 1e-300) * max(calc.norm(q), 1e-300) * n:
-            raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
-    basis = (P.eigvecs, P.eigvecs_inv) if modal else None
-    return _frame(calc, p, q, b, c, require_uv, basis)
+    p, q, b = (np.asarray(x, dtype=complex) for x in (P, Q, B))
+    n = len(p) if p.ndim == 2 else -1
+    if any(x.shape != (n, n) for x in (p, q, b)):
+        raise DimensionMismatch("P, Q, B must be square matrices of one size")
+    if not all(np.isfinite(x).all() for x in (p, q, b)):
+        raise NonFinite("P, Q, B must have finite entries")
+    calc = _Matrices(n)
+    comm = np.linalg.norm(p @ q - q @ p)
+    if comm > 1e-10 * max(calc.norm(p), 1e-300) * max(calc.norm(q), 1e-300) * n:
+        raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
+    return _frame(calc, p, q, b, c, require_uv, None)
 
 
 def _frame(calc, p, q, b, c, require_uv, basis) -> BCFrame:
@@ -448,12 +411,12 @@ def _frame(calc, p, q, b, c, require_uv, basis) -> BCFrame:
 
     m = calc.neg_sqrt_neg(p)
     l = calc.neg_sqrt_neg(q)
-    prop_m = calc.propagator(m)
-    prop_l = calc.propagator(l)
+    prop_m = Propagator(m)
+    prop_l = Propagator(l)
     e_cm, e_2cm = prop_m.exp_stack(np.array([c, 2 * c]))
     e_cl, e_2cl = prop_l.exp_stack(np.array([c, 2 * c]))
     lm = l + m
-    e_clm = calc.propagator(lm).exp_stack(np.array([c]))[0]
+    e_clm = Propagator(lm).exp_stack(np.array([c]))[0]
     try:
         z = calc.inv_i_minus(e_2cm, "e2cM")
         w = calc.inv_i_minus(e_2cl, "e2cL")
@@ -731,10 +694,13 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     The factors are P = A - k/2 + i s, Q = A - k/2 - i s and B = 2 i s with
     s = sqrt(-lam - k^2/4), except lam = 0 with k != 0, which uses the direct
     factorization (A, A - k I) instead of the branch-cut parameterization.
-    For A with a trusted eigenbasis the frame is modal and built from A's
-    eigenvalues alone, with no factorization, and K parameters make one batch
-    frame over the flattened (parameter, mode) axis; otherwise ``lams`` must
-    hold one parameter, and the frame is dense.
+    This is the package's one frame constructor.  For A with a trusted
+    eigenbasis the frame is modal and built from A's eigenvalues alone, with
+    no factorization, and K parameters make one batch frame over the
+    flattened (parameter, mode) axis.  Otherwise ``lams`` must hold one
+    parameter, and the frame is dense: ``assemble_frame`` takes the plain
+    matrices A + p I, A + q I and b I, and no member passes through an
+    OperatorHandle.
 
     A batch refuses exactly when one of its parameters would: it raises the
     exception of the first refused parameter in node order, BranchCut for a
@@ -753,8 +719,9 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
                                    basis=(A.eigvecs, A.eigvecs_inv, A.eig_cond))
         elif len(lams) == 1:
             (p, q, b), = shifts
-            frame = assemble_frame(shift_operator(A, p), shift_operator(A, q),
-                                   shift_operator(A, b, scale=0.0), spec.c, require_uv)
+            eye = np.eye(A.dim)
+            frame = assemble_frame(A.matrix + p * eye, A.matrix + q * eye, b * eye,
+                                   spec.c, require_uv)
         else:
             raise ValueError("only A with a trusted eigenbasis batches parameters")
     except (BranchCut, FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:

@@ -317,10 +317,6 @@ class _Payload:
             data = data + f_end / col + slope_end / (col * col)
         return data
 
-    def __call__(self, lams: np.ndarray) -> GridFunction:
-        """Data of the K nodes lams, stacked node-major as a (K dim, N) field."""
-        return GridFunction(self.grid, self.transform(lams).reshape(-1, self.grid.n))
-
     def split(self):
         """(columns, weights): the distinct fields among v0, f0 and f1 as
         (r, dim, N) columns, and this payload over their weight vectors."""

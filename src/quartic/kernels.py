@@ -39,7 +39,7 @@ from math import factorial
 import numpy as np
 
 from . import tolerances as tol
-from .operators import OperatorHandle
+from .operators import schur_form
 
 __all__ = [
     "phi_stack",
@@ -70,24 +70,31 @@ def _exp_integrals(z: np.ndarray, kmax: int, mmax: int):
     """(phi_0..phi_kmax, chi_0..chi_mmax) for complex array z.
 
     Upward recurrences, phi_{k+1} = (phi_k - 1/k!)/z and
-    chi_m = (e^z - m chi_{m-1})/z, except for |z| < PHI_SERIES_RADIUS.
-    The recurrences divide by z once per order, so their error grows like
-    k! eps / |z|^k; inside the radius both come from one power matrix times
-    the series coefficient table, which is at round-off there.
+    chi_m = (e^z - m chi_{m-1})/z, run on the entries with
+    |z| >= PHI_SERIES_RADIUS only.  The recurrences divide by z once per
+    order, so their error grows like k! eps / |z|^k; inside the radius both
+    come from one power matrix times the series coefficient table, which is
+    at round-off there.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < tol.PHI_SERIES_RADIUS
-    zb = np.where(small, 1.0, z)  # avoid 0/0 in the recurrence branch
     ez = np.exp(z)
     phi = np.empty((kmax + 1,) + z.shape, dtype=complex)
     chi = np.empty((mmax + 1,) + z.shape, dtype=complex)
     phi[0] = ez
-    for k in range(kmax):
-        phi[k + 1] = (phi[k] - 1.0 / factorial(k)) / zb
-    if mmax >= 0:
-        chi[0] = (ez - 1.0) / zb
-    for m in range(1, mmax + 1):
-        chi[m] = (ez - m * chi[m - 1]) / zb
+    if not np.all(small):
+        large = ~small
+        zl, el = z[large], ez[large]
+        term = el
+        for k in range(kmax):
+            term = (term - 1.0 / factorial(k)) / zl
+            phi[k + 1, large] = term
+        if mmax >= 0:
+            term = (el - 1.0) / zl
+            chi[0, large] = term
+        for m in range(1, mmax + 1):
+            term = (el - m * term) / zl
+            chi[m, large] = term
     if np.any(small):
         zs = z[small]
         powers = np.empty((_SERIES_TERMS, zs.size), dtype=complex)
@@ -137,24 +144,24 @@ def _phi_block_matrices(hX: np.ndarray, p: int) -> list[np.ndarray]:
 class Propagator:
     """Evaluates e^{tX} stacks and exponential step integrals for one X.
 
-    Built from the eigenvalues of X it returns modal (..., n) stacks, the
-    diagonals of the stacks in X's eigenbasis.  Built from an OperatorHandle
-    it returns dense (..., n, n) stacks through X's Schur form; a frame only
-    holds such members when A's eigenbasis is too ill-conditioned to use.
+    Built from the (n,) eigenvalues of X it returns modal (..., n) stacks,
+    the diagonals of the stacks in X's eigenbasis.  Built from the (n, n)
+    matrix X it returns dense (..., n, n) stacks through X's Schur form; a
+    frame only holds such members when A's eigenbasis is too ill-conditioned
+    to use.
     """
 
     MAX_DEG = 6  # local polynomial model degree + 1
 
-    def __init__(self, op):
-        if isinstance(op, OperatorHandle):
-            self.op = op
-            self.n = op.dim
-            self.modal = False
+    def __init__(self, x):
+        x = np.asarray(x, dtype=complex)
+        self.n = len(x)
+        self.modal = x.ndim == 1
+        if self.modal:
+            self._w = x
         else:
-            self.op = None
-            self._w = np.asarray(op, dtype=complex)
-            self.n = len(self._w)
-            self.modal = True
+            self.matrix = x
+            self._schur = schur_form(x)
 
     def exp_stack(self, ts: np.ndarray) -> np.ndarray:
         """e^{t X} for each t in ts: shape (len(ts), n, n), or (len(ts), n) modal."""
@@ -163,7 +170,7 @@ class Propagator:
             return np.exp(np.multiply.outer(ts, self._w))
         import scipy.linalg as sla
 
-        T, Q = self.op.schur()
+        T, Q = self._schur
         out = np.empty((len(ts), self.n, self.n), dtype=complex)
         for i, t in enumerate(ts):
             out[i] = Q @ sla.expm(t * T) @ Q.conj().T
@@ -179,7 +186,7 @@ class Propagator:
         if self.modal:
             phi = _exp_integrals(np.multiply.outer(hs, self._w), p, -1)[0][1:]
         else:
-            X = np.asarray(self.op.matrix)
+            X = self.matrix
             phi = np.moveaxis(np.array([_phi_block_matrices(h * X, p) for h in hs]), 1, 0)
         G = _real_product(_PSI_MODEL.T, phi.reshape(p, -1)).reshape(phi.shape)
         scale = hs ** (1 + _SLOPE_ORDER)[:, None]  # (6, J)

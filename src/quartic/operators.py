@@ -28,11 +28,13 @@ __all__ = [
     "SectorProbe",
     "make_operator",
     "dirichlet_laplacian_modes",
-    "shift_operator",
+    "schur_form",
     "sqrt_symbols",
+    "sqrt_matrix",
     "sqrt_principal",
     "expm_apply",
     "resolvent_apply",
+    "inverse_I_minus",
     "guarded_inverse_I_minus",
     "sector_angle_probe",
     "operator_norm",
@@ -65,18 +67,9 @@ class OperatorHandle:
         return self.eigvecs is not None
 
     def schur(self):
-        """Complex Schur form (T, Q), computed once and cached."""
+        """Complex Schur form (T, Q), computed once and cached (``schur_form``)."""
         if "TQ" not in self._schur_cache:
-            import scipy.linalg as sla
-
-            T, Q = sla.schur(self.matrix, output="complex")
-            nrm = max(np.linalg.norm(self.matrix), 1.0)
-            res = np.linalg.norm(Q @ T @ Q.conj().T - self.matrix) / nrm
-            if res > 100 * tol.FACTOR_RESIDUAL:
-                raise FactorizationFailure(
-                    f"Schur residual {res:.3e} for {self.label or 'operator'}"
-                )
-            self._schur_cache["TQ"] = (T, Q)
+            self._schur_cache["TQ"] = schur_form(self.matrix, self.label or "operator")
         return self._schur_cache["TQ"]
 
     def norm(self) -> float:
@@ -128,14 +121,20 @@ def dirichlet_laplacian_modes(n_modes: int) -> OperatorHandle:
     return make_operator(np.diag(d.astype(complex)), label=f"laplacian[{n_modes}]")
 
 
-def shift_operator(A: OperatorHandle, shift: complex, scale: float = 1.0,
-                   label: str = "") -> OperatorHandle:
-    """scale * A + shift * I, sharing A's eigenvectors: no new factorization."""
-    n = A.dim
-    M = scale * np.asarray(A.matrix) + shift * np.eye(n)
-    M.setflags(write=False)
-    return OperatorHandle(M, scale * A.spectrum + shift, label,
-                          A.eigvecs, A.eigvecs_inv, A.eig_cond)
+def schur_form(M: np.ndarray, label: str = "operator"):
+    """Complex Schur form (T, Q) of the square matrix M, M = Q T Q^H.
+
+    Raises FactorizationFailure when the factorization's relative residual
+    exceeds tolerance.
+    """
+    import scipy.linalg as sla
+
+    T, Q = sla.schur(M, output="complex")
+    nrm = max(np.linalg.norm(M), 1.0)
+    res = np.linalg.norm(Q @ T @ Q.conj().T - M) / nrm
+    if res > 100 * tol.FACTOR_RESIDUAL:
+        raise FactorizationFailure(f"Schur residual {res:.3e} for {label}")
+    return T, Q
 
 
 def sqrt_symbols(w: np.ndarray) -> np.ndarray:
@@ -154,26 +153,39 @@ def sqrt_symbols(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
+def sqrt_matrix(M: np.ndarray) -> np.ndarray:
+    """Principal square root of the square matrix M through its Schur form.
+
+    Rejects M with an eigenvalue within tolerance of the cut (-inf, 0]
+    (``sqrt_symbols``, SpectrumOnCut), and a root whose relative residual
+    ||S^2 - M|| exceeds tolerance or is not finite (FactorizationFailure).
+    """
+    import scipy.linalg as sla
+
+    sqrt_symbols(np.linalg.eigvals(M))
+    return _checked_root(sla.sqrtm(M), M)
+
+
+def _checked_root(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """S, after checking that it squares to M to tolerance."""
+    res = np.linalg.norm(S @ S - M) / max(np.linalg.norm(M), 1.0)
+    if not res <= 1e3 * tol.FACTOR_RESIDUAL:
+        raise FactorizationFailure(f"square-root residual {res:.3e}")
+    return S
+
+
 def sqrt_principal(T: OperatorHandle) -> OperatorHandle:
     """Principal matrix square root: spectrum in the open right half-plane.
 
     Rejects operators with an eigenvalue within tolerance of the cut
-    (-inf, 0].
+    (-inf, 0].  A trusted eigenbasis gives the root mode by mode; otherwise
+    it comes from ``sqrt_matrix``.
     """
-    roots = sqrt_symbols(T.spectrum)
     if T.diagonalizable:
-        S = (T.eigvecs * roots) @ T.eigvecs_inv
+        S = _checked_root((T.eigvecs * sqrt_symbols(T.spectrum)) @ T.eigvecs_inv, T.matrix)
     else:
-        import scipy.linalg as sla
-
-        S = sla.sqrtm(np.asarray(T.matrix))
-    out = make_operator(S, label=f"sqrt({T.label})")
-    res = np.linalg.norm(out.matrix @ out.matrix - T.matrix) / max(
-        np.linalg.norm(T.matrix), 1.0
-    )
-    if res > 1e3 * tol.FACTOR_RESIDUAL:
-        raise FactorizationFailure(f"square-root residual {res:.3e}")
-    return out
+        S = sqrt_matrix(T.matrix)
+    return make_operator(S, label=f"sqrt({T.label})")
 
 
 def expm_apply(T: OperatorHandle, t: float, v: np.ndarray) -> np.ndarray:
@@ -218,27 +230,36 @@ def resolvent_apply(T: OperatorHandle, lam: complex, v: np.ndarray) -> np.ndarra
     return x
 
 
+def inverse_I_minus(T: np.ndarray, label: str) -> np.ndarray:
+    """(I - T)^{-1} for the square matrix T, refusing non-finite T and
+    ill-conditioned inversions with SingularOrIllConditioned."""
+    if not np.all(np.isfinite(T)):
+        raise SingularOrIllConditioned(f"{label} has non-finite entries")
+    eye = np.eye(len(T))
+    A = eye - T
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularOrIllConditioned(f"I - {label} is singular") from exc
+    # scaled condition estimate (valid at dim 1): size of the inverse against
+    # the natural scale of I - T
+    cond = (1.0 + np.linalg.norm(T, 2)) * np.linalg.norm(inv, 2)
+    if not np.isfinite(cond) or cond > tol.CONDITION_CAP:
+        raise SingularOrIllConditioned(f"I - {label} has condition estimate {cond:.3e}")
+    res = np.linalg.norm(A @ inv - eye)
+    if res > tol.FACTOR_RESIDUAL * max(cond, 1.0) * 1e3:
+        raise SingularOrIllConditioned(f"inverse residual {res:.3e}")
+    return inv
+
+
 def guarded_inverse_I_minus(T: OperatorHandle) -> OperatorHandle:
-    """Return (I - T)^{-1}, refusing ill-conditioned inversions.
+    """Return (I - T)^{-1}, refusing ill-conditioned inversions
+    (``inverse_I_minus``).
 
     The returned handle's label records whether ||T|| < 1, i.e. whether the
     inverse is in the Neumann-series-safe regime.
     """
-    A = np.eye(T.dim) - T.matrix
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOrIllConditioned(f"I - {T.label or 'T'} is singular") from exc
-    # scaled condition estimate (valid at dim 1): size of the inverse against
-    # the natural scale of I - T
-    cond = (1.0 + T.norm()) * np.linalg.norm(inv, 2)
-    if not np.isfinite(cond) or cond > tol.CONDITION_CAP:
-        raise SingularOrIllConditioned(
-            f"I - {T.label or 'T'} has condition estimate {cond:.3e}"
-        )
-    res = np.linalg.norm(A @ inv - np.eye(T.dim))
-    if res > tol.FACTOR_RESIDUAL * max(cond, 1.0) * 1e3:
-        raise SingularOrIllConditioned(f"inverse residual {res:.3e}")
+    inv = inverse_I_minus(T.matrix, T.label or "T")
     regime = "contractive" if T.norm() < 1.0 else "non-contractive"
     return make_operator(inv, label=f"(I-{T.label})^-1[{regime}]")
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .bvp import (
     ProblemSpec,
-    assemble_frame,
-    build_pq_lambda,
+    _lambda_frame,
     boundary_residuals,
     frame_identity_residual,
     particular_solution_F,
@@ -149,8 +148,7 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     worst_id = 0.0
     worst_resolv = 0.0
     for lam_s in (-3.0, -40.0, -2.0 + 9.0j, -800.0):
-        P, Q, B = build_pq_lambda(A, k, lam_s)
-        frame = assemble_frame(P, Q, B, np.pi)
+        frame = _lambda_frame(ProblemSpec(0.0, np.pi, k, A, 1), lam_s)
         worst_id = max(worst_id, frame_identity_residual(frame))
         for z in (1.0 + 2.0j, 15.0, -4.0 + 1.0j):
             worst_resolv = max(worst_resolv, resolvent_product_residual(frame, z))
@@ -160,8 +158,7 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     # homogeneous particular solution boundary values
     grid = cgl_grid(64, 0.0, np.pi)
     f = _random_smooth_field(rng, grid, 3)
-    P, Q, B = build_pq_lambda(A, 0.0, -6.0)
-    frame = assemble_frame(P, Q, B, np.pi)
+    frame = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, A, 1), -6.0)
     F = particular_solution_F(frame, f)
     res = boundary_residuals(grid, F, [np.zeros(3)] * 4, 1, frame.p)
     add("homogeneous_particular_boundary", max(res.values()) / max(f.norm(), 1e-30), 1e-8)
@@ -188,9 +185,8 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     forcing = ScalarForcing(poly=[0.4, 0.2], exps=[(2j, 0.7), (-2j, 0.3)])
     gridp = cgl_grid(120, 0.0, np.pi)
     fsg = forcing.sample(gridp)
-    Pp, Qp, Bp = build_pq_lambda(A1, 0.0, -9.0)
-    framep = assemble_frame(Pp, Qp, Bp, np.pi)
-    p_s, q_s = complex(Pp.matrix[0, 0]), complex(Qp.matrix[0, 0])
+    framep = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, A1, 1), -9.0)
+    p_s, q_s = complex(framep.p[0, 0]), complex(framep.q[0, 0])
     worst = 0.0
     for bc, solver in ((1, solve_bc1), (2, solve_bc2), (3, solve_bc3),
                        (4, solve_bc4), (5, solve_bc5)):

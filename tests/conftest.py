@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quartic.bvp import ProblemSpec, _lambda_frame
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import make_operator
 
@@ -23,6 +24,11 @@ def diag3_op():
 @pytest.fixture
 def pi_grid():
     return cgl_grid(64, 0.0, np.pi)
+
+
+def frame_at(A, lam, k=0.0, c=np.pi):
+    """The first family's frame on (0, c) at one parameter (shared test helper)."""
+    return _lambda_frame(ProblemSpec(0.0, c, k, A, 1), lam)
 
 
 def smooth_field(rng, grid, dim, modes=5):

@@ -8,9 +8,8 @@ from quartic import evolution
 from quartic.bvp import (
     _SOLVERS,
     ProblemSpec,
+    _cut_shifts,
     _lambda_frames,
-    assemble_frame,
-    build_pq_lambda,
 )
 from quartic.errors import (
     ContourTooClose,
@@ -23,7 +22,7 @@ from quartic.evolution import ContourParams, default_contour
 from quartic.grids import GridFunction, cgl_grid
 from quartic.kernels import phi_stack
 from quartic.operators import dirichlet_laplacian_modes, make_operator, sqrt_symbols
-from test_modal import _nonnormal
+from test_modal import _factor_frame, _nonnormal
 
 REFUSALS = (FrameSingular, SingularOrIllConditioned, SpectrumOnCut)
 BATCH = 16  # batch size of the agreement tests: K = 33 crosses two boundaries
@@ -38,9 +37,9 @@ def _operator(name):
 
 
 def _per_parameter_frame(spec, lam):
-    """The frame of one parameter from its own P, Q, B handles."""
-    P, Q, B = build_pq_lambda(spec.A, spec.k, lam)
-    return assemble_frame(P, Q, B, spec.c, require_uv=spec.bc_family in (3, 4))
+    """The frame of one parameter from its own factor arrays."""
+    return _factor_frame(spec.A, _cut_shifts(spec.k, lam), spec.A.diagonalizable,
+                         spec.bc_family in (3, 4), spec.c)
 
 
 def _relative_gap(got, ref):

@@ -186,6 +186,20 @@ class TestStepIntegralsAgainstMpmath:
                 ref = _mp_chi(zi, m)
                 assert abs(chis[m, i] - ref) <= bound * abs(ref), (zi, m)
 
+    def test_series_and_recurrence_entries_in_one_array(self):
+        # one (2, 4) array whose entries take the series (|z| < 2) or the
+        # recurrence, each at the bound of its radius above
+        radii = np.array([1e-7, 0.3, 0.599, 0.601, 1.99, 2.01, 3.0, 10.0])
+        z = (radii * np.exp(1j * np.linspace(-np.pi, np.pi, 8))).reshape(2, 4)
+        phis, chis = phi_stack(z, 6), chi_stack(z, 5)
+        for idx, zi in np.ndenumerate(z):
+            for k in range(7):
+                ref = _mp_phi(zi, k)
+                assert abs(phis[(k,) + idx] - ref) <= 1e-14 * abs(ref), (zi, k)
+            for m in range(6):
+                ref = _mp_chi(zi, m)
+                assert abs(chis[(m,) + idx] - ref) <= 1e-14 * abs(ref), (zi, m)
+
 
 class TestHermiteModel:
     def test_quintic_reproduced_exactly(self):
@@ -243,7 +257,7 @@ def _step_contributions(nodes, d, weights):
 
 class TestConvolution:
     def _run(self, op, nodes, fn, d1fn, d2fn):
-        prop = Propagator(op)
+        prop = Propagator(op.matrix)
         hs = np.diff(nodes)
         f = np.array([np.atleast_1d(fn(x)) for x in nodes])[:, :, None]
         fp = np.array([np.atleast_1d(d1fn(x)) for x in nodes])[:, :, None]
@@ -348,8 +362,7 @@ class TestConvolutionScan:
             if not stiff:  # steps that do not commute pin the composition order
                 est = est + 0.1 * rng.normal(size=(J, n, n))
             psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
-            X = make_operator(V @ np.diag(w) @ Vinv)
-            node_weights = Propagator(X).step_weights(hs)
+            node_weights = Propagator(V @ np.diag(w) @ Vinv).step_weights(hs)
         data = tuple(rng.normal(size=(J + 1, n, r)) + 1j * rng.normal(size=(J + 1, n, r))
                      for _ in range(3))
         d = hermite_step_coefficients(nodes, *data)
@@ -407,7 +420,7 @@ class TestNodeWeights:
             V = np.eye(n) + 0.2 * rng.normal(size=(n, n))
             Vinv = np.linalg.inv(V)
             psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
-            prop = Propagator(make_operator(V @ np.diag(w) @ Vinv))
+            prop = Propagator(V @ np.diag(w) @ Vinv)
             zero_steps = np.zeros((J, n, n))
         else:
             prop = Propagator(w)
@@ -539,7 +552,7 @@ class TestDenseRouteConvolution:
         for prop in (frame.prop_m, frame.prop_l):
             assert not prop.modal
             est = prop.exp_stack(hs)
-            psi, chi = _dense_psi_chi(np.asarray(prop.op.matrix), hs)
+            psi, chi = _dense_psi_chi(np.asarray(prop.matrix), hs)
             c_fwd = hs[:, None, None] * np.einsum("jmik,jmkr->jir", psi, d)
             c_bwd = hs[:, None, None] * np.einsum("jmik,jmkr->jir", chi, d)
             ref_fwd = np.zeros((J + 1, 4, 1), dtype=complex)

@@ -276,7 +276,7 @@ class TestCliSolve:
         # refine the first singular parameter of the clamped family for a
         # sectorial two-mode operator, then ask the solver to hit it
         import numpy as np
-        from quartic.bvp import build_pq_lambda
+        from quartic.bvp import _cut_shifts
         from quartic.operators import make_operator
 
         th = 0.5
@@ -284,10 +284,8 @@ class TestCliSolve:
         c = np.pi
 
         def vmin(lam):
-            P, Q, B = build_pq_lambda(A, 0.0, lam)
-            p = np.diag(P.matrix)
-            q = np.diag(Q.matrix)
-            b = np.diag(B.matrix)
+            p, q, b = _cut_shifts(0.0, lam)
+            p, q = A.spectrum + p, A.spectrum + q
             m, l = -np.sqrt(-p), -np.sqrt(-q)
             u = 1 - np.exp(c * (l + m)) - (l + m) ** 2 * (np.exp(c * m) - np.exp(c * l)) / b
             v = 1 - np.exp(c * (l + m)) + (l + m) ** 2 * (np.exp(c * m) - np.exp(c * l)) / b
@@ -461,6 +459,51 @@ t_final = 0.3
 v0 = zero
 """)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
+
+
+class TestCliDenseRoute:
+    """Every command on a Jordan-block operator: A has no eigenbasis, so each
+    frame is dense (plain-matrix calculus) end to end."""
+
+    @staticmethod
+    def _config(tmp_path, body="", bc=1):
+        write_operator_file(tmp_path / "op.txt", np.array([[-2.0, 1.0], [0.0, -2.0]]))
+        return write_config(tmp_path / "c.cfg", DEMO.replace(
+            "operator = diag:-1", "operator = file:op.txt").replace(
+            "n_nodes = 96", "n_nodes = 32").replace("bc_family = 1", f"bc_family = {bc}") + body)
+
+    @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
+    def test_solve_residuals(self, tmp_path, capsys, bc):
+        cfg = self._config(tmp_path, bc=bc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        residuals = [float(line.split("=")[1]) for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("residual")]
+        assert len(residuals) == 5 and max(residuals) <= 1e-6  # tol_residual
+
+    def test_sweep(self, tmp_path):
+        cfg = self._config(tmp_path, """
+[sweep]
+radius_min = 1e-1
+radius_max = 1e1
+n_radii = 3
+n_angles = 2
+n_nodes = 16
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert '"failures": 0, "n_points": 6' in (tmp_path / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("scheme", ["IMPLICIT_EULER", "CONTOUR"])
+    def test_evolve(self, tmp_path, scheme):
+        cfg = self._config(tmp_path, f"""
+[evolve]
+scheme = {scheme}
+dt = 0.05
+t_final = 0.1
+v0 = sine:1
+""")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", comments="#")
+        assert rows.shape[0] == 3 and np.all(np.isfinite(rows))
 
 
 class TestStartupImports:

@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field
-from quartic import bvp, operators
+from quartic import operators
 from quartic.bvp import (
     _SOLVERS,
     ProblemSpec,
-    _build_frame,
+    _cut_shifts,
     _lambda_frame,
     _lambda_frames,
     assemble_frame,
     boundary_residuals,
-    build_pq_lambda,
     resolvent_matrix,
 )
 from quartic.errors import FrameSingular
 from quartic.grids import GridFunction, cgl_grid
-from quartic.operators import make_operator, shift_operator
+from quartic.operators import make_operator
 from quartic.oracle import _coeffs_from_A, collocation_solve, ode_residual
 from quartic.verify import _random_sectorial
 
@@ -43,14 +42,24 @@ def _relative_gap(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def _factor_frame(A, shifts, modal, require_uv=False, c=np.pi):
+    """assemble_frame on (0, c) for the factors A + p, A + q and b of the
+    shifts (p, q, b): as A's eigenvalues in its eigenbasis (modal), or as the
+    plain matrices A + p I, A + q I and b I (dense)."""
+    p, q, b = shifts
+    if modal:
+        return assemble_frame([A.spectrum + p], [A.spectrum + q], [0.0 * A.spectrum + b],
+                              c, require_uv, basis=(A.eigvecs, A.eigvecs_inv, A.eig_cond))
+    eye = np.eye(A.dim)
+    return assemble_frame(A.matrix + p * eye, A.matrix + q * eye, b * eye, c, require_uv)
+
+
 class TestModalMatchesDense:
     @pytest.mark.parametrize("A", _operators(), ids=["sectorial3", "sectorial6", "cond30"])
     @pytest.mark.parametrize("k,lam", [(0.0, -2.5 + 4j), (1.0, -7.0), (0.5, 3.0 + 2j)])
     def test_families_and_resolvent_matrix(self, rng, A, k, lam):
         assert A.diagonalizable
-        P, Q, B = build_pq_lambda(A, k, lam)
-        modal = assemble_frame(P, Q, B, np.pi)
-        dense = _build_frame(P, Q, B, np.pi, modal=False)
+        modal, dense = (_factor_frame(A, _cut_shifts(k, lam), m) for m in (True, False))
         assert modal.modal and not dense.modal
         grid = cgl_grid(48, 0.0, np.pi)
         f = smooth_field(rng, grid, A.dim)
@@ -67,8 +76,7 @@ class TestModalMatchesDense:
         A = _operators()[2]
         spec = ProblemSpec(0.0, np.pi, 1.5, A, 1)
         modal = _lambda_frame(spec, 0.0)
-        P = shift_operator(A, -1.5)
-        dense = _build_frame(P, A, shift_operator(A, -1.5, scale=0.0), np.pi, modal=False)
+        dense = _factor_frame(A, (-1.5, 0.0, -1.5), modal=False)
         assert modal.modal
         grid = cgl_grid(48, 0.0, np.pi)
         f = smooth_field(rng, grid, A.dim)
@@ -77,9 +85,7 @@ class TestModalMatchesDense:
 
     def test_dense_views_of_members(self):
         A = _operators()[0]
-        P, Q, B = build_pq_lambda(A, 0.0, -4.0 + 1j)
-        modal = assemble_frame(P, Q, B, np.pi)
-        dense = _build_frame(P, Q, B, np.pi, modal=False)
+        modal, dense = (_factor_frame(A, _cut_shifts(0.0, -4.0 + 1j), m) for m in (True, False))
         for name in ("p", "l", "m", "binv", "e_cm", "z", "inv_im_el", "uinv", "vinv"):
             ref = getattr(dense, name)
             assert _relative_gap(getattr(modal, name), ref) <= 1e-12, name
@@ -97,11 +103,11 @@ class TestModalGuards:
         refused = []
         for offset in (0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8):
             for direction in (1, 1j, -1, -1j):
-                P, Q, B = build_pq_lambda(A, 0.0, lam0 + offset * direction)
+                shifts = _cut_shifts(0.0, lam0 + offset * direction)
                 verdict = []
                 for modal in (True, False):
                     try:
-                        _build_frame(P, Q, B, np.pi, require_uv=True, modal=modal)
+                        _factor_frame(A, shifts, modal, require_uv=True)
                         verdict.append(False)
                     except FrameSingular:
                         verdict.append(True)
@@ -153,10 +159,40 @@ class TestVectorBoundaryData:
         assert ode_residual(coeff2, coeff0, lam, u, f) <= 1e-10
 
 
-class TestNoFactorizationPerParameter:
-    @pytest.mark.parametrize("lam", [-3.0 + 2.0j, 0.0])
-    def test_lambda_frame_skips_make_operator_and_eig(self, monkeypatch, lam):
-        spec = ProblemSpec(0.0, np.pi, 1.0, _operators()[1], 3)
+JORDAN = [[-2.0, 1.0], [0.0, -2.0]]
+
+
+class TestDenseMembersClosedForm:
+    """Dense members on the Jordan block J = [[a, 1], [0, a]], a = -2, against
+    f(J) = [[f(a), f'(a)], [0, f(a)]] with f and f' written out per member.
+    Measured <= 5.7e-17 relative (e_cm); the bound is 1e-15."""
+
+    @pytest.mark.parametrize("lam", [-3.0, -1.0 + 2.0j, -40.0 + 7.0j])
+    @pytest.mark.parametrize("bc", [1, 3])
+    def test_members_match_jordan_calculus(self, bc, lam):
+        a, c = -2.0, np.pi
+        frame = _lambda_frame(ProblemSpec(0.0, c, 0.0, make_operator(JORDAN), bc), lam)
+        assert not frame.modal
+        p, q, _ = _cut_shifts(0.0, lam)
+        refs = {}
+        for x_name, e_name, inv_name, shift in (("m", "e_cm", "z", p), ("l", "e_cl", "w", q)):
+            # X = -sqrt(-(a + shift)), X' = 1 / (2 sqrt(-(a + shift)))
+            root = np.sqrt(-(a + shift))
+            x, dx = -root, 1.0 / (2.0 * root)
+            e, e2 = np.exp(c * x), np.exp(2 * c * x)
+            refs[x_name] = (x, dx)
+            refs[e_name] = (e, c * dx * e)                                 # e^{cX}
+            refs[inv_name] = (1 / (1 - e2), 2 * c * dx * e2 / (1 - e2) ** 2)  # (I - e^{2cX})^{-1}
+        for name, (f, fp) in refs.items():
+            ref = np.array([[f, fp], [0.0, f]])
+            assert _relative_gap(getattr(frame, name), ref) <= 1e-15, name
+
+
+@pytest.fixture
+def count_factorizations(monkeypatch):
+    """count_factorizations() returns a list that records, from then on, the
+    name of every make_operator and np.linalg.eig call."""
+    def start():
         calls = []
 
         def counting(fn, name):
@@ -165,30 +201,27 @@ class TestNoFactorizationPerParameter:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for mod in (bvp, operators):
-            monkeypatch.setattr(mod, "make_operator",
-                                counting(operators.make_operator, "make_operator"))
+        monkeypatch.setattr(operators, "make_operator",
+                            counting(operators.make_operator, "make_operator"))
         monkeypatch.setattr(np.linalg, "eig", counting(np.linalg.eig, "eig"))
+        return calls
+    return start
+
+
+class TestNoFactorizationPerParameter:
+    @pytest.mark.parametrize("lam", [-3.0 + 2.0j, 0.0])
+    def test_lambda_frame_skips_make_operator_and_eig(self, count_factorizations, lam):
+        spec = ProblemSpec(0.0, np.pi, 1.0, _operators()[1], 3)
+        calls = count_factorizations()
         frame = _lambda_frame(spec, lam)
         frame.grid_kit(cgl_grid(32, 0.0, np.pi))
         assert frame.modal
         assert calls == []
 
     @pytest.mark.parametrize("bc", [1, 3])
-    def test_batch_skips_make_operator_and_eig(self, monkeypatch, rng, bc):
+    def test_batch_skips_make_operator_and_eig(self, count_factorizations, rng, bc):
         spec = ProblemSpec(0.0, np.pi, 1.0, _operators()[1], bc)
-        calls = []
-
-        def counting(fn, name):
-            def wrapped(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for mod in (bvp, operators):
-            monkeypatch.setattr(mod, "make_operator",
-                                counting(operators.make_operator, "make_operator"))
-        monkeypatch.setattr(np.linalg, "eig", counting(np.linalg.eig, "eig"))
+        calls = count_factorizations()
         lams = [-3.0 + 2.0j, 0.0, -40.0 + 7.0j, -1.0 - 5.0j, -300.0]
         frame = _lambda_frames(spec, lams)
         grid = cgl_grid(32, 0.0, np.pi)
@@ -197,4 +230,15 @@ class TestNoFactorizationPerParameter:
             [smooth_field(rng, grid, spec.A.dim).values for _ in lams]))
         u = _SOLVERS[bc](frame, data)
         assert frame.modal and u.values.shape == (len(lams) * spec.A.dim, grid.n)
+        assert calls == []
+
+    @pytest.mark.parametrize("bc", [1, 3])
+    def test_dense_frame_skips_make_operator_and_eig(self, count_factorizations, bc):
+        # the dense calculus works on plain matrices: Schur forms and
+        # eigenvalues only, where handles once cost 23 of each per frame
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator(JORDAN), bc)
+        calls = count_factorizations()
+        frame = _lambda_frame(spec, -3.0 + 2.0j)
+        frame.grid_kit(cgl_grid(32, 0.0, np.pi))
+        assert not frame.modal
         assert calls == []

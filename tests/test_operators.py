@@ -15,6 +15,7 @@ from quartic.operators import (
     dirichlet_laplacian_modes,
     expm_apply,
     guarded_inverse_I_minus,
+    inverse_I_minus,
     make_operator,
     operator_norm,
     resolvent_apply,
@@ -207,6 +208,12 @@ class TestGuardedInverse:
             guarded_inverse_I_minus(make_operator([[1.0]]))
         with pytest.raises(SingularOrIllConditioned):
             guarded_inverse_I_minus(make_operator([[1.0 + 1e-14]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_matrix_rejected(self, bad):
+        # the array form takes frame members that never passed make_operator
+        with pytest.raises(SingularOrIllConditioned, match="non-finite"):
+            inverse_I_minus(np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex), "T")
 
 
 class TestOperatorNorm:

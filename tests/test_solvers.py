@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import smooth_field
+from conftest import frame_at, smooth_field
 from quartic.bvp import (
     ProblemSpec,
     _data_derivatives,
     _field_to_internal,
     _lambda_frame,
     _second_order,
-    assemble_frame,
     boundary_residuals,
-    build_pq_lambda,
     family2_coefficients,
     fprime_boundary,
     particular_solution_F,
@@ -28,9 +26,8 @@ SOLVERS = {1: solve_bc1, 2: solve_bc2, 3: solve_bc3, 4: solve_bc4, 5: solve_bc5}
 
 
 def scalar_frame(lam=-4.0, k=0.0, c=np.pi):
-    A = make_operator([[-1.0]])
-    P, Q, B = build_pq_lambda(A, k, lam)
-    return assemble_frame(P, Q, B, c), complex(P.matrix[0, 0]), complex(Q.matrix[0, 0])
+    frame = frame_at(make_operator([[-1.0]]), lam, k, c)
+    return frame, complex(frame.p[0, 0]), complex(frame.q[0, 0])
 
 
 class TestParticularSolution:
@@ -181,8 +178,7 @@ class TestScalarFamilies:
 
 class TestFamilyFive:
     def test_reduces_to_family_one(self, rng, diag3_op):
-        P, Q, B = build_pq_lambda(diag3_op, 0.0, -8.0)
-        frame = assemble_frame(P, Q, B, np.pi)
+        frame = frame_at(diag3_op, -8.0)
         grid = cgl_grid(64, 0.0, np.pi)
         f = smooth_field(rng, grid, 3)
         phi = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)]
@@ -210,16 +206,14 @@ class TestFamilyFive:
         assert max(res.values()) <= 1e-8 * max(f.norm(), 1.0)
 
     def test_diagonal_decouples_to_scalar(self, rng, diag3_op):
-        P, Q, B = build_pq_lambda(diag3_op, 0.0, -8.0)
-        frame = assemble_frame(P, Q, B, np.pi)
+        frame = frame_at(diag3_op, -8.0)
         grid = cgl_grid(64, 0.0, np.pi)
         f = smooth_field(rng, grid, 3)
         phi = [rng.normal(size=3) + 0j for _ in range(4)]
         u = solve_bc5(frame, f, phi)
         for comp, a0 in enumerate([-1.0, -4.0, -9.0]):
             A1 = make_operator([[a0]])
-            P1, Q1, B1 = build_pq_lambda(A1, 0.0, -8.0)
-            fr1 = assemble_frame(P1, Q1, B1, np.pi)
+            fr1 = frame_at(A1, -8.0)
             u1 = solve_bc5(fr1, GridFunction(grid, f.values[comp][None, :]),
                            [p[comp:comp + 1] for p in phi])
             assert np.max(np.abs(u.values[comp] - u1.values[0])) <= 1e-10
@@ -237,8 +231,7 @@ class TestFamilyTwoBookkeeping:
         assert np.max(np.abs(a4)) == 0.0
 
     def test_coefficient_formulas_read_back(self, rng, diag3_op):
-        P, Q, B = build_pq_lambda(diag3_op, 0.0, -5.0)
-        frame = assemble_frame(P, Q, B, np.pi)
+        frame = frame_at(diag3_op, -5.0)
         grid = cgl_grid(64, 0.0, np.pi)
         f = smooth_field(rng, grid, 3)
         phi = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)]
