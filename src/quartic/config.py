@@ -162,15 +162,8 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     fsec = cp["forcing"] if "forcing" in cp else {}
     ftype = str(fsec.get("type", "zero")).lower()
     if ftype == "file":
-        fpath = os.path.join(base_dir, fsec.get("path", ""))
-        if not os.path.exists(fpath):
-            raise ConfigError(f"forcing file {fpath} does not exist")
-        forcing = read_gridfunction_csv(fpath)
-        if forcing.dim != A.dim:
-            raise ConfigError("forcing file dimension does not match operator")
-        if forcing.grid.n != grid.n or not np.allclose(forcing.grid.nodes, grid.nodes):
-            raise ConfigError(f"forcing file {fpath} has {forcing.grid.n} {forcing.grid.kind} "
-                              f"nodes, not those of [grid] n_nodes = {grid.n}, kind = {kind}")
+        forcing = _read_grid_file("forcing", os.path.join(base_dir, fsec.get("path", "")),
+                                  grid, A.dim)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
             profile = _forcing_profile(ftype, fsec.get("coefficients", ""), grid, a, b)
@@ -235,6 +228,20 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     )
 
 
+def _read_grid_file(what: str, fpath: str, grid: Grid, dim: int) -> GridFunction:
+    """A grid-function CSV named by the config, on the nodes of [grid] and
+    with the operator's dimension."""
+    if not os.path.exists(fpath):
+        raise ConfigError(f"{what} file {fpath} does not exist")
+    gf = read_gridfunction_csv(fpath)
+    if gf.dim != dim:
+        raise ConfigError(f"{what} file {fpath} has dim = {gf.dim}, not the operator's {dim}")
+    if gf.grid.n != grid.n or not np.allclose(gf.grid.nodes, grid.nodes):
+        raise ConfigError(f"{what} file {fpath} has {gf.grid.n} {gf.grid.kind} nodes, not "
+                          f"those of [grid] n_nodes = {grid.n}, kind = {grid.kind}")
+    return gf
+
+
 def build_v0(cfg: RunConfig) -> GridFunction:
     """Initial data for the evolution command."""
     spec_text = cfg.evolve["v0"]
@@ -254,9 +261,7 @@ def build_v0(cfg: RunConfig) -> GridFunction:
         return GridFunction(grid, vals)
     if kind == "file":
         fpath = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), arg.strip())
-        if not os.path.exists(fpath):
-            raise ConfigError(f"v0 file {fpath} does not exist")
-        v0 = read_gridfunction_csv(fpath)
+        v0 = _read_grid_file("v0", fpath, grid, dim)
         if not np.all(np.isfinite(v0.values)):
             raise ConfigError(f"v0 file {fpath}: the samples are not all finite")
         return v0

@@ -3,6 +3,34 @@
 Complex numbers are written as "a+bi" / "a-bi" with decimal or scientific
 mantissas and parsed locale-independently; CSV values carry 17 significant
 digits so doubles round-trip exactly.
+
+Every CSV cell goes through one vectorized formatter, ``_format_cells``,
+which writes exactly the bytes of ``"%.17g" % x``:
+
+- A cell is fast when it is +-0 or finite with 1e-260 <= |x| <= 1e260; the
+  range keeps every partial product normal (or zero) and finite.  Its decimal
+  exponent X = floor(log10 |x|) is corrected until the truncated
+  |x| * 10**(16 - X) lies in [1e16, 1e17).
+- That product is a double-double.  10**k = hi + lo comes from a table built
+  at import from exact integers (error below 2**-106 relative); |x| * hi is
+  exact as Dekker's two-product with Veltkamp splits (Numer. Math. 18,
+  1971), and |x| * lo is added.  The result is off by less than 1e-14
+  units of the 17th digit: 1.2e-15 from the table, a few 1e-15 from
+  rounding |x| * lo (|.| < 12) and the sum of the low parts (|.| < 20).
+- The 17 digits D are the product rounded half to even.  A cell whose
+  fraction lies within 1e-9 of one half, which covers exact ties and every
+  product the error could carry across one, is not fast; so D is the
+  correctly rounded mantissa of every fast cell.  A carry to 10**17 becomes
+  10**16 with X + 1.
+- The 'g' layout follows from D and X: fixed for -4 <= X < 17, otherwise
+  d.ddde+dd; trailing zeros are stripped, integer digits never.
+- Cells that are not fast (nan, +-inf, subnormal or out of range, near
+  ties) are printed by "%.17g" itself; a chunk without them does no per-cell
+  Python work.
+- Cells are formatted and written _CHUNK_CELLS = 2**11 at a time, whatever
+  the row width, so memory stays flat.  At that size every temporary stays
+  below glibc's default 128 KiB mmap threshold, so no chunk page-faults its
+  work arrays in afresh.
 """
 
 from __future__ import annotations
@@ -91,14 +119,155 @@ def write_operator_file(path, matrix: np.ndarray) -> None:
             fh.write(" ".join(format_complex(z) for z in row) + "\n")
 
 
-def _write_rows(fh, rows, width: int) -> None:
-    """One line per (x, values) pair: x, then the real and imaginary parts of
-    the width complex values (flattened row-major) interleaved, each cell as
-    %.17g.  One row template serves the whole file."""
-    template = ",".join([f"%.{_PREC}g"] * (1 + 2 * width)) + "\n"
-    for x, values in rows:
-        flat = np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float)
-        fh.write(template % (x, *flat.tolist()))
+_CHUNK_CELLS = 1 << 11  # cells formatted and written at a time
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit mantissas
+_K_MIN, _K_MAX = -250, 280  # 10**k for k = 16 - X, |X| <= 262
+
+
+def _split(a):
+    big = _SPLIT * a
+    high = big - (big - a)
+    return high, a - high
+
+
+def _powers_of_ten():
+    """hi + lo = 10**k to about 2**-106 relative, and hi's Veltkamp halves,
+    for k in [_K_MIN, _K_MAX], from exact Python integers."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        h = num / den  # int / int rounds correctly
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    hi = np.array(hi)
+    return (hi, np.array(lo)) + _split(hi)
+
+
+def _layouts():
+    """Per decimal exponent X (index X + 300): the "0.000" lead and "e+dd"
+    tail as bytes (0 where absent), the digit after which the point goes
+    (17: none) and the digits never stripped."""
+    X = np.arange(-300, 301)
+    lead = (X >= -4) & (X < 0)
+    sci = (X < -4) | (X >= 17)
+    E = np.abs(X)
+    text = np.array([lead * 48, lead * 46] + [lead * (-X - 1 > j) * 48 for j in range(3)]
+                    + [sci * 101, sci * np.where(X < 0, 45, 43),
+                       sci * (E >= 100) * (48 + E // 100),
+                       sci * (48 + E // 10 % 10), sci * (48 + E % 10)], np.uint8)
+    point = np.where(lead, 17, np.where(sci, 0, X))
+    kmin = np.where(lead | sci, 0, X + 1)
+    return text, point.astype(np.uint8), kmin.astype(np.uint8)
+
+
+_POW_HI, _POW_LO, _POW_HH, _POW_HL = _powers_of_ten()
+_TEXT, _POINT, _KMIN = _layouts()
+# "00".."99" as uint16 whose two bytes are the digits, in either byte order
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_R = np.arange(18, dtype=np.uint8)[:, None]
+
+
+def _scaled(ax, X):
+    """floor(ax * 10**(16 - X)) and the fraction left over: Dekker's exact
+    product ax * hi = ph + pl, plus ax * lo."""
+    i = 16 - X - _K_MIN
+    ph = ax * _POW_HI[i]
+    ah, al = _split(ax)
+    hh, hl = _POW_HH[i], _POW_HL[i]
+    t = ah * hh
+    t -= ph
+    t += ah * hl
+    t += al * hh
+    t += al * hl
+    t += ax * _POW_LO[i]
+    ft = np.floor(t)
+    t -= ft
+    return ph.astype(np.int64) + ft.astype(np.int64), t
+
+
+def _format_cells(x: np.ndarray, start: int, ncells: int) -> str:
+    """Cells start, start + 1, ... of a row-major stream of ncells-cell rows,
+    each exactly as "%.17g" prints it (see the module docstring), followed by
+    "," or, at the end of a row, a newline."""
+    n = x.size
+    ax = np.abs(x)
+    zero = ax == 0
+    fast = ((ax >= 1e-260) & (ax <= 1e260)) | zero
+    ax[~fast | zero] = 1.0
+    X = np.floor(np.log10(ax)).astype(np.int64)
+    T, frac = _scaled(ax, X)
+    miss = np.flatnonzero((T < 10 ** 16) | (T >= 10 ** 17))
+    if miss.size:  # log10 rounded across a power of ten
+        X[miss] += np.where(T[miss] < 10 ** 16, -1, 1)
+        T[miss], frac[miss] = _scaled(ax[miss], X[miss])
+        fast &= (T >= 10 ** 16) & (T < 10 ** 17)
+    fast &= np.abs(frac - 0.5) > 1e-9  # ties and near-ties print through "%.17g"
+    D = T + (frac > 0.5)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X += carry
+    # the 17 digits, digit j in row j + 1: the first, then two at a time
+    dig = np.zeros((19, n), np.uint8)
+    top = D // 10 ** 8
+    dig[1] = 48 + top // 10 ** 8
+    row = 2
+    for part in (top % 10 ** 8, D - top * 10 ** 8):
+        high = part // 10 ** 4
+        for four in (high, part - high * 10 ** 4):
+            hundreds = four // 100
+            for two in (hundreds, four - hundreds * 100):
+                pair = _PAIRS.take(two).view(np.uint8)
+                dig[row] = pair[0::2]
+                dig[row + 1] = pair[1::2]
+                row += 2
+    nd = ((dig[1:18] != 48) * _R[1:]).max(axis=0)  # digits left after stripping
+    dig[1, zero] = 48  # ±0 was formatted as 1
+    # 30 output rows, one per column of a cell's text, with 0 as filler:
+    # sign, "0.000" lead, digits 0..P, the point, digits P+1..16, "e+dd", separator
+    xi = X + 300
+    P = _POINT.take(xi)
+    keep = np.maximum(nd, _KMIN.take(xi))
+    dig[1:18] *= _R[:17] < keep
+    out = np.zeros((30, n), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(45)
+    text = _TEXT.take(xi, axis=1)
+    out[1:6] = text[:5]
+    body = out[6:24]
+    np.multiply(dig[1:], _R <= P, out=body)
+    body += dig[:-1] * (_R > P + 1)
+    body += (_R == P + 1) * (keep > P + 1) * np.uint8(46)
+    out[24:29] = text[5:]
+    out[29] = 44
+    out[29, (ncells - 1 - start) % ncells::ncells] = 10
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = "".join(("%.17g" % v).ljust(29, "\0") for v in x[slow].tolist())
+        out[:29, slow] = np.frombuffer(cells.encode(), np.uint8).reshape(-1, 29).T
+    flat = out.T.reshape(-1)
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _write_rows(fh, pieces, ncells: int) -> None:
+    """CSV lines of ncells cells from flat float arrays that each hold whole
+    rows; the cells are formatted and written _CHUNK_CELLS at a time,
+    whatever the row width."""
+    start, rest = 0, np.empty(0)
+    for piece in pieces:
+        rest = np.concatenate((rest, piece))
+        while rest.size >= _CHUNK_CELLS:
+            fh.write(_format_cells(rest[:_CHUNK_CELLS], start, ncells))
+            start += _CHUNK_CELLS
+            rest = rest[_CHUNK_CELLS:]
+    if rest.size:
+        fh.write(_format_cells(rest, start, ncells))
+
+
+def _complex_rows(xs, values) -> np.ndarray:
+    """Rows of cells, flattened: each x, then the real and imaginary parts of
+    its row of values (flattened row-major) interleaved."""
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(len(xs), -1).view(float)
+    return np.column_stack((xs, flat)).reshape(-1)
 
 
 def write_gridfunction_csv(path, gf: GridFunction) -> None:
@@ -108,7 +277,7 @@ def write_gridfunction_csv(path, gf: GridFunction) -> None:
             f"# gridfunc a={gf.grid.a:.{_PREC}g} b={gf.grid.b:.{_PREC}g} "
             f"n={gf.grid.n} dim={gf.dim} kind={gf.grid.kind}\n"
         )
-        _write_rows(fh, zip(gf.grid.nodes.tolist(), gf.values.T), gf.dim)
+        _write_rows(fh, [_complex_rows(gf.grid.nodes, gf.values.T)], 1 + 2 * gf.dim)
 
 
 def read_gridfunction_csv(path) -> GridFunction:
@@ -124,6 +293,9 @@ def read_gridfunction_csv(path) -> GridFunction:
         raise ConfigError(f"{path}: malformed gridfunc manifest {header!r}")
     a, b = float(m.group(1)), float(m.group(2))
     n, dim, kind = int(m.group(3)), int(m.group(4)), m.group(5)
+    if kind not in ("cgl", "uniform"):
+        raise ConfigError(f"{path}: unknown grid kind={kind} in the manifest "
+                          "(cgl or uniform)")
     if len(rows) != n:
         raise ConfigError(f"{path}: expected {n} rows, found {len(rows)}")
     vals = np.empty((dim, n), dtype=complex)
@@ -133,8 +305,7 @@ def read_gridfunction_csv(path) -> GridFunction:
             raise ConfigError(f"{path}: row {j} has {len(parts)} cells")
         for i in range(dim):
             vals[i, j] = complex(float(parts[1 + 2 * i]), float(parts[2 + 2 * i]))
-    grid = cgl_grid(n, a, b) if kind == "cgl" else uniform_grid(n, a, b)
-    return GridFunction(grid, vals)
+    return GridFunction((cgl_grid if kind == "cgl" else uniform_grid)(n, a, b), vals)
 
 
 def write_solution_csv(path, gf: GridFunction, residuals: dict | None = None) -> None:
@@ -151,11 +322,8 @@ def write_sweep_csv(path, report) -> None:
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lambda_re,lambda_im,resolvent_norm,ratio,frame_ok\n")
-        for r in report.records:
-            fh.write(
-                f"{r.lam.real:.{_PREC}g},{r.lam.imag:.{_PREC}g},"
-                f"{r.norm:.{_PREC}g},{r.ratio:.{_PREC}g},{int(r.frame_ok)}\n"
-            )
+        cells = [(r.lam.real, r.lam.imag, r.norm, r.ratio, r.frame_ok) for r in report.records]
+        _write_rows(fh, [np.array(cells, dtype=float).reshape(-1)], 5)
         fh.write("# summary " + json.dumps(report.summary()) + "\n")
 
 
@@ -168,5 +336,5 @@ def write_trajectory_csv(path, trajectory, grid: Grid, scheme: str) -> None:
             f"dim={dim} scheme={scheme}\n"
         )
         # row-major values: component-major blocks
-        _write_rows(fh, ((t, gf.values) for t, gf in trajectory),
-                    trajectory[0][1].values.size)
+        _write_rows(fh, (_complex_rows([t], gf.values) for t, gf in trajectory),
+                    1 + 2 * trajectory[0][1].values.size)

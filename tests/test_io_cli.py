@@ -1,5 +1,7 @@
 import os
 import re
+from decimal import Decimal
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -11,14 +13,19 @@ from quartic.cli import main
 from quartic.errors import ConfigError
 from quartic.grids import GridFunction, cgl_grid
 from quartic.io import (
+    _CHUNK_CELLS,
+    _format_cells,
+    _write_rows,
     format_complex,
     parse_complex,
     read_gridfunction_csv,
     read_operator_file,
     write_gridfunction_csv,
     write_operator_file,
+    write_sweep_csv,
     write_trajectory_csv,
 )
+from quartic.spectral import SweepRecord, SweepReport
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64,
                    min_value=-1e300, max_value=1e300)
@@ -51,6 +58,58 @@ class TestComplexFormat:
     def test_roundtrip_property(self, re, im):
         z = complex(re, im)
         assert parse_complex(format_complex(z)) == z
+
+
+class TestGridFileChecks:
+    """A v0 or forcing file must sit on the nodes of [grid] and have the
+    operator's dimension; a manifest kind other than cgl or uniform is
+    refused."""
+
+    @staticmethod
+    def _config(tmp_path, scheme, forcing, n_file=24, dim_file=1):
+        grid = cgl_grid(n_file, 0.0, np.pi)
+        vals = np.tile(np.sin(grid.nodes), (dim_file, 1)) + 0j
+        write_gridfunction_csv(tmp_path / "v0.csv", GridFunction(grid, vals))
+        body = DEMO.replace("n_nodes = 96", "n_nodes = 32") + f"""
+[evolve]
+scheme = {scheme}
+dt = 0.05
+t_final = 0.1
+v0 = file:v0.csv
+"""
+        if not forcing:
+            body = body.replace("type = sines\ncoefficients = 1.0, 0.5", "type = zero")
+        return write_config(tmp_path / "c.cfg", body)
+
+    @pytest.mark.parametrize("forcing", [False, True])
+    @pytest.mark.parametrize("scheme", ["IMPLICIT_EULER", "CONTOUR"])
+    def test_v0_nodes_not_those_of_grid_exit2(self, tmp_path, capsys, scheme, forcing):
+        cfg = self._config(tmp_path, scheme, forcing)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "v0 file" in err and "24 cgl nodes" in err and "[grid] n_nodes = 32" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("scheme", ["IMPLICIT_EULER", "CONTOUR"])
+    def test_v0_dimension_not_the_operators_exit2(self, tmp_path, capsys, scheme):
+        cfg = self._config(tmp_path, scheme, True, n_file=32, dim_file=2)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "v0 file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["IMPLICIT_EULER", "CONTOUR"])
+    def test_v0_on_the_grid_runs(self, tmp_path, scheme):
+        cfg = self._config(tmp_path, scheme, True, n_file=32)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "trajectory.csv").read_text().startswith(
+            "# trajectory a=0 b=3.1415926535897931 n=32 dim=1")
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        grid = cgl_grid(8, 0.0, 1.0)
+        write_gridfunction_csv(tmp_path / "f.csv", GridFunction(grid, np.ones((1, 8)) + 0j))
+        text = (tmp_path / "f.csv").read_text().replace("kind=cgl", "kind=chebyshev")
+        (tmp_path / "f.csv").write_text(text)
+        with pytest.raises(ConfigError, match="kind=chebyshev"):
+            read_gridfunction_csv(tmp_path / "f.csv")
 
 
 class TestOperatorFile:
@@ -124,6 +183,127 @@ class TestRowWriters:
         text = (tmp_path / "t.csv").read_text()
         assert text == "\n".join(want) + "\n"
         assert "nan" in text and "-inf" in text and "-0," in text and "1e+300" in text
+
+
+def _formatted(values, ncells=1, start=0):
+    """The cell formatter's text for a flat array of float64 cells."""
+    return _format_cells(np.array(values, dtype=float).reshape(-1), start, ncells)
+
+
+def _reference(values, ncells=1, start=0):
+    cells = np.array(values, dtype=float).reshape(-1).tolist()
+    return "".join(f"{v:.17g}" + (",\n"[(start + j) % ncells == ncells - 1])
+                   for j, v in enumerate(cells))
+
+
+def _bits(patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def _neighbours(x, ulps=3):
+    """x and its nearest ulps doubles on either side."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(ulps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestCellFormatter:
+    """The vectorized cell formatter against f"{x:.17g}", cell by cell."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+           st.integers(1, 7), st.integers(0, 6))
+    def test_bit_patterns_property(self, patterns, ncells, start):
+        x = _bits(patterns)
+        assert _formatted(x, ncells, start) == _reference(x, ncells, start)
+
+    def test_million_random_bit_patterns(self):
+        x = _bits(np.random.default_rng(14402).integers(0, 2**64, size=10**6,
+                                                         dtype=np.uint64))
+        fh = StringIO()
+        _write_rows(fh, [x], 8)
+        got = fh.getvalue()
+        want = "".join((",".join(["%.17g"] * 8) + "\n") % tuple(row)
+                       for row in x.reshape(-1, 8).tolist())
+        if got != want:
+            pairs = zip(x.tolist(), re.split("[,\n]", got), re.split("[,\n]", want))
+            pytest.fail(f"cells differ: {[p for p in pairs if p[1] != p[2]][:5]}")
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_ten_and_neighbours(self, sign):
+        x = [sign * y for k in range(-300, 301) for y in _neighbours(float(f"1e{k}"))]
+        assert _formatted(x, ncells=4) == _reference(x, ncells=4)
+
+    def test_exact_ties(self):
+        # odd k / 2**m has m fraction digits; 18 significant digits ending
+        # in 5 when it lies in [10**(17 - m), 10**(18 - m))
+        ties = []
+        for m in range(2, 25):
+            k = (int(Decimal(10) ** (17 - m) * 2**m) + 1) | 1
+            ties += [k / 2**m, (k + 2) / 2**m, -(k + 4) / 2**m]
+        ties.append(2.0**-25)
+        for t in ties:
+            digits = Decimal(t).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, t
+        assert _formatted(ties, ncells=3) == _reference(ties, ncells=3)
+
+    def test_carries_to_the_next_power(self):
+        # doubles below 10**k whose 17-digit rounding is 10**k
+        carries = [y for k in range(-300, 301) for y in _neighbours(float(f"1e{k}"), 6)
+                   if Decimal(y) < Decimal(f"1e{k}") and f"{y:.17g}" == f"{float(f'1e{k}'):.17g}"]
+        assert len(carries) > 50
+        assert _formatted(carries, ncells=5) == _reference(carries, ncells=5)
+
+    def test_fixed_scientific_switches(self):
+        x = [y for edge in (1e-5, 1e-4, 1e16, 1e17, 99999999999999984.0, 9.9999999999999991e-5)
+             for y in _neighbours(edge, 4)]
+        assert _formatted(x, ncells=3) == _reference(x, ncells=3)
+
+    def test_16_and_17_digit_integers(self, rng):
+        x = np.concatenate([rng.integers(10**15, 10**16, 5000),
+                            rng.integers(10**16, 10**17, 5000)]).astype(float)
+        x[::3] *= -1
+        assert _formatted(x, ncells=10) == _reference(x, ncells=10)
+
+    def test_subnormals_zeros_nan_inf(self, rng):
+        sub = _bits(rng.integers(1, 2**52, 2000, dtype=np.uint64))
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   2.2250738585072014e-308, 1e-260, -1e260, np.nextafter(1e260, np.inf)]
+        x = np.concatenate([sub, -sub, special])
+        assert _formatted(x, ncells=7) == _reference(x, ncells=7)
+
+    def test_rows_wider_than_a_chunk(self, tmp_path, rng):
+        # 1 + 2 * 2 * 700 cells a row: rows straddle the formatter's chunks
+        grid = cgl_grid(700, 0.0, 1.0)
+        assert 1 + 4 * grid.n > _CHUNK_CELLS
+        traj = [(t, GridFunction(grid, _edge_values(rng, 2, 700))) for t in (0.0, 0.5, 1.0)]
+        write_trajectory_csv(tmp_path / "t.csv", traj, grid, "CONTOUR")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(lines) == 4
+        for line, (t, gf) in zip(lines[1:], traj):
+            cells = [f"{t:.17g}"]
+            for z in gf.values.reshape(-1):
+                cells += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+            assert line == ",".join(cells)
+
+    def test_sweep_csv(self, tmp_path):
+        records = [SweepRecord(-0.5 + 2.25j, 1.25, 3.5, True, "dense"),
+                   SweepRecord(1e-300 - 0.1j, np.nan, np.inf, False, "failed"),
+                   SweepRecord(complex(-0.0, 1e17), 0.30000000000000004, 1e-5, True, "power")]
+        report = SweepReport(grid=None, records=records, c_empirical=1.0, failures=[],
+                             r_observed=0.5)
+        write_sweep_csv(tmp_path / "s.csv", report)
+        want = ["lambda_re,lambda_im,resolvent_norm,ratio,frame_ok"]
+        for r in records:
+            want.append(f"{r.lam.real:.17g},{r.lam.imag:.17g},{r.norm:.17g},"
+                        f"{r.ratio:.17g},{int(r.frame_ok)}")
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[:-1] == want
+        assert lines[-1].startswith("# summary ")
 
 
 def write_config(path, body):
@@ -539,6 +719,8 @@ v0 = sine:1
             f"rc = quartic.cli.main(['evolve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
             "assert rc == 0, rc\n"
             "assert 'scipy' not in sys.modules, 'a modal evolve loaded scipy'\n"
+            "for name in ('numpy.ma', 'fractions'):\n"
+            "    assert name not in sys.modules, f'writing the trajectory loaded {name}'\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
