@@ -247,6 +247,32 @@ class BCFrame:
         return kit
 
 
+def _seed_conjugate_kit(frame: BCFrame, adj: BCFrame, grid: Grid) -> bool:
+    """Give ``adj`` the grid kit of ``frame``, conjugated, when adj's generators
+    are frame's conjugated and swapped (m' = conj(l), l' = conj(m), as for A^H
+    at conj(lam) in A's mode order).  Every kit stack is an elementwise
+    function of its generator that commutes with conjugation, so the seeded
+    stacks are the ones adj would compute; only modal frames whose members
+    match exactly are seeded.  Returns whether adj was seeded."""
+    o, oa = frame.ops, adj.ops
+    if not (frame.modal and adj.modal and np.array_equal(oa.m, np.conj(o.l))
+            and np.array_equal(oa.l, np.conj(o.m))):
+        return False
+
+    def conj(x):
+        x = np.conj(x)
+        x.setflags(write=False)
+        return x
+
+    kit = frame.grid_kit(grid)
+    adj._grid_cache[grid.nodes.tobytes()] = {
+        name: {"exa": conj(src["exa"]), "ebx": conj(src["ebx"]),
+               "weights": conj(src["weights"]),
+               "scans": tuple(tuple(conj(e) for e in scan) for scan in src["scans"])}
+        for name, src in (("m", kit["l"]), ("l", kit["m"]))}
+    return True
+
+
 def _blockwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M @ each block of len(M) rows of (..., K len(M), r) data."""
     blocks = v.reshape(v.shape[:-2] + (-1, len(M), v.shape[-1]))

@@ -211,8 +211,13 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     }
     if evolve["dt"] <= 0 or evolve["t_final"] <= 0:
         raise ConfigError("evolve dt and t_final must be positive")
-    if evolve["t_final"] / evolve["dt"] > MAX_TIME_STEPS:
+    steps = evolve["t_final"] / evolve["dt"]
+    if steps > MAX_TIME_STEPS:
         raise ConfigError(f"evolve t_final/dt exceeds {MAX_TIME_STEPS} steps")
+    # every scheme outputs at the multiples of dt up to t_final
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"evolve t_final = {evolve['t_final']!r} is not a whole number of "
+                          f"steps dt = {evolve['dt']!r} (t_final/dt = {steps!r})")
 
     return RunConfig(
         path=path,

@@ -76,10 +76,14 @@ class OperatorHandle:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def make_operator(matrix, label: str = "") -> OperatorHandle:
+def make_operator(matrix, label: str = "", eig=None) -> OperatorHandle:
     """Wrap a square complex matrix, validating its factorization.
 
-    Raises NonFinite for NaN/Inf entries and FactorizationFailure when the
+    ``eig`` = (w, V) hands in eigenpairs the caller already has, such as
+    (conj(a), V_A^{-H}) for A^H when A = V_A diag(a) V_A^{-1}, in place of
+    ``np.linalg.eig``; they pass the same residual check, condition test and
+    inversion as computed ones.  Raises
+    NonFinite for NaN/Inf entries and FactorizationFailure when the
     eigenpair backward errors exceed tolerance.
     """
     A = np.asarray(matrix, dtype=complex)
@@ -92,11 +96,14 @@ def make_operator(matrix, label: str = "") -> OperatorHandle:
     A = A.copy()
     A.setflags(write=False)
 
-    w, V = np.linalg.eig(A)
+    if eig is None:
+        w, V = np.linalg.eig(A)
+    else:
+        w, V = (np.array(x, dtype=complex) for x in eig)
     scale = max(np.linalg.norm(A, 2), 1.0)
     # per-eigenpair backward error ||Av - wv|| <= tol * ||A||
     res = np.linalg.norm(A @ V - V * w, axis=0) / np.linalg.norm(V, axis=0)
-    if np.max(res) > 1e3 * tol.FACTOR_RESIDUAL * scale:
+    if not np.max(res) <= 1e3 * tol.FACTOR_RESIDUAL * scale:  # NaN pairs fail too
         raise FactorizationFailure(
             f"eigenpair residual {np.max(res):.3e} exceeds tolerance"
         )

@@ -641,6 +641,23 @@ v0 = zero
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
 
 
+    @pytest.mark.parametrize("t_final, dt", [(0.5, 0.3), (1.0, 0.3)])
+    @pytest.mark.parametrize("scheme", ["IMPLICIT_EULER", "CRANK_NICOLSON", "CONTOUR"])
+    def test_t_final_not_a_multiple_of_dt_exits_2(self, tmp_path, capsys, scheme, t_final, dt):
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
+            "type = sines\ncoefficients = 1.0, 0.5", "type = zero") + f"""
+[evolve]
+scheme = {scheme}
+dt = {dt}
+t_final = {t_final}
+v0 = sine:1
+""")
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"t_final = {t_final!r}" in err and f"dt = {dt!r}" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
 class TestCliDenseRoute:
     """Every command on a Jordan-block operator: A has no eigenbasis, so each
     frame is dense (plain-matrix calculus) end to end."""
@@ -729,6 +746,42 @@ v0 = sine:1
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "trajectory.csv").exists()
+
+
+    def test_power_sweep_leaves_numpy_random_unloaded(self, tmp_path):
+        import subprocess
+        import sys
+
+        from quartic import tolerances
+
+        n_nodes = 344
+        assert 6 * n_nodes > tolerances.DENSE_CAP  # every point takes the power route
+        cfg = write_config(tmp_path / "c.cfg", f"""
+[problem]
+operator = laplacian:6
+bc_family = 1
+[sweep]
+radius_min = 1
+radius_max = 10
+n_radii = 2
+n_angles = 1
+n_nodes = {n_nodes}
+""")
+        script = (
+            "import sys\n"
+            "import quartic.cli\n"
+            f"rc = quartic.cli.main(['sweep', '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            "for name in ('numpy.random', 'secrets', 'scipy'):\n"
+            "    assert name not in sys.modules, f'a power-route sweep loaded {name}'\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 2 + 1
 
 
 class TestCliVerify:
