@@ -7,25 +7,28 @@ and evaluates the closed-form representation of the solution under the five
 boundary-condition families.  Fields are sampled on a grid and batched over
 right-hand sides.
 
-Every frame member is a scalar function of the base operator A, and the
-factors are A shifted by scalars, so ``_lambda_frames`` builds every frame
-from A alone.  When A is diagonalizable with a trusted eigenvector basis
-(eig_cond <= EIG_COND_CAP), the frame is modal: each member is the length-n
-array of its eigenvalues, data and boundary vectors are mapped into A's
-eigenbasis on entry and back on exit, and every member acts elementwise, so
-a parameter costs O(nN) work and no factorization.  Otherwise the frame is
-dense: members are plain (n, n) matrices, whose square roots and
-exponentials come from their Schur forms (``operators.sqrt_matrix``,
-``kernels.Propagator``).  One set of formulas serves both;
-``BCFrame.apply`` tells them apart.
+Every frame member is a function of the base operator A, and the factors
+are A shifted by scalars, so ``_lambda_frames`` builds every frame from A's
+block form A = V diag(T_1, ..., T_R) V^{-1} (``OperatorHandle.block_form``):
+each member is the stack of R b x b blocks of that function of the T_r, and
+data and boundary vectors are mapped into the basis V on entry and back on
+exit.  The block size b comes from A alone.  A trusted eigenbasis
+(eig_cond <= EIG_COND_CAP) gives b = 1: the blocks are eigenvalues, every
+member acts elementwise, and a parameter costs O(nN) work and no
+factorization.  Otherwise A is one block, b = n: its upper-triangular
+complex Schur form in the unitary Schur basis, whose square roots and
+exponentials stay triangular and accurate however non-normal A is
+(``operators.sqrt_matrix``, ``scipy.linalg.expm``).  One set of formulas
+serves every b; only the calculus (``_Blocks``), ``BCFrame.apply`` and
+``kernels`` look at it.
 
-A modal frame may also hold K parameters at once (``_lambda_frames``): its
-members are the K rows of n eigenvalues flattened parameter-major to one axis
-of length K n, and the basis maps act on each parameter's block of n rows.
-The kernels, the grid kit and the family formulas run on that longer axis
-unchanged, so K resolvent solves cost one.  Every guard of the frame
-assembly compares per parameter row, with the per-parameter thresholds, so a
-batch refuses exactly when one of its parameters would.
+A frame may hold K parameters at once (``_lambda_frames``): its members
+stack the blocks of each parameter in turn, K n / b blocks in all, and the
+basis maps act on each parameter's n rows.  The kernels, the grid kit and
+the family formulas run on that longer axis unchanged, so K resolvent solves
+cost one.  Every guard of the frame assembly compares per parameter row,
+with the per-parameter thresholds, so a batch refuses exactly when one of its
+parameters would.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .grids import Grid, GridFunction
 from .kernels import Propagator, convolve_nodes, scan_factors
 from .operators import (
     OperatorHandle,
-    inverse_I_minus,
     sector_half_angle,
     sqrt_matrix,
     sqrt_symbols,
@@ -152,28 +154,28 @@ class BCFrame:
     factors).  ``ops`` holds the members (p, q, b_op, m, l, their inverses,
     the interval exponentials e_cm, e_cl, e_clm, the guarded inverses z, w,
     inv_ip_em, ..., T-/T+, U = I - T-, V = I - T+, uinv, vinv, and the
-    identity eye).  A modal frame (``basis`` = (V, V^{-1}), the eigenvectors
-    P, Q and B share) stores each member as its (n,) eigenvalues and its
-    propagators give (N, n) exponentials and (6, J, n) node weights; a dense
-    frame (``basis`` None) stores plain (n, n) matrices and (N, n, n),
-    (6, J, n, n) stacks.  Attribute access ``frame.p``, ``frame.inv_im_el``,
-    ... always gives the dense matrix, built on first use as V diag(.) V^{-1}
-    for a modal frame.  ``uinv``/``vinv`` are None when the guarded inversion
-    of U or V refused (recorded in ``uv_ok``).
+    identity eye), each a stack of R b x b blocks in the basis ``basis`` =
+    (V, V^{-1}) that P, Q and B share: b = 1 blocks are eigenvalues in A's
+    eigenbasis, and b = n is one matrix, triangular in A's Schur basis from
+    ``_lambda_frames`` (module docstring).  The grid kit's stacks keep the
+    trailing (R, b, b): (N, R, b, b) exponentials and (6, J, R, b, b) node
+    weights.  Attribute access ``frame.p``, ``frame.inv_im_el``, ... gives
+    the dense matrix V diag(blocks) V^{-1}, built on first use.
+    ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
+    (recorded in ``uv_ok``).
 
-    A batch frame (``_lambda_frames``) is a modal frame whose members have
-    K n entries, the n eigenvalues of each of its K parameters in turn; ``n``
-    is then K n, ``lam`` the array of the K parameters, data and boundary
-    vectors are stacked the same way, and ``to_modes``/``from_modes`` map
-    each block of dim(A) rows, one block per parameter.  It has no dense
-    member views.
+    A batch frame (``_lambda_frames``) stacks the blocks of its K parameters
+    in turn; ``n`` is then K n, ``lam`` the array of the K parameters, data
+    and boundary vectors are stacked the same way, and
+    ``to_modes``/``from_modes`` map each parameter's dim(A) rows.  It has no
+    dense member views.
     """
 
     n: int
     c: float
     lam: complex | np.ndarray | None
     ops: SimpleNamespace
-    basis: tuple | None
+    basis: tuple
     uv_ok: bool
     prop_m: Propagator
     prop_l: Propagator
@@ -181,35 +183,41 @@ class BCFrame:
     _grid_cache: dict = field(default_factory=dict, repr=False)
 
     @property
-    def modal(self) -> bool:
-        return self.basis is not None
+    def block(self) -> int:
+        """The block size b."""
+        return self.ops.eye.shape[-1]
 
     def __getattr__(self, name):
         ops = self.__dict__.get("ops")
         if ops is None or not hasattr(ops, name):
             raise AttributeError(name)
         x = getattr(ops, name)
-        if x is None or not self.modal:
+        if x is None:
             return x
         if name not in self._dense:
             V, Vinv = self.basis
-            if len(x) != len(V):
+            if len(x) * x.shape[-1] != len(V):
                 raise AttributeError(f"{name}: a batch frame has no dense member views")
-            self._dense[name] = (V * x) @ Vinv
+            self._dense[name] = V @ self.apply(x, Vinv)
         return self._dense[name]
 
-    def apply(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """x @ v for a member or grid-kit stack x in this frame's representation;
-        v is (n, r) or (N, n, r)."""
-        return x[..., None] * v if self.modal else x @ v
+    @staticmethod
+    def apply(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """x @ v for a member or grid-kit stack x of (..., R, b, b) blocks and
+        (n, r) or (N, n, r) data v, n = R b."""
+        b, r = x.shape[-1], v.shape[-1]
+        if b == 1:
+            return x[..., 0] * v
+        y = x @ v.reshape(v.shape[:-2] + (-1, b, r))
+        return y.reshape(y.shape[:-3] + (-1, r))
 
     def to_modes(self, v: np.ndarray) -> np.ndarray:
         """(..., n, r) data in X's coordinates -> the frame's coordinates."""
-        return _blockwise(self.basis[1], v) if self.modal else v
+        return _blockwise(self.basis[1], v)
 
     def from_modes(self, v: np.ndarray) -> np.ndarray:
         """Inverse of ``to_modes``."""
-        return _blockwise(self.basis[0], v) if self.modal else v
+        return _blockwise(self.basis[0], v)
 
     @property
     def diagnostics(self) -> dict:
@@ -250,25 +258,24 @@ class BCFrame:
 def _seed_conjugate_kit(frame: BCFrame, adj: BCFrame, grid: Grid) -> bool:
     """Give ``adj`` the grid kit of ``frame``, conjugated, when adj's generators
     are frame's conjugated and swapped (m' = conj(l), l' = conj(m), as for A^H
-    at conj(lam) in A's mode order).  Every kit stack is an elementwise
-    function of its generator that commutes with conjugation, so the seeded
-    stacks are the ones adj would compute; only modal frames whose members
-    match exactly are seeded.  Returns whether adj was seeded."""
+    at conj(lam) in A's mode order).  Every kit stack is a function of its
+    generator that commutes with conjugation, so the seeded stacks are the
+    ones adj would compute; only frames whose members match exactly are
+    seeded.  Returns whether adj was seeded."""
     o, oa = frame.ops, adj.ops
-    if not (frame.modal and adj.modal and np.array_equal(oa.m, np.conj(o.l))
-            and np.array_equal(oa.l, np.conj(o.m))):
+    if not (np.array_equal(oa.m, np.conj(o.l)) and np.array_equal(oa.l, np.conj(o.m))):
         return False
 
     def conj(x):
+        if isinstance(x, tuple):
+            return tuple(conj(e) for e in x)
         x = np.conj(x)
         x.setflags(write=False)
         return x
 
     kit = frame.grid_kit(grid)
     adj._grid_cache[grid.nodes.tobytes()] = {
-        name: {"exa": conj(src["exa"]), "ebx": conj(src["ebx"]),
-               "weights": conj(src["weights"]),
-               "scans": tuple(tuple(conj(e) for e in scan) for scan in src["scans"])}
+        name: {key: conj(val) for key, val in src.items()}
         for name, src in (("m", kit["l"]), ("l", kit["m"]))}
     return True
 
@@ -308,133 +315,102 @@ def _refuse(bad, exc_type, message: str, *values):
         raise exc_type(message.format(*(np.atleast_1d(v)[i] for v in values)))
 
 
-class _Symbols:
-    """Calculus of a modal frame: each member holds the n eigenvalues of each
-    of K parameters' operators in one basis of condition kappa, flattened
-    parameter-major to (K n,).  Norms are per parameter row, the bounds
-    ||V diag(x) V^{-1}|| <= kappa max|x|, so a guard refuses a row whenever
-    the dense guard would refuse that parameter, and never because of the
-    scale of another row."""
+class _Blocks:
+    """Calculus of a frame: each member is a stack of R b x b blocks, the
+    blocks of K parameters' operators in one basis of condition kappa, R / K
+    blocks per parameter.  Blocks of size 1 are eigenvalues and act
+    elementwise; larger blocks are matrices.  Norms are per parameter row,
+    kappa times the largest block 2-norm of the row, which bounds
+    ||V diag(blocks) V^{-1}||: for b = 1 that is kappa max|x|, and for one
+    block with kappa = 1 it is ||X||_2.  So a guard refuses a row whenever the
+    one-block frame of that parameter would, and never because of the scale
+    of another row."""
 
-    def __init__(self, K: int, n: int, kappa: float):
-        self.shape = (K, n)
-        self.eye = np.ones(K * n, dtype=complex)
-        self.kappa = kappa
-
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.shape)
+    def __init__(self, K: int, R: int, b: int, kappa: float):
+        self.K, self.b, self.kappa = K, b, kappa
+        self.eye = np.tile(np.eye(b, dtype=complex), (R, 1, 1))
 
     def norm(self, x: np.ndarray) -> np.ndarray:
-        return self.kappa * np.abs(self.rows(x)).max(axis=1)
+        if self.b == 1:
+            blocks = np.abs(x[:, 0, 0])
+        else:  # an SVD refuses non-finite blocks; they get an infinite norm
+            finite = np.isfinite(x).all(axis=(1, 2))
+            blocks = np.full(len(x), np.inf)
+            blocks[finite] = np.linalg.norm(x[finite], 2, axis=(1, 2))
+        return self.kappa * blocks.reshape(self.K, -1).max(axis=1)
 
     def fro(self, x) -> np.ndarray:
-        return np.linalg.norm(self.rows(x), axis=1)
+        return np.linalg.norm(x.reshape(self.K, -1), axis=1)
 
-    @staticmethod
-    def inv(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 1.0 / x
+    def inv(self, x):
+        if self.b == 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return 1.0 / x
+        try:
+            return np.linalg.inv(x)
+        except np.linalg.LinAlgError:  # a singular block: every norm reads inf
+            return np.full_like(x, np.nan)
 
-    @staticmethod
-    def mul(x, y):
-        return x * y
+    def mul(self, x, y):
+        return x * y if self.b == 1 else x @ y
 
     def neg_sqrt_neg(self, x):
-        return -sqrt_symbols(-self.rows(x)).reshape(-1)
+        if self.b == 1:
+            return -sqrt_symbols(-x.reshape(self.K, -1)).reshape(x.shape)
+        return -np.array([sqrt_matrix(-block) for block in x])
 
     def inv_i_minus(self, t, label: str):
-        """(I - T)^{-1} under inverse_I_minus's condition cap, per row."""
-        inv = self.inv(1.0 - t)
+        """(I - T)^{-1} under the condition cap (1 + ||T||) ||(I - T)^{-1}||
+        <= CONDITION_CAP, per row."""
+        inv = self.inv(self.eye - t)
         cond = (1.0 + self.norm(t)) * self.norm(inv)
         _refuse(~np.isfinite(cond) | (cond > tol.CONDITION_CAP), SingularOrIllConditioned,
                 f"I - {label} has condition estimate {{:.3e}}", cond)
         return inv
 
 
-class _Matrices:
-    """Calculus of a dense frame: members are plain (n, n) matrices, and the
-    functions of them come from ``operators``' Schur-based numerics."""
-
-    def __init__(self, n: int):
-        self.eye = np.eye(n)
-
-    @staticmethod
-    def norm(x) -> float:
-        return float(np.linalg.norm(x, 2))
-
-    @staticmethod
-    def fro(x) -> float:
-        return float(np.linalg.norm(x))
-
-    @staticmethod
-    def inv(x):
-        return np.linalg.inv(x)
-
-    @staticmethod
-    def mul(x, y):
-        return x @ y
-
-    @staticmethod
-    def neg_sqrt_neg(x):
-        return -sqrt_matrix(-x)
-
-    @staticmethod
-    def inv_i_minus(t, label: str):
-        return inverse_I_minus(t, label)
-
-
 def assemble_frame(P, Q, B, c: float, require_uv: bool = False,
                    basis: tuple | None = None) -> BCFrame:
     """Build the operator frame from commuting factors P, Q with P = Q + B.
 
-    Without ``basis``, P, Q and B are plain (n, n) matrices and the frame is
-    dense; the matrices must share one size (DimensionMismatch), be finite
-    (NonFinite) and commute (NonCommutingOperators).  With ``basis`` =
-    (V, V^{-1}, cond(V)), P, Q and B are (K, n) arrays holding the
-    eigenvalues in that basis of K parameters' factors, and the frame is one
-    modal batch frame over the K n flattened rows.  Raises SpectrumOnCut when
-    a square root is undefined and FrameSingular when B or an interval
-    operator needed unconditionally is not invertible; on a batch, when any
-    parameter's would.  With ``require_uv`` the two derivative-family
-    operators must also invert.
+    With ``basis`` = (V, V^{-1}, cond(V)), P, Q and B are stacks of R b x b
+    blocks, the factors of K parameters in that basis (R b = K len(V)), and
+    the frame is one batch frame over them.  Without ``basis``, P, Q and B
+    are the plain (n, n) matrices of one parameter, which must share one size
+    (DimensionMismatch), be finite (NonFinite) and commute
+    (NonCommutingOperators); the frame is then one block in the identity
+    basis.  Raises SpectrumOnCut when a square root is undefined and
+    FrameSingular when B or an interval operator needed unconditionally is
+    not invertible; on a batch, when any parameter's would.  With
+    ``require_uv`` the two derivative-family operators must also invert.
     """
-    if basis is not None:
-        V, Vinv, kappa = basis
-        calc = _Symbols(*np.shape(P), kappa)
-        p, q, b = (np.reshape(x, -1) for x in (P, Q, B))
-        return _frame(calc, p, q, b, c, require_uv, (V, Vinv))
     p, q, b = (np.asarray(x, dtype=complex) for x in (P, Q, B))
-    n = len(p) if p.ndim == 2 else -1
-    if any(x.shape != (n, n) for x in (p, q, b)):
-        raise DimensionMismatch("P, Q, B must be square matrices of one size")
-    if not all(np.isfinite(x).all() for x in (p, q, b)):
-        raise NonFinite("P, Q, B must have finite entries")
-    calc = _Matrices(n)
-    comm = np.linalg.norm(p @ q - q @ p)
-    if comm > 1e-10 * max(calc.norm(p), 1e-300) * max(calc.norm(q), 1e-300) * n:
-        raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
-    return _frame(calc, p, q, b, c, require_uv, None)
-
-
-def _frame(calc, p, q, b, c, require_uv, basis) -> BCFrame:
-    """The frame of the members p, q, b in the calculus ``calc``; every guard
-    compares per row of ``calc`` (one row for a single parameter)."""
+    if basis is None:
+        n = len(p) if p.ndim == 2 else -1
+        if any(x.shape != (n, n) for x in (p, q, b)):
+            raise DimensionMismatch("P, Q, B must be square matrices of one size")
+        if not all(np.isfinite(x).all() for x in (p, q, b)):
+            raise NonFinite("P, Q, B must have finite entries")
+        comm = np.linalg.norm(p @ q - q @ p)
+        pn, qn = (max(np.linalg.norm(x, 2), 1e-300) for x in (p, q))
+        if comm > 1e-10 * pn * qn * n:
+            raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
+        p, q, b = p[None], q[None], b[None]
+        basis = (np.eye(n), np.eye(n), 1.0)
+    V, Vinv, kappa = basis
     if c <= 0:
         raise ValueError("interval length c must be positive")
+    calc = _Blocks(len(p) * p.shape[-1] // len(V), len(p), p.shape[-1], kappa)
     pn, qn = np.maximum(calc.norm(p), 1e-300), np.maximum(calc.norm(q), 1e-300)
     gap = calc.fro(p - q - b)
     _refuse(gap > 1e-10 * np.maximum(pn, calc.norm(b)), FrameSingular,
             "P - Q - B residual {:.3e}", gap)
-    try:
-        binv = calc.inv(b)
-        binv_norm = calc.norm(binv)
-    except np.linalg.LinAlgError:
-        binv_norm = np.inf
+    binv = calc.inv(b)
+    binv_norm = calc.norm(binv)
     # B is "invertible" only on the scale of the factors it separates
     _refuse(~np.isfinite(binv_norm)
             | (binv_norm * np.maximum(np.maximum(pn, qn), 1.0) > tol.CONDITION_CAP),
             FrameSingular, "B is not invertible")
-
     m = calc.neg_sqrt_neg(p)
     l = calc.neg_sqrt_neg(q)
     prop_m = Propagator(m)
@@ -475,7 +451,7 @@ def _frame(calc, p, q, b, c, require_uv, basis) -> BCFrame:
         inv_ip_em=inv_ip_em, inv_im_em=inv_im_em,
         inv_ip_el=inv_ip_el, inv_im_el=inv_im_el,
     )
-    return BCFrame(n=len(calc.eye), c=c, lam=None, ops=ops, basis=basis, uv_ok=uv_ok,
+    return BCFrame(n=len(p) * calc.b, c=c, lam=None, ops=ops, basis=(V, Vinv), uv_ok=uv_ok,
                    prop_m=prop_m, prop_l=prop_l)
 
 
@@ -714,42 +690,37 @@ def solve_bc5(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
 _SOLVERS = {1: solve_bc1, 2: solve_bc2, 3: solve_bc3, 4: solve_bc4, 5: solve_bc5}
 
 
+def _shifted(T: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The blocks T + s I for each shift s in turn: (len(shifts) R, b, b)."""
+    out = np.tile(T, (len(shifts), 1, 1))
+    d = np.arange(T.shape[-1])
+    out[:, d, d] += np.repeat(shifts, len(T))[:, None]
+    return out
+
+
 def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     """One frame for the shifted equation at each parameter of ``lams``.
 
     The factors are P = A - k/2 + i s, Q = A - k/2 - i s and B = 2 i s with
     s = sqrt(-lam - k^2/4), except lam = 0 with k != 0, which uses the direct
     factorization (A, A - k I) instead of the branch-cut parameterization.
-    This is the package's one frame constructor.  For A with a trusted
-    eigenbasis the frame is modal and built from A's eigenvalues alone, with
-    no factorization, and K parameters make one batch frame over the
-    flattened (parameter, mode) axis.  Otherwise ``lams`` must hold one
-    parameter, and the frame is dense: ``assemble_frame`` takes the plain
-    matrices A + p I, A + q I and b I, and no member passes through an
-    OperatorHandle.
+    This is the package's one frame constructor.  The factors are A's blocks
+    (``OperatorHandle.block_form``) shifted per parameter, so no factor passes
+    through ``make_operator`` or ``eig``, and K parameters make one batch
+    frame.
 
     A batch refuses exactly when one of its parameters would: it raises the
     exception of the first refused parameter in node order, BranchCut for a
     parameter on the cut, and NotInResolventSet (carrying ``lam``) for a
     frame that cannot be assembled.
     """
-    A = spec.A
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    require_uv = spec.bc_family in DERIVATIVE_FAMILIES
+    T, V, Vinv, kappa = spec.A.block_form
     try:
         shifts = np.array([_factor_shifts(spec.k, lam) for lam in lams])
-        if A.diagonalizable:
-            p, q = (A.spectrum + shifts[:, j, None] for j in (0, 1))
-            b = 0.0 * A.spectrum + shifts[:, 2, None]
-            frame = assemble_frame(p, q, b, spec.c, require_uv,
-                                   basis=(A.eigvecs, A.eigvecs_inv, A.eig_cond))
-        elif len(lams) == 1:
-            (p, q, b), = shifts
-            eye = np.eye(A.dim)
-            frame = assemble_frame(A.matrix + p * eye, A.matrix + q * eye, b * eye,
-                                   spec.c, require_uv)
-        else:
-            raise ValueError("only A with a trusted eigenbasis batches parameters")
+        frame = assemble_frame(_shifted(T, shifts[:, 0]), _shifted(T, shifts[:, 1]),
+                               _shifted(0.0 * T, shifts[:, 2]), spec.c,
+                               spec.bc_family in DERIVATIVE_FAMILIES, basis=(V, Vinv, kappa))
     except (BranchCut, FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:
         if len(lams) > 1:  # the first refused parameter names the refusal
             for lam in lams:
@@ -762,9 +733,8 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     return frame
 
 
-def _lambda_frame(spec: ProblemSpec, lam: complex) -> BCFrame:
-    """Frame for the shifted equation at one parameter (``_lambda_frames``)."""
-    return _lambda_frames(spec, lam)
+# perfbench/make_reference.py builds its frames through this name
+_lambda_frame = _lambda_frames
 
 
 def resolvent_solve(spec: ProblemSpec, lam: complex, f: GridFunction) -> GridFunction:
@@ -773,51 +743,46 @@ def resolvent_solve(spec: ProblemSpec, lam: complex, f: GridFunction) -> GridFun
     Builds the parameter frame and dispatches to the matching family solver
     with homogeneous boundary data.
     """
-    frame = _lambda_frame(spec, lam)
+    frame = _lambda_frames(spec, lam)
     return _SOLVERS[spec.bc_family](frame, f)
 
 
 def resolvent_blocks(spec: ProblemSpec, lam: complex, grid: Grid,
                      frame: BCFrame | None = None) -> np.ndarray:
-    """Per-mode resolvent blocks R_i of a modal frame, shape (dim(A), N, N).
+    """Per-block resolvent blocks R_r of a frame, shape (R, N b, N b).
 
-    A modal frame decouples the modes, so one solve with N columns (node
-    deltas in every mode at once) gives them all: R_i[x, y] is mode i's
-    value at node x for a unit delta at node y.  The resolvent on the grid
-    is V R_i V^{-1} with V = A's eigenbasis.  A dense frame has no per-mode
-    blocks and raises ValueError.
+    A frame decouples its R blocks, so one solve with N b columns (a unit
+    delta at each node and block index, in every block at once) gives them
+    all: R_r[(x, i), (y, j)] is block r's component i at node x for a unit
+    delta in its component j at node y.  The resolvent on the grid is
+    V diag(R_r) V^{-1} with V the frame's basis; for b = 1 the R_r are the
+    (dim(A), N, N) per-mode blocks in A's eigenbasis.
     """
     if frame is None:
-        frame = _lambda_frame(spec, lam)
-    if not frame.modal:
-        raise ValueError("only a modal frame has per-mode resolvent blocks")
-    n, N = spec.A.dim, grid.n
-    deltas = np.repeat(np.eye(N, dtype=complex)[:, None, :], n, axis=1)
-    sol = _solve_family(frame, grid, deltas, _zero_phi(n), spec.bc_family)
-    return sol.transpose(1, 0, 2)
+        frame = _lambda_frames(spec, lam)
+    n, N, b = frame.n, grid.n, frame.block
+    deltas = np.tile(np.eye(N * b, dtype=complex).reshape(N, 1, b, N * b), (1, n // b, 1, 1))
+    sol = _solve_family(frame, grid, deltas.reshape(N, n, N * b), _zero_phi(n),
+                        spec.bc_family)
+    return sol.reshape(N, n // b, b, N * b).transpose(1, 0, 2, 3).reshape(n // b, N * b, N * b)
 
 
 def resolvent_matrix(spec: ProblemSpec, lam: complex, grid: Grid,
                      frame: BCFrame | None = None) -> np.ndarray:
     """Materialize f -> resolvent_solve(f) as a dense matrix on the grid.
 
-    Degrees of freedom are node-major blocks of dim(A) components.  A modal
-    frame assembles V R_i V^{-1} from ``resolvent_blocks``; a dense frame
-    solves nN unit columns.  The sweep takes the norm of this matrix unless
-    A's eigenbasis is unitary, where the largest per-mode block norm is the
-    same number for a fraction of the work (``spectral.run_sweep``).
+    Degrees of freedom are node-major blocks of dim(A) components; the
+    matrix is V diag(R_r) V^{-1} assembled from ``resolvent_blocks``.  The
+    sweep takes the norm of this matrix unless A's eigenbasis is unitary,
+    where the largest per-mode block norm is the same number for a fraction
+    of the work (``spectral.run_sweep``).
     """
     if frame is None:
-        frame = _lambda_frame(spec, lam)
-    n, N = spec.A.dim, grid.n
-    if frame.modal:
-        V, Vinv = frame.basis
-        blocks = resolvent_blocks(spec, lam, grid, frame)
-        return np.einsum("ai,ixy,ib->xayb", V, blocks, Vinv,
-                         optimize=True).reshape(N * n, N * n)
-    basis = np.eye(n * N, dtype=complex).reshape(N, n, n * N)
-    sol = _solve_family(frame, grid, basis, _zero_phi(n), spec.bc_family)
-    return sol.reshape(N * n, N * n)
+        frame = _lambda_frames(spec, lam)
+    (V, Vinv), n, N, b = frame.basis, spec.A.dim, grid.n, frame.block
+    blocks = resolvent_blocks(spec, lam, grid, frame).reshape(n // b, N, b, N, b)
+    return np.einsum("arj,rxjyk,rkc->xayc", V.reshape(n, n // b, b), blocks,
+                     Vinv.reshape(n // b, b, n), optimize=True).reshape(N * n, N * n)
 
 
 def boundary_residuals(grid: Grid, u: GridFunction, phi, bc: int,

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .bvp import DERIVATIVE_FAMILIES, boundary_residuals, _lambda_frame, _SOLVERS
+from .bvp import DERIVATIVE_FAMILIES, boundary_residuals, _lambda_frames, _SOLVERS
 from .config import RunConfig, build_v0, load_config
 from .errors import (
     ConfigError,
@@ -39,7 +39,7 @@ EXIT_ANGLE_GATE = 5
 def cmd_solve(cfg: RunConfig, args) -> int:
     spec = cfg.problem
     try:
-        frame = _lambda_frame(spec, cfg.lam)
+        frame = _lambda_frames(spec, cfg.lam)
         u = _SOLVERS[spec.bc_family](frame, cfg.forcing, cfg.phi)
     except (NotInResolventSet, FrameSingular) as exc:
         print(f"frame singular: {exc}", file=sys.stderr)

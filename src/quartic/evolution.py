@@ -10,15 +10,16 @@ for wide sectors).  A window has one hyperbola whose mu is fixed by the
 truncation bound at t_s, after Weideman & Trefethen, Math. Comp. 76 (2007),
 and Lopez-Fernandez, Palencia & Schaedle, SINUM 44 (2006).  Each node is one
 resolvent solve of the stationary code path on the distinct data columns,
-v0 and the forcing samples; with a trusted eigenbasis of A a batch of nodes
-shares one frame.  Every output of the window is a weighted sum of those
-solves, and each refinement n -> 2n - 1 solves only the new trapezoid
-midpoints.
+v0 and the forcing samples, and a batch of nodes shares one frame.  Every
+output of the window is a weighted sum of those solves, and each refinement
+n -> 2n - 1 solves only the new trapezoid midpoints.  A hyperbola whose
+vertex factor e^{t lam} at the window start would pass 1/eps is refused
+before any node is solved: the sum's round-off would exceed the data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from .bvp import (
     DERIVATIVE_FAMILIES,
     ProblemSpec,
-    _lambda_frame,
     _lambda_frames,
     _SOLVERS,
     _solve_family,
@@ -62,11 +62,12 @@ __all__ = [
 _SCHEMES = ("CONTOUR", "IMPLICIT_EULER", "CRANK_NICOLSON")
 
 # Contour nodes solved as one batch frame hold at most this many
-# (node x mode x grid step) elements: the grid kit, the step weights and the
-# convolution buffers of a batch all scale with it, so it bounds a pass's
-# memory whatever its node count.  Data columns are not counted: the frame,
-# its grid kit and its step weights serve every column, and only the data
-# and convolution buffers grow with their number (two for steady forcing).
+# (node x block entry x grid step) elements: the grid kit, the step weights
+# and the convolution buffers of a batch all scale at most with it, so it
+# bounds a pass's memory whatever its node count.  Data columns are not
+# counted: the frame, its grid kit and its step weights serve every column,
+# and only the data and convolution buffers grow with their number (two for
+# steady forcing).
 CONTOUR_BATCH_ELEMENTS = 1536
 
 # Output times in [t_s, WINDOW_RATIO t_s] share one hyperbola.  Its mu keeps
@@ -77,6 +78,8 @@ CONTOUR_BATCH_ELEMENTS = 1536
 WINDOW_RATIO = 8.0
 TAIL_EXPONENT = 37.0
 VERTEX_EXPONENT = 8.0
+# A window refuses when that exponent at its start passes ln(1 / eps).
+ROUNDOFF_EXPONENT = -float(np.log(np.finfo(float).eps))
 # Trapezoid refinements n -> 2n - 1 before QuadratureNotConverged.
 MAX_REFINEMENTS = 4
 
@@ -113,13 +116,11 @@ class ContourParams:
     The rightmost point sits at vertex + mu(1 - sin beta) > vertex, so every
     node stays clear of the branch ray; the asymptote half-angle pi/2 + beta
     must stay below pi minus the spectral sector angle.  A window of output
-    times shares one mu (``window``); ``nodes(n, t)`` is the n-node rule of
-    the single time t at mu = mu_over_n n / t.
+    times shares one mu (``window``).
     """
 
     vertex: float
     beta: float
-    mu_over_n: float = 0.4
     half_width: float = 3.0
 
     def at(self, mu: float, th: np.ndarray, h: float):
@@ -128,10 +129,6 @@ class ContourParams:
         dlam = mu * 1j * np.cos(self.beta - 1j * th)
         return lam, dlam * h / (2j * np.pi)
 
-    def nodes(self, n_points: int, t: float):
-        th = np.linspace(-self.half_width, self.half_width, n_points)
-        return self.at(self.mu_over_n * n_points / t, th, th[1] - th[0])
-
     def window(self, t_s: float):
         """(mu, t_max) of the window of output times [t_s, t_max].
 
@@ -139,6 +136,10 @@ class ContourParams:
         tail for every t >= t_s at any node count, so refinement controls the
         discretization error alone.  t_max is WINDOW_RATIO t_s, or less where
         t_max mu (1 - sin beta) would pass VERTEX_EXPONENT (never below t_s).
+        Raises QuadratureNotConverged when the hyperbola has no decaying tail,
+        or when the vertex exponent t_s mu (1 - sin beta) passes
+        ROUNDOFF_EXPONENT: e^{t lam} at the vertex would then amplify the
+        round-off of every node solve past the data.
         """
         decay = np.sin(self.beta) * np.cosh(self.half_width) - 1.0
         if decay <= 0:
@@ -147,6 +148,11 @@ class ContourParams:
                 f"{self.half_width:g} has no decaying tail")
         mu = TAIL_EXPONENT / (decay * t_s)
         vertex_rate = TAIL_EXPONENT * (1.0 - np.sin(self.beta)) / decay  # per t / t_s
+        if vertex_rate > ROUNDOFF_EXPONENT:
+            raise QuadratureNotConverged(
+                f"hyperbola with beta {self.beta:.3g} has vertex exponent "
+                f"{vertex_rate:.3g} > ln(1/eps) = {ROUNDOFF_EXPONENT:.3g}: its "
+                f"round-off would exceed the data")
         if vertex_rate * WINDOW_RATIO <= VERTEX_EXPONENT:
             return mu, WINDOW_RATIO * t_s
         return mu, max(1.0, VERTEX_EXPONENT / vertex_rate) * t_s
@@ -159,12 +165,11 @@ def _gate_angle(spec: ProblemSpec):
         )
 
 
-def default_contour(spec: ProblemSpec, ball_radius: float = 0.0) -> ContourParams:
-    """Contour clearing the spectral sector and any excluded vertex ball."""
+def default_contour(spec: ProblemSpec) -> ContourParams:
+    """Contour clearing the spectral sector."""
     _gate_angle(spec)
     beta = min(0.9 * (np.pi / 2 - 2 * spec.theta_a), 1.0)
-    vertex = spec.k**2 / 4.0 + max(ball_radius, 0.0)
-    return ContourParams(vertex=vertex, beta=beta)
+    return ContourParams(vertex=spec.k**2 / 4.0, beta=beta)
 
 
 def _distinct_columns(fields):
@@ -184,18 +189,16 @@ def _node_sums(spec: ProblemSpec, grid: Grid, lams, weights, columns) -> np.ndar
 
     columns (r, dim, N) are the data all nodes share and weights (O, K, r)
     carry every e^{t lam}-type factor; those decay along the contour tails,
-    so no overflow can occur here.  Returns (O, dim, N).  For A with a
-    trusted eigenbasis the nodes are solved in batches of up to
-    CONTOUR_BATCH_ELEMENTS / (dim(A) x grid steps) nodes, each batch one
-    frame over the flattened (node, mode) axis (``bvp._lambda_frames``) whose
-    guards act per node, solved on all r columns at once; the dense route
-    solves one node at a time.  A refused node raises ContourTooClose naming
-    the first refused node.
+    so no overflow can occur here.  Returns (O, dim, N).  The nodes are
+    solved in batches, each one frame over the stacked (node, block) axis
+    (``bvp._lambda_frames``) whose guards act per node, solved on all r
+    columns at once.  A batch holds up to CONTOUR_BATCH_ELEMENTS / (dim(A) b
+    x grid steps) nodes, each node's blocks having dim(A) b entries.  A
+    refused node raises ContourTooClose naming the first refused node.
     """
     r, dim, n_grid = columns.shape
-    size = 1
-    if spec.A.diagonalizable:
-        size = max(1, CONTOUR_BATCH_ELEMENTS // (dim * (n_grid - 1)))
+    b = spec.A.block_form[0].shape[-1]
+    size = max(1, CONTOUR_BATCH_ELEMENTS // (dim * b * (n_grid - 1)))
     data = np.ascontiguousarray(columns.transpose(2, 1, 0))  # (N, dim, r)
     acc = 0.0
     for i in range(0, len(lams), size):
@@ -212,28 +215,18 @@ def _node_sums(spec: ProblemSpec, grid: Grid, lams, weights, columns) -> np.ndar
     return acc.transpose(2, 1, 0)
 
 
-def _contour_sum(spec: ProblemSpec, t: float, payload, n_points: int,
-                 params: ContourParams) -> np.ndarray:
-    """sum of weights * R(lam) payload(lam) over t's n_points-node hyperbola
-    (``ContourParams.nodes``): ``_node_sums`` on the payload's data columns."""
-    lam, wgt = params.nodes(n_points, t)
-    columns, weights = payload.split()
-    return _node_sums(spec, payload.grid, lam, (weights.transform(lam) * wgt[:, None])[None],
-                      columns)[0]
-
-
 def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
                  params: ContourParams, rel_tol: float, scale_floor: float) -> np.ndarray:
     """Converged contour sums of a window's outputs on one hyperbola: (O, dim, N).
 
-    Each payload holds one output's weights over the data columns
-    (``_Payload.split``), and mu is the window's (``ContourParams.window``).
-    Every pass halves the trapezoid step (n -> 2n - 1 nodes), so it solves
-    only the new midpoints; the earlier nodes enter through the previous
-    sum.  Each output's change over a pass must fall to rel_tol times the
-    larger of its size and scale_floor, the data's size: the quadrature's
-    error is relative to the data, and a decayed solution lies below the
-    sum's round-off.  QuadratureNotConverged after MAX_REFINEMENTS passes.
+    Each payload holds one output's weights over the data columns, and mu
+    is the window's (``ContourParams.window``).  Every pass halves the
+    trapezoid step (n -> 2n - 1 nodes), so it solves only the new midpoints;
+    the earlier nodes enter through the previous sum.  Each output's change
+    over a pass must fall to rel_tol times the larger of its size and
+    scale_floor, the data's size: the quadrature's error is relative to the
+    data, and a decayed solution lies below the sum's round-off.
+    QuadratureNotConverged after MAX_REFINEMENTS passes.
     """
     grid = payloads[0].grid
 
@@ -256,29 +249,44 @@ def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
     raise QuadratureNotConverged(f"contour self-error above {rel_tol} at {n} nodes")
 
 
-def semigroup_apply_contour(
-    spec: ProblemSpec,
-    t: float,
-    v0: GridFunction,
-    n_points: int = 32,
-    rel_tol: float = 1e-6,
-    params: ContourParams | None = None,
-) -> GridFunction:
+def _contour_outputs(spec: ProblemSpec, ts: np.ndarray, v0: GridFunction, f_samples,
+                     n_points: int, rel_tol: float) -> list:
+    """e^{tG} v0 plus the forcing's Duhamel term at each output time ts[1:].
+
+    f_samples holds the forcing at every ts (None for no forcing).  Each
+    node is solved once on the distinct data columns among v0 and the
+    samples, and the outputs of each window (``ContourParams.window``) weigh
+    those solves with their own transform (``_Payload``, ``_forced_payload``);
+    ``_window_sums`` refines each window.
+    """
+    grid = v0.grid
+    columns, sel = _distinct_columns([v0.values] + list(f_samples or ()))
+    params = default_contour(spec)
+    scale = np.max(np.abs(v0.values))
+    out = []
+    i = 1
+    while i < len(ts):
+        mu, t_max = params.window(ts[i])
+        j = max(int(np.searchsorted(ts, t_max * (1 + 1e-12), side="right")), i + 1)
+        payloads = [_Payload(grid, sel[0], t) if f_samples is None
+                    else _forced_payload(grid, sel[0], sel[1:], ts, t) for t in ts[i:j]]
+        out += list(_window_sums(spec, mu, payloads, columns, n_points, params, rel_tol, scale))
+        i = j
+    return out
+
+
+def semigroup_apply_contour(spec: ProblemSpec, t: float, v0: GridFunction,
+                            n_points: int = 32, rel_tol: float = 1e-6) -> GridFunction:
     """e^{tG} v0 by hyperbola quadrature with self-error control.
 
-    The window of the one time t (``_window_sums``): refines n_points nodes
-    n -> 2n - 1 at fixed mu until the change is below rel_tol times
+    ``evolve``'s contour path on the one output time t: refines n_points
+    nodes n -> 2n - 1 at fixed mu until the change is below rel_tol times
     max(|e^{tG} v0|, |v0|); raises QuadratureNotConverged if the budget runs
     out.
     """
     if t <= 0:
         raise ValueError("contour evaluation needs t > 0")
-    if params is None:
-        params = default_contour(spec)
-    columns, weights = _Payload(v0.grid, v0.values, t).split()
-    mu, _ = params.window(t)
-    vals = _window_sums(spec, mu, [weights], columns, n_points, params, rel_tol,
-                        np.max(np.abs(v0.values)))
+    vals = _contour_outputs(spec, np.array([0.0, t]), v0, None, n_points, rel_tol)
     return GridFunction(v0.grid, vals[0])
 
 
@@ -291,8 +299,7 @@ class _Payload:
     (S, dim, N) at both ends, less the algebraic tail of the last step (see
     ``_forced_payload``).  The transform is linear in v0, f0 and f1 and takes
     them of any shape (``transform``): as fields it gives the data at the
-    nodes, as weight vectors over data columns (``split``) each column's
-    weight.
+    nodes, as weight vectors over data columns each column's weight.
     """
 
     grid: Grid
@@ -316,16 +323,6 @@ class _Payload:
             f_end, slope_end = self.f1[-1], (self.f1[-1] - self.f0[-1]) / self.dts[-1]
             data = data + f_end / col + slope_end / (col * col)
         return data
-
-    def split(self):
-        """(columns, weights): the distinct fields among v0, f0 and f1 as
-        (r, dim, N) columns, and this payload over their weight vectors."""
-        fields = [self.v0] if self.dts is None else [self.v0, *self.f0, *self.f1]
-        columns, sel = _distinct_columns(fields)
-        if self.dts is None:
-            return columns, replace(self, v0=sel[0])
-        s = len(self.dts)
-        return columns, replace(self, v0=sel[0], f0=sel[1:s + 1], f1=sel[s + 1:])
 
 
 def _forced_payload(grid, v0_vals, f_samples, ts, t_now) -> _Payload:
@@ -372,30 +369,16 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     if espec.scheme == "CONTOUR":
         n_out = max(int(round(espec.t_final / espec.dt)), 1) if espec.dt else 8
         ts = np.linspace(0.0, espec.t_final, n_out + 1)
-        fields = [espec.v0.values]
-        if espec.forcing is not None:
-            fields += [espec.forcing(t) for t in ts]
-        columns, sel = _distinct_columns(fields)
-        params = default_contour(spec)
-        scale = np.max(np.abs(espec.v0.values))
-        traj = [(0.0, espec.v0.copy())]
-        i = 1
-        while i < len(ts):
-            mu, t_max = params.window(ts[i])
-            j = max(int(np.searchsorted(ts, t_max * (1 + 1e-12), side="right")), i + 1)
-            payloads = [_Payload(grid, sel[0], t) if espec.forcing is None
-                        else _forced_payload(grid, sel[0], sel[1:], ts, t) for t in ts[i:j]]
-            vals = _window_sums(spec, mu, payloads, columns, espec.contour_points,
-                                params, rel_tol, scale)
-            traj += [(float(t), GridFunction(grid, v)) for t, v in zip(ts[i:j], vals)]
-            i = j
-        return traj
+        f_samples = None if espec.forcing is None else [espec.forcing(t) for t in ts]
+        vals = _contour_outputs(spec, ts, espec.v0, f_samples, espec.contour_points, rel_tol)
+        return [(0.0, espec.v0.copy())] + [(float(t), GridFunction(grid, v))
+                                           for t, v in zip(ts[1:], vals)]
 
     dt = float(espec.dt)
     n_steps = int(round(espec.t_final / dt))
     shift = -1.0 / dt if espec.scheme == "IMPLICIT_EULER" else -2.0 / dt
     try:
-        frame = _lambda_frame(spec, shift)
+        frame = _lambda_frames(spec, shift)
     except (NotInResolventSet, BranchCut, ValueError) as exc:
         raise StepRejected(f"scheme shift {shift} rejected: {exc}") from exc
     solver = _SOLVERS[spec.bc_family]

@@ -19,14 +19,14 @@ int_0^1 e^{z(1-u)} p(1-u) du is the forward one on the reflected model,
 whose node data swap the two ends and negate the slopes, so it reuses the
 forward weights and only phi_1..phi_6 are evaluated.
 
-The phi functions come per eigenmode when X is given by its eigenvalues (a
-modal frame; the stacks keep only their (..., n) diagonals), and from the
-exponential of an augmented block matrix when X is a dense matrix (the
-frame of an A whose eigenbasis is too ill-conditioned to use, whose e^{tX}
-comes from its Schur form).  The recurrence I_{j+1} = e^{h_j X} I_j + c_j
-runs for modal steps as one log-depth (Hillis-Steele) scan, whose step
-compositions are exact elementwise products that a grid kit also computes
-once per direction (``scan_factors``).  Dense steps run the plain
+X is a stack of R b x b blocks (``bvp.BCFrame``), and so is every stack
+here: e^{tX} is (..., R, b, b) and the node weights (6, J, R, b, b).  Blocks
+of size 1 are X's eigenvalues: the phi functions come elementwise
+(``_exp_integrals``), and the recurrence I_{j+1} = e^{h_j X} I_j + c_j runs
+as one log-depth (Hillis-Steele) scan whose step compositions are exact
+elementwise products that a grid kit also computes once per direction
+(``scan_factors``).  Larger blocks take batched ``scipy.linalg.expm`` calls,
+the phi functions through the exponential of augmented blocks, and the plain
 recurrence: composing such steps explicitly multiplies their round-off by
 their non-normality at every pass.
 """
@@ -39,7 +39,6 @@ from math import factorial
 import numpy as np
 
 from . import tolerances as tol
-from .operators import schur_form
 
 __all__ = [
     "phi_stack",
@@ -127,70 +126,50 @@ def chi_stack(z: np.ndarray, mmax: int) -> np.ndarray:
     return _exp_integrals(z, 0, mmax)[1]
 
 
-def _phi_block_matrices(hX: np.ndarray, p: int) -> list[np.ndarray]:
-    """phi_1(hX)..phi_p(hX) via one exponential of an augmented block matrix."""
+def _phi_blocks(hX: np.ndarray, p: int) -> np.ndarray:
+    """phi_1(hX)..phi_p(hX) for a stack of b x b blocks hX, shape (p,) +
+    hX.shape, from one batched exponential of augmented blocks."""
     import scipy.linalg as sla
 
-    n = hX.shape[0]
-    C = np.zeros(((p + 1) * n, (p + 1) * n), dtype=complex)
-    C[:n, :n] = hX
-    for k in range(p):
-        r = k * n
-        C[r:r + n, r + n:r + 2 * n] = np.eye(n)
+    b = hX.shape[-1]
+    C = np.zeros(hX.shape[:-2] + ((p + 1) * b, (p + 1) * b), dtype=complex)
+    C[..., :b, :b] = hX
+    i = np.arange(p * b)
+    C[..., i, i + b] = 1.0
     E = sla.expm(C)
-    return [E[:n, (k + 1) * n:(k + 2) * n] for k in range(p)]
+    return np.stack([E[..., :b, k * b:(k + 1) * b] for k in range(1, p + 1)])
 
 
 class Propagator:
-    """Evaluates e^{tX} stacks and exponential step integrals for one X.
-
-    Built from the (n,) eigenvalues of X it returns modal (..., n) stacks,
-    the diagonals of the stacks in X's eigenbasis.  Built from the (n, n)
-    matrix X it returns dense (..., n, n) stacks through X's Schur form; a
-    frame only holds such members when A's eigenbasis is too ill-conditioned
-    to use.
-    """
+    """e^{tX} stacks and exponential step integrals for one X, a stack of R
+    b x b blocks; every stack it returns keeps the trailing (R, b, b)."""
 
     MAX_DEG = 6  # local polynomial model degree + 1
 
     def __init__(self, x):
-        x = np.asarray(x, dtype=complex)
-        self.n = len(x)
-        self.modal = x.ndim == 1
-        if self.modal:
-            self._w = x
-        else:
-            self.matrix = x
-            self._schur = schur_form(x)
+        self.blocks = np.asarray(x, dtype=complex)
 
     def exp_stack(self, ts: np.ndarray) -> np.ndarray:
-        """e^{t X} for each t in ts: shape (len(ts), n, n), or (len(ts), n) modal."""
-        ts = np.asarray(ts, dtype=float)
-        if self.modal:
-            return np.exp(np.multiply.outer(ts, self._w))
+        """e^{t X} for each t in ts: shape (len(ts), R, b, b)."""
+        tx = np.multiply.outer(np.asarray(ts, dtype=float), self.blocks)
+        if self.blocks.shape[-1] == 1:
+            return np.exp(tx)
         import scipy.linalg as sla
 
-        T, Q = self._schur
-        out = np.empty((len(ts), self.n, self.n), dtype=complex)
-        for i, t in enumerate(ts):
-            out[i] = Q @ sla.expm(t * T) @ Q.conj().T
-        return out
+        return sla.expm(tx)
 
     def step_weights(self, hs: np.ndarray) -> np.ndarray:
         """Node weights G of the forward step integrals over steps of lengths
-        hs (module docstring): shape (6, J, n, n), or (6, J, n) modal, with
-        G[k, j] multiplying node datum k of step j in ``convolve_nodes``.
-        Only phi_1..phi_MAX_DEG are evaluated."""
+        hs (module docstring): shape (6, J, R, b, b), with G[k, j] multiplying
+        node datum k of step j in ``convolve_nodes``.  Only phi_1..phi_MAX_DEG
+        are evaluated."""
         hs = np.asarray(hs, dtype=float)
         p = self.MAX_DEG
-        if self.modal:
-            phi = _exp_integrals(np.multiply.outer(hs, self._w), p, -1)[0][1:]
-        else:
-            X = self.matrix
-            phi = np.moveaxis(np.array([_phi_block_matrices(h * X, p) for h in hs]), 1, 0)
+        hx = np.multiply.outer(hs, self.blocks)
+        phi = _exp_integrals(hx, p, -1)[0][1:] if hx.shape[-1] == 1 else _phi_blocks(hx, p)
         G = _real_product(_PSI_MODEL.T, phi.reshape(p, -1)).reshape(phi.shape)
         scale = hs ** (1 + _SLOPE_ORDER)[:, None]  # (6, J)
-        return G * scale.reshape(scale.shape + (1,) * (phi.ndim - 2))
+        return G * scale[..., None, None, None]
 
 
 def hermite_step_coefficients(
@@ -238,19 +217,18 @@ _REFLECT = (3, 4, 5, 0, 1, 2)
 
 
 def scan_factors(steps: np.ndarray):
-    """The factors ``_scan`` applies for the step factors e^{h_j X}.
+    """The factors ``_scan`` applies for the (J, R, b, b) step factors e^{h_j X}.
 
-    Modal steps (J, n) give a tuple of read-only (J - s, n, 1) arrays, one per
+    Blocks of size 1 give a tuple of read-only (J - s, R, 1) arrays, one per
     pass of the log-depth scan with shift s = 1, 2, 4, ... < J: the
     compositions of the s steps ending at each j >= s, formed as exact
     elementwise products.  Composed steps are exponentials with Re <= 0, so
-    they cannot overflow.  Dense steps (J, n, n) are returned as they are;
-    they run the sequential recurrence.  Pass steps[::-1] for the backward
-    scan.
+    they cannot overflow.  Larger blocks are returned as they are; they run
+    the sequential recurrence.  Pass steps[::-1] for the backward scan.
     """
-    if steps.ndim == 3:
+    if steps.shape[-1] > 1:
         return steps
-    factors, e, s = [], steps[1:, :, None].copy(), 1
+    factors, e, s = [], steps[1:, :, 0].copy(), 1
     while len(e):
         e.setflags(write=False)
         factors.append(e)
@@ -263,11 +241,11 @@ def _scan(factors, y: np.ndarray) -> None:
     """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), in place, for the
     steps that ``scan_factors`` prepared.
 
-    Modal factors run a log-depth (Hillis-Steele) scan: after the pass with
-    shift s, y_j sums the contributions of the 2s steps ending at j.  Dense
-    steps only occur for an ill-conditioned eigenbasis, where an explicit
-    composition would amplify round-off by the step's non-normality; they run
-    the sequential recurrence instead.
+    Factors of size-1 blocks run a log-depth (Hillis-Steele) scan: after the
+    pass with shift s, y_j sums the contributions of the 2s steps ending at
+    j.  Larger blocks, with y in blocks (J, R, b, r), run the sequential
+    recurrence, since an explicit composition would amplify round-off by the
+    steps' non-normality.
     """
     if isinstance(factors, np.ndarray):
         for j in range(1, len(y)):
@@ -282,21 +260,22 @@ def _scan(factors, y: np.ndarray) -> None:
 def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndarray,
                    fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I+, I-) on the grid, I+(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds and
-    I-(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds, each of shape (N, n, r).
+    I-(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds, each of shape (N, R b, r).
 
-    f, fp, fpp: (N, n, r) node values and first two derivatives of the data;
-    weights: the grid's node weights from ``Propagator.step_weights``; scans:
-    ``scan_factors`` of the steps e^{h_j X} and of the reversed steps.  The
-    step contributions c_j are sums of weights times node data, the backward
-    ones under the reflection, and the running sums I+(x_{j+1}) =
-    e^{h_j X} I+(x_j) + c_j and I-(x_j) = e^{h_j X} I-(x_{j+1}) + c_j come
-    from ``_scan``.
+    f, fp, fpp: (N, R b, r) node values and first two derivatives of the
+    data; weights: the grid's (6, J, R, b, b) node weights from
+    ``Propagator.step_weights``; scans: ``scan_factors`` of the steps
+    e^{h_j X} and of the reversed steps.  The step contributions c_j are sums
+    of weights times node data, the backward ones under the reflection, and
+    the running sums I+(x_{j+1}) = e^{h_j X} I+(x_j) + c_j and I-(x_j) =
+    e^{h_j X} I-(x_{j+1}) + c_j come from ``_scan``.
     """
-    J = len(f) - 1
-    if weights.ndim == 3:
-        G, mul = weights[..., None], np.multiply
+    J, shape, b = len(f) - 1, f.shape, weights.shape[-1]
+    if b == 1:
+        G, mul = weights[..., 0], np.multiply
     else:
         G, mul = weights, np.matmul
+        f, fp, fpp = (x.reshape(len(x), -1, b, shape[-1]) for x in (f, fp, fpp))
     data = (f[:-1], fp[:-1], fpp[:-1], f[1:], fp[1:], fpp[1:])
     fwd = np.zeros((J + 1,) + f.shape[1:], dtype=complex)
     bwd = np.zeros_like(fwd)
@@ -312,4 +291,4 @@ def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndar
             c_bwd += tmp
     _scan(scans[0], c_fwd)
     _scan(scans[1], bwd[J - 1::-1])
-    return fwd, bwd
+    return fwd.reshape(shape), bwd.reshape(shape)

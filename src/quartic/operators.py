@@ -2,13 +2,15 @@
 
 Handles are immutable dense complex matrices with a validated spectral
 factorization.  Matrix functions go through the eigendecomposition when the
-eigenvector basis is well conditioned and fall back to the Schur form
-otherwise.  All operations are pure functions and safe to call concurrently.
+eigenvector basis is well conditioned and through Schur-based numerics
+(``scipy.linalg.sqrtm``, ``expm``) otherwise.  All operations are pure
+functions and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,6 @@ __all__ = [
     "SectorProbe",
     "make_operator",
     "dirichlet_laplacian_modes",
-    "schur_form",
     "sqrt_symbols",
     "sqrt_matrix",
     "sqrt_principal",
@@ -47,7 +48,7 @@ class OperatorHandle:
     """Immutable dense operator with cached factorization data.
 
     ``eigvecs``/``eigvecs_inv`` are None when the eigenvector basis is too
-    ill conditioned to trust; matrix functions then use the Schur form.
+    ill conditioned to trust.
     """
 
     matrix: np.ndarray
@@ -56,7 +57,6 @@ class OperatorHandle:
     eigvecs: np.ndarray | None = None
     eigvecs_inv: np.ndarray | None = None
     eig_cond: float = np.inf
-    _schur_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -66,11 +66,20 @@ class OperatorHandle:
     def diagonalizable(self) -> bool:
         return self.eigvecs is not None
 
-    def schur(self):
-        """Complex Schur form (T, Q), computed once and cached (``schur_form``)."""
-        if "TQ" not in self._schur_cache:
-            self._schur_cache["TQ"] = schur_form(self.matrix, self.label or "operator")
-        return self._schur_cache["TQ"]
+    @cached_property
+    def block_form(self):
+        """(T, V, V^{-1}, cond(V)) with A = V diag(T_1, ..., T_R) V^{-1}, T the
+        (R, b, b) stack of blocks.  A trusted eigenbasis gives b = 1 blocks,
+        A's eigenvalues; otherwise A is one upper-triangular block, its
+        complex Schur form, in the unitary Schur basis (cond 1), where the
+        exponentials of its functions keep their accuracy however non-normal
+        A is."""
+        if self.diagonalizable:
+            return self.spectrum[:, None, None], self.eigvecs, self.eigvecs_inv, self.eig_cond
+        import scipy.linalg as sla
+
+        T, Q = sla.schur(self.matrix, output="complex")
+        return T[None], Q, Q.conj().T, 1.0
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.matrix, 2))
@@ -126,22 +135,6 @@ def dirichlet_laplacian_modes(n_modes: int) -> OperatorHandle:
         raise DimensionMismatch("n_modes must be >= 1")
     d = -np.arange(1, n_modes + 1, dtype=float) ** 2
     return make_operator(np.diag(d.astype(complex)), label=f"laplacian[{n_modes}]")
-
-
-def schur_form(M: np.ndarray, label: str = "operator"):
-    """Complex Schur form (T, Q) of the square matrix M, M = Q T Q^H.
-
-    Raises FactorizationFailure when the factorization's relative residual
-    exceeds tolerance.
-    """
-    import scipy.linalg as sla
-
-    T, Q = sla.schur(M, output="complex")
-    nrm = max(np.linalg.norm(M), 1.0)
-    res = np.linalg.norm(Q @ T @ Q.conj().T - M) / nrm
-    if res > 100 * tol.FACTOR_RESIDUAL:
-        raise FactorizationFailure(f"Schur residual {res:.3e} for {label}")
-    return T, Q
 
 
 def sqrt_symbols(w: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .bvp import (
     ProblemSpec,
     _SOLVERS,
     _field_to_internal,
-    _lambda_frame,
+    _lambda_frames,
     _particular,
     _seed_conjugate_kit,
     _zero_phi,
@@ -256,8 +256,8 @@ def _map_norm_power(spec: ProblemSpec, adj_spec: ProblemSpec, lam: complex, grid
     """
     n = spec.A.dim
     solve = _SOLVERS[spec.bc_family]
-    frame = _lambda_frame(spec, lam)
-    adj_frame = _lambda_frame(adj_spec, np.conj(lam))
+    frame = _lambda_frames(spec, lam)
+    adj_frame = _lambda_frames(adj_spec, np.conj(lam))
     _seed_conjugate_kit(frame, adj_frame, grid)
 
     def apply(v):  # B v on node-major vectors
@@ -376,7 +376,7 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
     f = GridFunction(grid, fvals)
     fnorm = f.norm()
     for lam in lam_samples:
-        frame = _lambda_frame(spec, lam)
+        frame = _lambda_frames(spec, lam)
         dist = abs(lam + spec.k**2 / 4.0)
         ml = operator_norm(frame.m @ np.linalg.inv(frame.l))
         lm = operator_norm(frame.l @ np.linalg.inv(frame.m))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quartic.bvp import ProblemSpec, _lambda_frame
+from quartic.bvp import ProblemSpec, _lambda_frames
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import make_operator
 
@@ -28,7 +28,7 @@ def pi_grid():
 
 def frame_at(A, lam, k=0.0, c=np.pi):
     """The first family's frame on (0, c) at one parameter (shared test helper)."""
-    return _lambda_frame(ProblemSpec(0.0, c, k, A, 1), lam)
+    return _lambda_frames(ProblemSpec(0.0, c, k, A, 1), lam)
 
 
 def smooth_field(rng, grid, dim, modes=5):

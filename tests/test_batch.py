@@ -22,6 +22,7 @@ from quartic.evolution import ContourParams, default_contour
 from quartic.grids import GridFunction, cgl_grid
 from quartic.kernels import phi_stack
 from quartic.operators import dirichlet_laplacian_modes, make_operator, sqrt_symbols
+from test_grids_kernels import _ill_conditioned
 from test_modal import _factor_frame, _nonnormal
 
 REFUSALS = (FrameSingular, SingularOrIllConditioned, SpectrumOnCut)
@@ -33,12 +34,14 @@ def _operator(name):
         return dirichlet_laplacian_modes(3)
     if name == "cond30":
         return _nonnormal(np.random.default_rng(3), 5)
-    return make_operator([[-2.0, 1.0], [0.0, -2.0]])  # Jordan block: dense route
+    if name == "illcond":  # eig_cond 4.4e6: one Schur block
+        return _ill_conditioned(1e7)
+    return make_operator([[-2.0, 1.0], [0.0, -2.0]])  # Jordan block: one Schur block
 
 
 def _per_parameter_frame(spec, lam):
-    """The frame of one parameter from its own factor arrays."""
-    return _factor_frame(spec.A, _cut_shifts(spec.k, lam), spec.A.diagonalizable,
+    """The frame of one parameter from its own factor blocks."""
+    return _factor_frame(spec.A, _cut_shifts(spec.k, lam), True,
                          spec.bc_family in (3, 4), spec.c)
 
 
@@ -46,8 +49,24 @@ def _relative_gap(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def _contour_nodes(params, n_points, t):
+    """Nodes and weights of the n-node trapezoid rule for the single time t
+    on params' hyperbola, at mu = 0.4 n / t."""
+    th = np.linspace(-params.half_width, params.half_width, n_points)
+    return params.at(0.4 * n_points / t, th, th[1] - th[0])
+
+
+def _single_time_sum(spec, payload, columns, n_points):
+    """sum_k w_k R(lam_k) payload(lam_k) over the n-node rule of the
+    payload's time (``_contour_nodes``), through ``_node_sums``; payload
+    holds weight vectors over the data columns."""
+    lam, wgt = _contour_nodes(default_contour(spec), n_points, payload.t)
+    weights = (payload.transform(lam) * wgt[:, None])[None]
+    return evolution._node_sums(spec, payload.grid, lam, weights, columns)[0]
+
+
 class TestBatchMatchesPerParameter:
-    @pytest.mark.parametrize("name", ["laplacian3", "cond30"])
+    @pytest.mark.parametrize("name", ["laplacian3", "cond30", "jordan", "illcond"])
     @pytest.mark.parametrize("K", [1, 5, 33])
     @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
     def test_solves_agree(self, rng, name, K, bc):
@@ -56,7 +75,8 @@ class TestBatchMatchesPerParameter:
         spec = ProblemSpec(0.0, np.pi, 0.5, A, bc)
         grid = cgl_grid(48, 0.0, np.pi)
         # contour-like parameters: |lam| spans more than an order of magnitude
-        lams = -ContourParams(vertex=spec.k ** 2 / 4, beta=0.8).nodes(max(K, 2), 0.05)[0][:K]
+        lams = -_contour_nodes(ContourParams(vertex=spec.k ** 2 / 4, beta=0.8),
+                               max(K, 2), 0.05)[0][:K]
         fields = [smooth_field(rng, grid, n).values for _ in range(K)]
         phis = [[rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
                 for _ in range(K)]
@@ -64,7 +84,7 @@ class TestBatchMatchesPerParameter:
             sl = slice(start, start + BATCH)
             frame = _lambda_frames(spec, lams[sl])
             size = len(lams[sl])
-            assert frame.modal and frame.n == size * n
+            assert frame.n == size * n and frame.block == (1 if A.diagonalizable else n)
             data = GridFunction(grid, np.concatenate(fields[sl]))
             phi = [np.concatenate([p[j] for p in phis[sl]]) for j in range(4)]
             got = _SOLVERS[bc](frame, data, phi).values.reshape(size, n, grid.n)
@@ -92,20 +112,30 @@ class TestBatchRefusals:
     """A batch refuses exactly when one of its parameters would, and names
     the first refused parameter in node order."""
 
-    # the interval operators U, V of this A are singular at LAM0; frames
-    # refuse in a ball of radius about 1e-11 around it (see test_modal)
+    # the interval operator V = I - T+ of the eigenvalue -e^{0.5i} is singular
+    # at LAM0; frames of this A, and of the Jordan block of that eigenvalue,
+    # refuse in a ball around it (radius about 1e-11 here, see test_modal)
     LAM0 = 7.850976322480937 + 2.0141221937826654j
+    # frames of the eig_cond 4.4e6 A of TestDenseRouteConvolution refuse
+    # wherever I - e^{2cM} is too ill conditioned; LAM_EDGE is inside that
+    # region, 3e-4 from its edge (its real spectrum puts every singular U or
+    # V on the branch cut)
+    LAM_EDGE = 2.214862912631973 + 1.1962842718420068j
 
     @staticmethod
-    def _operator():
+    def _operator(name="rotated"):
         th = 0.5
+        a = -np.exp(1j * th)
+        if name == "jordan":
+            return make_operator([[a, 1.0], [0.0, a]])
+        if name == "illcond":
+            return _ill_conditioned(1e7)
         V = np.array([[1.0, 0.9], [0.2, 1.0]])
-        return make_operator(V @ np.diag([-np.exp(1j * th), -np.exp(-1j * th)])
-                             @ np.linalg.inv(V))
+        return make_operator(V @ np.diag([a, -np.exp(-1j * th)]) @ np.linalg.inv(V))
 
-    def _parameters(self, order):
+    def _parameters(self, order, center):
         radii = [0.0] + list(np.geomspace(1e-14, 1e-2, 13))
-        lams = np.array([self.LAM0 + r * np.exp(1j * th)
+        lams = np.array([center + r * np.exp(1j * th)
                          for th in (0.3, 1.5, -2.0) for r in radii])
         if order == "inward":
             return lams[::-1]
@@ -116,8 +146,19 @@ class TestBatchRefusals:
     @pytest.mark.parametrize("bc", [3, 4])
     @pytest.mark.parametrize("order", ["outward", "inward", "mixed"])
     def test_refusals_match(self, bc, order):
-        spec = ProblemSpec(0.0, np.pi, 0.0, self._operator(), bc)
-        lams = self._parameters(order)
+        self._check_refusals(self._operator(), bc, order, self.LAM0)
+
+    @pytest.mark.parametrize("bc", [3, 4])
+    @pytest.mark.parametrize("order", ["outward", "inward", "mixed"])
+    @pytest.mark.parametrize("name", ["jordan", "illcond"])
+    def test_one_block_refusals_match(self, name, bc, order):
+        A = self._operator(name)
+        assert not A.diagonalizable
+        self._check_refusals(A, bc, order, self.LAM0 if name == "jordan" else self.LAM_EDGE)
+
+    def _check_refusals(self, A, bc, order, center):
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        lams = self._parameters(order, center)
         refused = []
         for lam in lams:
             try:
@@ -130,7 +171,7 @@ class TestBatchRefusals:
         for start in range(0, len(lams), 7):
             sub, sub_refused = lams[start:start + 7], refused[start:start + 7]
             if not any(sub_refused):
-                assert _lambda_frames(spec, sub).n == 2 * len(sub)
+                assert _lambda_frames(spec, sub).n == A.dim * len(sub)
                 continue
             straddled += not all(sub_refused)
             first = sub[sub_refused.index(True)]
@@ -186,23 +227,22 @@ class TestContourSumBatches:
         grid = cgl_grid(64, 0.0, np.pi)
         v0 = smooth_field(rng, grid, A.dim).values
         t = 0.125
-        steps = []
+        steps, f_samples = [], []
         if forced:
             ts = np.linspace(0.0, 0.2, 5)
             f_samples = [smooth_field(rng, grid, A.dim).values for _ in ts]
-            payload = evolution._forced_payload(grid, v0, f_samples, ts, t)
             # two whole forcing steps, then the step (0.1, 0.15) cut at t
             frac = (t - ts[2]) / (ts[3] - ts[2])
             f_mid = f_samples[2] * (1 - frac) + f_samples[3] * frac
             steps = [(ts[j], ts[j + 1], f_samples[j], f_samples[j + 1]) for j in range(2)]
             steps.append((ts[2], t, f_samples[2], f_mid))
-        else:
-            payload = evolution._Payload(grid, v0, t)
-        params = default_contour(spec)
-        if A.diagonalizable:  # the pass has a batch boundary inside
-            assert evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1)) < 32
-        got = evolution._contour_sum(spec, t, payload, 32, params)
-        lam, wgt = params.nodes(32, t)
+        columns, sel = evolution._distinct_columns([v0] + f_samples)
+        payload = (evolution._forced_payload(grid, sel[0], sel[1:], ts, t) if forced
+                   else evolution._Payload(grid, sel[0], t))
+        # every A's pass has a batch boundary inside
+        assert evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1)) < 32
+        got = _single_time_sum(spec, payload, columns, 32)
+        lam, wgt = _contour_nodes(default_contour(spec), 32, t)
         ref = sum(w * _SOLVERS[1](_per_parameter_frame(spec, -lam_i),
                                   _node_data(grid, v0, t, lam_i, steps)).values
                   for lam_i, w in zip(lam, wgt))
@@ -220,8 +260,8 @@ class TestContourSumBatches:
             return _lambda_frames(spec_, lams)
 
         monkeypatch.setattr(evolution, "_lambda_frames", recording)
-        payload = evolution._Payload(grid, smooth_field(rng, grid, 3).values, 0.1)
-        evolution._contour_sum(spec, 0.1, payload, 64, default_contour(spec))
+        columns = smooth_field(rng, grid, 3).values[None]
+        _single_time_sum(spec, evolution._Payload(grid, np.ones(1), 0.1), columns, 64)
         budget = evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1))
         assert sum(sizes) == 64
         assert 1 < max(sizes) <= budget
@@ -234,14 +274,9 @@ class TestContourSumBatches:
         grid = cgl_grid(48, 0.0, np.pi)
         lam = -(20.0 + 5.0j * np.arange(1, 25))
         lam[11] = lam[13] = -TestBatchRefusals.LAM0
-
-        class Nodes:
-            def nodes(self, n_points, t):
-                return lam[:n_points], np.full(n_points, 0.1 + 0j)
-
-        payload = evolution._Payload(grid, smooth_field(rng, grid, 2).values, 0.1)
+        columns = smooth_field(rng, grid, 2).values[None]
         assert evolution.CONTOUR_BATCH_ELEMENTS // (2 * (grid.n - 1)) > 13
         with pytest.raises(ContourTooClose) as exc:
-            evolution._contour_sum(spec, 0.1, payload, 24, Nodes())
+            evolution._node_sums(spec, grid, lam, np.full((1, 24, 1), 0.1 + 0j), columns)
         assert str(exc.value).startswith(f"contour node {lam[11]}: ")
         assert isinstance(exc.value.__cause__, NotInResolventSet)

@@ -10,7 +10,6 @@ from quartic.errors import QuadratureNotConverged, SectorAngleExceeded, StepReje
 from quartic.evolution import (
     EvolutionSpec,
     compatibility_check,
-    default_contour,
     evolve,
     growth_bound_probe,
     semigroup_apply_contour,
@@ -19,7 +18,8 @@ from quartic.evolution import (
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import dirichlet_laplacian_modes, make_operator
 from quartic.oracle import dense_expm, dense_generator
-from test_batch import _operator, _relative_gap
+from test_batch import _operator, _relative_gap, _single_time_sum
+from test_grids_kernels import _ill_conditioned, _ill_conditioned_basis
 
 
 # Each family's four conditions in phi order, written out by hand: the number
@@ -150,11 +150,11 @@ class TestContourWindow:
                                     dt=0.1))
         ts = np.linspace(0.0, 0.4, 5)
         f_samples = [forcing(t) for t in ts]
-        params = default_contour(spec)
+        columns, sel = evolution._distinct_columns([v0] + f_samples)
         assert len(traj) == 5
         for t, u in traj[1:]:
-            payload = evolution._forced_payload(grid, v0, f_samples, ts, t)
-            ref = evolution._contour_sum(spec, t, payload, 64, params)
+            payload = evolution._forced_payload(grid, sel[0], sel[1:], ts, t)
+            ref = _single_time_sum(spec, payload, columns, 64)
             assert _relative_gap(u.values, ref) <= 1e-10
 
     def test_budget_exhausted_names_node_count(self, scalar_op):
@@ -180,6 +180,75 @@ class TestContourWindow:
         for t, u in traj[1:]:
             u_d = gen.embed(dense_expm(gen.generator, t, v_in))
             assert _relative_gap(u.values, u_d) <= 1e-6
+
+    def test_jordan_block_matches_dense_exponential(self):
+        # one Schur block per node, the nodes solved in batches; measured
+        # <= 4.1e-8
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator([[-2.0, 1.0], [0.0, -2.0]]), 1)
+        gen = dense_generator(spec, 32)
+        grid = gen.grid
+        v0 = GridFunction(grid, np.vstack([np.sin(grid.nodes),
+                                           np.sin(2 * grid.nodes)]).astype(complex))
+        v_in = v0.values.T.reshape(-1)[gen.iidx]
+        traj = evolve(EvolutionSpec(spec, 1.0, v0, dt=0.5))
+        assert len(traj) == 3
+        for t, u in traj[1:]:
+            u_d = gen.embed(dense_expm(gen.generator, t, v_in))
+            assert _relative_gap(u.values, u_d) <= 1e-6
+
+    def test_ill_conditioned_block_matches_eigen_exponential(self):
+        # the eig_cond 4.4e6 A of TestDenseRouteConvolution, A = V diag(w)
+        # V^{-1}: on sin(x) c, G = -(d^2 + A)^2 acts as -(A - I)^2, so the
+        # solution is sin(x) V e^{-t (w - 1)^2} V^{-1} c, with a transient of
+        # 1.7e6 (scipy's expm of -(A - I)^2, as dense_expm, is off by 100 %
+        # here).  Measured <= 1.4e-5
+        V = _ill_conditioned_basis(1e7)
+        w = np.array([-1.0, -4.0, -9.0, -16.0])
+        A = _ill_conditioned(1e7)
+        assert not A.diagonalizable
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(16, 0.0, np.pi)
+        v0 = sine_mode(grid, dim=4)
+        for t, u in evolve(EvolutionSpec(spec, 0.1, v0, dt=0.05))[1:]:
+            c = V @ (np.exp(-t * (w - 1) ** 2) * np.linalg.solve(V, np.ones(4)))
+            assert _relative_gap(u.values, np.outer(c, np.sin(grid.nodes))) <= 1e-4
+
+    # vertex exponents mu t_s (1 - sin beta): 13.4, 22.9, 42.6 and 179
+    @pytest.mark.parametrize("theta", [0.62, 0.66, 0.69, 0.72])
+    def test_wide_sector_converges_or_refuses(self, monkeypatch, tmp_path, capsys, theta):
+        # below ln(1/eps) = 36 the sum matches the dense exponential on the
+        # data's scale (the quadrature's error model: a decayed output lies
+        # below the round-off of the sum, up to 4e-6 of its own size at
+        # theta = 0.66, t = 1); above it the window refuses before any node
+        # is solved, where 0.72 used to exit 0 with values near 4e73
+        from quartic.cli import main
+        from quartic.io import write_operator_file
+
+        A = np.diag([-np.exp(1j * theta), -2.0 * np.exp(-1j * theta)])
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator(A), 1)
+        gen = dense_generator(spec, 32)
+        grid = gen.grid
+        v0 = sine_mode(grid, dim=2)
+        es = EvolutionSpec(spec, 1.0, v0, dt=0.125)
+        if theta < 0.67:
+            v_in = v0.values.T.reshape(-1)[gen.iidx]
+            for t, u in evolve(es)[1:]:
+                u_d = gen.embed(dense_expm(gen.generator, t, v_in))
+                scale = max(np.max(np.abs(u_d)), np.max(np.abs(v0.values)))
+                assert np.max(np.abs(u.values - u_d)) <= 1e-6 * scale, t
+            return
+        monkeypatch.setattr(evolution, "_lambda_frames", None)  # a node solve would fail
+        with pytest.raises(QuadratureNotConverged, match="vertex exponent .* > ln"):
+            evolve(es)
+        monkeypatch.undo()
+        write_operator_file(tmp_path / "op.txt", A)
+        (tmp_path / "c.cfg").write_text(
+            "[problem]\na = 0\nb = 3.141592653589793\nk = 0\nbc_family = 1\n"
+            "operator = file:op.txt\n\n[grid]\nn_nodes = 32\n\n"
+            "[evolve]\nscheme = CONTOUR\nt_final = 1\ndt = 0.125\nv0 = sine:1\n")
+        assert main(["evolve", "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path)]) == 2
+        assert "vertex exponent" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
 
 class TestEvolve:

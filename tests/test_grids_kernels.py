@@ -13,7 +13,7 @@ from quartic.grids import (
 )
 from quartic.kernels import (
     Propagator,
-    _phi_block_matrices,
+    _phi_blocks,
     chi_stack,
     convolve_nodes,
     hermite_step_coefficients,
@@ -222,8 +222,14 @@ class TestHermiteModel:
 
 
 def _scans(steps):
-    """The forward and backward scan factors of step factors e^{h_j X}."""
+    """The forward and backward scan factors of (J, R, b, b) step factors e^{h_j X}."""
     return scan_factors(steps), scan_factors(steps[::-1])
+
+
+def _blocks(x):
+    """(..., n) eigenvalue stacks as (..., n, 1, 1) blocks; (..., n, n)
+    matrix stacks as one block, (..., 1, n, n)."""
+    return x[..., None, None] if x.ndim == 2 else x[:, None]
 
 
 def _psi_chi(z):
@@ -242,7 +248,7 @@ def _dense_psi_chi(X, hs):
 
     psi, chi = [], []
     for h in hs:
-        phis = _phi_block_matrices(h * X, 6)
+        phis = _phi_blocks(h * X[None], 6)[:, 0]
         psi.append([factorial(m) * phis[m] for m in range(6)])
         chi.append([sum((-1) ** j * comb(m, j) * factorial(j) * phis[j] for j in range(m + 1))
                     for m in range(6)])
@@ -257,7 +263,7 @@ def _step_contributions(nodes, d, weights):
 
 class TestConvolution:
     def _run(self, op, nodes, fn, d1fn, d2fn):
-        prop = Propagator(op.matrix)
+        prop = Propagator(op.matrix[None])
         hs = np.diff(nodes)
         f = np.array([np.atleast_1d(fn(x)) for x in nodes])[:, :, None]
         fp = np.array([np.atleast_1d(d1fn(x)) for x in nodes])[:, :, None]
@@ -354,7 +360,7 @@ class TestConvolutionScan:
         psi, chi = (np.moveaxis(a, 0, 1) for a in _psi_chi(z))  # (J, 6, n)
         if modal:
             est = np.exp(z)
-            node_weights = Propagator(w).step_weights(hs)
+            node_weights = Propagator(w[:, None, None]).step_weights(hs)
         else:
             V = np.eye(n) + 0.3 * rng.normal(size=(n, n))
             Vinv = np.linalg.inv(V)
@@ -362,7 +368,7 @@ class TestConvolutionScan:
             if not stiff:  # steps that do not commute pin the composition order
                 est = est + 0.1 * rng.normal(size=(J, n, n))
             psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
-            node_weights = Propagator(V @ np.diag(w) @ Vinv).step_weights(hs)
+            node_weights = Propagator((V @ np.diag(w) @ Vinv)[None]).step_weights(hs)
         data = tuple(rng.normal(size=(J + 1, n, r)) + 1j * rng.normal(size=(J + 1, n, r))
                      for _ in range(3))
         d = hermite_step_coefficients(nodes, *data)
@@ -373,7 +379,7 @@ class TestConvolutionScan:
     @pytest.mark.parametrize("r", [1, 7])
     def test_matches_loop(self, rng, modal, J, r):
         nodes, data, d, est, node_weights, weights = self._case(rng, J, r, modal)
-        got = convolve_nodes(node_weights, _scans(est), *data)
+        got = convolve_nodes(node_weights, _scans(_blocks(est)), *data)
         for g, w, backward in zip(got, weights, (False, True)):
             ref = _loop_convolution(nodes, d, est, w, backward)
             assert g.shape == (J + 1, self.N_DIM, r)
@@ -384,7 +390,7 @@ class TestConvolutionScan:
         nodes, data, d, est, node_weights, weights = self._case(rng, 40, 2, modal, stiff=True)
         if modal:
             assert np.count_nonzero(est[:, :2] == 0) == 80
-        got = convolve_nodes(node_weights, _scans(est), *data)
+        got = convolve_nodes(node_weights, _scans(_blocks(est)), *data)
         for g, w, backward in zip(got, weights, (False, True)):
             ref = _loop_convolution(nodes, d, est, w, backward)
             assert np.all(np.isfinite(g))
@@ -393,7 +399,7 @@ class TestConvolutionScan:
     def test_inputs_not_modified(self, rng):
         for modal in (True, False):
             _, data, _, est, node_weights, _ = self._case(rng, 9, 2, modal)
-            scans = _scans(est)
+            scans = _scans(_blocks(est))
             inputs = (*data, est, node_weights) + tuple(
                 e for scan in scans for e in (scan if isinstance(scan, tuple) else (scan,)))
             copies = [a.copy() for a in inputs]
@@ -420,11 +426,11 @@ class TestNodeWeights:
             V = np.eye(n) + 0.2 * rng.normal(size=(n, n))
             Vinv = np.linalg.inv(V)
             psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
-            prop = Propagator(V @ np.diag(w) @ Vinv)
-            zero_steps = np.zeros((J, n, n))
+            prop = Propagator((V @ np.diag(w) @ Vinv)[None])
+            zero_steps = np.zeros((J, 1, n, n))
         else:
-            prop = Propagator(w)
-            zero_steps = np.zeros((J, n))
+            prop = Propagator(w[:, None, None])
+            zero_steps = np.zeros((J, n, 1, 1))
         data = tuple(rng.normal(size=(self.N, n, 3)) + 1j * rng.normal(size=(self.N, n, 3))
                      for _ in range(3))
         fwd, bwd = convolve_nodes(prop.step_weights(hs), _scans(zero_steps), *data)
@@ -473,11 +479,11 @@ class TestKitReuse:
     @pytest.mark.parametrize("A", [np.diag([-1.0, -4.0, -9.0]), [[-2.0, 1.0], [0.0, -2.0]]],
                              ids=["modal", "dense"])
     def test_second_solve_identical(self, rng, A, bc):
-        from quartic.bvp import _SOLVERS, ProblemSpec, _lambda_frame
+        from quartic.bvp import _SOLVERS, ProblemSpec, _lambda_frames
 
         A = make_operator(A)
-        frame = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, A, bc), -1.0 + 2.0j)
-        assert frame.modal == A.diagonalizable
+        frame = _lambda_frames(ProblemSpec(0.0, np.pi, 0.0, A, bc), -1.0 + 2.0j)
+        assert (frame.block == 1) == A.diagonalizable
         grid = cgl_grid(40, 0.0, np.pi)
         kit = frame.grid_kit(grid)
         before = [a.copy() for a in _kit_arrays(kit)]
@@ -492,7 +498,7 @@ class TestKitReuse:
         assert len(after) == len(before)
         for a, b in zip(after, before):
             assert np.array_equal(a, b)
-        if frame.modal:  # the cached compositions cannot be written in place
+        if frame.block == 1:  # the cached compositions cannot be written in place
             factors = kit["m"]["scans"][0] + kit["l"]["scans"][1]
             assert factors and not any(e.flags.writeable for e in factors)
 
@@ -517,31 +523,37 @@ class TestDataDerivatives:
                 assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def _ill_conditioned_basis(cond):
+    """Real 4 x 4 basis with singular values geomspace(1, cond)."""
+    rng = np.random.default_rng(0)
+    q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    return q1 @ np.diag(np.geomspace(1.0, cond, 4)) @ q2
+
+
+def _ill_conditioned(cond):
+    """Spectrum -1, -4, -9, -16 in ``_ill_conditioned_basis(cond)``."""
+    V = _ill_conditioned_basis(cond)
+    return make_operator(V @ np.diag([-1.0, -4.0, -9.0, -16.0]) @ np.linalg.inv(V))
+
+
 class TestDenseRouteConvolution:
     """Both convolutions on the dense route, against direct sums of exact
     offsets.  A has distinct eigenvalues but an eigenbasis too ill conditioned
     for the modal route (eig_cond above EIG_COND_CAP), so every step factor is
     a highly non-normal (n, n) matrix."""
 
-    @staticmethod
-    def _operator(cond):
-        rng = np.random.default_rng(0)
-        q1, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        q2, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        V = q1 @ np.diag(np.geomspace(1.0, cond, 4)) @ q2
-        return make_operator(V @ np.diag([-1.0, -4.0, -9.0, -16.0]) @ np.linalg.inv(V))
-
     # the sequential recurrence measured <= 3.8e-6 (eig_cond 4.4e6) and
     # <= 1.1e-5 (eig_cond 9.8e6) here; composing the steps explicitly gave
     # 0.14-0.52 and 6-26
     @pytest.mark.parametrize("cond,eig_cond", [(1e7, 4e6), (2.2e7, 1e7)])
     def test_matches_direct_offset_sums(self, cond, eig_cond):
-        from quartic.bvp import ProblemSpec, _data_derivatives, _lambda_frame
+        from quartic.bvp import ProblemSpec, _data_derivatives, _lambda_frames
 
-        A = self._operator(cond)
+        A = _ill_conditioned(cond)
         assert not A.diagonalizable
         assert 0.5 * eig_cond <= A.eig_cond <= 2 * eig_cond
-        frame = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, A, 1), -1.0 + 2.0j)
+        frame = _lambda_frames(ProblemSpec(0.0, np.pi, 0.0, A, 1), -1.0 + 2.0j)
         grid = cgl_grid(64, 0.0, np.pi)
         x, hs = grid.nodes, np.diff(grid.nodes)
         fv = np.stack([np.sin((m + 1) * x) + 1j * np.cos(m * x) for m in range(4)],
@@ -550,9 +562,9 @@ class TestDenseRouteConvolution:
         d = hermite_step_coefficients(x, fv, *derivs)
         J = len(hs)
         for prop in (frame.prop_m, frame.prop_l):
-            assert not prop.modal
+            assert prop.blocks.shape == (1, 4, 4)
             est = prop.exp_stack(hs)
-            psi, chi = _dense_psi_chi(np.asarray(prop.matrix), hs)
+            psi, chi = _dense_psi_chi(prop.blocks[0], hs)
             c_fwd = hs[:, None, None] * np.einsum("jmik,jmkr->jir", psi, d)
             c_bwd = hs[:, None, None] * np.einsum("jmik,jmkr->jir", chi, d)
             ref_fwd = np.zeros((J + 1, 4, 1), dtype=complex)
@@ -561,10 +573,10 @@ class TestDenseRouteConvolution:
                 # I_i = sum_{j < i} e^{(x_i - x_{j+1}) X} c_j and
                 # sum_{j >= i} e^{(x_j - x_i) X} c_j, each offset exponentiated once
                 if i > 0:
-                    E = prop.exp_stack(x[i] - x[1:i + 1])
+                    E = prop.exp_stack(x[i] - x[1:i + 1])[:, 0]
                     ref_fwd[i] = np.einsum("jab,jbr->ar", E, c_fwd[:i])
                 if i < J:
-                    E = prop.exp_stack(x[i:J] - x[i])
+                    E = prop.exp_stack(x[i:J] - x[i])[:, 0]
                     ref_bwd[i] = np.einsum("jab,jbr->ar", E, c_bwd[i:])
             got_fwd, got_bwd = convolve_nodes(prop.step_weights(hs), _scans(est), fv, *derivs)
             for got, ref in ((got_fwd, ref_fwd), (got_bwd, ref_bwd)):

@@ -9,7 +9,6 @@ from quartic.bvp import (
     _SOLVERS,
     ProblemSpec,
     _cut_shifts,
-    _lambda_frame,
     _lambda_frames,
     assemble_frame,
     boundary_residuals,
@@ -42,14 +41,17 @@ def _relative_gap(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
-def _factor_frame(A, shifts, modal, require_uv=False, c=np.pi):
+def _factor_frame(A, shifts, blocks, require_uv=False, c=np.pi):
     """assemble_frame on (0, c) for the factors A + p, A + q and b of the
-    shifts (p, q, b): as A's eigenvalues in its eigenbasis (modal), or as the
-    plain matrices A + p I, A + q I and b I (dense)."""
+    shifts (p, q, b): as A's blocks in its block basis (``block_form``: 1 x 1
+    blocks of A's eigenvalues for a trusted eigenbasis), or as the plain
+    matrices A + p I, A + q I and b I (one block in the identity basis)."""
     p, q, b = shifts
-    if modal:
-        return assemble_frame([A.spectrum + p], [A.spectrum + q], [0.0 * A.spectrum + b],
-                              c, require_uv, basis=(A.eigvecs, A.eigvecs_inv, A.eig_cond))
+    if blocks:
+        T, V, Vinv, kappa = A.block_form
+        eye = np.eye(T.shape[-1])
+        return assemble_frame(T + p * eye, T + q * eye, 0.0 * T + b * eye, c, require_uv,
+                              basis=(V, Vinv, kappa))
     eye = np.eye(A.dim)
     return assemble_frame(A.matrix + p * eye, A.matrix + q * eye, b * eye, c, require_uv)
 
@@ -60,7 +62,7 @@ class TestModalMatchesDense:
     def test_families_and_resolvent_matrix(self, rng, A, k, lam):
         assert A.diagonalizable
         modal, dense = (_factor_frame(A, _cut_shifts(k, lam), m) for m in (True, False))
-        assert modal.modal and not dense.modal
+        assert modal.block == 1 and dense.block > 1
         grid = cgl_grid(48, 0.0, np.pi)
         f = smooth_field(rng, grid, A.dim)
         phi = [rng.normal(size=A.dim) + 1j * rng.normal(size=A.dim) for _ in range(4)]
@@ -75,9 +77,9 @@ class TestModalMatchesDense:
         # lam = 0, k != 0 factors as (A - k, A) without the branch-cut square root
         A = _operators()[2]
         spec = ProblemSpec(0.0, np.pi, 1.5, A, 1)
-        modal = _lambda_frame(spec, 0.0)
-        dense = _factor_frame(A, (-1.5, 0.0, -1.5), modal=False)
-        assert modal.modal
+        modal = _lambda_frames(spec, 0.0)
+        dense = _factor_frame(A, (-1.5, 0.0, -1.5), blocks=False)
+        assert modal.block == 1
         grid = cgl_grid(48, 0.0, np.pi)
         f = smooth_field(rng, grid, A.dim)
         assert _relative_gap(_SOLVERS[1](modal, f).values,
@@ -125,8 +127,8 @@ class TestDenseFallback:
         grid = cgl_grid(64, 0.0, np.pi)
         f = smooth_field(rng, grid, 2, modes=3)
         for lam in (-3.0, -1.0 + 2.0j):
-            frame = _lambda_frame(spec, lam)
-            assert not frame.modal
+            frame = _lambda_frames(spec, lam)
+            assert frame.block > 1
             ref = collocation_solve(spec, lam, f).values
             assert _relative_gap(_SOLVERS[bc](frame, f).values, ref) <= 1e-8
 
@@ -145,8 +147,8 @@ class TestVectorBoundaryData:
         else:
             A = _nonnormal(np.random.default_rng(3), 3)
         spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
-        frame = _lambda_frame(spec, lam)
-        assert frame.modal == (name == "nonnormal3")
+        frame = _lambda_frames(spec, lam)
+        assert (frame.block == 1) == (name == "nonnormal3")
         grid = cgl_grid(96, 0.0, np.pi)
         weights = rng.normal(size=(A.dim, 1)) + 1j * rng.normal(size=(A.dim, 1))
         f = GridFunction(grid, weights * np.exp(grid.nodes / 2))
@@ -171,8 +173,8 @@ class TestDenseMembersClosedForm:
     @pytest.mark.parametrize("bc", [1, 3])
     def test_members_match_jordan_calculus(self, bc, lam):
         a, c = -2.0, np.pi
-        frame = _lambda_frame(ProblemSpec(0.0, c, 0.0, make_operator(JORDAN), bc), lam)
-        assert not frame.modal
+        frame = _lambda_frames(ProblemSpec(0.0, c, 0.0, make_operator(JORDAN), bc), lam)
+        assert frame.block > 1
         p, q, _ = _cut_shifts(0.0, lam)
         refs = {}
         for x_name, e_name, inv_name, shift in (("m", "e_cm", "z", p), ("l", "e_cl", "w", q)):
@@ -213,9 +215,9 @@ class TestNoFactorizationPerParameter:
     def test_lambda_frame_skips_make_operator_and_eig(self, count_factorizations, lam):
         spec = ProblemSpec(0.0, np.pi, 1.0, _operators()[1], 3)
         calls = count_factorizations()
-        frame = _lambda_frame(spec, lam)
+        frame = _lambda_frames(spec, lam)
         frame.grid_kit(cgl_grid(32, 0.0, np.pi))
-        assert frame.modal
+        assert frame.block == 1
         assert calls == []
 
     @pytest.mark.parametrize("bc", [1, 3])
@@ -229,7 +231,7 @@ class TestNoFactorizationPerParameter:
         data = GridFunction(grid, np.concatenate(
             [smooth_field(rng, grid, spec.A.dim).values for _ in lams]))
         u = _SOLVERS[bc](frame, data)
-        assert frame.modal and u.values.shape == (len(lams) * spec.A.dim, grid.n)
+        assert frame.block == 1 and u.values.shape == (len(lams) * spec.A.dim, grid.n)
         assert calls == []
 
     @pytest.mark.parametrize("bc", [1, 3])
@@ -238,7 +240,7 @@ class TestNoFactorizationPerParameter:
         # eigenvalues only, where handles once cost 23 of each per frame
         spec = ProblemSpec(0.0, np.pi, 0.0, make_operator(JORDAN), bc)
         calls = count_factorizations()
-        frame = _lambda_frame(spec, -3.0 + 2.0j)
+        frame = _lambda_frames(spec, -3.0 + 2.0j)
         frame.grid_kit(cgl_grid(32, 0.0, np.pi))
-        assert not frame.modal
+        assert frame.block > 1
         assert calls == []

@@ -37,11 +37,19 @@ class TestMakeOperator:
         assert sorted(h.spectrum.real) == [-9.0, -4.0, -1.0]
         assert np.allclose(h.spectrum.imag, 0.0)
 
-    def test_random_schur_residual(self, rng):
+    @pytest.mark.parametrize("jordan", [False, True], ids=["random", "jordan"])
+    def test_block_form_residual(self, rng, jordan):
+        import scipy.linalg as sla
+
         A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        if jordan:
+            A = np.eye(8, k=1) - 2 * np.eye(8)
         h = make_operator(A)
-        T, Q = h.schur()
-        res = np.linalg.norm(Q @ T @ Q.conj().T - A) / np.linalg.norm(A)
+        T, V, Vinv, kappa = h.block_form
+        assert T.shape == ((1, 8, 8) if jordan else (8, 1, 1))
+        assert kappa == (1.0 if jordan else h.eig_cond)
+        assert not np.any(np.tril(T[0], -1))  # the Schur block is upper triangular
+        res = np.linalg.norm(V @ sla.block_diag(*T) @ Vinv - A) / np.linalg.norm(A)
         assert res <= 1e-12
 
     def test_nonfinite_rejected(self):

@@ -6,7 +6,7 @@ from quartic.bvp import (
     ProblemSpec,
     _data_derivatives,
     _field_to_internal,
-    _lambda_frame,
+    _lambda_frames,
     _second_order,
     boundary_residuals,
     family2_coefficients,
@@ -73,8 +73,8 @@ class TestSecondOrderStage:
                              ids=["modal", "jordan"])
     def test_endpoint_values_and_slope(self, rng, A, generator, lam):
         op = make_operator(A)
-        frame = _lambda_frame(ProblemSpec(0.0, np.pi, 0.0, op, 1), lam)
-        assert frame.modal == op.diagonalizable
+        frame = _lambda_frames(ProblemSpec(0.0, np.pi, 0.0, op, 1), lam)
+        assert (frame.block == 1) == op.diagonalizable
         grid = cgl_grid(64, 0.0, np.pi)
         fv = frame.to_modes(_field_to_internal(smooth_field(rng, grid, op.dim)))
         v_a, v_b = (frame.to_modes(rng.normal(size=(op.dim, 1))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quartic.bvp import ProblemSpec, _lambda_frame, _seed_conjugate_kit, resolvent_matrix
+from quartic.bvp import ProblemSpec, _lambda_frames, _seed_conjugate_kit, resolvent_matrix
 from quartic.errors import BranchCut, NonFinite
 from quartic.grids import cgl_grid
 from quartic.operators import (
@@ -311,7 +311,9 @@ def _cond30_6x6():
     return _in_basis(q1 @ np.diag(np.geomspace(1.0, 30.0, 6)) @ q2, -np.arange(1, 7.0) ** 2)
 
 
-ADJOINT_OPERATORS = {"laplacian3": lambda: dirichlet_laplacian_modes(3), "cond30": _cond30_6x6}
+# the Jordan block's adjoint has the conjugated Jordan block as Schur form
+ADJOINT_OPERATORS = {"laplacian3": lambda: dirichlet_laplacian_modes(3), "cond30": _cond30_6x6,
+                     "jordan": lambda: make_operator([[-2.0, 1.0], [0.0, -2.0]])}
 ADJOINT_LAMS = [0.56 + 0.21j, -3.0 + 1.0j, 2.0 - 0.3j]
 
 
@@ -340,8 +342,8 @@ class TestPowerRoute:
         spec = ProblemSpec(0.0, np.pi, k, A, 1)
         adj = ProblemSpec(0.0, np.pi, k, _adjoint_operator(A), 1)
         grid = cgl_grid(48, 0.0, np.pi)
-        seeded, own = (_lambda_frame(adj, np.conj(lam)) for _ in range(2))
-        assert _seed_conjugate_kit(_lambda_frame(spec, lam), seeded, grid)
+        seeded, own = (_lambda_frames(adj, np.conj(lam)) for _ in range(2))
+        assert _seed_conjugate_kit(_lambda_frames(spec, lam), seeded, grid)
         got, want = seeded.grid_kit(grid), own.grid_kit(grid)
         for gen in "ml":
             for name in ("exa", "ebx", "weights"):
@@ -358,7 +360,7 @@ class TestPowerRoute:
         A = _cond30_6x6()
         spec = ProblemSpec(0.0, np.pi, 0.7, A, 1)
         adj = ProblemSpec(0.0, np.pi, 0.7, _adjoint_operator(A), 1)
-        assert not _seed_conjugate_kit(_lambda_frame(spec, 0.0), _lambda_frame(adj, 0.0),
+        assert not _seed_conjugate_kit(_lambda_frames(spec, 0.0), _lambda_frames(adj, 0.0),
                                        cgl_grid(24, 0.0, np.pi))
 
     def test_seeding_changes_no_norm(self, monkeypatch):
@@ -376,7 +378,10 @@ class TestPowerRoute:
         assert [r.note for r in power.records] == ["power"] * 2
         assert [r.norm for r in power.records] == [r.norm for r in unseeded.records]
 
-    def test_dense_power_route_not_seeded(self, monkeypatch):
+    def test_dense_power_route_seeded(self, monkeypatch):
+        # A^H's Schur block is the Jordan block conjugated, so on the negative
+        # axis the adjoint frame's generators are the forward ones conjugated
+        # and swapped, and it takes the forward kit
         from quartic import spectral, tolerances
 
         A = make_operator([[-2.0, 1.0], [0.0, -2.0]])
@@ -390,7 +395,7 @@ class TestPowerRoute:
         power = run_sweep(spec, g, n_nodes=16)
         monkeypatch.setattr(spectral, "_seed_conjugate_kit", lambda *args: False)
         unseeded = run_sweep(spec, g, n_nodes=16)
-        assert seeded == [False, False]
+        assert seeded == [True, True]
         assert [r.note for r in power.records] == ["power"] * 2
         assert [r.norm for r in power.records] == [r.norm for r in unseeded.records]
         for d, p in zip(dense.records, power.records):
