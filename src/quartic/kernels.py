@@ -268,7 +268,11 @@ def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndar
     e^{h_j X} and of the reversed steps.  The step contributions c_j are sums
     of weights times node data, the backward ones under the reflection, and
     the running sums I+(x_{j+1}) = e^{h_j X} I+(x_j) + c_j and I-(x_j) =
-    e^{h_j X} I-(x_{j+1}) + c_j come from ``_scan``.
+    e^{h_j X} I-(x_{j+1}) + c_j come from ``_scan``.  The backward scan runs
+    forward on a reversed contiguous copy of its contributions, which is
+    copied back: numpy cannot coalesce the passes' loops over a
+    negative-stride view, which made that scan 2.5-3x slower than the
+    forward one for the same operations.
     """
     J, shape, b = len(f) - 1, f.shape, weights.shape[-1]
     if b == 1:
@@ -290,5 +294,7 @@ def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndar
         else:
             c_bwd += tmp
     _scan(scans[0], c_fwd)
-    _scan(scans[1], bwd[J - 1::-1])
+    tmp[...] = c_bwd[::-1]
+    _scan(scans[1], tmp)
+    c_bwd[...] = tmp[::-1]
     return fwd.reshape(shape), bwd.reshape(shape)
