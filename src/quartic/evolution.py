@@ -15,6 +15,12 @@ output of the window is a weighted sum of those solves, and each refinement
 n -> 2n - 1 solves only the new trapezoid midpoints.  A hyperbola whose
 vertex factor e^{t lam} at the window start would pass 1/eps is refused
 before any node is solved: the sum's round-off would exceed the data.
+
+A real problem (real A and data, any family but 2) has R(conj lam) =
+conj R(lam), so the hyperbola's terms at th and -th are conjugates and each
+such pair left of the vertex is solved once, at th > 0, with twice the
+weight; its outputs are exactly real.  Family 2's boundary operator
+u'' + P u moves with lam, so it solves every node.
 """
 
 from __future__ import annotations
@@ -227,13 +233,31 @@ def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
     scale_floor, the data's size: the quadrature's error is relative to the
     data, and a decayed solution lies below the sum's round-off.
     QuadratureNotConverged after MAX_REFINEMENTS passes.
+
+    A real problem (A and every data column real, bc_family != 2) pairs
+    nodes: its terms at th and -th are conjugates, so a pass drops each node
+    th < 0 left of the vertex (Re lam <= vertex, i.e. sin beta cosh th >= 1),
+    doubles the weight of its index partner -th in the symmetric linspace
+    and returns the real part of its sum.  Nodes right of the vertex are all
+    solved: the discrete solves at lam and conj(lam) are conjugates only up
+    to their discretization's asymmetry (P and Q swap), about 1e-13 relative
+    on resolved data, and e^{t lam} there amplifies it up to
+    e^{VERTEX_EXPONENT}.  Family 2's boundary operator u'' + P u moves with
+    lam, so it is not paired.
     """
     grid = payloads[0].grid
+    real = (spec.bc_family != 2 and not np.any(np.imag(spec.A.matrix))
+            and not np.any(columns.imag))
 
     def pass_sum(th, h):
         lam, wgt = params.at(mu, th, h)
+        if real:
+            drop = np.flatnonzero(np.sin(params.beta) * np.cosh(th[:len(th) // 2]) >= 1.0)
+            wgt[len(th) - 1 - drop] *= 2.0
+            lam, wgt = np.delete(lam, drop), np.delete(wgt, drop)
         weights = np.stack([p.transform(lam) * wgt[:, None] for p in payloads])
-        return _node_sums(spec, grid, lam, weights, columns)
+        sums = _node_sums(spec, grid, lam, weights, columns)
+        return sums.real if real else sums
 
     n = n_points
     th = np.linspace(-params.half_width, params.half_width, n)

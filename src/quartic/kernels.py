@@ -271,8 +271,7 @@ def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndar
     e^{h_j X} I-(x_{j+1}) + c_j come from ``_scan``.  The backward scan runs
     forward on a reversed contiguous copy of its contributions, which is
     copied back: numpy cannot coalesce the passes' loops over a
-    negative-stride view, which made that scan 2.5-3x slower than the
-    forward one for the same operations.
+    negative-stride view and runs them 2.5-3x slower.
     """
     J, shape, b = len(f) - 1, f.shape, weights.shape[-1]
     if b == 1:

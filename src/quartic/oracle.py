@@ -300,7 +300,16 @@ def low_spectrum(gen: DenseGenerator, count: int = 5, shift: float = -1.0) -> np
 
 
 def dense_expm(G: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
-    """e^{tG} v0 by scaling and squaring (near machine precision oracle)."""
+    """e^{tG} v0 by ``scipy.linalg.expm`` (scaling and squaring).
+
+    Near machine precision only where the exponential is well conditioned:
+    the forward error is the round-off times the condition number of e^{tG},
+    which grows with the non-normality of G.  For the generator of an A with
+    eigenvector condition 4.4e6 (family 1, N = 16) it is 100 % off; check
+    such A against the eigenbasis exponential instead, as
+    ``test_ill_conditioned_block_matches_eigen_exponential`` in
+    tests/test_evolution.py does.
+    """
     G = np.asarray(G)
     if G.shape[0] > tol.DENSE_CAP:
         raise CapExceeded(f"dense expm size {G.shape[0]} exceeds cap")

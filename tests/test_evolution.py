@@ -251,6 +251,134 @@ class TestContourWindow:
         assert not (tmp_path / "trajectory.csv").exists()
 
 
+def _real_operator(name):
+    if name == "laplacian3":
+        return dirichlet_laplacian_modes(3)
+    if name == "rotation":  # -A has eigenvalues 2 e^{+-0.4i}: sector angle 0.4
+        c, s = np.cos(0.4), np.sin(0.4)
+        return make_operator(-2.0 * np.array([[c, -s], [s, c]]))
+    return _ill_conditioned(30.0)  # real basis with eig_cond 30
+
+
+def _window_sums_beside_all_nodes(monkeypatch, espec):
+    """(window sums, the same rules' sums over all their nodes) for each
+    window of evolve(espec): the trapezoid rule on the node count the
+    window's refinement reached, at the window's mu, through ``_node_sums``."""
+    node_sums, window_sums = evolution._node_sums, evolution._window_sums
+    windows = []
+
+    def counting(*args):
+        windows[-1][1] += 1
+        return node_sums(*args)
+
+    def recording(spec, mu, payloads, columns, n_points, params, *rest):
+        windows.append([(spec, mu, payloads, columns, n_points, params), 0])
+        out = window_sums(spec, mu, payloads, columns, n_points, params, *rest)
+        windows[-1].append(out)
+        return out
+
+    monkeypatch.setattr(evolution, "_node_sums", counting)
+    monkeypatch.setattr(evolution, "_window_sums", recording)
+    evolve(espec)
+    monkeypatch.undo()
+    pairs = []
+    for (spec, mu, payloads, columns, n_points, params), passes, out in windows:
+        th = np.linspace(-params.half_width, params.half_width,
+                         (n_points - 1) * 2 ** (passes - 1) + 1)
+        lam, wgt = params.at(mu, th, th[1] - th[0])
+        weights = np.stack([p.transform(lam) * wgt[:, None] for p in payloads])
+        pairs.append((out, node_sums(spec, payloads[0].grid, lam, weights, columns)))
+    return pairs
+
+
+class TestConjugatePairs:
+    """A real problem solves one node of each conjugate pair left of the vertex."""
+
+    def test_contour_evolve_node_count(self, monkeypatch):
+        # the contour-evolve case: 13 + 12 pairs left of the vertex over two
+        # passes, 38 of 63 nodes solved in 6 frames of up to 8 nodes
+        A = dirichlet_laplacian_modes(3)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(64, 0.0, np.pi)
+        v0 = sine_mode(grid, dim=3)
+        weights = np.array([0.7, 1.1, 0.9])
+        fvals = weights[:, None] * v0.values
+        frames = []
+
+        def counting(spec_, nodes):
+            frames.append(len(np.atleast_1d(nodes)))
+            return _lambda_frames(spec_, nodes)
+
+        monkeypatch.setattr(evolution, "_lambda_frames", counting)
+        traj = evolve(EvolutionSpec(spec, 0.1, v0, forcing=lambda t: fvals, dt=0.05))
+        assert (sum(frames), len(frames)) == (38, 6)
+        rho = (1.0 + np.arange(1, 4) ** 2.0) ** 2
+        for t, u in traj[1:]:
+            assert np.all(u.values.imag == 0.0)
+            e = np.exp(-rho * t)
+            want = (e + (1 - e) * weights / rho)[:, None] * v0.values
+            assert _relative_gap(u.values, want) <= 1e-10
+
+    @pytest.mark.parametrize("bc", [1, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["laplacian3", "rotation", "cond30"])
+    def test_matches_all_node_sums(self, monkeypatch, rng, name, bc):
+        # time-dependent forcing, 4 outputs.  The solves at lam and conj(lam)
+        # differ by their discretization's asymmetry, which the pairing moves
+        # into the real part and the all-node sums keep as a spurious
+        # imaginary part of the same size: measured gaps 6e-11 to 1.8e-10,
+        # imaginary parts 4e-11 to 1.7e-10
+        A = _real_operator(name)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        grid = cgl_grid(64, 0.0, np.pi)
+        modes = np.sin(np.outer(np.arange(1, 4), grid.nodes))  # (3, N)
+        v0, g0, g1 = (rng.normal(size=(A.dim, 3)) @ modes for _ in range(3))
+
+        def forcing(t):
+            return np.cos(3.0 * t) * g0 + t * g1
+
+        es = EvolutionSpec(spec, 0.4, GridFunction(grid, v0), forcing=forcing, dt=0.1)
+        for out, ref in _window_sums_beside_all_nodes(monkeypatch, es):
+            assert np.isrealobj(out)
+            assert _relative_gap(out, ref) <= 1e-9
+
+    @pytest.mark.parametrize("case", ["real", "family2", "complex_A", "complex_v0"])
+    def test_pairs_only_real_problems(self, monkeypatch, case):
+        # every solved node's conjugate is solved too, unless the problem is
+        # real and outside family 2
+        A = make_operator(np.diag([-1.0, -4.0]) + (0.3j if case == "complex_A" else 0.0))
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 2 if case == "family2" else 1)
+        grid = cgl_grid(24, 0.0, np.pi)
+        v0 = sine_mode(grid, dim=2)
+        if case == "complex_v0":
+            v0 = GridFunction(grid, v0.values * np.array([[1.0], [1j]]))
+        lams = []
+
+        def counting(spec_, nodes):
+            lams.extend(np.atleast_1d(nodes))
+            return _lambda_frames(spec_, nodes)
+
+        monkeypatch.setattr(evolution, "_lambda_frames", counting)
+        evolve(EvolutionSpec(spec, 0.2, v0, dt=0.1))
+        lams = np.array(lams)
+        gap = np.min(np.abs(lams[:, None] - np.conj(lams)[None, :]), axis=1)
+        closed = np.all(gap <= 1e-12 * np.abs(lams))
+        assert closed == (case != "real")
+
+    def test_decayed_solution_right_of_vertex(self):
+        # e^{-25 t} sin 2x over one window [t_s, 8 t_s]: e^{t lam} right of
+        # the vertex amplifies the 1e-13 mismatch of the solves at lam and
+        # conj(lam), so pairing there too misses by 1.8e-10
+        A = dirichlet_laplacian_modes(1)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(32, 0.0, np.pi)
+        v0 = GridFunction(grid, np.sin(2 * grid.nodes)[None, :])
+        traj = evolve(EvolutionSpec(spec, 4.0, v0, dt=0.5))
+        assert len(traj) == 9
+        for t, u in traj[1:]:
+            want = np.exp(-25.0 * t) * v0.values
+            assert np.max(np.abs(u.values - want)) <= 1e-11 * np.max(np.abs(v0.values)), t
+
+
 class TestEvolve:
     def test_zero_everything(self, scalar_op):
         spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
