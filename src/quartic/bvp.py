@@ -254,30 +254,48 @@ class BCFrame:
             self._grid_cache[key] = kit
         return kit
 
+    def adjoint(self) -> BCFrame:
+        """The frame of A^H at conj(lam), derived with no assembly.
 
-def _seed_conjugate_kit(frame: BCFrame, adj: BCFrame, grid: Grid) -> bool:
-    """Give ``adj`` the grid kit of ``frame``, conjugated, when adj's generators
-    are frame's conjugated and swapped (m' = conj(l), l' = conj(m), as for A^H
-    at conj(lam) in A's mode order).  Every kit stack is a function of its
-    generator that commutes with conjugation, so the seeded stacks are the
-    ones adj would compute; only frames whose members match exactly are
-    seeded.  Returns whether adj was seeded."""
-    o, oa = frame.ops, adj.ops
-    if not (np.array_equal(oa.m, np.conj(o.l)) and np.array_equal(oa.l, np.conj(o.m))):
-        return False
+        Each member is f(A + s) for a scalar s and a function f with
+        f(X)^H = f(X^H), so the factors become P' = Q^H, Q' = P^H and
+        B' = -B^H: each member is its partner's (``_ADJOINT_PARTNERS``)
+        blocks conjugate-transposed (b_op and binv negated) in the basis
+        (V^{-H}, V^H), and so is each cached grid kit, kept read-only.  A frame
+        at lam = 0 (the direct factorization, not swapped) raises ValueError.
+        """
+        if self.lam is not None and np.any(np.asarray(self.lam) == 0):
+            raise ValueError("a frame at lambda = 0 has no derived adjoint")
+        b, (V, Vinv) = self.block, self.basis
+        ops = {name: _adjoint_blocks(getattr(self.ops, _ADJOINT_PARTNERS.get(name, name)), b)
+               for name in vars(self.ops)}
+        ops["b_op"], ops["binv"] = -ops["b_op"], -ops["binv"]
+        kits = {key: {name: {item: _adjoint_blocks(x, b) for item, x in kit[partner].items()}
+                      for name, partner in (("m", "l"), ("l", "m"))}
+                for key, kit in self._grid_cache.items()}
+        return BCFrame(n=self.n, c=self.c, lam=None if self.lam is None else self.lam.conjugate(),
+                       ops=SimpleNamespace(**ops), basis=(Vinv.conj().T, V.conj().T),
+                       uv_ok=self.uv_ok, prop_m=Propagator(ops["m"]), prop_l=Propagator(ops["l"]),
+                       _grid_cache=kits)
 
-    def conj(x):
-        if isinstance(x, tuple):
-            return tuple(conj(e) for e in x)
-        x = np.conj(x)
-        x.setflags(write=False)
-        return x
 
-    kit = frame.grid_kit(grid)
-    adj._grid_cache[grid.nodes.tobytes()] = {
-        name: {key: conj(val) for key, val in src.items()}
-        for name, src in (("m", kit["l"]), ("l", kit["m"]))}
-    return True
+# Partner members under ``BCFrame.adjoint``; the others are their own partners.
+_ADJOINT_PARTNERS = {"p": "q", "m": "l", "minv": "linv", "e_cm": "e_cl", "z": "w",
+                     "inv_ip_em": "inv_ip_el", "inv_im_em": "inv_im_el"}
+_ADJOINT_PARTNERS.update({v: k for k, v in _ADJOINT_PARTNERS.items()})
+
+
+def _adjoint_blocks(x, b: int):
+    """Read-only blockwise conjugate transpose of a (..., R, b, b) stack or a
+    tuple of them; None stays None.  For b = 1 it only conjugates, which also
+    serves the (J - s, R, 1) scan factors."""
+    if x is None:
+        return None
+    if isinstance(x, tuple):
+        return tuple(_adjoint_blocks(e, b) for e in x)
+    y = np.conj(x if b == 1 else x.swapaxes(-1, -2))
+    y.setflags(write=False)
+    return y
 
 
 def _blockwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -704,7 +722,7 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     The factors are P = A - k/2 + i s, Q = A - k/2 - i s and B = 2 i s with
     s = sqrt(-lam - k^2/4), except lam = 0 with k != 0, which uses the direct
     factorization (A, A - k I) instead of the branch-cut parameterization.
-    This is the package's one frame constructor.  The factors are A's blocks
+    This is the package's one frame assembler.  The factors are A's blocks
     (``OperatorHandle.block_form``) shifted per parameter, so no factor passes
     through ``make_operator`` or ``eig``, and K parameters make one batch
     frame.

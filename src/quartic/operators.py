@@ -85,14 +85,10 @@ class OperatorHandle:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def make_operator(matrix, label: str = "", eig=None) -> OperatorHandle:
+def make_operator(matrix, label: str = "") -> OperatorHandle:
     """Wrap a square complex matrix, validating its factorization.
 
-    ``eig`` = (w, V) hands in eigenpairs the caller already has, such as
-    (conj(a), V_A^{-H}) for A^H when A = V_A diag(a) V_A^{-1}, in place of
-    ``np.linalg.eig``; they pass the same residual check, condition test and
-    inversion as computed ones.  Raises
-    NonFinite for NaN/Inf entries and FactorizationFailure when the
+    Raises NonFinite for NaN/Inf entries and FactorizationFailure when the
     eigenpair backward errors exceed tolerance.
     """
     A = np.asarray(matrix, dtype=complex)
@@ -105,10 +101,7 @@ def make_operator(matrix, label: str = "", eig=None) -> OperatorHandle:
     A = A.copy()
     A.setflags(write=False)
 
-    if eig is None:
-        w, V = np.linalg.eig(A)
-    else:
-        w, V = (np.array(x, dtype=complex) for x in eig)
+    w, V = np.linalg.eig(A)
     scale = max(np.linalg.norm(A, 2), 1.0)
     # per-eigenpair backward error ||Av - wv|| <= tol * ||A||
     res = np.linalg.norm(A @ V - V * w, axis=0) / np.linalg.norm(V, axis=0)

@@ -1,11 +1,12 @@
 """Parameter sweeps: resolvent norms, sector geometry, decay diagnostics.
 
-The sweep walks a polar grid around the branch vertex -k^2/4, materializes
-the resolvent of the fourth-order generator as a matrix on the sample grid,
-and records weighted operator norms and the scaled ratio
-(1 + |lambda - vertex|) * ||R(lambda)||.  Per-parameter failures are
-collected as findings, not fatal errors: for the clamped/derivative families
-they witness the excluded ball around the vertex.
+The sweep walks a polar grid around the branch vertex -k^2/4 and records the
+weighted resolvent norm of the fourth-order generator on the sample grid and
+the scaled ratio (1 + |lambda - vertex|) * ||R(lambda)||, by one of three
+routes (``run_sweep``): per-mode blocks, the assembled resolvent matrix, or
+power iteration with an adjoint frame derived from the forward one.
+Per-parameter failures are collected as findings, not fatal errors: for the
+clamped/derivative families they witness the excluded ball around the vertex.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .bvp import (
     _field_to_internal,
     _lambda_frames,
     _particular,
-    _seed_conjugate_kit,
     _zero_phi,
     resolvent_blocks,
     resolvent_matrix,
 )
 from .errors import BranchCut, NearSpectrum, NonFinite, NotInResolventSet, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid
-from .operators import OperatorHandle, _outside_closed_sector, make_operator, operator_norm
+from .operators import _outside_closed_sector, operator_norm
 from .oracle import dense_generator
 
 __all__ = [
@@ -228,37 +228,25 @@ def _ritz_norm(w: np.ndarray, x_prev: np.ndarray, x: np.ndarray, bx_prev: np.nda
     return float(np.sqrt(theta)) if theta >= rayleigh * rayleigh else rayleigh
 
 
-def _adjoint_operator(A: OperatorHandle) -> OperatorHandle:
-    """A^H.  For A with a trusted eigenbasis, A^H = V^{-H} diag(conj a) V^H is
-    built from A's eigenpairs conjugated, in A's mode order, with no ``eig``
-    of its own; that order lets ``_map_norm_power`` share each grid kit."""
-    eig = (A.spectrum.conj(), A.eigvecs_inv.conj().T) if A.diagonalizable else None
-    return make_operator(A.matrix.conj().T, eig=eig)
-
-
-def _map_norm_power(spec: ProblemSpec, adj_spec: ProblemSpec, lam: complex, grid: Grid,
-                    w: np.ndarray, rel_tol: float = 1e-6, max_iter: int = 200) -> float:
+def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
+                    rel_tol: float = 1e-6, max_iter: int = 200) -> float:
     """Norm estimate without materialization: power iteration on B = R~* R.
 
-    The adjoint application uses the resolvent of ``adj_spec``, the
-    conjugate-transposed problem; for the normal surrogates this is the exact
-    discrete adjoint up to quadrature asymmetry.  ``w`` holds the norm's
-    quadrature weights.  Both frames are built once and reused by every
-    iteration.  When ``adj_spec``'s operator holds A's eigenvalues conjugated
-    in A's mode order (``run_sweep``), the adjoint frame's generators are the
-    forward frame's conjugated and swapped, and it takes the forward grid
-    kit conjugated instead of computing its own (``bvp._seed_conjugate_kit``).
-    The start vector comes from ``_start_vector``.  The iteration stops when
-    the Rayleigh value sqrt(<x, Bx>_W / <x, x>_W) moves by at most
-    ``rel_tol``; the reported norm is then the Rayleigh-Ritz value on the
-    last two iterates (``_ritz_norm``), which needs no further solve: B x_prev
-    is the previous step's z, and B x the last one's.
+    R~ is the resolvent of A^H at conj(lam), whose frame and grid kit are
+    derived from the forward ones (``BCFrame.adjoint``); for the normal
+    surrogates it is the exact discrete adjoint up to quadrature asymmetry.
+    ``w`` holds the norm's quadrature weights; the start vector comes from
+    ``_start_vector``.  The iteration stops when the Rayleigh value
+    sqrt(<x, Bx>_W / <x, x>_W) moves by at most ``rel_tol``; the reported
+    norm is then the Rayleigh-Ritz value on the last two iterates
+    (``_ritz_norm``), which needs no further solve: B x_prev is the previous
+    step's z, and B x the last one's.
     """
     n = spec.A.dim
     solve = _SOLVERS[spec.bc_family]
     frame = _lambda_frames(spec, lam)
-    adj_frame = _lambda_frames(adj_spec, np.conj(lam))
-    _seed_conjugate_kit(frame, adj_frame, grid)
+    frame.grid_kit(grid)  # before adjoint(), which derives its kit from this one
+    adj_frame = frame.adjoint()
 
     def apply(v):  # B v on node-major vectors
         gv = GridFunction(grid, v.reshape(grid.n, n).T)
@@ -309,8 +297,8 @@ def run_sweep(
     and for every other A the weighted SVD of the materialized resolvent
     (``resolvent_matrix``).  Beyond the cap norms come from power iteration
     (note "power", ``_map_norm_power``) against the resolvent of the
-    conjugate-transposed problem, whose operator is built once
-    (``_adjoint_operator``).
+    conjugate-transposed problem, whose frame each point derives from its
+    forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
@@ -319,13 +307,11 @@ def run_sweep(
     weights = np.repeat(grid.weights, spec.A.dim)
     power = spec.A.dim * grid.n > tol.DENSE_CAP
     per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1.0 <= tol.UNITARY_BASIS_GAP
-    adj_spec = ProblemSpec(spec.a, spec.b, spec.k, _adjoint_operator(spec.A),
-                           spec.bc_family) if power else None
 
     def job(lam):
         try:
             if power:
-                nrm, how = _map_norm_power(spec, adj_spec, lam, grid, weights), "power"
+                nrm, how = _map_norm_power(spec, lam, grid, weights), "power"
             elif per_mode:
                 nrm = _per_mode_norm(resolvent_blocks(spec, lam, grid), grid.weights)
                 how = "dense"

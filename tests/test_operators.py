@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from quartic.errors import (
     DimensionMismatch,
-    FactorizationFailure,
     NearSpectrum,
     NonFinite,
     SampleOnSpectrum,
@@ -66,45 +65,6 @@ class TestMakeOperator:
         h = make_operator([[1.0]])
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 2.0
-
-
-def _near_defective(gap):
-    """6 x 6 A with eigenvalues -1 and -1 - gap, in a rotated triangular form."""
-    rng = np.random.default_rng(4)
-    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    T = np.diag([-1.0, -1.0 - gap, -4.0, -9.0, -16.0, -25.0]) + np.triu(rng.normal(size=(6, 6)), 1)
-    return q @ T @ q.T
-
-
-class TestGivenEigenpairs:
-    """make_operator(M, eig=(w, V)) validates eigenpairs the caller hands in."""
-
-    @staticmethod
-    def _adjoint_pairs(A):
-        w, V = np.linalg.eig(A)
-        return w.conj(), np.linalg.inv(V).conj().T
-
-    @pytest.mark.parametrize("gap", [1.0, 1e-5, 1e-7])
-    def test_same_trust_decision_as_eig(self, gap):
-        A = _near_defective(gap)
-        w, Vh = self._adjoint_pairs(A)
-        computed = make_operator(A.conj().T)
-        given = make_operator(A.conj().T, eig=(w, Vh))
-        assert given.diagonalizable == computed.diagonalizable
-        assert given.diagonalizable == (gap > 1e-7)
-        np.testing.assert_array_equal(given.spectrum, w)
-        assert given.eig_cond == pytest.approx(np.linalg.cond(Vh), rel=1e-6)
-        if given.diagonalizable:
-            np.testing.assert_array_equal(given.eigvecs, Vh)
-            np.testing.assert_allclose(given.eigvecs_inv @ given.eigvecs, np.eye(6),
-                                       atol=1e-9 * given.eig_cond)
-
-    def test_mismatched_pairs_rejected(self):
-        A = _near_defective(1.0)
-        w, Vh = self._adjoint_pairs(A)
-        for pairs in ((w[::-1], Vh), (w + 1e-6, Vh), (w, Vh[:, ::-1]), (w * np.nan, Vh)):
-            with pytest.raises(FactorizationFailure):
-                make_operator(A.conj().T, eig=pairs)
 
 
 class TestDirichletModes:

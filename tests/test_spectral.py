@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quartic.bvp import ProblemSpec, _lambda_frames, _seed_conjugate_kit, resolvent_matrix
+from quartic.bvp import _SOLVERS, ProblemSpec, _lambda_frames, resolvent_matrix
 from quartic.errors import BranchCut, NonFinite
-from quartic.grids import cgl_grid
+from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import (
     dirichlet_laplacian_modes,
     make_operator,
@@ -17,7 +19,6 @@ from quartic.spectral import (
     INSIDE_SECTOR,
     OUTSIDE_SECTOR,
     VERTEX,
-    _adjoint_operator,
     _map_norm_power,
     _ritz_norm,
     _start_vector,
@@ -29,6 +30,7 @@ from quartic.spectral import (
     make_sweep_grid,
     run_sweep,
 )
+from test_grids_kernels import _ill_conditioned
 
 
 class TestClassify:
@@ -167,24 +169,20 @@ class TestRunSweep:
 
 
     def test_power_route_builds_adjoint_once(self, monkeypatch, diag3_op):
-        from quartic import spectral, tolerances
+        # one frame per power point: the adjoint frame is derived, not assembled
+        from quartic import bvp, tolerances
 
         spec = ProblemSpec(0.0, np.pi, 0.0, diag3_op, 1)
         g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0, 3.0, 10.0]),
                             n_angles=1, angle_min=np.pi)  # negative real axis
         dense = run_sweep(spec, g, n_nodes=16)
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return make_operator(*args, **kwargs)
-
         monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
-        monkeypatch.setattr(spectral, "make_operator", counting)
+        frames = _counting(monkeypatch, bvp, "assemble_frame")
+        adjoints = _counting(monkeypatch, bvp.BCFrame, "adjoint")
         power = run_sweep(spec, g, n_nodes=16)
         assert [r.note for r in dense.records] == ["dense"] * 3
         assert [r.note for r in power.records] == ["power"] * 3
-        assert len(calls) == 1
+        assert len(frames) == len(adjoints) == 3
         # the power route's adjoint is exact only up to quadrature asymmetry
         for d, p in zip(dense.records, power.records):
             assert p.norm == pytest.approx(d.norm, rel=1e-2)
@@ -311,78 +309,115 @@ def _cond30_6x6():
     return _in_basis(q1 @ np.diag(np.geomspace(1.0, 30.0, 6)) @ q2, -np.arange(1, 7.0) ** 2)
 
 
-# the Jordan block's adjoint has the conjugated Jordan block as Schur form
 ADJOINT_OPERATORS = {"laplacian3": lambda: dirichlet_laplacian_modes(3), "cond30": _cond30_6x6,
                      "jordan": lambda: make_operator([[-2.0, 1.0], [0.0, -2.0]])}
 ADJOINT_LAMS = [0.56 + 0.21j, -3.0 + 1.0j, 2.0 - 0.3j]
 
 
-def _spy_seeding(monkeypatch):
-    from quartic import spectral
+def _factored_adjoint(spec, AH, lam):
+    """The frame of A^H at conj(lam), with AH = A^H factored on its own."""
+    return _lambda_frames(ProblemSpec(spec.a, spec.b, spec.k, AH, spec.bc_family), np.conj(lam))
 
-    seeded = []
 
-    def spy(*args):
-        seeded.append(_seed_conjugate_kit(*args))
-        return seeded[-1]
+def _with_kit(frame, grid):
+    frame.grid_kit(grid)
+    return frame
 
-    monkeypatch.setattr(spectral, "_seed_conjugate_kit", spy)
-    return seeded
+
+def _counting(monkeypatch, owner, name):
+    """Record the calls of ``owner.name``, which still runs."""
+    calls, fn = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestPowerRoute:
-    """Power-iteration sweep points: the adjoint frame shares the forward grid
-    kit, conjugated, and the reported norm is a Rayleigh-Ritz value."""
+    """Power-iteration sweep points: the adjoint frame is derived from the
+    forward one with its grid kit (``BCFrame.adjoint``), and the reported
+    norm is a Rayleigh-Ritz value."""
+
+    # the eig_cond 4.4e6 one-block A carries the dense route's kappa * 1e-12
+    # floor, bounded as in TestDenseRouteConvolution
+    @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("op, bound", [("laplacian3", 1e-12), ("cond30", 1e-12),
+                                           ("jordan", 1e-12), ("illcond", 1e-4)])
+    def test_derived_adjoint_matches_factored(self, op, bound, bc):
+        A = ADJOINT_OPERATORS[op]() if op in ADJOINT_OPERATORS else _ill_conditioned(4.4e6)
+        AH = make_operator(A.matrix.conj().T)
+        grid = cgl_grid(48, 0.0, np.pi)
+        x = grid.nodes
+        f = GridFunction(grid, np.array([(1 + 0.3j * i) * np.sin(x) + 0.2 * x * np.cos((i + 2) * x)
+                                         for i in range(A.dim)]))
+        for k in (0.0, 0.7):
+            spec = ProblemSpec(0.0, np.pi, k, A, bc)
+            for lam in ADJOINT_LAMS:
+                adj = _with_kit(_lambda_frames(spec, lam), grid).adjoint()
+                assert adj.lam == np.conj(lam)
+                got = _SOLVERS[bc](adj, f).values
+                want = _SOLVERS[bc](_factored_adjoint(spec, AH, lam), f).values
+                assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
     @pytest.mark.parametrize("lam", ADJOINT_LAMS)
     @pytest.mark.parametrize("k", [0.0, 0.7])
     @pytest.mark.parametrize("op", sorted(ADJOINT_OPERATORS))
     def test_seeded_kit_equals_computed(self, op, k, lam):
+        # the kit the adjoint frame derives from the forward kit against the
+        # one it computes from its own generators: bit for bit where b = 1
         A = ADJOINT_OPERATORS[op]()
-        spec = ProblemSpec(0.0, np.pi, k, A, 1)
-        adj = ProblemSpec(0.0, np.pi, k, _adjoint_operator(A), 1)
         grid = cgl_grid(48, 0.0, np.pi)
-        seeded, own = (_lambda_frames(adj, np.conj(lam)) for _ in range(2))
-        assert _seed_conjugate_kit(_lambda_frames(spec, lam), seeded, grid)
-        got, want = seeded.grid_kit(grid), own.grid_kit(grid)
+        adj = _with_kit(_lambda_frames(ProblemSpec(0.0, np.pi, k, A, 1), lam), grid).adjoint()
+        assert len(adj._grid_cache) == 1
+        got = adj.grid_kit(grid)
+        want = dataclasses.replace(adj, _grid_cache={}).grid_kit(grid)
+        tol = 0.0 if A.diagonalizable else 1e-14
+
+        def check(g, w):
+            assert not g.flags.writeable
+            assert np.max(np.abs(g - w)) <= tol * np.max(np.abs(w))
+
         for gen in "ml":
             for name in ("exa", "ebx", "weights"):
-                assert np.array_equal(got[gen][name], want[gen][name])
-                assert not got[gen][name].flags.writeable
+                check(got[gen][name], want[gen][name])
             for g_scan, w_scan in zip(got[gen]["scans"], want[gen]["scans"]):
                 assert len(g_scan) == len(w_scan)
                 for g_fac, w_fac in zip(g_scan, w_scan):
-                    assert np.array_equal(g_fac, w_fac) and not g_fac.flags.writeable
+                    check(g_fac, w_fac)
 
     def test_direct_factorization_not_seeded(self):
-        # lam = 0 with k != 0 factors as (A - k, A) for both problems: P' is
-        # conj(P), not conj(Q), so the adjoint frame computes its own kit
-        A = _cond30_6x6()
-        spec = ProblemSpec(0.0, np.pi, 0.7, A, 1)
-        adj = ProblemSpec(0.0, np.pi, 0.7, _adjoint_operator(A), 1)
-        assert not _seed_conjugate_kit(_lambda_frames(spec, 0.0), _lambda_frames(adj, 0.0),
-                                       cgl_grid(24, 0.0, np.pi))
+        # lam = 0 with k != 0 factors as (A - k, A), whose adjoint factors are
+        # P^H and Q^H, not swapped: no adjoint frame is derived from it
+        spec = ProblemSpec(0.0, np.pi, 0.7, _cond30_6x6(), 1)
+        for lams in (0.0, [1.0 + 1.0j, 0.0]):
+            with pytest.raises(ValueError):
+                _lambda_frames(spec, lams).adjoint()
 
     def test_seeding_changes_no_norm(self, monkeypatch):
-        from quartic import spectral, tolerances
+        # the derived adjoint against A^H factored on its own, on the
+        # sweep-power family: the norms agree to rounding
+        from quartic import bvp, tolerances
 
         spec = ProblemSpec(0.0, np.pi, 0.0, _cond30_6x6(), 3)
         g = make_sweep_grid(0.0, 0.0, radii=np.array([0.6, 1.5]), n_angles=1,
                             exclusion_radius=0.5)
         monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
-        seeded = _spy_seeding(monkeypatch)
-        power = run_sweep(spec, g, n_nodes=24)
-        monkeypatch.setattr(spectral, "_seed_conjugate_kit", lambda *args: False)
-        unseeded = run_sweep(spec, g, n_nodes=24)
-        assert seeded == [True, True]
-        assert [r.note for r in power.records] == ["power"] * 2
-        assert [r.norm for r in power.records] == [r.norm for r in unseeded.records]
+        derived = run_sweep(spec, g, n_nodes=24)
+        AH = make_operator(spec.A.matrix.conj().T)
+        monkeypatch.setattr(bvp.BCFrame, "adjoint",
+                            lambda frame: _factored_adjoint(spec, AH, frame.lam))
+        factored = run_sweep(spec, g, n_nodes=24)
+        assert [r.note for r in derived.records] == ["power"] * 2
+        for d, f in zip(derived.records, factored.records):
+            assert d.norm == pytest.approx(f.norm, rel=1e-12)
 
     def test_dense_power_route_seeded(self, monkeypatch):
-        # A^H's Schur block is the Jordan block conjugated, so on the negative
-        # axis the adjoint frame's generators are the forward ones conjugated
-        # and swapped, and it takes the forward kit
-        from quartic import spectral, tolerances
+        # a one-block (b = n) frame: the derived adjoint conjugate-transposes
+        # the Jordan block's Schur block
+        from quartic import bvp, tolerances
 
         A = make_operator([[-2.0, 1.0], [0.0, -2.0]])
         assert not A.diagonalizable
@@ -391,13 +426,10 @@ class TestPowerRoute:
                             angle_min=np.pi)
         dense = run_sweep(spec, g, n_nodes=16)
         monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
-        seeded = _spy_seeding(monkeypatch)
+        adjoints = _counting(monkeypatch, bvp.BCFrame, "adjoint")
         power = run_sweep(spec, g, n_nodes=16)
-        monkeypatch.setattr(spectral, "_seed_conjugate_kit", lambda *args: False)
-        unseeded = run_sweep(spec, g, n_nodes=16)
-        assert seeded == [True, True]
+        assert len(adjoints) == 2
         assert [r.note for r in power.records] == ["power"] * 2
-        assert [r.norm for r in power.records] == [r.norm for r in unseeded.records]
         for d, p in zip(dense.records, power.records):
             assert p.norm == pytest.approx(d.norm, rel=1e-2)
 
@@ -411,12 +443,11 @@ class TestPowerRoute:
     def test_norm_against_weighted_svd(self, bc, bound):
         A = _cond30_6x6()
         spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
-        adj = ProblemSpec(0.0, np.pi, 0.0, _adjoint_operator(A), bc)
         grid = cgl_grid(96, 0.0, np.pi)
         w = np.repeat(grid.weights, A.dim)
         for lam in ADJOINT_LAMS:
             want = operator_norm(resolvent_matrix(spec, lam, grid), w)
-            got = _map_norm_power(spec, adj, lam, grid, w)
+            got = _map_norm_power(spec, lam, grid, w)
             assert abs(got - want) <= bound * want
 
     def test_start_vector(self):
