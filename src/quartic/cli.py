@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and ignored: every command runs its "
                             "lambda points serially")
-        p.add_argument("--seed", type=int, default=1234)
-        p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
+        if name == "verify":  # the one command that reads them
+            p.add_argument("--seed", type=int, default=1234)
+            p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
         p.set_defaults(fn=fn)
     return ap
 

@@ -26,6 +26,10 @@ __all__ = ["RunConfig", "load_config"]
 # Longest trajectory an [evolve] section may ask for, in dt steps.
 MAX_TIME_STEPS = 10**6
 
+# Most nodes a [grid] or [sweep] grid may have: the dense stencil matrices and
+# the Clenshaw-Curtis cosine table grow as N^2 (at this cap, 134 MB per matrix).
+MAX_GRID_NODES = 4096
+
 
 def _parse_operator(spec_text: str, base_dir: str) -> OperatorHandle:
     kind, _, arg = spec_text.partition(":")
@@ -66,6 +70,25 @@ def _number(sec, key: str, default: str, kind=float, minimum=None):
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {text!r}")
     return val
+
+
+def _node_count(sec, section: str, default: str) -> int:
+    """The n_nodes field of ``section``, between 2 and MAX_GRID_NODES."""
+    n = _number(sec, "n_nodes", default, int, minimum=2)
+    if n > MAX_GRID_NODES:
+        raise ConfigError(f"[{section}] n_nodes = {n} exceeds the cap of {MAX_GRID_NODES} nodes")
+    return n
+
+
+def _flag(sec, key: str, default: str) -> bool:
+    """One boolean field in configparser's spellings (1/0, yes/no, true/false,
+    on/off); anything else raises ConfigError."""
+    text = str(sec.get(key, default))
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConfigError(f"{key} must be one of 1/0, yes/no, true/false, on/off, "
+                          f"got {text!r}") from None
 
 
 def _complex(key: str, text: str) -> complex:
@@ -149,7 +172,10 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
         raise ConfigError(f"bc_family must be one of {tuple(BC_FAMILIES)}, got {bc}")
 
     gsec = cp["grid"] if "grid" in cp else {}
-    n_nodes = _number(gsec, "n_nodes", "64", int, minimum=2)
+    swsec = cp["sweep"] if "sweep" in cp else {}
+    # both node counts are checked before any grid is built
+    n_nodes = _node_count(gsec, "grid", "64")
+    sweep_nodes = _node_count(swsec, "sweep", "40")
     kind = str(gsec.get("kind", "cgl")).lower()
     if kind not in ("cgl", "uniform"):
         raise ConfigError(f"grid kind must be cgl or uniform, got {kind!r}")
@@ -188,14 +214,13 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
-    swsec = cp["sweep"] if "sweep" in cp else {}
     sweep = {
         "radius_min": _number(swsec, "radius_min", "1e-2"),
         "radius_max": _number(swsec, "radius_max", "1e4"),
         "n_radii": _number(swsec, "n_radii", "50", int, minimum=1),
         "n_angles": _number(swsec, "n_angles", "10", int, minimum=1),
         "exclusion_radius": _number(swsec, "exclusion_radius", "0.0"),
-        "n_nodes": _number(swsec, "n_nodes", "40", int, minimum=2),
+        "n_nodes": sweep_nodes,
     }
     if sweep["radius_min"] <= 0 or sweep["radius_max"] <= sweep["radius_min"]:
         raise ConfigError("sweep radii must satisfy 0 < radius_min < radius_max")
@@ -207,7 +232,7 @@ def load_config(path: str, out_dir: str | None = None) -> RunConfig:
         "t_final": _number(evsec, "t_final", "1.0"),
         "v0": str(evsec.get("v0", "sine:1")),
         "contour_points": _number(evsec, "contour_points", "32", int, minimum=2),
-        "growth_probe": str(evsec.get("growth_probe", "false")).lower() == "true",
+        "growth_probe": _flag(evsec, "growth_probe", "false"),
     }
     if evolve["dt"] <= 0 or evolve["t_final"] <= 0:
         raise ConfigError("evolve dt and t_final must be positive")

@@ -389,6 +389,32 @@ class TestCliSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "CGL grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--tol-scale", "2"]])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "evolve"])
+    def test_verify_flags_refused_elsewhere(self, tmp_path, capsys, command, flag):
+        cfg = write_config(tmp_path / "c.cfg", DEMO)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path)] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section", [("solve", "grid"), ("sweep", "sweep")])
+    def test_node_cap_exit2_before_any_grid(self, tmp_path, capsys, monkeypatch, command,
+                                            section):
+        from quartic import config
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(config, "cgl_grid", no_grid)
+        n = config.MAX_GRID_NODES + 1
+        body = DEMO + "\n[sweep]\nn_nodes = 12\n"
+        body = body.replace(f"[{section}]\nn_nodes = {96 if section == 'grid' else 12}",
+                            f"[{section}]\nn_nodes = {n}")
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"[{section}] n_nodes = {n}" in capsys.readouterr().err
+
     def test_config_error_exit2(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
         bad = write_config(tmp_path / "bad.cfg",
@@ -640,6 +666,31 @@ v0 = zero
 """)
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 5
 
+
+    @staticmethod
+    def _growth_probe_config(tmp_path, value):
+        return write_config(tmp_path / "c.cfg", DEMO.replace(
+            "type = sines\ncoefficients = 1.0, 0.5", "type = zero") + f"""
+[evolve]
+scheme = IMPLICIT_EULER
+dt = 0.25
+t_final = 0.5
+v0 = sine:1
+growth_probe = {value}
+""")
+
+    @pytest.mark.parametrize("value", ["yes", "1", "on", "True"])
+    def test_growth_probe_boolean_spellings(self, tmp_path, capsys, value):
+        cfg = self._growth_probe_config(tmp_path, value)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "growth_bound_M = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["maybe", ""])
+    def test_growth_probe_junk_exits_2(self, tmp_path, capsys, value):
+        cfg = self._growth_probe_config(tmp_path, value)
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "growth_probe" in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("t_final, dt", [(0.5, 0.3), (1.0, 0.3)])
     @pytest.mark.parametrize("scheme", ["IMPLICIT_EULER", "CRANK_NICOLSON", "CONTOUR"])
