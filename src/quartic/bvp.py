@@ -489,12 +489,14 @@ def _internal_to_field(grid: Grid, vals: np.ndarray) -> GridFunction:
 def _data_derivatives(grid: Grid, fv: np.ndarray):
     """First two x-derivatives of sampled data via local stencils.
 
-    The real stencil matrices act on the (N, 2nr) real view of the complex
-    (N, n, r) data, so each order is one real BLAS product.
+    The grid's stencil bands act on the (N, 2nr) real view of the complex
+    (N, n, r) data: each node's (2, w) weights times its (w, 2nr) window of
+    rows gives both orders at once, O(w N n r) work and no N x N matrix.
     """
+    idx, weights = grid.stencils
     flat = np.ascontiguousarray(fv, dtype=complex).reshape(len(fv), -1).view(float)
-    return tuple((grid.derivative_matrix(k) @ flat).view(complex).reshape(fv.shape)
-                 for k in (1, 2))
+    d = weights @ flat[idx]
+    return tuple(d[:, k].view(complex).reshape(fv.shape) for k in (0, 1))
 
 
 # Each generator's frame members: X, X^{-1}, e^{cX}, (I - e^{2cX})^{-1} and the
@@ -807,15 +809,16 @@ def boundary_residuals(grid: Grid, u: GridFunction, phi, bc: int,
                        p_mat: np.ndarray) -> dict:
     """Endpoint condition residuals measured from the samples alone.
 
-    Derivatives come from one-sided local stencils so the check is
-    independent of the representation that produced u.
+    Derivatives come from the one-sided local stencils at the two end nodes,
+    so the check is independent of the representation that produced u.
     """
     vals = u.values  # (n, N)
-    derivs = (vals, vals @ grid.derivative_matrix(1).T, vals @ grid.derivative_matrix(2).T)
+    idx, weights = grid.stencils
     res = {}
     for (name, end, kind), p in zip(bc_conditions(bc), phi):
-        got = condition_value(kind, lambda order: derivs[order][:, end],
-                              lambda v: p_mat @ v)
+        got = condition_value(
+            kind, lambda order: vals[:, end] if order == 0
+            else vals[:, idx[end]] @ weights[end, order - 1], lambda v: p_mat @ v)
         res[name] = float(np.linalg.norm(got - np.asarray(p, dtype=complex)))
     return res
 

@@ -26,8 +26,9 @@ __all__ = ["RunConfig", "load_config"]
 # Longest trajectory an [evolve] section may ask for, in dt steps.
 MAX_TIME_STEPS = 10**6
 
-# Most nodes a [grid] or [sweep] grid may have: the dense stencil matrices and
-# the Clenshaw-Curtis cosine table grow as N^2 (at this cap, 134 MB per matrix).
+# Most nodes a [grid] or [sweep] grid may have.  A grid, its stencil bands and
+# its kits grow as N (the N^2 dense routes stop at tolerances.DENSE_CAP), so the
+# cap bounds the time and memory of a run rather than one N^2 structure.
 MAX_GRID_NODES = 4096
 
 

@@ -4,12 +4,16 @@ The default grid is Chebyshev-Gauss-Lobatto with Clenshaw-Curtis quadrature
 weights (they sum to b - a).  Grid-data derivatives in the solver path use
 local finite-difference stencils (Fornberg weights), which keeps the formula
 path independent of the global spectral differentiation matrices used by the
-collocation oracle.
+collocation oracle.  Each grid caches its stencils as bands, one window of
+nearest nodes and one weight row per derivative order at every node
+(``Grid.stencils``), so applying them costs O(width N); the dense N x N
+matrices (``stencil_derivative_matrix``) are built from the bands on request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +26,7 @@ __all__ = [
     "uniform_grid",
     "chebyshev_gauss_nodes",
     "fornberg_weights",
+    "stencil_bands",
     "stencil_derivative_matrix",
 ]
 
@@ -31,18 +36,25 @@ def _cgl_nodes(n: int, a: float, b: float) -> np.ndarray:
     return (a + b) / 2 + (b - a) / 2 * x
 
 
+# Rows of the Clenshaw-Curtis cosine table built at once.
+_CC_ROWS = 256
+
+
 def _clenshaw_curtis_weights(n: int, a: float, b: float) -> np.ndarray:
     """Quadrature weights at CGL nodes, exact for polynomials of degree n-1."""
     if n == 1:
         return np.array([b - a])
     m = n - 1
     # integral of the j-th Lagrange cardinal = 1 - sum over even 2k of cosine
-    # terms; the cumulative sum subtracts them from 1 in increasing k order
-    j = np.arange(n)[:, None]
+    # terms; the cumulative sum subtracts them from 1 in increasing k order.
+    # Blocks of rows keep the cosine table at _CC_ROWS x m/2, not n x m/2.
     k = np.arange(1, m // 2 + 1)
     f = np.where(2 * k < m, 2.0, 1.0)
-    terms = f * np.cos(2 * k * np.pi * j / m) / (4 * k * k - 1)
-    s = np.cumsum(np.hstack([np.ones((n, 1)), -terms]), axis=1)[:, -1]
+    s = np.empty(n)
+    for lo in range(0, n, _CC_ROWS):
+        j = np.arange(lo, min(lo + _CC_ROWS, n))[:, None]
+        terms = f * np.cos(2 * k * np.pi * j / m) / (4 * k * k - 1)
+        s[lo:lo + len(j)] = np.cumsum(np.hstack([np.ones((len(j), 1)), -terms]), axis=1)[:, -1]
     c = 2.0 * s / m
     c[0] /= 2.0
     c[-1] /= 2.0
@@ -89,19 +101,30 @@ def fornberg_weights(z, x: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
-def stencil_derivative_matrix(nodes: np.ndarray, order: int, width: int = 7) -> np.ndarray:
-    """Dense derivative matrix built from local Fornberg stencils.
+def stencil_bands(nodes: np.ndarray, width: int = 7):
+    """First- and second-derivative Fornberg stencils at every node, as bands.
 
-    Each row differentiates the local polynomial through ``width`` nearest
-    nodes; accuracy is O(h^(width-order)) for smooth data.
+    Node i differentiates the local polynomial through the ``width`` nearest
+    nodes (one-sided near the ends), whose indices are idx[i]; accuracy is
+    O(h^(width-order)) for smooth data.  Returns idx (N, w) and weights
+    (N, 2, w), with weights[i, order - 1] the row of that order, w = min(width, N).
     """
     n = len(nodes)
     width = min(width, n)
     lo = np.clip(np.arange(n) - width // 2, 0, n - width)
     idx = lo[:, None] + np.arange(width)
-    D = np.zeros((n, n))
-    np.put_along_axis(D, idx, fornberg_weights(nodes, nodes[idx], order)[order], axis=1)
+    return idx, fornberg_weights(nodes, nodes[idx], 2)[1:].transpose(1, 0, 2).copy()
+
+
+def _dense_from_bands(idx: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+    D = np.zeros((len(idx), len(idx)))
+    np.put_along_axis(D, idx, weights[:, order - 1], axis=1)
     return D
+
+
+def stencil_derivative_matrix(nodes: np.ndarray, order: int, width: int = 7) -> np.ndarray:
+    """Dense N x N view of ``stencil_bands`` for derivative order 1 or 2."""
+    return _dense_from_bands(*stencil_bands(nodes, width), order)
 
 
 @dataclass(frozen=True)
@@ -111,7 +134,6 @@ class Grid:
     nodes: np.ndarray
     weights: np.ndarray
     kind: str = "cgl"
-    _dmats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x, w = np.asarray(self.nodes, float), np.asarray(self.weights, float)
@@ -134,14 +156,20 @@ class Grid:
     def n(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def stencils(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid's ``stencil_bands`` (idx, weights), cached read-only."""
+        bands = stencil_bands(self.nodes)
+        for a in bands:
+            a.setflags(write=False)
+        return bands
+
     def derivative_matrix(self, order: int) -> np.ndarray:
-        """Local-stencil derivative matrix, cached read-only on the grid."""
-        D = self._dmats.get(order)
-        if D is None:
-            D = stencil_derivative_matrix(self.nodes, order)
-            D.setflags(write=False)
-            self._dmats[order] = D
-        return D
+        """Dense N x N view of the cached stencil bands, built on each call.
+
+        For checks and tests; the solver applies the bands themselves.
+        """
+        return _dense_from_bands(*self.stencils, order)
 
 
 def cgl_grid(n: int, a: float, b: float) -> Grid:

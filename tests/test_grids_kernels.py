@@ -8,6 +8,7 @@ from quartic.grids import (
     cgl_grid,
     chebyshev_gauss_nodes,
     fornberg_weights,
+    stencil_bands,
     stencil_derivative_matrix,
     uniform_grid,
 )
@@ -68,6 +69,60 @@ class TestStencils:
         f = np.sin(2 * g.nodes)
         exact = (2.0**order) * np.sin(2 * g.nodes + order * np.pi / 2)
         assert np.max(np.abs(D @ f - exact)) < 1e-6
+
+
+def _per_order_matrix(nodes, order):
+    """Reference: one Fornberg call per order, scattered into a dense matrix."""
+    n = len(nodes)
+    width = min(7, n)
+    lo = np.clip(np.arange(n) - width // 2, 0, n - width)
+    idx = lo[:, None] + np.arange(width)
+    D = np.zeros((n, n))
+    np.put_along_axis(D, idx, fornberg_weights(nodes, nodes[idx], order)[order], axis=1)
+    return D
+
+
+class TestStencilBands:
+    """The cached bands give the per-order dense stencil matrices bit for bit."""
+
+    @pytest.mark.parametrize("make", [cgl_grid, uniform_grid], ids=["cgl", "uniform"])
+    @pytest.mark.parametrize("n", [2, 3, 6, 7, 8, 48, 344])
+    def test_bands_match_per_order_matrices(self, make, n):
+        grid = make(n, 0.0, np.pi)
+        idx, weights = grid.stencils
+        width = min(7, n)
+        assert idx.shape == (n, width) and weights.shape == (n, 2, width)
+        assert not idx.flags.writeable and not weights.flags.writeable
+        for order in (1, 2):
+            ref = _per_order_matrix(grid.nodes, order)
+            banded = np.zeros((n, n))
+            np.put_along_axis(banded, idx, weights[:, order - 1], axis=1)
+            assert np.array_equal(banded, ref)
+            assert np.array_equal(stencil_derivative_matrix(grid.nodes, order), ref)
+            assert np.array_equal(grid.derivative_matrix(order), ref)
+        assert grid.stencils is grid.stencils
+        assert all(np.array_equal(a, b) for a, b in zip(stencil_bands(grid.nodes),
+                                                         (idx, weights)))
+
+    def test_node_cap_allocates_no_dense_matrix(self):
+        import tracemalloc
+
+        from quartic.bvp import _data_derivatives
+
+        n = 4096
+        tracemalloc.start()
+        try:
+            grid = cgl_grid(n, 0.0, np.pi)
+            assert tracemalloc.get_traced_memory()[1] < 32 * 2**20
+            grid.stencils  # the cached bands are the grid's, not the solve's
+            fv = np.sin(grid.nodes)[:, None, None] * np.array([1.0, 2.0j])[:, None]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _data_derivatives(grid, fv)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * n * n
 
 
 def _clenshaw_curtis_loop(n, a, b):
@@ -535,6 +590,17 @@ def _ill_conditioned(cond):
     """Spectrum -1, -4, -9, -16 in ``_ill_conditioned_basis(cond)``."""
     V = _ill_conditioned_basis(cond)
     return make_operator(V @ np.diag([-1.0, -4.0, -9.0, -16.0]) @ np.linalg.inv(V))
+
+
+class TestBandedDataDerivatives:
+    def test_sweep_power_shape_matches_dense_product(self, rng):
+        from quartic.bvp import _data_derivatives
+
+        grid = cgl_grid(344, 0.0, np.pi)
+        fv = rng.normal(size=(344, 6, 1)) + 1j * rng.normal(size=(344, 6, 1))
+        for k, got in zip((1, 2), _data_derivatives(grid, fv)):
+            ref = np.einsum("ab,bnr->anr", stencil_derivative_matrix(grid.nodes, k), fv)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestDenseRouteConvolution:

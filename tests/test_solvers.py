@@ -8,7 +8,9 @@ from quartic.bvp import (
     _field_to_internal,
     _lambda_frames,
     _second_order,
+    bc_conditions,
     boundary_residuals,
+    condition_value,
     family2_coefficients,
     fprime_boundary,
     particular_solution_F,
@@ -156,6 +158,24 @@ class TestScalarFamilies:
         res = boundary_residuals(grid, u, phi, bc, frame.p)
         scale = max(f.norm(), max(abs(p[0]) for p in phi))
         assert max(res.values()) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
+    def test_boundary_residuals_match_dense_stencils(self, rng, bc):
+        frame, _, _ = scalar_frame(lam=-9.0)
+        grid = cgl_grid(120, 0.0, np.pi)
+        f = smooth_field(rng, grid, 1)
+        phi = [rng.normal(size=1) + 1j * rng.normal(size=1) for _ in range(4)]
+        u = SOLVERS[bc](frame, f, phi)
+        # whole dense products, then one column of each
+        dense = [grid.derivative_matrix(k) for k in (1, 2)]
+        derivs = (u.values,) + tuple(u.values @ D.T for D in dense)
+        res = boundary_residuals(grid, u, phi, bc, frame.p)
+        for (name, end, kind), p in zip(bc_conditions(bc), phi):
+            want = np.linalg.norm(condition_value(kind, lambda order: derivs[order][:, end],
+                                                  lambda v: frame.p @ v) - p)
+            # the round-off scale of the stencil sums: sum_i |w_i| |u_i|
+            scale = max(np.linalg.norm(np.abs(u.values) @ np.abs(D[end])) for D in dense)
+            assert abs(res[name] - want) <= 1e-14 * scale * max(1.0, abs(frame.p[0, 0]))
 
     def test_interior_ode_residual(self, rng):
         frame, _, _ = scalar_frame(lam=-4.0)
