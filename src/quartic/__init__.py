@@ -6,58 +6,44 @@ parameter to measure resolvent norms and sector geometry, and integrates the
 associated abstract Cauchy problem by contour quadrature or implicit
 stepping.  Every formula path is cross-validated against independent dense
 oracles (spectral collocation, characteristic roots, matrix exponentials).
+
+The names below are imported from their modules on first access (PEP 562),
+so ``import quartic.cli`` loads only what the command it runs needs.
 """
 
-from .bvp import (
-    BCFrame,
-    ProblemSpec,
-    assemble_frame,
-    fprime_boundary,
-    particular_solution_F,
-    resolvent_solve,
-    solve_bc1,
-    solve_bc2,
-    solve_bc3,
-    solve_bc4,
-    solve_bc5,
-)
-from .evolution import (
-    EvolutionSpec,
-    evolve,
-    growth_bound_probe,
-    semigroup_apply_contour,
-    variation_of_constants_check,
-)
-from .grids import Grid, GridFunction, cgl_grid, uniform_grid
-from .operators import (
-    OperatorHandle,
-    SectorProbe,
-    dirichlet_laplacian_modes,
-    expm_apply,
-    guarded_inverse_I_minus,
-    make_operator,
-    operator_norm,
-    resolvent_apply,
-    sector_angle_probe,
-    sqrt_principal,
-)
-from .oracle import (
-    ScalarForcing,
-    characteristic_root_solve,
-    collocation_solve,
-    dense_expm,
-    dense_generator,
-)
-from .spectral import (
-    SweepGrid,
-    SweepReport,
-    branch_angle_check,
-    classify_lambda,
-    decay_diagnostics,
-    make_sweep_grid,
-    run_sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "bvp": ("BCFrame", "ProblemSpec", "assemble_frame", "fprime_boundary",
+            "particular_solution_F", "resolvent_solve", "solve_bc1", "solve_bc2",
+            "solve_bc3", "solve_bc4", "solve_bc5"),
+    "evolution": ("EvolutionSpec", "evolve", "growth_bound_probe",
+                  "semigroup_apply_contour", "variation_of_constants_check"),
+    "grids": ("Grid", "GridFunction", "cgl_grid", "uniform_grid"),
+    "operators": ("OperatorHandle", "SectorProbe", "dirichlet_laplacian_modes", "expm_apply",
+                  "guarded_inverse_I_minus", "make_operator", "operator_norm",
+                  "resolvent_apply", "sector_angle_probe", "sqrt_principal"),
+    "oracle": ("ScalarForcing", "characteristic_root_solve", "collocation_solve",
+               "dense_expm", "dense_generator"),
+    "spectral": ("SweepGrid", "SweepReport", "branch_angle_check", "classify_lambda",
+                 "decay_diagnostics", "make_sweep_grid", "run_sweep"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,6 +8,7 @@ error; 3 singular frame during a solve; 4 residual tolerance breach;
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
@@ -22,11 +23,7 @@ from .errors import (
     QuarticError,
     SectorAngleExceeded,
 )
-from .evolution import EvolutionSpec, evolve, growth_bound_probe
 from .io import write_solution_csv, write_sweep_csv, write_trajectory_csv
-from .oracle import _coeffs_from_A, ode_residual
-from .spectral import make_sweep_grid, run_sweep
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -37,6 +34,8 @@ EXIT_ANGLE_GATE = 5
 
 
 def cmd_solve(cfg: RunConfig, args) -> int:
+    from .oracle import _coeffs_from_A, ode_residual
+
     spec = cfg.problem
     try:
         frame = _lambda_frames(spec, cfg.lam)
@@ -64,6 +63,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    from .spectral import make_sweep_grid, run_sweep
+
     spec = cfg.problem
     sw = cfg.sweep
     radii = np.logspace(np.log10(sw["radius_min"]), np.log10(sw["radius_max"]),
@@ -87,6 +88,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, args) -> int:
+    from .evolution import EvolutionSpec, evolve, growth_bound_probe
+
     spec = cfg.problem
     ev = cfg.evolve
     v0 = build_v0(cfg)
@@ -117,6 +120,8 @@ def cmd_evolve(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
+    from .verify import run_verification
+
     results, elapsed = run_verification(seed=args.seed, tol_scale=args.tol_scale)
     for r in results:
         print(r.line())
@@ -132,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fourth-order operator boundary-value solver and spectral explorer",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("solve", cmd_solve), ("sweep", cmd_sweep),
-                     ("evolve", cmd_evolve), ("verify", cmd_verify)):
+    # each command with the module it runs (see ``main``)
+    for name, fn, module in (("solve", cmd_solve, "oracle"), ("sweep", cmd_sweep, "spectral"),
+                             ("evolve", cmd_evolve, "evolution"),
+                             ("verify", cmd_verify, "verify")):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to config file")
         p.add_argument("--out", default=".", help="output directory")
@@ -143,12 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":  # the one command that reads them
             p.add_argument("--seed", type=int, default=1234)
             p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, module=module)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Only the command's own module is loaded, and before load_config, so the
+    # import is part of the set-up; the command's import then finds it loaded.
+    importlib.import_module(f".{args.module}", __package__)
     try:
         cfg = load_config(args.config, out_dir=args.out)
         os.makedirs(cfg.output_dir, exist_ok=True)

@@ -52,7 +52,6 @@ from .errors import (
 from .grids import Grid, GridFunction
 from .kernels import phi_stack
 from .operators import operator_norm
-from .oracle import _build_system, _coeffs_from_A, dense_generator
 
 __all__ = [
     "EvolutionSpec",
@@ -441,6 +440,8 @@ def growth_bound_probe(spec: ProblemSpec, t_grid, n_nodes: int = 40):
     _gate_angle(spec)
     import scipy.linalg as sla
 
+    from .oracle import dense_generator
+
     gen = dense_generator(spec, n_nodes)
     G = gen.generator
     w = gen.weights()
@@ -513,6 +514,8 @@ def compatibility_check(espec: EvolutionSpec):
     smoothness-scale refinement behind the sharp continuous condition
     collapses at finite dimension and is reported as non-discriminating.
     """
+    from .oracle import _build_system, _coeffs_from_A
+
     spec = espec.problem
     grid = espec.v0.grid
     coeff2, coeff0 = _coeffs_from_A(spec.A, spec.k)

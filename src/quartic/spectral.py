@@ -31,7 +31,6 @@ from .bvp import (
 from .errors import BranchCut, NearSpectrum, NonFinite, NotInResolventSet, SingularSystem
 from .grids import Grid, GridFunction, cgl_grid
 from .operators import _outside_closed_sector, operator_norm
-from .oracle import dense_generator
 
 __all__ = [
     "SweepGrid",
@@ -410,6 +409,8 @@ def generator_sector_check(spec: ProblemSpec, n_nodes: int = 48,
     relative imaginary part; the sector containment claim is that the former
     stays within 2*theta_a plus the probe margin.
     """
+    from .oracle import dense_generator
+
     gen = dense_generator(spec, n_nodes, bc_operator=bc_operator)
     evs = np.linalg.eigvals(gen.minus_generator) + spec.k**2 / 4.0
     mags = np.maximum(np.abs(evs), 1e-300)

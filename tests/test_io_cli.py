@@ -835,6 +835,80 @@ n_nodes = {n_nodes}
         assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 2 + 1
 
 
+class TestCommandImports:
+    """``import quartic`` resolves its exports on first access, and a CLI run
+    loads only its own command's module (``cli.main``)."""
+
+    SWEEP = """
+[problem]
+operator = laplacian:2
+bc_family = 1
+[sweep]
+radius_min = 1
+radius_max = 10
+n_radii = 2
+n_angles = 1
+n_nodes = 16
+"""
+    EVOLVE = """
+[problem]
+operator = laplacian:2
+bc_family = 1
+[grid]
+n_nodes = 16
+[evolve]
+scheme = IMPLICIT_EULER
+t_final = 0.1
+dt = 0.05
+v0 = sine:1
+"""
+
+    @staticmethod
+    def _run(script):
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, absent", [
+        ("sweep", ("evolution", "verify", "oracle")),
+        ("evolve", ("spectral", "verify", "oracle")),
+    ])
+    def test_command_loads_only_its_module(self, tmp_path, command, absent):
+        cfg = write_config(tmp_path / "c.cfg", self.SWEEP if command == "sweep" else self.EVOLVE)
+        self._run(
+            "import sys\n"
+            "import quartic.cli\n"
+            f"rc = quartic.cli.main([{command!r}, '--config', {cfg!r}, "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "assert rc == 0, rc\n"
+            f"loaded = [m for m in {absent!r} if 'quartic.' + m in sys.modules]\n"
+            f"assert not loaded, f'{command} loaded {{loaded}}'\n"
+        )
+
+    def test_every_export_resolves(self):
+        self._run(
+            "import sys\n"
+            "import quartic\n"
+            "assert 'quartic.bvp' not in sys.modules, 'import quartic loaded bvp'\n"
+            "missing = [n for n in quartic.__all__ if getattr(quartic, n, None) is None]\n"
+            "assert not missing, missing\n"
+            "assert set(quartic.__all__) <= set(dir(quartic))\n"
+            "from quartic import *\n"
+            "try:\n"
+            "    quartic.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('quartic.no_such_name resolved')\n"
+        )
+
+
 class TestCliVerify:
     def test_default_seed_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.cfg", DEMO)
