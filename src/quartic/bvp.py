@@ -168,7 +168,10 @@ class BCFrame:
     in turn; ``n`` is then K n, ``lam`` the array of the K parameters, data
     and boundary vectors are stacked the same way, and
     ``to_modes``/``from_modes`` map each parameter's dim(A) rows.  It has no
-    dense member views.
+    dense member views, but ``parameter(i)`` gives parameter i as a
+    single-parameter view: its member blocks and cached grid-kit stacks are
+    slices of the batch's along the block axis, so it solves and has dense
+    member views like a frame of its own.
     """
 
     n: int
@@ -254,6 +257,35 @@ class BCFrame:
             self._grid_cache[key] = kit
         return kit
 
+    def parameter(self, i: int) -> BCFrame:
+        """Parameter i of a K-parameter batch frame as a single-parameter frame.
+
+        The view's member blocks, the grid kits cached so far and ``lam`` are
+        parameter i's slices of the batch's (no copy), so it keeps the batch's
+        arrays alive.  The assembly computes each parameter's blocks from that
+        parameter alone, so they are the blocks of the frame it assembles
+        alone.  ``uv_ok`` is the batch's: when U or V refused for one
+        parameter, no view has ``uinv``/``vinv``.  A single-parameter frame is
+        its own parameter 0.
+        """
+        K = self.n // len(self.basis[0])
+        if not 0 <= i < K:
+            raise IndexError(f"parameter {i} of a {K}-parameter frame")
+        if K == 1:
+            return self
+        R = len(self.ops.eye) // K
+        rows = slice(i * R, (i + 1) * R)
+        ops = {name: None if x is None else x[rows] for name, x in vars(self.ops).items()}
+        kits = {key: {name: {"exa": s["exa"][:, rows], "ebx": s["ebx"][:, rows],
+                             "weights": s["weights"][:, :, rows],
+                             "scans": tuple(_scan_rows(x, rows) for x in s["scans"])}
+                      for name, s in kit.items()}
+                for key, kit in self._grid_cache.items()}
+        return BCFrame(n=self.n // K, c=self.c, lam=complex(self.lam[i]),
+                       ops=SimpleNamespace(**ops), basis=self.basis, uv_ok=self.uv_ok,
+                       prop_m=Propagator(ops["m"]), prop_l=Propagator(ops["l"]),
+                       _grid_cache=kits)
+
     def adjoint(self) -> BCFrame:
         """The frame of A^H at conj(lam), derived with no assembly.
 
@@ -296,6 +328,12 @@ def _adjoint_blocks(x, b: int):
     y = np.conj(x if b == 1 else x.swapaxes(-1, -2))
     y.setflags(write=False)
     return y
+
+
+def _scan_rows(x, rows: slice):
+    """Blocks ``rows`` of ``scan_factors``' output: the (J, R, b, b) steps, or
+    each (J - s, R, 1) factor of the tuple that b = 1 gives."""
+    return tuple(e[:, rows] for e in x) if isinstance(x, tuple) else x[:, rows]
 
 
 def _blockwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:

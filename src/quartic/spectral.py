@@ -4,7 +4,13 @@ The sweep walks a polar grid around the branch vertex -k^2/4 and records the
 weighted resolvent norm of the fourth-order generator on the sample grid and
 the scaled ratio (1 + |lambda - vertex|) * ||R(lambda)||, by one of three
 routes (``run_sweep``): per-mode blocks, the assembled resolvent matrix, or
-power iteration with an adjoint frame derived from the forward one.
+power iteration with an adjoint frame derived from the forward one.  Every
+frame member is a scalar function of A, so the points of a sweep batch
+like contour nodes: a batch of K = DENSE_CAP // (dim(A) N) points shares one
+batch frame and one grid kit, and each point solves on its own view of them
+(``BCFrame.parameter``); the power route, beyond DENSE_CAP, has K = 1.  A
+batch that refuses falls back to one frame per point.  The batches change no
+record: a view equals the frame its point assembles alone.
 Per-parameter failures are collected as findings, not fatal errors: for the
 clamped/derivative families they witness the excluded ball around the vertex.
 """
@@ -19,6 +25,7 @@ import numpy as np
 from . import tolerances as tol
 from .bvp import (
     DERIVATIVE_FAMILIES,
+    BCFrame,
     ProblemSpec,
     _SOLVERS,
     _field_to_internal,
@@ -228,7 +235,8 @@ def _ritz_norm(w: np.ndarray, x_prev: np.ndarray, x: np.ndarray, bx_prev: np.nda
 
 
 def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
-                    rel_tol: float = 1e-6, max_iter: int = 200) -> float:
+                    rel_tol: float = 1e-6, max_iter: int = 200,
+                    frame: BCFrame | None = None) -> float:
     """Norm estimate without materialization: power iteration on B = R~* R.
 
     R~ is the resolvent of A^H at conj(lam), whose frame and grid kit are
@@ -239,11 +247,13 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
     sqrt(<x, Bx>_W / <x, x>_W) moves by at most ``rel_tol``; the reported
     norm is then the Rayleigh-Ritz value on the last two iterates
     (``_ritz_norm``), which needs no further solve: B x_prev is the previous
-    step's z, and B x the last one's.
+    step's z, and B x the last one's.  ``frame``, the forward frame at lam,
+    is assembled when not given.
     """
     n = spec.A.dim
     solve = _SOLVERS[spec.bc_family]
-    frame = _lambda_frames(spec, lam)
+    if frame is None:
+        frame = _lambda_frames(spec, lam)
     frame.grid_kit(grid)  # before adjoint(), which derives its kit from this one
     adj_frame = frame.adjoint()
 
@@ -298,6 +308,16 @@ def run_sweep(
     (note "power", ``_map_norm_power``) against the resolvent of the
     conjugate-transposed problem, whose frame each point derives from its
     forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
+
+    Points are taken in batches of K = max(1, DENSE_CAP // (dim(A) N)) in
+    grid order.  A batch of K > 1 points assembles one batch frame and one
+    grid kit (``_lambda_frames``), and each point solves on its view
+    (``BCFrame.parameter``), which equals its own frame bit for bit.  The rule
+    keeps a batch kit near 2 DENSE_CAP (8 + 2 log2 N) complex entries, and
+    gives the power route K = 1: each power point assembles its own frame.
+    A batch that refuses (NotInResolventSet or BranchCut) falls back to one
+    frame per point, so every record is the one the point gets alone.  One
+    batch is held at a time.
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
@@ -306,22 +326,39 @@ def run_sweep(
     weights = np.repeat(grid.weights, spec.A.dim)
     power = spec.A.dim * grid.n > tol.DENSE_CAP
     per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1.0 <= tol.UNITARY_BASIS_GAP
+    size = max(1, tol.DENSE_CAP // (spec.A.dim * grid.n))
 
-    def job(lam):
+    def job(lam, frame):
         try:
+            if frame is None:
+                frame = _lambda_frames(spec, lam)
             if power:
-                nrm, how = _map_norm_power(spec, lam, grid, weights), "power"
+                nrm = _map_norm_power(spec, lam, grid, weights, frame=frame)
             elif per_mode:
-                nrm = _per_mode_norm(resolvent_blocks(spec, lam, grid), grid.weights)
-                how = "dense"
+                nrm = _per_mode_norm(resolvent_blocks(spec, lam, grid, frame), grid.weights)
             else:
-                nrm, how = operator_norm(resolvent_matrix(spec, lam, grid), weights), "dense"
+                nrm = operator_norm(resolvent_matrix(spec, lam, grid, frame), weights)
             ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
-            return SweepRecord(lam, nrm, ratio, True, how)
+            return SweepRecord(lam, nrm, ratio, True, "power" if power else "dense")
         except (NotInResolventSet, BranchCut, NearSpectrum, SingularSystem) as exc:
             return SweepRecord(lam, np.nan, np.nan, False, type(exc).__name__)
 
-    records = [job(lam) for lam in lams]
+    def views(batch):
+        """The points' views of one batch frame with its grid kit, or None for
+        each point (its own frame) when the batch has one point or refuses."""
+        if len(batch) > 1:
+            try:
+                frame = _lambda_frames(spec, batch)
+                frame.grid_kit(grid)
+                return [frame.parameter(i) for i in range(len(batch))]
+            except (NotInResolventSet, BranchCut):
+                pass
+        return [None] * len(batch)
+
+    records = []
+    for i in range(0, len(lams), size):
+        batch = lams[i:i + size]
+        records += [job(lam, frame) for lam, frame in zip(batch, views(batch))]
 
     good = [r for r in records if r.frame_ok]
     failures = [r for r in records if not r.frame_ok]

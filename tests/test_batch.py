@@ -22,6 +22,7 @@ from quartic.evolution import ContourParams, default_contour
 from quartic.grids import GridFunction, cgl_grid
 from quartic.kernels import phi_stack
 from quartic.operators import dirichlet_laplacian_modes, make_operator, sqrt_symbols
+from quartic.spectral import make_sweep_grid
 from test_grids_kernels import _ill_conditioned
 from test_modal import _factor_frame, _nonnormal
 
@@ -106,6 +107,67 @@ class TestBatchMatchesPerParameter:
         spec = ProblemSpec(0.0, np.pi, 0.0, _operator("laplacian3"), 1)
         frame = _lambda_frames(spec, [-1.0 + 1j, -2.0 + 1j])
         assert not hasattr(frame, "p")
+
+
+class TestParameterViews:
+    """``BCFrame.parameter``: each parameter's view of a batch frame against
+    the frame that parameter assembles alone, members and grid kits."""
+
+    @staticmethod
+    def _check(got, want, tol):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["laplacian3", "cond30", "jordan"])
+    @pytest.mark.parametrize("K", [1, 5, 20])
+    def test_view_matches_own_frame(self, rng, name, K):
+        A = _operator(name)
+        # family 3 assembles every member, U^{-1} and V^{-1} included
+        spec = ProblemSpec(0.0, np.pi, 0.5, A, 3)
+        grid = cgl_grid(48, 0.0, np.pi)
+        lams = make_sweep_grid(spec.k, 0.0, radii=np.logspace(-1, 3, 4), n_angles=5,
+                               exclusion_radius=0.05).points()
+        tol = 0.0 if A.diagonalizable else 1e-13
+        f = smooth_field(rng, grid, A.dim)
+        for start in range(0, len(lams), K):
+            batch = _lambda_frames(spec, lams[start:start + K])
+            batch.grid_kit(grid)
+            for i, lam in enumerate(lams[start:start + K]):
+                view, own = batch.parameter(i), _lambda_frames(spec, lam)
+                assert view.lam == own.lam == lam
+                assert (view.n, view.block, view.uv_ok) == (own.n, own.block, own.uv_ok)
+                for member, want in vars(own.ops).items():
+                    self._check(getattr(view.ops, member), want, tol)
+                for member in ("p", "uinv", "e_clm"):  # dense member views
+                    self._check(getattr(view, member), getattr(own, member), tol)
+                assert grid.nodes.tobytes() in view._grid_cache  # sliced, not computed
+                got, want = view.grid_kit(grid), own.grid_kit(grid)
+                for gen in "ml":
+                    for item in ("exa", "ebx", "weights"):
+                        self._check(got[gen][item], want[gen][item], tol)
+                    for g_scan, w_scan in zip(got[gen]["scans"], want[gen]["scans"]):
+                        for g_fac, w_fac in (zip(g_scan, w_scan) if A.diagonalizable
+                                             else [(g_scan, w_scan)]):
+                            self._check(g_fac, w_fac, tol)
+                self._check(_SOLVERS[3](view, f).values, _SOLVERS[3](own, f).values, tol)
+
+    def test_view_computes_a_new_grid_kit(self, rng):
+        spec = ProblemSpec(0.0, np.pi, 0.0, _operator("cond30"), 1)
+        lams = [-1.0 + 2.0j, -30.0 - 4.0j, 5.0 + 9.0j]
+        grid = cgl_grid(24, 0.0, np.pi)
+        view = _lambda_frames(spec, lams).parameter(1)
+        f = smooth_field(rng, grid, spec.A.dim)
+        np.testing.assert_array_equal(_SOLVERS[1](view, f).values,
+                                      _SOLVERS[1](_lambda_frames(spec, lams[1]), f).values)
+
+    def test_parameter_index(self):
+        spec = ProblemSpec(0.0, np.pi, 0.0, _operator("laplacian3"), 1)
+        single = _lambda_frames(spec, -1.0 + 1j)
+        assert single.parameter(0) is single
+        batch = _lambda_frames(spec, [-1.0 + 1j, -2.0 + 1j])
+        for frame, i in ((single, 1), (batch, 2), (batch, -1)):
+            with pytest.raises(IndexError):
+                frame.parameter(i)
 
 
 class TestBatchRefusals:

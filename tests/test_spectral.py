@@ -28,6 +28,7 @@ from quartic.spectral import (
     decay_diagnostics,
     generator_sector_check,
     make_sweep_grid,
+    SweepGrid,
     run_sweep,
 )
 from test_grids_kernels import _ill_conditioned
@@ -472,6 +473,99 @@ class TestPowerRoute:
             ray = np.sqrt(np.vdot(u, w * (B @ u)).real / np.vdot(u, w * u).real)
             assert _ritz_norm(w, x_prev, u, B @ x_prev, B @ u, ray) == pytest.approx(ray,
                                                                                    rel=1e-9)
+
+
+def _batched_sweep_case(name):
+    """(spec, sweep grid, notes) of the batched-sweep cases, N = 16."""
+    radii, bc, k, excl = np.logspace(-1, 3, 4), 1, 0.0, 0.0
+    if name == "normal":  # per-mode blocks
+        A = _in_basis(_unitary(5, 3), [-1.0, -4.0, -9.0])
+    elif name == "cond30":  # resolvent_matrix, b = 1
+        rng = np.random.default_rng(3)
+        q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        A = _in_basis(q1 @ np.diag([1.0, 5.0, 30.0]) @ q2, [-1.0, -4.0, -9.0])
+    elif name == "jordan":  # resolvent_matrix, b = n
+        A = make_operator([[-2.0, 1.0], [0.0, -2.0]])
+    else:  # family 3; the point at test_batch's LAM0 refuses (V = I - T+)
+        import test_batch
+
+        A, bc, excl = test_batch.TestBatchRefusals._operator(), 3, 0.01
+        lam0 = test_batch.TestBatchRefusals.LAM0
+        sweep = SweepGrid(0.0, np.array([0.02, 1.0, abs(lam0)]),
+                          np.array([np.angle(lam0), 1.5, np.pi]), excl)
+        notes = ["dense"] * 9
+        notes[2] = "NotInResolventSet"
+        return ProblemSpec(0.0, np.pi, k, A, bc), sweep, notes
+    sweep = make_sweep_grid(k, 0.0, radii=radii, n_angles=5, exclusion_radius=excl)
+    return ProblemSpec(0.0, np.pi, k, A, bc), sweep, ["dense"] * 20
+
+
+class TestBatchedSweep:
+    """Sweep points in batches of K share one frame and one grid kit, each
+    point solving on its view (``BCFrame.parameter``); a refused batch falls
+    back to one frame per point.  Every record equals the one the point gets
+    on its own frame (K = 1)."""
+
+    N = 16
+
+    def _sweep(self, monkeypatch, spec, sweep, K):
+        from quartic import tolerances
+
+        # DENSE_CAP // (dim N) = K points a batch, every one on the dense route
+        monkeypatch.setattr(tolerances, "DENSE_CAP", K * spec.A.dim * self.N)
+        return run_sweep(spec, sweep, n_nodes=self.N)
+
+    @pytest.mark.parametrize("case", ["normal", "cond30", "jordan", "refusing"])
+    def test_records_equal_per_point(self, monkeypatch, case):
+        from quartic import bvp, tolerances
+
+        spec, sweep, notes = _batched_sweep_case(case)
+        per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1 <= tolerances.UNITARY_BASIS_GAP
+        assert per_mode == (case == "normal")
+        assert spec.A.diagonalizable == (case != "jordan")
+        frames = _counting(monkeypatch, bvp, "assemble_frame")
+        single = self._sweep(monkeypatch, spec, sweep, 1)
+        assert len(frames) == len(notes)
+        assert [r.note for r in single.records] == notes
+        for K in (3, 20):
+            frames.clear()
+            batched = self._sweep(monkeypatch, spec, sweep, K)
+            assert batched.records == single.records
+            assert batched.failures == single.failures
+            assert batched.c_empirical == single.c_empirical
+            if case != "refusing":
+                assert len(frames) == -(-len(notes) // K)
+
+    def test_one_batch_held_at_a_time(self, monkeypatch):
+        import weakref
+
+        from quartic import spectral
+
+        spec, sweep, notes = _batched_sweep_case("refusing")
+        held = []
+
+        def recording(spec_, lams):
+            assert all(ref() is None for ref in held), "an earlier frame is still alive"
+            frame = _lambda_frames(spec_, lams)
+            held.append(weakref.ref(frame.ops.m))  # views keep the batch's blocks
+            return frame
+
+        monkeypatch.setattr(spectral, "_lambda_frames", recording)
+        report = self._sweep(monkeypatch, spec, sweep, 3)
+        assert [r.note for r in report.records] == notes
+        assert len(held) == 2 + 3 - 1  # two batches; one refused batch of 3 points
+
+    def test_power_route_batches_of_one(self, monkeypatch, diag3_op):
+        from quartic import bvp, tolerances
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, diag3_op, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0, 3.0]), n_angles=2)
+        monkeypatch.setattr(tolerances, "DENSE_CAP", 3 * 16 - 1)  # K = max(1, 0)
+        frames = _counting(monkeypatch, bvp, "assemble_frame")
+        report = run_sweep(spec, g, n_nodes=16)
+        assert [r.note for r in report.records] == ["power"] * 4
+        assert [len(call[0]) for call in frames] == [3] * 4  # one point's 3 blocks each
 
 
 class TestDecayDiagnostics:
