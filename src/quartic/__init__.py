@@ -23,9 +23,8 @@ _EXPORTS = {
     "evolution": ("EvolutionSpec", "evolve", "growth_bound_probe",
                   "semigroup_apply_contour", "variation_of_constants_check"),
     "grids": ("Grid", "GridFunction", "cgl_grid", "uniform_grid"),
-    "operators": ("OperatorHandle", "SectorProbe", "dirichlet_laplacian_modes", "expm_apply",
-                  "guarded_inverse_I_minus", "make_operator", "operator_norm",
-                  "resolvent_apply", "sector_angle_probe", "sqrt_principal"),
+    "operators": ("OperatorHandle", "dirichlet_laplacian_modes", "make_operator",
+                  "operator_norm"),
     "oracle": ("ScalarForcing", "characteristic_root_solve", "collocation_solve",
                "dense_expm", "dense_generator"),
     "spectral": ("SweepGrid", "SweepReport", "branch_angle_check", "classify_lambda",

@@ -46,13 +46,13 @@ def _parse_operator(spec_text: str, base_dir: str) -> OperatorHandle:
         return dirichlet_laplacian_modes(count)
     if kind == "diag":
         entries = [_complex("operator", p) for p in arg.split(",")]
-        return make_operator(np.diag(entries), label="diag")
+        return make_operator(np.diag(entries))
     if kind == "file":
         path = os.path.join(base_dir, arg.strip())
         if not os.path.exists(path):
             raise ConfigError(f"operator file {path} does not exist")
         try:
-            return make_operator(read_operator_file(path), label=os.path.basename(path))
+            return make_operator(read_operator_file(path))
         except Exception as exc:
             raise ConfigError(f"cannot read operator file {path}: {exc}") from exc
     raise ConfigError(f"unknown operator spec {spec_text!r}")

@@ -21,16 +21,8 @@ class SpectrumOnCut(QuarticError):
     """An eigenvalue lies on (or too close to) the branch cut (-inf, 0]."""
 
 
-class NearSpectrum(QuarticError):
-    """Shift is too close to the spectrum; solve would be ill conditioned."""
-
-
 class SingularOrIllConditioned(QuarticError):
     """Guarded inversion refused: condition estimate exceeds the cap."""
-
-
-class SampleOnSpectrum(QuarticError):
-    """A sector-probe sample coincides with a spectral point."""
 
 
 class BranchCut(QuarticError):

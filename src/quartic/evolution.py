@@ -43,7 +43,6 @@ from .errors import (
     BranchCut,
     ContourTooClose,
     DimensionMismatch,
-    NearSpectrum,
     NotInResolventSet,
     QuadratureNotConverged,
     SectorAngleExceeded,
@@ -212,8 +211,8 @@ def _node_sums(spec: ProblemSpec, grid: Grid, lams, weights, columns) -> np.ndar
             frame = _lambda_frames(spec, -nodes)
             fv = np.tile(frame.to_modes(data), (1, len(nodes), 1))
             u = _solve_family(frame, grid, fv, _zero_phi(frame.n), spec.bc_family)
-        except (NotInResolventSet, NearSpectrum) as exc:
-            node = -exc.lam if getattr(exc, "lam", None) is not None else nodes[0]
+        except NotInResolventSet as exc:
+            node = -exc.lam if exc.lam is not None else nodes[0]
             raise ContourTooClose(f"contour node {node}: {exc}") from exc
         u = u.reshape(n_grid, len(nodes), dim, r)
         acc = acc + frame.from_modes(np.tensordot(u, weights[:, i:i + size], ([1, 3], [1, 2])))

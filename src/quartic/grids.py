@@ -116,15 +116,12 @@ def stencil_bands(nodes: np.ndarray, width: int = 7):
     return idx, fornberg_weights(nodes, nodes[idx], 2)[1:].transpose(1, 0, 2).copy()
 
 
-def _dense_from_bands(idx: np.ndarray, weights: np.ndarray, order: int) -> np.ndarray:
+def stencil_derivative_matrix(nodes: np.ndarray, order: int, width: int = 7) -> np.ndarray:
+    """Dense N x N view of ``stencil_bands`` for derivative order 1 or 2."""
+    idx, weights = stencil_bands(nodes, width)
     D = np.zeros((len(idx), len(idx)))
     np.put_along_axis(D, idx, weights[:, order - 1], axis=1)
     return D
-
-
-def stencil_derivative_matrix(nodes: np.ndarray, order: int, width: int = 7) -> np.ndarray:
-    """Dense N x N view of ``stencil_bands`` for derivative order 1 or 2."""
-    return _dense_from_bands(*stencil_bands(nodes, width), order)
 
 
 @dataclass(frozen=True)
@@ -163,13 +160,6 @@ class Grid:
         for a in bands:
             a.setflags(write=False)
         return bands
-
-    def derivative_matrix(self, order: int) -> np.ndarray:
-        """Dense N x N view of the cached stencil bands, built on each call.
-
-        For checks and tests; the solver applies the bands themselves.
-        """
-        return _dense_from_bands(*self.stencils, order)
 
 
 def cgl_grid(n: int, a: float, b: float) -> Grid:

@@ -35,7 +35,7 @@ from .bvp import (
     resolvent_blocks,
     resolvent_matrix,
 )
-from .errors import BranchCut, NearSpectrum, NonFinite, NotInResolventSet, SingularSystem
+from .errors import BranchCut, NonFinite, NotInResolventSet
 from .grids import Grid, GridFunction, cgl_grid
 from .operators import _outside_closed_sector, operator_norm
 
@@ -340,7 +340,7 @@ def run_sweep(
                 nrm = operator_norm(resolvent_matrix(spec, lam, grid, frame), weights)
             ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
             return SweepRecord(lam, nrm, ratio, True, "power" if power else "dense")
-        except (NotInResolventSet, BranchCut, NearSpectrum, SingularSystem) as exc:
+        except (NotInResolventSet, BranchCut) as exc:
             return SweepRecord(lam, np.nan, np.nan, False, type(exc).__name__)
 
     def views(batch):

@@ -7,13 +7,13 @@ ProblemSpec's spectrum-on-ray margin (1e-9) and the oracles' degeneracy
 tests; the verify command scales only its own per-check bounds.
 """
 
-# Relative residual accepted for eigen/Schur factorizations and for
-# back-substitution checks of direct solves.
+# Relative residual accepted for eigen/Schur factorizations and square roots,
+# and the branch-cut margin of square-root symbols.
 FACTOR_RESIDUAL = 1e-12
 
-# Condition-estimate cap used by guarded inversion, resolvent solves and the
-# collocation oracle: beyond this the shift is treated as "near spectrum"
-# rather than a member of the resolvent set.
+# Condition-estimate cap used by the frames' guarded inversions and the
+# oracles' linear systems: beyond this the parameter is treated as "near
+# spectrum" rather than a member of the resolvent set.
 CONDITION_CAP = 1e12
 
 # Eigenvector condition number below which functions of a matrix are
@@ -27,9 +27,6 @@ UNITARY_BASIS_GAP = 1e-12
 # Probe margin (radians) added around closed sectors when sampling: the
 # sector boundary itself is excluded by this angular gap.
 SECTOR_MARGIN = 0.05
-
-# Norm value treated as a blow-up by the sector probe.
-BLOWUP_CAP = 1e8
 
 # |z|-threshold separating the series evaluation of the exponential step
 # integrals from the upward recurrence.  The recurrence loses about

@@ -1,8 +1,38 @@
-"""Seeded property suite aggregating the package's algebraic invariants.
+"""Seeded property suite over the package paths that produce answers.
 
 Each check returns (name, max_residual, tolerance); the CLI prints one
 machine-readable line per check and fails when any residual exceeds its
-tolerance.  Tolerances can be scaled globally to probe gate behavior.
+tolerance.  Tolerances can be scaled globally to probe gate behavior.  The
+checks, with the path each one exercises:
+
+- frame_sqrt_squares_back, frame_exp_semigroup_law, frame_guarded_inverses,
+  frame_members_commute: the frame calculus (``bvp._Blocks``,
+  ``kernels.Propagator``) on b = 1 and one-block frames from
+  ``bvp._lambda_frames``, as ``BCFrame.parameter`` views of batch frames:
+  m^2 = -P and l^2 = -Q (``BCFrame.diagnostics``), e^{0.8X} =
+  e^{0.5X} e^{0.3X} for X = M, L (``Propagator.exp_stack``), each guarded
+  inverse times I minus its argument, and [P, Q], [M, L], [Z, L],
+  [e^{cM}, e^{cL}];
+- bvp_resolvent_identity: R(l) - R(m) = (l - m) R(l) R(m) of
+  ``bvp.resolvent_matrix`` for families 1, 3, 4 and 5;
+- sector_classification_equivalence: ``spectral.classify_lambda`` against
+  ``classify_lambda_by_argument``;
+- factor_difference_identity, resolvent_product_identity:
+  ``bvp.frame_identity_residual`` and ``resolvent_product_residual``;
+- homogeneous_particular_boundary: ``bvp.particular_solution_F`` under
+  ``bvp.boundary_residuals``;
+- family5_reduction, linearity_family2..4: ``bvp.solve_bc1``-``solve_bc5``;
+- scalar_oracle_crosscheck: every family against
+  ``oracle.characteristic_root_solve``;
+- collocation_crosscheck: ``bvp.resolvent_solve`` against
+  ``oracle.collocation_solve``;
+- variation_of_constants_scalar/_modal:
+  ``evolution.variation_of_constants_check``;
+- contour_vs_exact_mode, semigroup_law_contour:
+  ``evolution.semigroup_apply_contour``;
+- generator_low_modes: ``oracle.dense_generator`` and ``low_spectrum``;
+- sweep_per_mode_norm: ``spectral.run_sweep`` against
+  ``operators.operator_norm`` of ``bvp.resolvent_matrix``.
 """
 
 from __future__ import annotations
@@ -29,14 +59,7 @@ from .bvp import (
 )
 from .evolution import semigroup_apply_contour, variation_of_constants_check
 from .grids import GridFunction, cgl_grid
-from .operators import (
-    expm_apply,
-    guarded_inverse_I_minus,
-    make_operator,
-    operator_norm,
-    resolvent_apply,
-    sqrt_principal,
-)
+from .operators import make_operator, operator_norm
 from .oracle import ScalarForcing, characteristic_root_solve, collocation_solve, dense_generator, low_spectrum
 from .spectral import classify_lambda, classify_lambda_by_argument, make_sweep_grid, run_sweep
 
@@ -56,14 +79,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name} value={self.value:.3e} tol={self.tol:.1e}"
-
-
-def _random_sectorial(rng, n):
-    """Random diagonalizable matrix with spectrum in the open right half-plane."""
-    lam = rng.uniform(0.5, 6.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
-    V = rng.normal(size=(n, n)) + 0.1j * rng.normal(size=(n, n))
-    V += 3 * np.eye(n)
-    return make_operator(V @ np.diag(lam) @ np.linalg.inv(V))
 
 
 def _random_smooth_field(rng, grid, dim, modes: int = 6):
@@ -87,51 +102,59 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     def add(name, value, tolerance):
         out.append(CheckResult(name, float(value), tolerance * tol_scale))
 
-    # square root squares back on random sectorial operators
+    # the frame calculus on b = 1 frames (diagonal A) and one-block frames
+    # (a Jordan block, in its Schur form), as views of one batch frame each
+    A = make_operator(np.diag([-1.0, -4.0, -9.0]))
+    jordan = make_operator(np.eye(4, k=1) - 2.0 * np.eye(4))
+    lams = (-3.0, -2.0 + 9.0j, -40.0)
+    frames = []
+    for op in (A, jordan):
+        batch = _lambda_frames(ProblemSpec(0.0, np.pi, 1.0, op, 1), lams)
+        frames += [batch.parameter(i) for i in range(len(lams))]
+
+    def gap(x, y):  # ||x - y|| relative to ||y||
+        return np.linalg.norm(x - y) / max(np.linalg.norm(y), 1e-300)
+
+    add("frame_sqrt_squares_back",
+        max(max(d["res_m_sq"], d["res_l_sq"]) for d in (f.diagnostics for f in frames)), 1e-10)
+
     worst = 0.0
-    for _ in range(10):
-        T = _random_sectorial(rng, 4)
-        S = sqrt_principal(T)
-        worst = max(worst, np.linalg.norm(S.matrix @ S.matrix - T.matrix)
-                    / max(np.linalg.norm(T.matrix), 1.0))
-    add("sqrt_squares_back", worst, 1e-10)
+    for f in frames:
+        for prop in (f.prop_m, f.prop_l):
+            e8, e5, e3 = prop.exp_stack(np.array([0.8, 0.5, 0.3]))
+            worst = max(worst, gap(e5 @ e3, e8))
+    add("frame_exp_semigroup_law", worst, 1e-10)
 
-    # semigroup law for the dense exponential
-    T = _random_sectorial(rng, 5)
-    Tneg = make_operator(-T.matrix)
-    v = rng.normal(size=5) + 1j * rng.normal(size=5)
-    lhs = expm_apply(Tneg, 0.8, v)
-    rhs = expm_apply(Tneg, 0.5, expm_apply(Tneg, 0.3, v))
-    add("semigroup_law_dense", np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30), 1e-10)
-
-    # resolvent identity R(l1) - R(l2) = (l2 - l1) R(l1) R(l2)
-    l1, l2 = 2.0 + 1.5j, -3.0 + 0.4j
+    # each guarded inverse X of (I - T), multiplied back: (I - T) X = I
     worst = 0.0
-    for _ in range(5):
-        T = _random_sectorial(rng, 4)
-        r1 = resolvent_apply(T, l1, np.eye(4, dtype=complex))
-        r2 = resolvent_apply(T, l2, np.eye(4, dtype=complex))
-        res = np.linalg.norm(r1 - r2 - (l2 - l1) * (r1 @ r2)) / max(np.linalg.norm(r1), 1e-30)
-        worst = max(worst, res)
-    add("resolvent_identity", worst, 1e-10)
+    for f in frames:
+        o = f.ops
+        (e2m,), (e2l,) = (prop.exp_stack(np.array([2.0 * f.c])) for prop in (f.prop_m, f.prop_l))
+        for t, x in ((e2m, o.z), (e2l, o.w), (o.t_minus, o.uinv), (o.t_plus, o.vinv),
+                     (o.e_cm, o.inv_im_em), (-o.e_cm, o.inv_ip_em),
+                     (o.e_cl, o.inv_im_el), (-o.e_cl, o.inv_ip_el)):
+            worst = max(worst, gap((o.eye - t) @ x, o.eye))
+    add("frame_guarded_inverses", worst, 1e-10)
 
-    # Neumann identity (I+V)^{-1} = I - V (I+V)^{-1}
     worst = 0.0
-    for _ in range(5):
-        Vm = rng.normal(size=(4, 4)) * 0.2
-        H = make_operator(-Vm)
-        inv = guarded_inverse_I_minus(H).matrix    # (I + V)^{-1}
-        res = np.linalg.norm(inv - (np.eye(4) - Vm @ inv))
-        worst = max(worst, res)
-    add("neumann_identity", worst, 1e-10)
+    for f in frames:
+        o = f.ops
+        for x, y in ((o.p, o.q), (o.m, o.l), (o.z, o.l), (o.e_cm, o.e_cl)):
+            worst = max(worst, np.linalg.norm(x @ y - y @ x)
+                        / max(np.linalg.norm(x) * np.linalg.norm(y), 1e-300))
+    add("frame_members_commute", worst, 1e-12)
 
-    # commutation transport for commuting (diagonal) pairs
-    dv = rng.normal(size=4) * 0.4
-    dt_ = rng.normal(size=4) + 1.5
-    Vd, Td = np.diag(dv), np.diag(dt_)
-    inv = np.linalg.inv(np.eye(4) + Vd)
-    res = np.linalg.norm(Vd @ inv @ Td - Td @ (Vd @ inv))
-    add("commutation_transport", res, 1e-12)
+    # resolvent identity R(l) - R(m) = (l - m) R(l) R(m) of the assembled
+    # solves; family 2 is left out: its boundary operator moves with lambda
+    grid64 = cgl_grid(64, 0.0, np.pi)
+    l1, l2 = -3.0 + 2.0j, 5.0 - 1.0j
+    worst = 0.0
+    for bc in (1, 3, 4, 5):
+        s = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        r1, r2 = resolvent_matrix(s, l1, grid64), resolvent_matrix(s, l2, grid64)
+        worst = max(worst, np.linalg.norm(r1 - r2 - (l1 - l2) * (r1 @ r2), 2)
+                    / np.linalg.norm(r1 - r2, 2))
+    add("bvp_resolvent_identity", worst, 1e-9)
 
     # sector classification equivalence on random parameters
     k = 1.0
@@ -144,7 +167,6 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     add("sector_classification_equivalence", float(bad), 0.0)
 
     # frame identities over sampled parameters
-    A = make_operator(np.diag([-1.0, -4.0, -9.0]))
     worst_id = 0.0
     worst_resolv = 0.0
     for lam_s in (-3.0, -40.0, -2.0 + 9.0j, -800.0):
@@ -197,8 +219,6 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     add("scalar_oracle_crosscheck", worst, 1e-6)
 
     # resolvent vs collocation for the matrix case
-    spec3 = ProblemSpec(0.0, np.pi, 0.0, A, 1)
-    grid64 = cgl_grid(64, 0.0, np.pi)
     f3 = _random_smooth_field(rng, grid64, 3)
     worst = 0.0
     for bc in (1, 3):

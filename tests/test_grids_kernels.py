@@ -99,7 +99,6 @@ class TestStencilBands:
             np.put_along_axis(banded, idx, weights[:, order - 1], axis=1)
             assert np.array_equal(banded, ref)
             assert np.array_equal(stencil_derivative_matrix(grid.nodes, order), ref)
-            assert np.array_equal(grid.derivative_matrix(order), ref)
         assert grid.stencils is grid.stencils
         assert all(np.array_equal(a, b) for a, b in zip(stencil_bands(grid.nodes),
                                                          (idx, weights)))
@@ -573,7 +572,7 @@ class TestDataDerivatives:
         for data in (fv, wide[:, :, ::2], np.asfortranarray(fv)):
             got = _data_derivatives(grid, data)
             for k, g in zip((1, 2), got):
-                ref = np.einsum("ab,bnr->anr", grid.derivative_matrix(k), fv)
+                ref = np.einsum("ab,bnr->anr", stencil_derivative_matrix(grid.nodes, k), fv)
                 assert g.shape == fv.shape
                 assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
 

@@ -939,6 +939,56 @@ class TestCliVerify:
         assert first == second
 
 
+class TestOperatorsReachability:
+    def test_verify_and_sweep_enter_every_operators_export(self, tmp_path, capsys):
+        """Every name ``quartic.operators`` exports, and ``BCFrame.diagnostics``,
+        runs under ``verify`` or a sweep: the module holds no calculus that
+        only tests reach."""
+        import sys
+        import time
+
+        from quartic import operators
+        from quartic.bvp import BCFrame
+
+        def codes(obj):
+            if isinstance(obj, type):
+                return set().union(*(codes(v) for v in vars(obj).values()))
+            fn = getattr(obj, "fget", None) or getattr(obj, "func", None) or obj
+            code = getattr(fn, "__code__", None)
+            return {code} if code is not None else set()
+
+        wanted = {name: codes(getattr(operators, name)) for name in operators.__all__}
+        wanted["BCFrame.diagnostics"] = codes(BCFrame.diagnostics)
+        assert all(wanted.values())
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.add(frame.f_code)
+
+        cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
+            "operator = diag:-1", "operator = laplacian:2") + """
+[sweep]
+radius_min = 1e-1
+radius_max = 1e1
+n_radii = 3
+n_angles = 2
+n_nodes = 24
+""")
+        start = time.perf_counter()
+        sys.setprofile(profile)
+        try:
+            rc_verify = main(["verify", "--config", cfg, "--seed", "7"])
+            rc_sweep = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
+        finally:
+            sys.setprofile(None)
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert rc_verify == 0 and rc_sweep == 0
+        assert [name for name, c in wanted.items() if not c & entered] == []
+        assert elapsed <= 3.0
+
+
 NON_FINITE_SWEEP_EVOLVE = """
 [sweep]
 radius_min = 1e-1

@@ -18,7 +18,14 @@ from quartic.errors import FrameSingular
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import make_operator
 from quartic.oracle import _coeffs_from_A, collocation_solve, ode_residual
-from quartic.verify import _random_sectorial
+
+
+def _random_sectorial(rng, n):
+    """Random diagonalizable matrix with spectrum in the open right half-plane."""
+    lam = rng.uniform(0.5, 6.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+    V = rng.normal(size=(n, n)) + 0.1j * rng.normal(size=(n, n))
+    V += 3 * np.eye(n)
+    return V @ np.diag(lam) @ np.linalg.inv(V)
 
 
 def _nonnormal(rng, n, cond=30.0):
@@ -31,7 +38,7 @@ def _nonnormal(rng, n, cond=30.0):
 
 def _operators():
     # -A sectorial in the paper's sense: the random spectrum in the left half-plane
-    ops = [make_operator(-_random_sectorial(np.random.default_rng(seed), n).matrix)
+    ops = [make_operator(-_random_sectorial(np.random.default_rng(seed), n))
            for seed, n in ((1, 3), (2, 6))]
     ops.append(_nonnormal(np.random.default_rng(3), 5))
     return ops

@@ -1,27 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame_at
+from quartic.bvp import ProblemSpec, _Blocks, resolvent_matrix, resolvent_solve
 from quartic.errors import (
     DimensionMismatch,
-    NearSpectrum,
+    FactorizationFailure,
     NonFinite,
-    SampleOnSpectrum,
+    NotInResolventSet,
     SingularOrIllConditioned,
     SpectrumOnCut,
 )
+from quartic.grids import GridFunction, cgl_grid
+from quartic.kernels import Propagator
 from quartic.operators import (
+    _checked_root,
     dirichlet_laplacian_modes,
-    expm_apply,
-    guarded_inverse_I_minus,
-    inverse_I_minus,
     make_operator,
     operator_norm,
-    resolvent_apply,
-    sector_angle_probe,
     sector_half_angle,
-    sqrt_principal,
+    sqrt_matrix,
+    sqrt_symbols,
 )
 
 
@@ -78,37 +81,41 @@ class TestDirichletModes:
     def test_zero_in_resolvent_set(self):
         h = dirichlet_laplacian_modes(4)
         assert np.max(h.spectrum.real) <= -1.0
-        x = resolvent_apply(h, 0.0, np.ones(4))  # 0 in the resolvent set
-        assert np.allclose(x, 1.0 / np.arange(1, 5) ** 2)
 
     def test_sector_angle_zero(self):
         assert sector_half_angle(dirichlet_laplacian_modes(3)) == 0.0
 
 
 class TestSqrtPrincipal:
+    """Principal square roots of the frame calculus: ``sqrt_symbols`` for
+    eigenvalues (b = 1 frames) and ``sqrt_matrix`` for a block (one-block
+    frames)."""
+
     def test_scalar_four(self):
-        assert np.allclose(sqrt_principal(make_operator([[4.0]])).matrix, [[2.0]])
+        assert np.allclose(sqrt_symbols(np.array([4.0 + 0j])), [2.0])
+        assert np.allclose(sqrt_matrix(np.array([[4.0 + 0j]])), [[2.0]])
 
     def test_complex_scalar(self):
-        s = sqrt_principal(make_operator([[1.0 + 2.0j]]))
-        assert abs(s.matrix[0, 0] - (1.27201965 + 0.78615138j)) < 1e-7
-        assert abs(s.matrix[0, 0] ** 2 - (1 + 2j)) < 1e-12
+        s = sqrt_symbols(np.array([1.0 + 2.0j]))[0]
+        assert abs(s - (1.27201965 + 0.78615138j)) < 1e-7
+        assert abs(s ** 2 - (1 + 2j)) < 1e-12
 
     def test_diag(self):
-        s = sqrt_principal(make_operator(np.diag([4.0, 9.0])))
-        assert np.allclose(s.matrix, np.diag([2.0, 3.0]))
+        assert np.allclose(sqrt_matrix(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]))
 
     def test_cut_rejected(self):
         with pytest.raises(SpectrumOnCut):
-            sqrt_principal(make_operator([[-1.0]]))
+            sqrt_symbols(np.array([-1.0 + 0j]))
         with pytest.raises(SpectrumOnCut):
-            sqrt_principal(make_operator(np.diag([1.0, 0.0])))
+            sqrt_matrix(np.diag([1.0, 0.0]).astype(complex))
+        # each row of a (K, n) stack is measured on its own scale
+        with pytest.raises(SpectrumOnCut):
+            sqrt_symbols(np.array([[1e6, 2e6], [1.0, -1e-20]], dtype=complex))
 
     def test_right_half_plane(self, rng):
         A = rng.normal(size=(5, 5))
         A = A @ A.T + 6 * np.eye(5) + 1j * rng.normal(size=(5, 5)) * 0.1
-        s = sqrt_principal(make_operator(A))
-        assert np.all(s.spectrum.real > 0)
+        assert np.all(np.linalg.eigvals(sqrt_matrix(A)).real > 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 10_000))
@@ -116,112 +123,149 @@ class TestSqrtPrincipal:
         rng = np.random.default_rng(seed)
         lam = rng.uniform(0.3, 8.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
         V = rng.normal(size=(n, n)) + 3 * np.eye(n)
-        T = make_operator(V @ np.diag(lam) @ np.linalg.inv(V))
-        S = sqrt_principal(T)
-        res = np.linalg.norm(S.matrix @ S.matrix - T.matrix) / np.linalg.norm(T.matrix)
-        assert res <= 1e-10
+        T = V @ np.diag(lam) @ np.linalg.inv(V)
+        S = sqrt_matrix(T)
+        assert np.linalg.norm(S @ S - T) / np.linalg.norm(T) <= 1e-10
+        # and a root that does not square back is refused
+        with pytest.raises(FactorizationFailure):
+            _checked_root(S + 1e-6 * np.linalg.norm(S), T)
 
     def test_schur_fallback_on_defective(self):
-        # Jordan block: eigenvector basis unusable, Schur route must engage
+        # Jordan block: the eigenvector basis is unusable, so A is one Schur
+        # block and the frame takes its roots through sqrt_matrix
         T = make_operator(np.array([[4.0, 1.0], [0.0, 4.0]]))
         assert not T.diagonalizable
-        S = sqrt_principal(T)
-        assert np.allclose(S.matrix @ S.matrix, T.matrix, atol=1e-12)
+        blocks = T.block_form[0]
+        assert blocks.shape == (1, 2, 2)
+        S = sqrt_matrix(blocks[0])
+        assert np.allclose(S @ S, blocks[0], atol=1e-12)
+        frame = frame_at(make_operator(-T.matrix), -3.0)
+        assert frame.block == 2
+        assert max(frame.diagnostics["res_m_sq"], frame.diagnostics["res_l_sq"]) <= 1e-12
+
+
+def _exp_cases():
+    """A b = 1 stack (two eigenvalues) and a one-block stack (a 4 x 4 Jordan
+    block), the two kinds of X a frame hands to ``Propagator``."""
+    return (np.array([-1.0, -4.0 + 1.0j])[:, None, None],
+            (np.eye(4, k=1) - 2.0 * np.eye(4))[None].astype(complex))
 
 
 class TestExpmApply:
-    def test_scalar(self):
-        assert np.allclose(expm_apply(make_operator([[-1.0]]), 1.0, np.array([1.0])),
-                           [np.exp(-1.0)])
+    """e^{tX} of the frame calculus: ``kernels.Propagator.exp_stack``."""
 
-    def test_t_zero_identity(self, rng):
-        T = make_operator(rng.normal(size=(4, 4)))
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        assert np.array_equal(expm_apply(T, 0.0, v), v)
+    def test_scalar(self):
+        (e,) = Propagator(np.array([[[-1.0]]])).exp_stack(np.array([1.0]))
+        assert np.allclose(e, [[[np.exp(-1.0)]]])
+
+    def test_t_zero_identity(self):
+        for x in _exp_cases():
+            (e,) = Propagator(x).exp_stack(np.array([0.0]))
+            assert np.array_equal(e, np.broadcast_to(np.eye(x.shape[-1]), x.shape))
 
     def test_diagonal(self):
-        T = make_operator(np.diag([-1.0, -4.0]))
-        out = expm_apply(T, 0.5, np.array([1.0, 1.0]))
-        assert np.allclose(out, [np.exp(-0.5), np.exp(-2.0)])
+        x, jordan = _exp_cases()
+        (e,) = Propagator(x).exp_stack(np.array([0.5]))
+        assert np.allclose(e[:, 0, 0], np.exp(0.5 * x[:, 0, 0]))
+        # the Jordan block's exponential in closed form: e^{-2t} t^j / j!
+        (e,) = Propagator(jordan).exp_stack(np.array([0.5]))
+        want = sum(np.linalg.matrix_power(np.eye(4, k=1), j) * 0.5 ** j / math.factorial(j)
+                   for j in range(4)) * np.exp(-1.0)
+        assert np.allclose(e[0], want, rtol=0, atol=1e-14)
 
-    def test_semigroup_law(self, rng):
-        T = make_operator(-(rng.normal(size=(5, 5)) @ np.eye(5)) - 4 * np.eye(5))
-        v = rng.normal(size=5)
-        lhs = expm_apply(T, 0.9, v)
-        rhs = expm_apply(T, 0.4, expm_apply(T, 0.5, v))
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(np.linalg.norm(lhs), 1.0)
+    def test_semigroup_law(self):
+        for x in _exp_cases():
+            e9, e4, e5 = Propagator(x).exp_stack(np.array([0.9, 0.4, 0.5]))
+            assert np.linalg.norm(e4 @ e5 - e9) <= 1e-14 * np.linalg.norm(e9)
 
-    def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            expm_apply(make_operator([[-1.0]]), -0.1, np.array([1.0]))
+
+def _blocks_calculus(b: int, R: int = 1) -> _Blocks:
+    """The calculus of one parameter's R b x b blocks in a basis of cond 1."""
+    return _Blocks(1, R, b, 1.0)
 
 
 class TestResolventApply:
+    """The resolvent of the fourth-order problem (``bvp.resolvent_solve``,
+    ``resolvent_matrix``): closed forms on sine modes, the resolvent identity
+    on a one-block frame, and the refusal at a spectral point."""
+
     def test_scalar(self):
-        out = resolvent_apply(make_operator([[-1.0]]), 1.0, np.array([1.0]))
-        assert np.allclose(out, [0.5])
+        # sin 2x is an eigenfunction of family 1: u = f / ((A - 4)^2 - lam)
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator([[-1.0]]), 1)
+        grid = cgl_grid(64, 0.0, np.pi)
+        f = GridFunction(grid, np.sin(2 * grid.nodes)[None, :].astype(complex))
+        u = resolvent_solve(spec, 1.0 + 3.0j, f)
+        assert np.max(np.abs(u.values - f.values / (24.0 - 3.0j))) <= 1e-9
 
     def test_diag_at_zero(self):
-        out = resolvent_apply(make_operator(np.diag([-1.0, -4.0])), 0.0,
-                              np.array([1.0, 1.0]))
-        assert np.allclose(out, [1.0, 0.25])
+        # lam = 0 with k = 1 takes the direct factorization (A - k, A): on sin x
+        # each mode divides by (A - 1)(A - 2)
+        spec = ProblemSpec(0.0, np.pi, 1.0, make_operator(np.diag([-1.0, -4.0])), 1)
+        grid = cgl_grid(64, 0.0, np.pi)
+        f = GridFunction(grid, np.tile(np.sin(grid.nodes), (2, 1)).astype(complex))
+        u = resolvent_solve(spec, 0.0, f)
+        want = f.values / np.array([[6.0], [30.0]])
+        assert np.max(np.abs(u.values - want)) <= 1e-9
 
-    def test_random_residual(self, rng):
-        T = make_operator(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-        lam = 4.0 + 11.0j
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        x = resolvent_apply(T, lam, v)
-        res = np.linalg.norm((lam * np.eye(6) - T.matrix) @ x - v)
-        assert res <= 1e-10 * (abs(lam) + T.norm()) * np.linalg.norm(x)
-
-    def test_resolvent_identity(self, rng):
-        T = make_operator(rng.normal(size=(5, 5)))
-        l1, l2 = 3.0 + 9.0j, -7.0 + 2.0j
-        eye = np.eye(5, dtype=complex)
-        r1 = resolvent_apply(T, l1, eye)
-        r2 = resolvent_apply(T, l2, eye)
-        assert np.linalg.norm(r1 - r2 - (l2 - l1) * r1 @ r2) <= 1e-10 * np.linalg.norm(r1)
+    def test_resolvent_identity(self):
+        # one-block (Schur) frames: R(l1) - R(l2) = (l1 - l2) R(l1) R(l2)
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator(np.eye(2, k=1) - 2.0 * np.eye(2)), 1)
+        assert spec.A.block_form[0].shape == (1, 2, 2)
+        grid = cgl_grid(64, 0.0, np.pi)
+        l1, l2 = -3.0 + 2.0j, 5.0 - 1.0j
+        r1, r2 = (resolvent_matrix(spec, lam, grid) for lam in (l1, l2))
+        defect = np.linalg.norm(r1 - r2 - (l1 - l2) * r1 @ r2, 2) / np.linalg.norm(r1 - r2, 2)
+        assert defect <= 1e-9
 
     def test_near_spectrum_guard(self):
-        T = make_operator([[-1.0]])
-        with pytest.raises(NearSpectrum):
-            resolvent_apply(T, -1.0 + 1e-14j, np.array([1.0]))
+        # 4 is the first family-1 eigenvalue of A = -1; there Q = 1 and -Q
+        # lies on the square root's cut, and within its tolerance the frame
+        # refuses
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator([[-1.0]]), 1)
+        with pytest.raises(NotInResolventSet, match="branch cut"):
+            resolvent_solve(spec, 4.0 + 1e-12j, GridFunction.zeros(cgl_grid(16, 0.0, np.pi), 1))
 
 
 class TestGuardedInverse:
+    """Guarded inverses (I - T)^{-1} of the frame calculus:
+    ``bvp._Blocks.inv_i_minus``."""
+
     def test_zero_gives_identity(self):
-        inv = guarded_inverse_I_minus(make_operator([[0.0]]))
-        assert np.allclose(inv.matrix, [[1.0]])
+        assert np.allclose(_blocks_calculus(1).inv_i_minus(np.zeros((1, 1, 1)), "T"), 1.0)
 
     def test_half(self):
-        inv = guarded_inverse_I_minus(make_operator([[0.5]]))
-        assert np.allclose(inv.matrix, [[2.0]])
+        assert np.allclose(_blocks_calculus(1).inv_i_minus(np.full((1, 1, 1), 0.5), "T"), 2.0)
 
     def test_multiply_back(self, rng):
-        T = rng.normal(size=(5, 5))
+        T = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         T *= 0.9 / np.linalg.norm(T, 2)
-        h = make_operator(T)
-        inv = guarded_inverse_I_minus(h)
-        res = np.linalg.norm((np.eye(5) - T) @ inv.matrix - np.eye(5))
-        assert res <= 1e-10
-        assert "contractive" in inv.label
+        inv = _blocks_calculus(5).inv_i_minus(T[None], "T")[0]
+        assert np.linalg.norm((np.eye(5) - T) @ inv - np.eye(5)) <= 1e-10
+        d = T.diagonal()[:, None, None]
+        inv = _blocks_calculus(1, 5).inv_i_minus(d, "T")
+        assert np.max(np.abs((1.0 - d) * inv - 1.0)) <= 1e-15
 
     def test_neumann_identity(self, rng):
         V = rng.normal(size=(4, 4)) * 0.2
-        inv = guarded_inverse_I_minus(make_operator(-V)).matrix  # (I+V)^{-1}
+        inv = _blocks_calculus(4).inv_i_minus(-V[None], "-V")[0]  # (I+V)^{-1}
         assert np.linalg.norm(inv - (np.eye(4) - V @ inv)) <= 1e-10
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularOrIllConditioned):
-            guarded_inverse_I_minus(make_operator([[1.0]]))
-        with pytest.raises(SingularOrIllConditioned):
-            guarded_inverse_I_minus(make_operator([[1.0 + 1e-14]]))
+        for b in (1, 2):
+            calc = _blocks_calculus(b)
+            with pytest.raises(SingularOrIllConditioned):
+                calc.inv_i_minus(np.eye(b)[None], "T")
+            with pytest.raises(SingularOrIllConditioned):
+                calc.inv_i_minus((1.0 + 1e-14) * np.eye(b)[None], "T")
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_matrix_rejected(self, bad):
-        # the array form takes frame members that never passed make_operator
-        with pytest.raises(SingularOrIllConditioned, match="non-finite"):
-            inverse_I_minus(np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex), "T")
+        # frame members that overflowed are refused, not inverted
+        T = np.array([[bad, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(SingularOrIllConditioned, match="condition estimate"):
+            _blocks_calculus(2).inv_i_minus(T[None], "T")
+        with pytest.raises(SingularOrIllConditioned, match="condition estimate"):
+            _blocks_calculus(1, 2).inv_i_minus(T.diagonal()[:, None, None], "T")
 
 
 class TestOperatorNorm:
@@ -247,32 +291,3 @@ class TestOperatorNorm:
     def test_weight_validation(self):
         with pytest.raises(DimensionMismatch):
             operator_norm(np.eye(3), np.array([1.0, -1.0, 1.0]))
-
-
-class TestSectorProbe:
-    def test_positive_selfadjoint_finite(self):
-        probe = sector_angle_probe(make_operator(np.diag([1.0, 2.0])), 0.1)
-        assert np.isfinite(probe.sup_bound)
-        assert not probe.blow_up
-
-    def test_eigenvalue_outside_sector_blows_up(self):
-        T = make_operator([[np.exp(1j * np.pi / 3)]])
-        probe = sector_angle_probe(
-            T, np.pi / 4,
-            radii=np.linspace(0.2, 3.0, 60),
-            angles=np.array([np.pi / 3, -np.pi / 3, np.pi / 2]),
-        )
-        assert probe.blow_up
-
-    def test_sample_inside_sector_rejected(self):
-        with pytest.raises(SampleOnSpectrum):
-            sector_angle_probe(make_operator([[1.0]]), 0.5,
-                               radii=np.array([1.0]), angles=np.array([0.2]))
-
-    def test_in_sector_spectrum_never_blows_up(self, rng):
-        # diagonal spectrum inside the sector, probe angle strictly larger
-        for _ in range(5):
-            lam = rng.uniform(0.5, 5.0, 4) * np.exp(
-                1j * rng.uniform(-0.3, 0.3, 4))
-            probe = sector_angle_probe(make_operator(np.diag(lam)), 0.3 + 0.2)
-            assert not probe.blow_up

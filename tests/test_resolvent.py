@@ -5,7 +5,7 @@ from conftest import smooth_field
 from quartic.bvp import ProblemSpec, resolvent_matrix, resolvent_solve
 from quartic.errors import BranchCut, NotInResolventSet
 from quartic.grids import GridFunction, cgl_grid
-from quartic.operators import make_operator, operator_norm
+from quartic.operators import dirichlet_laplacian_modes, make_operator, operator_norm
 from quartic.oracle import collocation_solve, dense_generator, ode_residual
 
 
@@ -113,3 +113,26 @@ class TestMatrixResolvent:
         R = resolvent_matrix(spec, -1.0, grid)
         nrm = operator_norm(R, np.repeat(grid.weights, 1))
         assert nrm == pytest.approx(0.2, abs=1e-3)
+
+
+class TestResolventIdentity:
+    """R(l) - R(m) = (l - m) R(l) R(m) of the assembled solves, as a relative
+    2-norm defect: a family's solves are the resolvent of one operator."""
+
+    @pytest.mark.parametrize("bc", [
+        1,
+        pytest.param(2, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP direction 2: the family-2 boundary operator "
+                                "moves with lambda, so its solves are no resolvent")),
+        3, 4, 5,
+    ])
+    @pytest.mark.parametrize("operator", ["diag3", "laplacian2"])
+    def test_bvp_resolvent_identity(self, operator, bc):
+        A = (make_operator(np.diag([-1.0, -4.0, -9.0])) if operator == "diag3"
+             else dirichlet_laplacian_modes(2))
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        grid = cgl_grid(64, 0.0, np.pi)
+        l1, l2 = -3.0 + 2.0j, 5.0 - 1.0j
+        r1, r2 = (resolvent_matrix(spec, lam, grid) for lam in (l1, l2))
+        defect = np.linalg.norm(r1 - r2 - (l1 - l2) * r1 @ r2, 2) / np.linalg.norm(r1 - r2, 2)
+        assert defect <= 1e-9
