@@ -27,8 +27,8 @@ _EXPORTS = {
                   "operator_norm"),
     "oracle": ("ScalarForcing", "characteristic_root_solve", "collocation_solve",
                "dense_expm", "dense_generator"),
-    "spectral": ("SweepGrid", "SweepReport", "branch_angle_check", "classify_lambda",
-                 "decay_diagnostics", "make_sweep_grid", "run_sweep"),
+    "spectral": ("SweepGrid", "SweepReport", "classify_lambda", "make_sweep_grid",
+                 "run_sweep"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

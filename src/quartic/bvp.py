@@ -145,6 +145,16 @@ class ProblemSpec:
         """Sector half-angle of -A (0 for negative-definite diagonal A)."""
         return sector_half_angle(self.A)
 
+    @property
+    def real(self) -> bool:
+        """A real and bc_family != 2: then R(conj lam) f = conj(R(lam) conj f).
+
+        Family 2's boundary operator u'' + P u moves with lam, so it is never
+        real in this sense.  The discrete solves at lam and conj(lam) agree
+        only up to their factor-order asymmetry (P and Q swap).
+        """
+        return self.bc_family != 2 and not np.any(np.imag(self.A.matrix))
+
 
 @dataclass
 class BCFrame:
@@ -349,7 +359,7 @@ def _cut_shifts(k: float, lam: complex):
     s2 = -complex(lam) - k * k / 4.0
     scale = max(1.0, abs(s2))
     if abs(s2.imag) <= 1e-14 * scale and s2.real <= 1e-14 * scale:
-        raise BranchCut(f"-lambda - k^2/4 = {s2} lies on the branch cut")
+        raise BranchCut(f"-lambda - k^2/4 = {s2} lies on the branch cut", lam=lam)
     s = np.sqrt(s2)
     return -k / 2.0 + 1j * s, -k / 2.0 - 1j * s, 2j * s
 

@@ -26,7 +26,14 @@ class SingularOrIllConditioned(QuarticError):
 
 
 class BranchCut(QuarticError):
-    """Spectral parameter maps onto the square-root branch cut."""
+    """Spectral parameter maps onto the square-root branch cut.
+
+    ``lam`` is the refused parameter, when known.
+    """
+
+    def __init__(self, message: str = "", lam: complex | None = None):
+        super().__init__(message)
+        self.lam = lam
 
 
 class FrameSingular(QuarticError):

@@ -16,7 +16,7 @@ n -> 2n - 1 solves only the new trapezoid midpoints.  A hyperbola whose
 vertex factor e^{t lam} at the window start would pass 1/eps is refused
 before any node is solved: the sum's round-off would exceed the data.
 
-A real problem (real A and data, any family but 2) has R(conj lam) =
+A real problem (``ProblemSpec.real`` and real data) has R(conj lam) =
 conj R(lam), so the hyperbola's terms at th and -th are conjugates and each
 such pair left of the vertex is solved once, at th > 0, with twice the
 weight; its outputs are exactly real.  Family 2's boundary operator
@@ -232,7 +232,7 @@ def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
     data, and a decayed solution lies below the sum's round-off.
     QuadratureNotConverged after MAX_REFINEMENTS passes.
 
-    A real problem (A and every data column real, bc_family != 2) pairs
+    A real problem (``ProblemSpec.real`` and every data column real) pairs
     nodes: its terms at th and -th are conjugates, so a pass drops each node
     th < 0 left of the vertex (Re lam <= vertex, i.e. sin beta cosh th >= 1),
     doubles the weight of its index partner -th in the symmetric linspace
@@ -244,8 +244,7 @@ def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
     lam, so it is not paired.
     """
     grid = payloads[0].grid
-    real = (spec.bc_family != 2 and not np.any(np.imag(spec.A.matrix))
-            and not np.any(columns.imag))
+    real = spec.real and not np.any(columns.imag)
 
     def pass_sum(th, h):
         lam, wgt = params.at(mu, th, h)

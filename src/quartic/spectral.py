@@ -1,4 +1,4 @@
-"""Parameter sweeps: resolvent norms, sector geometry, decay diagnostics.
+"""Parameter sweeps: resolvent norms over a polar grid, sector geometry.
 
 The sweep walks a polar grid around the branch vertex -k^2/4 and records the
 weighted resolvent norm of the fourth-order generator on the sample grid and
@@ -9,8 +9,17 @@ frame member is a scalar function of A, so the points of a sweep batch
 like contour nodes: a batch of K = DENSE_CAP // (dim(A) N) points shares one
 batch frame and one grid kit, and each point solves on its own view of them
 (``BCFrame.parameter``); the power route, beyond DENSE_CAP, has K = 1.  A
-batch that refuses falls back to one frame per point.  The batches change no
-record: a view equals the frame its point assembles alone.
+batch that refuses is split at its first refused point.  The batches change
+no record: a view equals the frame its point assembles alone.
+
+A real problem (``ProblemSpec.real``), or A with a unitary eigenbasis and a
+spectrum closed under conjugation (family 2 excepted), has
+||R(conj lambda)|| = ||R(lambda)||, the identity that makes a real matrix's
+pseudospectra mirror-symmetric.  The symmetric angles of ``make_sweep_grid``
+then come in exact conjugate pairs, and the sweep evaluates one point of
+each pair.  The discrete norms at lambda and conj(lambda) differ only by
+the factor-order asymmetry (P and Q swap), measured at most 3.4e-5 relative
+at N = 24 and 2.3e-7 at N = 48.
 Per-parameter failures are collected as findings, not fatal errors: for the
 clamped/derivative families they witness the excluded ball around the vertex.
 """
@@ -18,7 +27,7 @@ clamped/derivative families they witness the excluded ball around the vertex.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,10 +37,7 @@ from .bvp import (
     BCFrame,
     ProblemSpec,
     _SOLVERS,
-    _field_to_internal,
     _lambda_frames,
-    _particular,
-    _zero_phi,
     resolvent_blocks,
     resolvent_matrix,
 )
@@ -45,11 +51,8 @@ __all__ = [
     "SweepRecord",
     "classify_lambda",
     "classify_lambda_by_argument",
-    "branch_angle_check",
     "make_sweep_grid",
     "run_sweep",
-    "decay_diagnostics",
-    "generator_sector_check",
 ]
 
 INSIDE_SECTOR = "INSIDE_SECTOR"
@@ -79,25 +82,6 @@ def classify_lambda_by_argument(lam: complex, k: float, theta_a: float) -> str:
     bound = 2.0 * (np.pi - theta_a)
     outside = (abs(arg + np.pi) < bound) and (abs(arg - np.pi) < bound)
     return OUTSIDE_SECTOR if outside else INSIDE_SECTOR
-
-
-def branch_angle_check(lam: complex, k: float, theta_a: float):
-    """Angles of the two shifted factors and the parabolicity inequality.
-
-    Returns (theta1, theta2, ok) where theta1/theta2 are the sector angles
-    the two factor operators inherit at this parameter and ok records the
-    strict inequality theta_a + |arg(+-i sqrt(-lam-k^2/4))| < pi.
-    """
-    w = -complex(lam) - k * k / 4.0
-    if w == 0:
-        raise BranchCut("angle check undefined at the vertex")
-    arg = np.angle(w)
-    half_plus = abs(arg + np.pi) / 2.0
-    half_minus = abs(arg - np.pi) / 2.0
-    theta1 = max(theta_a, half_plus)
-    theta2 = max(theta_a, half_minus)
-    ok = (theta_a + half_plus < np.pi) and (theta_a + half_minus < np.pi)
-    return theta1, theta2, bool(ok)
 
 
 @dataclass(frozen=True)
@@ -291,6 +275,25 @@ def _per_mode_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(d[:, None] * blocks / d, 2, axis=(1, 2))))
 
 
+def _conjugation_closed(w: np.ndarray) -> bool:
+    """Every conj(w_i) lies within make_operator's eigenpair tolerance of
+    some w_j."""
+    gap = np.min(np.abs(w.conj()[:, None] - w[None, :]), axis=1)
+    return bool(np.all(gap <= 1e3 * tol.FACTOR_RESIDUAL * max(1.0, np.max(np.abs(w)))))
+
+
+def _conjugate_partners(lams: np.ndarray) -> dict:
+    """{j: i} for the exact conjugate pairs lams[j] == conj(lams[i]), i < j:
+    in grid order each point pairs with an earlier unpaired point."""
+    partner, unpaired = {}, {}
+    for j, lam in enumerate(map(complex, lams)):
+        if lam.conjugate() in unpaired:
+            partner[j] = unpaired.pop(lam.conjugate())
+        else:
+            unpaired[lam] = j
+    return partner
+
+
 def run_sweep(
     spec: ProblemSpec,
     sweep: SweepGrid,
@@ -309,15 +312,27 @@ def run_sweep(
     conjugate-transposed problem, whose frame each point derives from its
     forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
 
-    Points are taken in batches of K = max(1, DENSE_CAP // (dim(A) N)) in
-    grid order.  A batch of K > 1 points assembles one batch frame and one
-    grid kit (``_lambda_frames``), and each point solves on its view
-    (``BCFrame.parameter``), which equals its own frame bit for bit.  The rule
-    keeps a batch kit near 2 DENSE_CAP (8 + 2 log2 N) complex entries, and
-    gives the power route K = 1: each power point assembles its own frame.
-    A batch that refuses (NotInResolventSet or BranchCut) falls back to one
-    frame per point, so every record is the one the point gets alone.  One
-    batch is held at a time.
+    When the norm is conjugation-symmetric, ||R(conj lam)|| = ||R(lam)||
+    (a real problem, ``ProblemSpec.real``, or A with a unitary eigenbasis and
+    a spectrum closed under conjugation, ``_conjugation_closed``, family 2
+    excepted), only the first point of each exact conjugate pair in grid
+    order is evaluated.  Its partner copies the norm, note and
+    frame_ok, refusals included, and takes its ratio from its own lambda.
+    A direct evaluation at conj(lambda) differs from the copy only by the
+    discretization's factor-order asymmetry (P and Q swap): measured at most
+    3.4e-5 relative at N = 24 and 2.3e-7 at N = 48, a small fraction of the
+    discretization error itself.
+
+    The evaluated points are taken in batches of
+    K = max(1, DENSE_CAP // (dim(A) N)) in grid order.  A batch of K > 1
+    points assembles one batch frame and one grid kit (``_lambda_frames``),
+    and each point solves on its view (``BCFrame.parameter``), which equals
+    its own frame bit for bit.  The rule keeps a batch kit near
+    2 DENSE_CAP (8 + 2 log2 N) complex entries, and gives the power route
+    K = 1: each power point assembles its own frame.  A batch that refuses
+    (NotInResolventSet or BranchCut) names its first refused point: the
+    points before it make one batch, the refusal is recorded from the
+    exception, and batching resumes after it.  One batch is held at a time.
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
@@ -327,38 +342,45 @@ def run_sweep(
     power = spec.A.dim * grid.n > tol.DENSE_CAP
     per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1.0 <= tol.UNITARY_BASIS_GAP
     size = max(1, tol.DENSE_CAP // (spec.A.dim * grid.n))
+    symmetric = spec.real or (spec.bc_family != 2 and per_mode
+                              and _conjugation_closed(spec.A.spectrum))
+    partner = _conjugate_partners(lams) if symmetric else {}
+
+    def record(lam, nrm):
+        ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
+        return SweepRecord(lam, nrm, ratio, True, "power" if power else "dense")
 
     def job(lam, frame):
+        if power:
+            return record(lam, _map_norm_power(spec, lam, grid, weights, frame=frame))
+        if per_mode:
+            return record(lam, _per_mode_norm(resolvent_blocks(spec, lam, grid, frame),
+                                              grid.weights))
+        return record(lam, operator_norm(resolvent_matrix(spec, lam, grid, frame), weights))
+
+    def evaluate(batch):
+        """Records of the leading points of lams[batch]: all of them, from one
+        frame and its grid kit, or those up to the first refused point."""
         try:
-            if frame is None:
-                frame = _lambda_frames(spec, lam)
-            if power:
-                nrm = _map_norm_power(spec, lam, grid, weights, frame=frame)
-            elif per_mode:
-                nrm = _per_mode_norm(resolvent_blocks(spec, lam, grid, frame), grid.weights)
-            else:
-                nrm = operator_norm(resolvent_matrix(spec, lam, grid, frame), weights)
-            ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
-            return SweepRecord(lam, nrm, ratio, True, "power" if power else "dense")
+            frame = _lambda_frames(spec, lams[batch])
         except (NotInResolventSet, BranchCut) as exc:
-            return SweepRecord(lam, np.nan, np.nan, False, type(exc).__name__)
+            bad, note = int(np.flatnonzero(lams[batch] == exc.lam)[0]), type(exc).__name__
+        else:
+            frame.grid_kit(grid)
+            return [job(lams[i], frame.parameter(j)) for j, i in enumerate(batch)]
+        refused = SweepRecord(lams[batch[bad]], np.nan, np.nan, False, note)
+        return (evaluate(batch[:bad]) if bad else []) + [refused]
 
-    def views(batch):
-        """The points' views of one batch frame with its grid kit, or None for
-        each point (its own frame) when the batch has one point or refuses."""
-        if len(batch) > 1:
-            try:
-                frame = _lambda_frames(spec, batch)
-                frame.grid_kit(grid)
-                return [frame.parameter(i) for i in range(len(batch))]
-            except (NotInResolventSet, BranchCut):
-                pass
-        return [None] * len(batch)
-
-    records = []
-    for i in range(0, len(lams), size):
-        batch = lams[i:i + size]
-        records += [job(lam, frame) for lam, frame in zip(batch, views(batch))]
+    by_index = {}
+    todo = [i for i in range(len(lams)) if i not in partner]
+    while todo:
+        done = evaluate(todo[:size])
+        by_index.update(zip(todo, done))
+        todo = todo[len(done):]
+    for j, i in partner.items():
+        rec = by_index[i]
+        by_index[j] = record(lams[j], rec.norm) if rec.frame_ok else replace(rec, lam=lams[j])
+    records = [by_index[i] for i in range(len(lams))]
 
     good = [r for r in records if r.frame_ok]
     failures = [r for r in records if not r.frame_ok]
@@ -381,81 +403,3 @@ def run_sweep(
             if slope > 0.05:
                 upward.append((float(sweep.angles[ia]), float(slope)))
     return SweepReport(sweep, records, float(c_emp), failures, float(r_obs), upward)
-
-
-def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
-    """Factor-operator norm table over parameter samples.
-
-    Tabulates ||M L^{-1}||, ||L M^{-1}||, the interval decay of the squared
-    generators, and the particular-solution decay ratios; reports the fitted
-    decay rate and boundedness/monotonicity findings.
-    """
-    rows = []
-    c = spec.c
-    grid = cgl_grid(48, spec.a, spec.b)
-    rng = np.random.default_rng(3)
-    fvals = rng.normal(size=(spec.A.dim, grid.n)) + 1j * rng.normal(size=(spec.A.dim, grid.n))
-    f = GridFunction(grid, fvals)
-    fnorm = f.norm()
-    for lam in lam_samples:
-        frame = _lambda_frames(spec, lam)
-        dist = abs(lam + spec.k**2 / 4.0)
-        ml = operator_norm(frame.m @ np.linalg.inv(frame.l))
-        lm = operator_norm(frame.l @ np.linalg.inv(frame.m))
-        m2e = operator_norm(frame.m @ frame.m @ frame.e_cm)
-        l2e = operator_norm(frame.l @ frame.l @ frame.e_cl)
-        ecm = operator_norm(frame.e_cm)
-        part = _particular(frame, grid, frame.to_modes(_field_to_internal(f)),
-                           _zero_phi(frame.n))
-        v0n = GridFunction(grid, frame.from_modes(part["v0"])[:, :, 0].T).norm()
-        fpn = float(np.linalg.norm(frame.from_modes(part["fpa"]))
-                    + np.linalg.norm(frame.from_modes(part["fpb"])))
-        rows.append({
-            "lam": lam, "dist": dist, "ml": ml, "lm": lm,
-            "m2ecm": m2e, "l2ecl": l2e, "ecm": ecm,
-            "v0_ratio": v0n / fnorm, "fp_ratio": fpn / fnorm,
-        })
-    rows.sort(key=lambda r: r["dist"])
-    dists = np.array([r["dist"] for r in rows])
-    m2 = np.array([max(r["m2ecm"], 1e-300) for r in rows])
-    # fitted rate: ||M^2 e^{cM}|| <= K exp(-c w |lam - vertex|^{1/4})
-    q = dists ** 0.25
-    slope = np.polyfit(q, np.log(m2), 1)[0] if len(rows) >= 2 else 0.0
-    omega_fit = max(-slope / c, 0.0)
-    bounded = float(max(max(r["ml"], r["lm"]) for r in rows))
-    ecm_vals = [r["ecm"] for r in rows]
-    v0_vals = [r["v0_ratio"] for r in rows]
-    return {
-        "rows": rows,
-        "ml_lm_bound": bounded,
-        "omega_fit": float(omega_fit),
-        "ecm_monotone_decreasing": all(
-            ecm_vals[i + 1] <= ecm_vals[i] * (1 + 1e-8) for i in range(len(ecm_vals) - 1)
-        ),
-        "v0_monotone_decreasing": all(
-            v0_vals[i + 1] <= v0_vals[i] * (1 + 1e-8) for i in range(len(v0_vals) - 1)
-        ),
-    }
-
-
-def generator_sector_check(spec: ProblemSpec, n_nodes: int = 48,
-                           bc_operator: str = "fixed") -> dict:
-    """Eigenvalues of the dense surrogate shifted by the vertex.
-
-    Reports the largest |arg| over the shifted spectrum and the largest
-    relative imaginary part; the sector containment claim is that the former
-    stays within 2*theta_a plus the probe margin.
-    """
-    from .oracle import dense_generator
-
-    gen = dense_generator(spec, n_nodes, bc_operator=bc_operator)
-    evs = np.linalg.eigvals(gen.minus_generator) + spec.k**2 / 4.0
-    mags = np.maximum(np.abs(evs), 1e-300)
-    args = np.abs(np.angle(evs))
-    rel_imag = np.abs(evs.imag) / np.maximum(1.0, mags)
-    return {
-        "eigenvalues": evs,
-        "max_abs_arg": float(np.max(args)),
-        "max_rel_imag": float(np.max(rel_imag)),
-        "min_real": float(np.min(evs.real)),
-    }

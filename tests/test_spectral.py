@@ -17,15 +17,13 @@ from quartic.spectral import (
     _map_norm_power,
     _ritz_norm,
     _start_vector,
-    branch_angle_check,
     classify_lambda,
     classify_lambda_by_argument,
-    decay_diagnostics,
-    generator_sector_check,
     make_sweep_grid,
     SweepGrid,
     run_sweep,
 )
+from spectral_diagnostics import branch_angle_check, decay_diagnostics, generator_sector_check
 from test_grids_kernels import _ill_conditioned
 
 
@@ -194,11 +192,22 @@ def _in_basis(V, spectrum):
     return make_operator((V * np.asarray(spectrum, complex)) @ np.linalg.inv(V))
 
 
-def _assembled_norms(spec, report, n_nodes):
+def _partners(report):
+    """{j: i} for the records j whose lambda is the exact conjugate of an
+    earlier record i's."""
+    lams = [r.lam for r in report.records]
+    return {j: i for j in range(len(lams)) for i in range(j) if lams[j] == np.conj(lams[i])}
+
+
+def _assembled_norms(spec, report, n_nodes, paired=False):
+    """Direct assembled norms of the report's frame_ok records; when the sweep
+    pairs conjugates, a mirrored record's is taken at its partner."""
     grid = cgl_grid(n_nodes, spec.a, spec.b)
     weights = np.repeat(grid.weights, spec.A.dim)
-    return [operator_norm(resolvent_matrix(spec, r.lam, grid), weights)
-            for r in report.records if r.frame_ok]
+    lams = [r.lam for r in report.records]
+    partners = _partners(report) if paired else {}
+    return [operator_norm(resolvent_matrix(spec, lams[partners.get(j, j)], grid), weights)
+            for j, r in enumerate(report.records) if r.frame_ok]
 
 
 def _counting_operator_norm(monkeypatch):
@@ -240,14 +249,17 @@ class TestPerModeNorm:
         assert calls == []
         monkeypatch.setattr(tolerances, "UNITARY_BASIS_GAP", -1.0)
         assembled = run_sweep(spec, g, n_nodes=24)
-        assert len(calls) == len(assembled.records) - len(assembled.failures)
+        mirrored = _partners(assembled) if spec.real else {}
+        assert len(calls) == sum(r.frame_ok for j, r in enumerate(assembled.records)
+                                 if j not in mirrored)
         assert per_mode.failures == assembled.failures
         assert [r.note for r in per_mode.failures] == ["BranchCut"]
         assert [r.note for r in per_mode.records] == [r.note for r in assembled.records]
         got = [r.norm for r in per_mode.records if r.frame_ok]
         want = [r.norm for r in assembled.records if r.frame_ok]
-        assert want == _assembled_norms(spec, per_mode, 24)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert want == _assembled_norms(spec, per_mode, 24, paired=spec.real)
+        np.testing.assert_allclose(got, _assembled_norms(spec, per_mode, 24, paired=bc != 2),
+                                   rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("spectrum", [[-1.0, -1.0, -4.0], [-4.0, -1.0, -1.0]])
     @pytest.mark.parametrize("rotate", [False, True])
@@ -259,7 +271,8 @@ class TestPerModeNorm:
         rep = run_sweep(spec, g, n_nodes=20)
         assert not rep.failures
         np.testing.assert_allclose([r.norm for r in rep.records],
-                                   _assembled_norms(spec, rep, 20), rtol=1e-12, atol=0.0)
+                                   _assembled_norms(spec, rep, 20, paired=not rotate),
+                                   rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("case", ["cond30", "jordan"])
     def test_non_normal_keeps_assembled_route(self, monkeypatch, case):
@@ -277,8 +290,8 @@ class TestPerModeNorm:
         calls = _counting_operator_norm(monkeypatch)
         rep = run_sweep(spec, g, n_nodes=20)
         assert not rep.failures
-        assert len(calls) == len(rep.records)
-        assert [r.norm for r in rep.records] == _assembled_norms(spec, rep, 20)
+        assert len(calls) == len(rep.records) - len(_partners(rep))
+        assert [r.norm for r in rep.records] == _assembled_norms(spec, rep, 20, paired=True)
 
     def test_non_finite_block_raises(self, monkeypatch, diag3_op):
         from quartic import spectral
@@ -521,7 +534,8 @@ class TestBatchedSweep:
         assert spec.A.diagonalizable == (case != "jordan")
         frames = _counting(monkeypatch, bvp, "assemble_frame")
         single = self._sweep(monkeypatch, spec, sweep, 1)
-        assert len(frames) == len(notes)
+        evaluated = len(notes) - len(_partners(single))  # the refusing grid has no pairs
+        assert len(frames) == evaluated
         assert [r.note for r in single.records] == notes
         for K in (3, 20):
             frames.clear()
@@ -530,7 +544,7 @@ class TestBatchedSweep:
             assert batched.failures == single.failures
             assert batched.c_empirical == single.c_empirical
             if case != "refusing":
-                assert len(frames) == -(-len(notes) // K)
+                assert len(frames) == -(-evaluated // K)
 
     def test_one_batch_held_at_a_time(self, monkeypatch):
         import weakref
@@ -549,7 +563,7 @@ class TestBatchedSweep:
         monkeypatch.setattr(spectral, "_lambda_frames", recording)
         report = self._sweep(monkeypatch, spec, sweep, 3)
         assert [r.note for r in report.records] == notes
-        assert len(held) == 2 + 3 - 1  # two batches; one refused batch of 3 points
+        assert len(held) == 3  # two batches; the two points before the refused one
 
     def test_power_route_batches_of_one(self, monkeypatch, diag3_op):
         from quartic import bvp, tolerances
@@ -560,7 +574,127 @@ class TestBatchedSweep:
         frames = _counting(monkeypatch, bvp, "assemble_frame")
         report = run_sweep(spec, g, n_nodes=16)
         assert [r.note for r in report.records] == ["power"] * 4
-        assert [len(call[0]) for call in frames] == [3] * 4  # one point's 3 blocks each
+        assert [len(call[0]) for call in frames] == [3] * 2  # one point's 3 blocks each
+
+
+def _alone(spec, sweep, n_nodes):
+    """Each grid point's record from a sweep of that point alone, which
+    evaluates it directly (a one-point grid has no conjugate pair)."""
+    return [run_sweep(spec, SweepGrid(sweep.vertex, np.array([rho]), np.array([phi]),
+                                      sweep.exclusion_radius, sweep.theta_a, sweep.k),
+                      n_nodes=n_nodes).records[0]
+            for phi in sweep.angles for rho in sweep.radii]
+
+
+def _counting_evaluations(monkeypatch):
+    """A count of the sweep's dense per-point evaluations, either route."""
+    from quartic import spectral
+
+    blocks = _counting(monkeypatch, spectral, "resolvent_blocks")
+    matrices = _counting(monkeypatch, spectral, "resolvent_matrix")
+    return lambda: len(blocks) + len(matrices)
+
+
+class TestConjugatePairs:
+    """Where ||R(conj lam)|| = ||R(lam)|| (a real problem, or A normal with a
+    conjugation-closed spectrum; never family 2), the sweep evaluates one
+    point of each exact conjugate pair and mirrors it onto the other."""
+
+    def test_sweep_dense_setup_evaluates_12_of_20(self, monkeypatch):
+        A = _in_basis(_unitary(1, 4), -np.arange(1, 5.0) ** 2)
+        assert np.any(A.matrix.imag)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 3, 4), n_angles=5)
+        evaluations = _counting_evaluations(monkeypatch)
+        report = run_sweep(spec, g, n_nodes=48)
+        assert len(report.records) == 20 and evaluations() == 12
+        assert len(_partners(report)) == 8
+
+    def test_ten_angles_evaluate_half(self, monkeypatch):
+        spec = ProblemSpec(0.0, np.pi, 0.0, dirichlet_laplacian_modes(3), 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 3, 3), n_angles=10)
+        evaluations = _counting_evaluations(monkeypatch)
+        report = run_sweep(spec, g, n_nodes=24)
+        assert evaluations() == len(report.records) // 2 == len(_partners(report))
+
+    def test_mirror_copies_partner_and_refusal(self):
+        # centred on the vertex of k = 0, the rays at +-pi meet the branch cut
+        # of k = 0.5 at radius 1e-2: the pair's first point refuses
+        spec = ProblemSpec(0.0, np.pi, 0.5, dirichlet_laplacian_modes(3), 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-2, 3, 5), n_angles=4)
+        report = run_sweep(spec, g, n_nodes=24)
+        records, partners = report.records, _partners(report)
+        assert len(partners) == 10
+        for j, i in partners.items():
+            mirror, first = records[j], records[i]
+            assert mirror.lam == np.conj(first.lam)
+            assert (mirror.note, mirror.frame_ok) == (first.note, first.frame_ok)
+            if first.frame_ok:
+                assert mirror.norm == first.norm
+                assert mirror.ratio == (1.0 + abs(mirror.lam - g.vertex)) * first.norm
+            else:
+                assert np.isnan(mirror.norm) and np.isnan(mirror.ratio)
+        assert [r.note for r in report.failures] == ["BranchCut"] * 2
+        assert report.failures == [r for r in records if not r.frame_ok]
+        assert report.c_empirical == max(r.ratio for r in records if r.frame_ok)
+        assert report.r_observed == max(abs(r.lam - g.vertex) for r in report.failures)
+        direct = _alone(spec, g, 24)
+        assert [r.note for r in direct] == [r.note for r in records]
+
+    def test_mirrors_not_in_resolvent_set_refusal(self, monkeypatch):
+        # a real A with spectrum {a, conj a}: its family-3 frames refuse at
+        # test_batch's LAM0 (mode a) and at conj(LAM0) (mode conj a)
+        import test_batch
+
+        lam0 = test_batch.TestBatchRefusals.LAM0
+        a = -np.exp(0.5j)
+        A = make_operator([[a.real, -a.imag], [a.imag, a.real]])
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 3)
+        g = SweepGrid(0.0, np.array([0.02, 1.0, abs(lam0)]),
+                      np.array([np.angle(lam0), -np.angle(lam0)]), 0.01)
+        evaluations = _counting_evaluations(monkeypatch)
+        report = run_sweep(spec, g, n_nodes=16)
+        notes = ["dense", "dense", "NotInResolventSet"] * 2
+        assert [r.note for r in report.records] == notes
+        assert _partners(report) == {3: 0, 4: 1, 5: 2} and evaluations() == 2
+        assert [r.note for r in _alone(spec, g, 16)] == notes
+
+    @pytest.mark.parametrize("n_nodes", [24, 48])
+    def test_pair_gap_below_discretization_error(self, n_nodes):
+        # (d^2/dx^2 + A)^2 has eigenvalues (j^2 + i^2)^2 on sin(jx) e_i for
+        # A = diag(-1, -4, -9), and A is normal: ||R(lam)|| = 1/dist.  The
+        # direct evaluations at lam and conj(lam) differ by at most 3.1e-3
+        # (N = 24) and 1.9e-4 (N = 48) of the pair's larger error
+        spec = ProblemSpec(0.0, np.pi, 0.0, dirichlet_laplacian_modes(3), 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 3, 5), n_angles=10)
+        mu = ((np.arange(1, 2001.0)[:, None] ** 2 + np.arange(1, 4.0) ** 2) ** 2).ravel()
+        direct = _alone(spec, g, n_nodes)
+        report = run_sweep(spec, g, n_nodes=n_nodes)
+        worst = 0.0
+        for j, i in _partners(report).items():
+            exact = 1.0 / np.min(np.abs(mu - direct[i].lam))
+            error = max(abs(direct[i].norm - exact), abs(direct[j].norm - exact))
+            worst = max(worst, abs(direct[j].norm - direct[i].norm) / error)
+            assert report.records[j].norm == direct[i].norm
+        assert worst <= 1e-2
+
+    @pytest.mark.parametrize("case", ["family2", "open_spectrum", "non_normal"])
+    def test_unpaired_cases_evaluate_every_point(self, monkeypatch, case):
+        import test_batch
+
+        A, bc = dirichlet_laplacian_modes(3), 2
+        if case == "open_spectrum":  # unitary basis, spectrum not closed
+            A, bc = _in_basis(_unitary(5, 2), [-1.0 + 0.5j, -4.0]), 1
+            assert A.eig_cond - 1.0 <= 1e-12
+        elif case == "non_normal":  # complex, spectrum {a, conj a} closed
+            A, bc = test_batch.TestBatchRefusals._operator(), 1
+            assert A.eig_cond > 2.0
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        g = make_sweep_grid(0.0, spec.theta_a, radii=np.logspace(-1, 3, 3), n_angles=4)
+        evaluations = _counting_evaluations(monkeypatch)
+        report = run_sweep(spec, g, n_nodes=16)
+        assert len(_partners(report)) == 6 and evaluations() == len(report.records) == 12
+        assert report.records == _alone(spec, g, 16)
 
 
 class TestDecayDiagnostics:
