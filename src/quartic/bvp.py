@@ -374,11 +374,14 @@ def _factor_shifts(k: float, lam: complex):
 
 def _refuse(bad, exc_type, message: str, *values):
     """Raise exc_type at the first row (parameter) where the guard ``bad``
-    holds, with ``message`` formatted from that row's ``values``."""
+    holds, with ``message`` formatted from that row's ``values``; the
+    exception records the row as ``row``."""
     bad = np.atleast_1d(bad)
     if bad.any():
         i = int(np.argmax(bad))
-        raise exc_type(message.format(*(np.atleast_1d(v)[i] for v in values)))
+        exc = exc_type(message.format(*(np.atleast_1d(v)[i] for v in values)))
+        exc.row = i
+        raise exc
 
 
 class _Blocks:
@@ -423,7 +426,14 @@ class _Blocks:
     def neg_sqrt_neg(self, x):
         if self.b == 1:
             return -sqrt_symbols(-x.reshape(self.K, -1)).reshape(x.shape)
-        return -np.array([sqrt_matrix(-block) for block in x])
+        roots = []
+        for i, block in enumerate(x):
+            try:
+                roots.append(sqrt_matrix(-block))
+            except SpectrumOnCut as exc:
+                exc.row = i * self.K // len(x)
+                raise
+        return -np.array(roots)
 
     def inv_i_minus(self, t, label: str):
         """(I - T)^{-1} under the condition cap (1 + ||T||) ||(I - T)^{-1}||
@@ -766,6 +776,15 @@ def _shifted(T: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _refused_row(exc, lams) -> int:
+    """The batch row a frame refusal ``exc`` names: a BranchCut's ``lam``
+    (the shifts are computed in node order), else the ``row`` that the guard
+    recorded on ``exc`` or on the refusal it wraps."""
+    if isinstance(exc, BranchCut):
+        return int(np.argmax(lams == exc.lam))
+    return exc.row if hasattr(exc, "row") else exc.__cause__.row
+
+
 def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     """One frame for the shifted equation at each parameter of ``lams``.
 
@@ -780,7 +799,11 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     A batch refuses exactly when one of its parameters would: it raises the
     exception of the first refused parameter in node order, BranchCut for a
     parameter on the cut, and NotInResolventSet (carrying ``lam``) for a
-    frame that cannot be assembled.
+    frame that cannot be assembled.  A refused batch names that parameter
+    from the row its guard refused (``_refused_row``): the parameters before
+    it are assembled as one batch, which raises instead if one of them fails
+    a later guard, and the refused parameter is then assembled alone, which
+    raises its own exception.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     T, V, Vinv, kappa = spec.A.block_form
@@ -791,8 +814,10 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
                                spec.bc_family in DERIVATIVE_FAMILIES, basis=(V, Vinv, kappa))
     except (BranchCut, FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:
         if len(lams) > 1:  # the first refused parameter names the refusal
-            for lam in lams:
-                _lambda_frames(spec, lam)
+            row = _refused_row(exc, lams)
+            if row:
+                _lambda_frames(spec, lams[:row])
+            _lambda_frames(spec, lams[row])
         if isinstance(exc, BranchCut):
             raise
         raise NotInResolventSet(f"frame assembly failed at lambda={lams[0]}: {exc}",

@@ -27,6 +27,17 @@ which writes exactly the bytes of ``"%.17g" % x``:
 - Cells that are not fast (nan, +-inf, subnormal or out of range, near
   ties) are printed by "%.17g" itself; a chunk without them does no per-cell
   Python work.
+- Each cell is followed by its column's entry in the row's separator table
+  (``_separators``), up to three bytes: "," after each cell and a newline
+  after the last, in every CSV.
+- Grid-function and trajectory rows are complex: x, then the real and
+  imaginary parts interleaved.  When every imaginary part of the file is +0
+  the stream is real: only x and the real parts are formatted, and the table
+  writes "," after x, ",0," after each real part and ",0\n" at the row end,
+  so the imaginary cells "0" cost no formatting.  The writers decide once per
+  file (``_write_complex_rows``).  np.signbit sends a -0 imaginary part,
+  which prints "-0", to the interleaved path, so the bytes are the same
+  either way.
 - Cells are formatted and written _CHUNK_CELLS = 2**11 at a time, whatever
   the row width, so memory stays flat.  At that size every temporary stays
   below glibc's default 128 KiB mmap threshold, so no chunk page-faults its
@@ -186,10 +197,24 @@ def _scaled(ax, X):
     return ph.astype(np.int64) + ft.astype(np.int64), t
 
 
-def _format_cells(x: np.ndarray, start: int, ncells: int) -> str:
+def _separators(ncells: int, real: bool = False) -> np.ndarray:
+    """The (3, ncells) separator table of an ncells-cell row, column j the
+    bytes after cell j with 0 as filler: "," and a newline after the last
+    cell, or a real stream's (module docstring)."""
+    seps = np.zeros((3, ncells), np.uint8)
+    seps[0] = 44
+    if real:
+        seps[1, 1:] = 48
+        seps[2, 1:] = 44
+    seps[2 if real else 0, -1] = 10
+    return seps
+
+
+def _format_cells(x: np.ndarray, start: int, ncells: int, seps=None) -> str:
     """Cells start, start + 1, ... of a row-major stream of ncells-cell rows,
     each exactly as "%.17g" prints it (see the module docstring), followed by
-    "," or, at the end of a row, a newline."""
+    its column's bytes in the separator table ``seps`` (``_separators``; by
+    default "," or, at the end of a row, a newline)."""
     n = x.size
     ax = np.abs(x)
     zero = ax == 0
@@ -223,13 +248,13 @@ def _format_cells(x: np.ndarray, start: int, ncells: int) -> str:
                 row += 2
     nd = ((dig[1:18] != 48) * _R[1:]).max(axis=0)  # digits left after stripping
     dig[1, zero] = 48  # ±0 was formatted as 1
-    # 30 output rows, one per column of a cell's text, with 0 as filler:
-    # sign, "0.000" lead, digits 0..P, the point, digits P+1..16, "e+dd", separator
+    # 32 output rows, one per column of a cell's text, with 0 as filler: sign,
+    # "0.000" lead, digits 0..P, the point, digits P+1..16, "e+dd", separator
     xi = X + 300
     P = _POINT.take(xi)
     keep = np.maximum(nd, _KMIN.take(xi))
     dig[1:18] *= _R[:17] < keep
-    out = np.zeros((30, n), np.uint8)
+    out = np.zeros((32, n), np.uint8)
     out[0] = np.signbit(x) * np.uint8(45)
     text = _TEXT.take(xi, axis=1)
     out[1:6] = text[:5]
@@ -238,8 +263,10 @@ def _format_cells(x: np.ndarray, start: int, ncells: int) -> str:
     body += dig[:-1] * (_R > P + 1)
     body += (_R == P + 1) * (keep > P + 1) * np.uint8(46)
     out[24:29] = text[5:]
-    out[29] = 44
-    out[29, (ncells - 1 - start) % ncells::ncells] = 10
+    if seps is None:
+        seps = _separators(ncells)
+    col = start % ncells
+    out[29:] = np.tile(seps, -(-(col + n) // ncells))[:, col:col + n]
     slow = np.flatnonzero(~fast)
     if slow.size:
         cells = "".join(("%.17g" % v).ljust(29, "\0") for v in x[slow].tolist())
@@ -248,26 +275,33 @@ def _format_cells(x: np.ndarray, start: int, ncells: int) -> str:
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def _write_rows(fh, pieces, ncells: int) -> None:
+def _write_rows(fh, pieces, ncells: int, seps=None) -> None:
     """CSV lines of ncells cells from flat float arrays that each hold whole
-    rows; the cells are formatted and written _CHUNK_CELLS at a time,
-    whatever the row width."""
+    rows, each cell followed by its column's bytes in ``seps`` (default:
+    ``_separators(ncells)``); the cells are formatted and written
+    _CHUNK_CELLS at a time, whatever the row width."""
     start, rest = 0, np.empty(0)
     for piece in pieces:
         rest = np.concatenate((rest, piece))
         while rest.size >= _CHUNK_CELLS:
-            fh.write(_format_cells(rest[:_CHUNK_CELLS], start, ncells))
+            fh.write(_format_cells(rest[:_CHUNK_CELLS], start, ncells, seps))
             start += _CHUNK_CELLS
             rest = rest[_CHUNK_CELLS:]
     if rest.size:
-        fh.write(_format_cells(rest, start, ncells))
+        fh.write(_format_cells(rest, start, ncells, seps))
 
 
-def _complex_rows(xs, values) -> np.ndarray:
-    """Rows of cells, flattened: each x, then the real and imaginary parts of
-    its row of values (flattened row-major) interleaved."""
-    flat = np.ascontiguousarray(values, dtype=complex).reshape(len(xs), -1).view(float)
-    return np.column_stack((xs, flat)).reshape(-1)
+def _write_complex_rows(fh, blocks) -> None:
+    """CSV lines of complex rows: each x, then the real and imaginary parts
+    of its row of values interleaved, from a list of (xs, values) pairs with
+    values (len(xs), m) complex; a real stream when every imaginary part is
+    +0 (module docstring)."""
+    real = not any(np.any(v.imag) or np.signbit(v.imag).any() for _, v in blocks)
+    m = blocks[0][1].shape[1]
+    ncells = 1 + m if real else 1 + 2 * m
+    pieces = (np.column_stack((xs, v.real if real else np.ascontiguousarray(v).view(float)))
+              .reshape(-1) for xs, v in blocks)
+    _write_rows(fh, pieces, ncells, _separators(ncells, real))
 
 
 def write_gridfunction_csv(path, gf: GridFunction) -> None:
@@ -277,7 +311,7 @@ def write_gridfunction_csv(path, gf: GridFunction) -> None:
             f"# gridfunc a={gf.grid.a:.{_PREC}g} b={gf.grid.b:.{_PREC}g} "
             f"n={gf.grid.n} dim={gf.dim} kind={gf.grid.kind}\n"
         )
-        _write_rows(fh, [_complex_rows(gf.grid.nodes, gf.values.T)], 1 + 2 * gf.dim)
+        _write_complex_rows(fh, [(gf.grid.nodes, gf.values.T)])
 
 
 def read_gridfunction_csv(path) -> GridFunction:
@@ -336,5 +370,4 @@ def write_trajectory_csv(path, trajectory, grid: Grid, scheme: str) -> None:
             f"dim={dim} scheme={scheme}\n"
         )
         # row-major values: component-major blocks
-        _write_rows(fh, (_complex_rows([t], gf.values) for t, gf in trajectory),
-                    1 + 2 * trajectory[0][1].values.size)
+        _write_complex_rows(fh, [([t], gf.values.reshape(1, -1)) for t, gf in trajectory])

@@ -128,14 +128,17 @@ def sqrt_symbols(w: np.ndarray) -> np.ndarray:
     (K, n) rows of K operators'.
 
     Rejects any eigenvalue within tolerance of the cut (-inf, 0], measured on
-    the scale of its own row.
+    the scale of its own row; the SpectrumOnCut records the first such row
+    as ``row``.
     """
     scale = np.maximum(np.max(np.abs(w), axis=-1, keepdims=True), 1.0)
     on_cut = (w.real <= tol.FACTOR_RESIDUAL * scale) & (
         np.abs(w.imag) <= 1e3 * tol.FACTOR_RESIDUAL * scale
     )
     if np.any(on_cut):
-        raise SpectrumOnCut(f"eigenvalue(s) {w[on_cut]} on the branch cut")
+        exc = SpectrumOnCut(f"eigenvalue(s) {w[on_cut]} on the branch cut")
+        exc.row = int(np.argmax(np.atleast_2d(on_cut).any(axis=-1)))
+        raise exc
     return np.sqrt(w)
 
 

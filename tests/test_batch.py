@@ -257,6 +257,34 @@ class TestBatchRefusals:
         assert _lambda_frames(spec, lams).n == 6
 
 
+@pytest.mark.parametrize("refusal", ["frame", "cut"])
+def test_refused_batch_named_from_its_row(monkeypatch, refusal):
+    # the third of six parameters refuses: the two before it are assembled
+    # as one batch, and the third alone raises its own exception
+    from quartic import bvp
+    from quartic.errors import BranchCut
+
+    spec = ProblemSpec(0.0, np.pi, 0.0, TestBatchRefusals._operator(), 3)
+    bad = TestBatchRefusals.LAM0 if refusal == "frame" else 1.0  # -lam on the cut
+    lams = np.array([-1.0 + 1j, -2.0 + 3j, bad, -3.0 + 2j, -1.0 - 1j, -5.0])
+    assembled = []
+
+    def counting(P, *args, **kwargs):
+        assembled.append(len(P) // spec.A.dim)  # parameters: b = 1, dim blocks each
+        return assemble(P, *args, **kwargs)
+
+    assemble = bvp.assemble_frame
+    monkeypatch.setattr(bvp, "assemble_frame", counting)
+    with pytest.raises(NotInResolventSet if refusal == "frame" else BranchCut) as batch:
+        _lambda_frames(spec, lams)
+    assert batch.value.lam == bad
+    assert assembled == ([6, 2, 1] if refusal == "frame" else [2])
+    monkeypatch.undo()
+    with pytest.raises(type(batch.value)) as single:
+        _lambda_frames(spec, bad)
+    assert str(batch.value) == str(single.value)
+
+
 def test_cut_check_per_row():
     # 1e-8 is clear of the cut on its own row's scale, not on the next row's
     rows = np.array([[1e-8 + 0j, 4.0], [1e12, 2.0]])

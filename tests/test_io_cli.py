@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartic import cli
+from quartic import io as quartic_io
 from quartic.cli import main
 from quartic.errors import ConfigError
 from quartic.grids import GridFunction, cgl_grid
@@ -183,6 +184,74 @@ class TestRowWriters:
         text = (tmp_path / "t.csv").read_text()
         assert text == "\n".join(want) + "\n"
         assert "nan" in text and "-inf" in text and "-0," in text and "1e+300" in text
+
+
+def _written(tmp_path, values):
+    """(rows of the file, their interleaved f"{x:.17g}" reference, the cells
+    each _format_cells call got as (size, start, ncells)) for values (T, dim,
+    N) written as a T-step trajectory, or (dim, N) as a grid function."""
+    calls = []
+
+    def counting(x, start, ncells, *rest):
+        calls.append((x.size, start, ncells))
+        return _format_cells(x, start, ncells, *rest)
+
+    path = tmp_path / "out.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quartic_io, "_format_cells", counting)
+        if values.ndim == 3:
+            grid = cgl_grid(values.shape[-1], 0.0, np.pi)
+            xs = [0.0, 0.1, 1e-300, 0.30000000000000004][:len(values)]
+            write_trajectory_csv(path, [(t, GridFunction(grid, v)) for t, v in zip(xs, values)],
+                                 grid, "CRANK_NICOLSON")
+            rows = values.reshape(len(xs), -1)
+        else:
+            grid = cgl_grid(values.shape[-1], -1.0, 2.0)
+            write_gridfunction_csv(path, GridFunction(grid, values))
+            xs, rows = grid.nodes, values.T
+    want = "".join(",".join([f"{x:.17g}"] + [f"{c:.17g}" for z in row for c in (z.real, z.imag)])
+                   + "\n" for x, row in zip(xs, rows))
+    return path.read_text().partition("\n")[2], want, calls
+
+
+def _real_values(rng, shape):
+    """Real parts of _edge_values (nan, +-inf, -0.0, ...), +0 imaginary parts."""
+    return _edge_values(rng, 1, int(np.prod(shape))).real.reshape(shape).astype(complex)
+
+
+class TestRealStreams:
+    """A stream whose imaginary parts are all +0 is formatted from x and its
+    real parts, the imaginary cells coming from the separator table, and
+    writes the interleaved path's bytes."""
+
+    # trajectory rows of 61 and 3001 > _CHUNK_CELLS real cells, grid-function
+    # rows of 4 and 3: every chunk after the first starts mid-row
+    SHAPES = [(4, 3, 20), (4, 2, 1500), (3, 20), (2, 1500)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_interleaved(self, tmp_path, rng, shape):
+        got, want, calls = _written(tmp_path, _real_values(rng, shape))
+        assert got == want
+        assert "nan" in got and "-inf" in got and ",-0," in got
+        # x and the dim N real parts of each trajectory step, x and the dim
+        # real parts of each node
+        rows, m = (shape[0], shape[1] * shape[2]) if len(shape) == 3 else (shape[1], shape[0])
+        assert sum(size for size, _, _ in calls) == rows * (1 + m)
+        assert all(ncells == 1 + m for _, _, ncells in calls)
+        if max(shape) > _CHUNK_CELLS // 2:
+            assert len(calls) > 1 and all(start % (1 + m) for _, start, _ in calls[1:])
+
+    @pytest.mark.parametrize("imag", [-0.0, 2.5])
+    @pytest.mark.parametrize("where", [0, 777, -1])
+    @pytest.mark.parametrize("shape", SHAPES[1::2])
+    def test_one_imaginary_cell_keeps_interleaved(self, tmp_path, rng, shape, where, imag):
+        values = _real_values(rng, shape)
+        flat = values.reshape(-1)
+        flat[where] = complex(flat[where].real, imag)
+        got, want, calls = _written(tmp_path, values)
+        assert got == want
+        m = values[0].size if len(shape) == 3 else shape[0]
+        assert sum(size for size, _, _ in calls) == len(want.splitlines()) * (1 + 2 * m)
 
 
 def _formatted(values, ncells=1, start=0):
