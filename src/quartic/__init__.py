@@ -5,7 +5,8 @@ through explicit semigroup representation formulas, sweeps the spectral
 parameter to measure resolvent norms and sector geometry, and integrates the
 associated abstract Cauchy problem by contour quadrature or implicit
 stepping.  Every formula path is cross-validated against independent dense
-oracles (spectral collocation, characteristic roots, matrix exponentials).
+oracles (spectral collocation and characteristic roots here, the dense
+matrix exponential in the tests).
 
 The names below are imported from their modules on first access (PEP 562),
 so ``import quartic.cli`` loads only what the command it runs needs.
@@ -17,16 +18,16 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bvp": ("BCFrame", "ProblemSpec", "assemble_frame", "fprime_boundary",
-            "particular_solution_F", "resolvent_solve", "solve_bc1", "solve_bc2",
-            "solve_bc3", "solve_bc4", "solve_bc5"),
+    "bvp": ("BCFrame", "ProblemSpec", "assemble_frame", "particular_solution_F",
+            "resolvent_solve", "solve_bc1", "solve_bc2", "solve_bc3", "solve_bc4",
+            "solve_bc5"),
     "evolution": ("EvolutionSpec", "evolve", "growth_bound_probe",
                   "semigroup_apply_contour", "variation_of_constants_check"),
     "grids": ("Grid", "GridFunction", "cgl_grid", "uniform_grid"),
     "operators": ("OperatorHandle", "dirichlet_laplacian_modes", "make_operator",
                   "operator_norm"),
     "oracle": ("ScalarForcing", "characteristic_root_solve", "collocation_solve",
-               "dense_expm", "dense_generator"),
+               "dense_generator"),
     "spectral": ("SweepGrid", "SweepReport", "classify_lambda", "make_sweep_grid",
                  "run_sweep"),
 }

@@ -41,10 +41,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import (
     BranchCut,
-    DimensionMismatch,
     FrameSingular,
-    NonCommutingOperators,
-    NonFinite,
     NotInResolventSet,
     SingularOrIllConditioned,
     SpectrumOnCut,
@@ -67,7 +64,6 @@ __all__ = [
     "BCFrame",
     "assemble_frame",
     "particular_solution_F",
-    "fprime_boundary",
     "solve_bc1",
     "solve_bc2",
     "solve_bc3",
@@ -160,17 +156,18 @@ class ProblemSpec:
 class BCFrame:
     """Operator bundle entering the representation formulas for one parameter.
 
-    Frames come from ``_lambda_frames`` (or ``assemble_frame`` on given
-    factors).  ``ops`` holds the members (p, q, b_op, m, l, their inverses,
-    the interval exponentials e_cm, e_cl, e_clm, the guarded inverses z, w,
-    inv_ip_em, ..., T-/T+, U = I - T-, V = I - T+, uinv, vinv, and the
-    identity eye), each a stack of R b x b blocks in the basis ``basis`` =
-    (V, V^{-1}) that P, Q and B share: b = 1 blocks are eigenvalues in A's
-    eigenbasis, and b = n is one matrix, triangular in A's Schur basis from
-    ``_lambda_frames`` (module docstring).  The grid kit's stacks keep the
-    trailing (R, b, b): (N, R, b, b) exponentials and (6, J, R, b, b) node
-    weights.  Attribute access ``frame.p``, ``frame.inv_im_el``, ... gives
-    the dense matrix V diag(blocks) V^{-1}, built on first use.
+    Frames come from ``_lambda_frames``, which assembles them with
+    ``assemble_frame``.  ``ops`` holds the members (p, q, b_op, m, l, their
+    inverses, the interval exponentials e_cm, e_cl, e_clm, the guarded
+    inverses z, w, inv_ip_em, ..., T-/T+, uinv and vinv, which invert
+    U = I - T- and V = I - T+, and the identity eye), each a stack of R
+    b x b blocks in the basis ``basis`` = (V, V^{-1}) that P, Q and B share:
+    b = 1 blocks are eigenvalues in A's eigenbasis, and b = n is one matrix,
+    triangular in A's Schur basis from ``_lambda_frames`` (module docstring).
+    The grid kit's stacks keep the trailing (R, b, b): (N, R, b, b)
+    exponentials and (6, J, R, b, b) node weights.  Attribute access
+    ``frame.p``, ``frame.inv_im_el``, ... gives the dense matrix
+    V diag(blocks) V^{-1}, built on first use.
     ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
     (recorded in ``uv_ok``).
 
@@ -445,34 +442,18 @@ class _Blocks:
         return inv
 
 
-def assemble_frame(P, Q, B, c: float, require_uv: bool = False,
-                   basis: tuple | None = None) -> BCFrame:
+def assemble_frame(P, Q, B, c: float, require_uv: bool = False, *,
+                   basis: tuple) -> BCFrame:
     """Build the operator frame from commuting factors P, Q with P = Q + B.
 
-    With ``basis`` = (V, V^{-1}, cond(V)), P, Q and B are stacks of R b x b
-    blocks, the factors of K parameters in that basis (R b = K len(V)), and
-    the frame is one batch frame over them.  Without ``basis``, P, Q and B
-    are the plain (n, n) matrices of one parameter, which must share one size
-    (DimensionMismatch), be finite (NonFinite) and commute
-    (NonCommutingOperators); the frame is then one block in the identity
-    basis.  Raises SpectrumOnCut when a square root is undefined and
-    FrameSingular when B or an interval operator needed unconditionally is
-    not invertible; on a batch, when any parameter's would.  With
+    ``basis`` = (V, V^{-1}, cond(V)), and P, Q and B are stacks of R b x b
+    blocks, the factors of K parameters in that basis (R b = K len(V)); the
+    frame is one batch frame over them.  Raises SpectrumOnCut when a square
+    root is undefined and FrameSingular when B or an interval operator needed
+    unconditionally is not invertible, for one of its parameters.  With
     ``require_uv`` the two derivative-family operators must also invert.
     """
     p, q, b = (np.asarray(x, dtype=complex) for x in (P, Q, B))
-    if basis is None:
-        n = len(p) if p.ndim == 2 else -1
-        if any(x.shape != (n, n) for x in (p, q, b)):
-            raise DimensionMismatch("P, Q, B must be square matrices of one size")
-        if not all(np.isfinite(x).all() for x in (p, q, b)):
-            raise NonFinite("P, Q, B must have finite entries")
-        comm = np.linalg.norm(p @ q - q @ p)
-        pn, qn = (max(np.linalg.norm(x, 2), 1e-300) for x in (p, q))
-        if comm > 1e-10 * pn * qn * n:
-            raise NonCommutingOperators(f"||[P,Q]|| = {comm:.3e} too large")
-        p, q, b = p[None], q[None], b[None]
-        basis = (np.eye(n), np.eye(n), 1.0)
     V, Vinv, kappa = basis
     if c <= 0:
         raise ValueError("interval length c must be positive")
@@ -523,7 +504,7 @@ def assemble_frame(P, Q, B, c: float, require_uv: bool = False,
         binv=binv, minv=calc.inv(m), linv=calc.inv(l),
         e_cm=e_cm, e_cl=e_cl, e_clm=e_clm, z=z, w=w,
         t_minus=t_minus, t_plus=t_plus,
-        u_op=calc.eye - t_minus, v_op=calc.eye - t_plus, uinv=uinv, vinv=vinv,
+        uinv=uinv, vinv=vinv,
         inv_ip_em=inv_ip_em, inv_im_em=inv_im_em,
         inv_ip_el=inv_ip_el, inv_im_el=inv_im_el,
     )
@@ -641,22 +622,6 @@ def particular_solution_F(frame: BCFrame, f: GridFunction, phi=None) -> GridFunc
     return _internal_to_field(f.grid, frame.from_modes(part["F"]))
 
 
-def fprime_boundary(frame: BCFrame, f: GridFunction):
-    """Endpoint first derivatives of the homogeneous particular solution.
-
-    Evaluated from the closed-form derivative expression (exponentials and
-    full-interval kernel integrals), never by differencing F itself.
-    """
-    o, ap = frame.ops, frame.apply
-    fv = frame.to_modes(_field_to_internal(f))
-    part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
-    zk1, zk2 = ap(o.z, part["k1"]), ap(o.z, part["k2"])
-    e2zk1, e2zk2 = (ap(o.e_cm, ap(o.e_cm, v)) for v in (zk1, zk2))
-    fa = -0.5 * (zk1 + e2zk1) + ap(o.e_cm, zk2) - 0.5 * part["k1"]
-    fb = -ap(o.e_cm, zk1) + 0.5 * (zk2 + e2zk2) + 0.5 * part["k2"]
-    return frame.from_modes(fa)[:, 0], frame.from_modes(fb)[:, 0]
-
-
 def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> np.ndarray:
     """Dispatch on the boundary family; fv is (N, n, r) and phi four (n, 1)
     columns from _frame_phi, all in the frame's coordinates.  Families 2-4 add
@@ -725,19 +690,6 @@ def _mode_coefficients(frame: BCFrame, part: dict, phi, bc: int):
                 r = 2 * ap(minus(eye, e), ap(x, ap(y_inv, pt))) - ap(plus(eye, e), ap(y_inv, d))
             alphas.append(half * ap(o.binv, ap(o.l + o.m, ap(w[i], r))))
     return tuple(alphas)
-
-
-def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
-    """The four mode coefficients of the derivative/(u''+Pu) solver.
-
-    Read-back seam for bookkeeping checks: the returned vectors are exactly
-    the coefficients multiplying the four exponential mode stacks in the
-    assembled solution (same code path as the solver), in X's coordinates.
-    """
-    fv = frame.to_modes(_field_to_internal(f))
-    part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
-    alphas = _mode_coefficients(frame, part, _frame_phi(frame, phi), 2)
-    return tuple(frame.from_modes(a)[:, 0] for a in alphas)
 
 
 def solve_bc1(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:

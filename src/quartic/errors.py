@@ -44,10 +44,6 @@ class FrameSingular(QuarticError):
     """
 
 
-class NonCommutingOperators(QuarticError):
-    """The operator pair fails the commutation validation."""
-
-
 class NotInResolventSet(QuarticError):
     """Resolvent evaluation failed: parameter rejected or frame singular.
 

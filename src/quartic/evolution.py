@@ -2,8 +2,9 @@
 
 The semigroup is evaluated either by inverse-Laplace quadrature on a
 left-opening hyperbola or by implicit one-step schemes whose stage operators
-are again resolvents at real shifts.  A dense-exponential oracle covers
-small instances for cross-validation.
+are again resolvents at real shifts.  The growth probe takes its norms from
+the dense exponential of the collocation generator
+(``oracle.dense_generator``).
 
 The quadrature groups the output times into windows [t_s, 8 t_s] (narrower
 for wide sectors).  A window has one hyperbola whose mu is fixed by the
@@ -45,7 +46,6 @@ from .bvp import (
     _SOLVERS,
     _solve_family,
     _zero_phi,
-    bc_conditions,
 )
 from .errors import (
     BranchCut,
@@ -68,7 +68,6 @@ __all__ = [
     "evolve",
     "growth_bound_probe",
     "variation_of_constants_check",
-    "compatibility_check",
 ]
 
 _SCHEMES = ("CONTOUR", "IMPLICIT_EULER", "CRANK_NICOLSON")
@@ -446,8 +445,9 @@ def growth_bound_probe(spec: ProblemSpec, t_grid, n_nodes: int = 40):
     """Fit the smallest M with ||e^{tG}|| <= M e^{t k^2/4} over the t grid.
 
     Defined for the families outside DERIVATIVE_FAMILIES under the
-    quarter-angle hypothesis.  Norms come from the dense-exponential oracle
-    on the interior dofs; returns (M_fit, violation_flag, samples).
+    quarter-angle hypothesis.  Norms come from the dense exponential of
+    ``oracle.dense_generator`` on the interior dofs; returns (M_fit,
+    violation_flag, samples).
     """
     if spec.bc_family in DERIVATIVE_FAMILIES:
         raise ValueError(f"growth bound probe excludes families {DERIVATIVE_FAMILIES}")
@@ -519,36 +519,3 @@ def variation_of_constants_check(L1, L2, B, psi, x_grid) -> float:
         worst = max(worst, float(np.max(np.abs(direct - integral))))
     return worst
 
-
-def compatibility_check(espec: EvolutionSpec):
-    """Initial-data admissibility shadow: boundary rows plus finiteness.
-
-    Checks that v0 satisfies the homogeneous condition rows of the family
-    (discrete domain membership) and that f(0) + G v0 is finite.  The
-    smoothness-scale refinement behind the sharp continuous condition
-    collapses at finite dimension and is reported as non-discriminating.
-    """
-    from .oracle import _build_system, _coeffs_from_A
-
-    spec = espec.problem
-    grid = espec.v0.grid
-    coeff2, coeff0 = _coeffs_from_A(spec.A, spec.k)
-    sys_ = _build_system(grid.n, grid.a, grid.b, coeff2, coeff0,
-                         spec.bc_family, np.asarray(spec.A.matrix))
-    vvec = espec.v0.values.T.reshape(-1)
-    resid = sys_.R @ vvec
-    scale = max(np.max(np.abs(vvec)), 1.0)
-    names = [name for name, _, _ in bc_conditions(spec.bc_family, s_name="A")]
-    violated = []
-    per_row = np.linalg.norm(resid.reshape(4, spec.A.dim), axis=1)
-    for name, r in zip(names, per_row):
-        if r > 1e-6 * scale:
-            violated.append(f"{name} (residual {r:.3e})")
-    gv = -(sys_.K @ vvec)
-    f0 = (np.asarray(espec.forcing(0.0), dtype=complex).T.reshape(-1)
-          if espec.forcing is not None else np.zeros_like(gv))
-    finite = bool(np.all(np.isfinite((gv + f0).real)) and np.all(np.isfinite((gv + f0).imag)))
-    ok = (not violated) and finite
-    note = ("smoothness-scale admissibility condition is not discriminating "
-            "at this finite dimension")
-    return ok, violated, note

@@ -6,8 +6,8 @@ local finite-difference stencils (Fornberg weights), which keeps the formula
 path independent of the global spectral differentiation matrices used by the
 collocation oracle.  Each grid caches its stencils as bands, one window of
 nearest nodes and one weight row per derivative order at every node
-(``Grid.stencils``), so applying them costs O(width N); the dense N x N
-matrices (``stencil_derivative_matrix``) are built from the bands on request.
+(``Grid.stencils``), so applying them costs O(width N) and no N x N matrix
+is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "chebyshev_gauss_nodes",
     "fornberg_weights",
     "stencil_bands",
-    "stencil_derivative_matrix",
 ]
 
 
@@ -116,14 +115,6 @@ def stencil_bands(nodes: np.ndarray, width: int = 7):
     return idx, fornberg_weights(nodes, nodes[idx], 2)[1:].transpose(1, 0, 2).copy()
 
 
-def stencil_derivative_matrix(nodes: np.ndarray, order: int, width: int = 7) -> np.ndarray:
-    """Dense N x N view of ``stencil_bands`` for derivative order 1 or 2."""
-    idx, weights = stencil_bands(nodes, width)
-    D = np.zeros((len(idx), len(idx)))
-    np.put_along_axis(D, idx, weights[:, order - 1], axis=1)
-    return D
-
-
 @dataclass(frozen=True)
 class Grid:
     """Strictly increasing nodes on [a, b] plus positive quadrature weights."""
@@ -209,14 +200,6 @@ class GridFunction:
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())

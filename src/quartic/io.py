@@ -1,8 +1,8 @@
 """Text formats: operator files, grid-function CSVs, sweep and trajectory output.
 
-Complex numbers are written as "a+bi" / "a-bi" with decimal or scientific
-mantissas and parsed locale-independently; CSV values carry 17 significant
-digits so doubles round-trip exactly.
+Complex numbers in operator files and configs are "a+bi" / "a-bi" with
+decimal or scientific mantissas, parsed locale-independently.  CSV values
+carry 17 significant digits so doubles round-trip exactly.
 
 Every CSV cell goes through one vectorized formatter, ``_format_cells``,
 which writes exactly the bytes of ``"%.17g" % x``:
@@ -50,14 +50,12 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
+from .errors import ConfigError
 from .grids import Grid, GridFunction
 
 __all__ = [
     "parse_complex",
-    "format_complex",
     "read_operator_file",
-    "write_operator_file",
     "write_solution_csv",
     "read_gridfunction_csv",
     "write_gridfunction_csv",
@@ -93,12 +91,6 @@ def parse_complex(text: str) -> complex:
     return complex(re_part, im_part)
 
 
-def format_complex(z: complex, prec: int = _PREC) -> str:
-    re_s = f"{z.real:+.{prec}g}".lstrip("+")
-    sign = "+" if z.imag >= 0 or np.isnan(z.imag) else "-"
-    return f"{re_s}{sign}{abs(z.imag):.{prec}g}i"
-
-
 def read_operator_file(path) -> np.ndarray:
     """Matrix text format: first line "dim n", then n rows of n entries."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -118,16 +110,6 @@ def read_operator_file(path) -> np.ndarray:
             raise ConfigError(f"{path}: row {i} has {len(parts)} entries, wanted {n}")
         out[i] = [parse_complex(p) for p in parts]
     return out
-
-
-def write_operator_file(path, matrix: np.ndarray) -> None:
-    A = np.asarray(matrix, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("operator file needs a square matrix")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim {A.shape[0]}\n")
-        for row in A:
-            fh.write(" ".join(format_complex(z) for z in row) + "\n")
 
 
 _CHUNK_CELLS = 1 << 11  # cells formatted and written at a time

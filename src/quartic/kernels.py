@@ -22,7 +22,7 @@ forward weights and only phi_1..phi_6 are evaluated.
 X is a stack of R b x b blocks (``bvp.BCFrame``), and so is every stack
 here: e^{tX} is (..., R, b, b) and the node weights (6, J, R, b, b).  Blocks
 of size 1 are X's eigenvalues: the phi functions come elementwise
-(``_exp_integrals``), and the recurrence I_{j+1} = e^{h_j X} I_j + c_j runs
+(``phi_stack``), and the recurrence I_{j+1} = e^{h_j X} I_j + c_j runs
 as one log-depth (Hillis-Steele) scan whose step compositions are exact
 elementwise products that a grid kit also computes once per direction
 (``scan_factors``).  Larger blocks take batched ``scipy.linalg.expm`` calls,
@@ -42,7 +42,6 @@ from . import tolerances as tol
 
 __all__ = [
     "phi_stack",
-    "chi_stack",
     "Propagator",
     "hermite_step_coefficients",
     "scan_factors",
@@ -53,57 +52,13 @@ _SERIES_TERMS = 30
 
 
 @lru_cache(maxsize=16)
-def _series_table(kmax: int, mmax: int) -> np.ndarray:
+def _series_table(kmax: int) -> np.ndarray:
     """Read-only coefficients of z^0..z^{_SERIES_TERMS-1} (rows) in the
-    small-|z| series of phi_1..phi_kmax, 1/(i+k)!, then chi_0..chi_mmax,
-    1/(i! (m+i+1)) (columns)."""
+    small-|z| series of phi_1..phi_kmax (columns), 1/(i+k)!."""
     inv_fact = np.array([1.0 / factorial(j) for j in range(_SERIES_TERMS + kmax)])
-    i = np.arange(_SERIES_TERMS)[:, None]
-    table = np.hstack([inv_fact[i + np.arange(1, kmax + 1)],
-                       inv_fact[i] / (np.arange(mmax + 1) + i + 1)])
+    table = inv_fact[np.arange(_SERIES_TERMS)[:, None] + np.arange(1, kmax + 1)]
     table.setflags(write=False)
     return table
-
-
-def _exp_integrals(z: np.ndarray, kmax: int, mmax: int):
-    """(phi_0..phi_kmax, chi_0..chi_mmax) for complex array z.
-
-    Upward recurrences, phi_{k+1} = (phi_k - 1/k!)/z and
-    chi_m = (e^z - m chi_{m-1})/z, run on the entries with
-    |z| >= PHI_SERIES_RADIUS only.  The recurrences divide by z once per
-    order, so their error grows like k! eps / |z|^k; inside the radius both
-    come from one power matrix times the series coefficient table, which is
-    at round-off there.
-    """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < tol.PHI_SERIES_RADIUS
-    ez = np.exp(z)
-    phi = np.empty((kmax + 1,) + z.shape, dtype=complex)
-    chi = np.empty((mmax + 1,) + z.shape, dtype=complex)
-    phi[0] = ez
-    if not np.all(small):
-        large = ~small
-        zl, el = z[large], ez[large]
-        term = el
-        for k in range(kmax):
-            term = (term - 1.0 / factorial(k)) / zl
-            phi[k + 1, large] = term
-        if mmax >= 0:
-            term = (el - 1.0) / zl
-            chi[0, large] = term
-        for m in range(1, mmax + 1):
-            term = (el - m * term) / zl
-            chi[m, large] = term
-    if np.any(small):
-        zs = z[small]
-        powers = np.empty((_SERIES_TERMS, zs.size), dtype=complex)
-        powers[0] = 1.0
-        for i in range(1, _SERIES_TERMS):
-            np.multiply(powers[i - 1], zs, out=powers[i])
-        sums = _real_product(_series_table(kmax, mmax).T, powers)
-        phi[1:, small] = sums[:kmax]
-        chi[:, small] = sums[kmax:]
-    return phi, chi
 
 
 def _real_product(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -113,17 +68,34 @@ def _real_product(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
-    """phi_0..phi_kmax for complex array z; phi_0 = e^z, phi_{k+1}=(phi_k-1/k!)/z.
+    """phi_0..phi_kmax for complex array z, shape (kmax+1,) + z.shape.
 
-    Returns shape (kmax+1,) + z.shape.  Small |z| uses the series
-    phi_k(z) = sum_i z^i / (i+k)! to avoid cancellation.
+    phi_0 = e^z, and the upward recurrence phi_{k+1} = (phi_k - 1/k!)/z runs
+    on the entries with |z| >= PHI_SERIES_RADIUS only.  It divides by z once
+    per order, so its error grows like k! eps / |z|^k; inside the radius the
+    series phi_k(z) = sum_i z^i / (i+k)! comes from one power matrix times
+    the coefficient table, which is at round-off there.
     """
-    return _exp_integrals(z, kmax, -1)[0]
-
-
-def chi_stack(z: np.ndarray, mmax: int) -> np.ndarray:
-    """chi_0..chi_mmax = int_0^1 e^{zs} s^m ds for complex array z."""
-    return _exp_integrals(z, 0, mmax)[1]
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < tol.PHI_SERIES_RADIUS
+    ez = np.exp(z)
+    phi = np.empty((kmax + 1,) + z.shape, dtype=complex)
+    phi[0] = ez
+    if not np.all(small):
+        large = ~small
+        zl = z[large]
+        term = ez[large]
+        for k in range(kmax):
+            term = (term - 1.0 / factorial(k)) / zl
+            phi[k + 1, large] = term
+    if np.any(small):
+        zs = z[small]
+        powers = np.empty((_SERIES_TERMS, zs.size), dtype=complex)
+        powers[0] = 1.0
+        for i in range(1, _SERIES_TERMS):
+            np.multiply(powers[i - 1], zs, out=powers[i])
+        phi[1:, small] = _real_product(_series_table(kmax).T, powers)
+    return phi
 
 
 def _phi_blocks(hX: np.ndarray, p: int) -> np.ndarray:
@@ -166,7 +138,7 @@ class Propagator:
         hs = np.asarray(hs, dtype=float)
         p = self.MAX_DEG
         hx = np.multiply.outer(hs, self.blocks)
-        phi = _exp_integrals(hx, p, -1)[0][1:] if hx.shape[-1] == 1 else _phi_blocks(hx, p)
+        phi = phi_stack(hx, p)[1:] if hx.shape[-1] == 1 else _phi_blocks(hx, p)
         G = _real_product(_PSI_MODEL.T, phi.reshape(p, -1)).reshape(phi.shape)
         scale = hs ** (1 + _SLOPE_ORDER)[:, None]  # (6, J)
         return G * scale[..., None, None, None]

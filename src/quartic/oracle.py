@@ -29,7 +29,6 @@ __all__ = [
     "DenseGenerator",
     "dense_generator",
     "low_spectrum",
-    "dense_expm",
     "characteristic_root_solve",
     "ScalarForcing",
     "cheb_diff_matrix",
@@ -192,12 +191,12 @@ class DenseGenerator:
     """Dense surrogate of the fourth-order generator on interior dofs.
 
     ``minus_generator`` is the matrix of -G (positive spectrum for the
-    diagonal negative surrogates); ``embed`` reconstructs all node values
-    from interior dofs, ``project`` maps a forcing field to the reduced
-    right-hand side so that (-G - lam)^{-1} project(f) solves the problem.
-    ``stiffness`` and ``mass`` form the pencil with -G = mass^{-1} stiffness,
-    and ``E_rows`` maps forcing values to its right-hand side;
-    ``resolvent_apply`` and ``low_spectrum`` solve through that pencil.
+    diagonal negative surrogates); ``embed_matrix`` maps interior dofs to
+    all node values, and ``project_matrix`` maps forcing values to the
+    reduced right-hand side that (-G - lam)^{-1} solves.  ``stiffness`` and
+    ``mass`` form the pencil with -G = mass^{-1} stiffness, and ``E_rows``
+    maps forcing values to its right-hand side; ``low_spectrum`` solves
+    through that pencil.
     """
 
     grid: Grid
@@ -213,31 +212,6 @@ class DenseGenerator:
     @property
     def generator(self) -> np.ndarray:
         return -self.minus_generator
-
-    def embed(self, u_inner: np.ndarray) -> np.ndarray:
-        full = self.embed_matrix @ u_inner
-        return full.reshape(self.grid.n, self.dim).T
-
-    def project(self, f_values: np.ndarray) -> np.ndarray:
-        return self.project_matrix @ np.asarray(f_values, dtype=complex).T.reshape(-1)
-
-    def resolvent_apply(self, lam: complex, f_values: np.ndarray) -> np.ndarray:
-        """(-G - lam I)^{-1} project(f) through the equilibrated pencil solve.
-
-        Mathematically identical to inverting the reduced generator; solving
-        the stiffness/mass pencil with refinement keeps the agreement with
-        the direct collocation solve at the round-off floor.
-        """
-        fvec = np.asarray(f_values, dtype=complex).T.reshape(-1)
-        A = self.stiffness - lam * self.mass
-        dr = 1.0 / np.maximum(np.max(np.abs(A), axis=1), 1e-300)
-        import scipy.linalg as sla
-
-        lu = sla.lu_factor(dr[:, None] * A)
-        rhs = dr * (self.E_rows @ fvec)
-        u = sla.lu_solve(lu, rhs)
-        u += sla.lu_solve(lu, rhs - (dr[:, None] * A) @ u)
-        return u
 
     def weights(self) -> np.ndarray:
         w = np.repeat(self.grid.weights, self.dim)
@@ -297,29 +271,6 @@ def low_spectrum(gen: DenseGenerator, count: int = 5, shift: float = -1.0) -> np
     nu = nu[np.abs(nu) > 1e-300]
     mu = shift + 1.0 / nu
     return np.sort(mu.real)[:count]
-
-
-def dense_expm(G: np.ndarray, t: float, v0: np.ndarray) -> np.ndarray:
-    """e^{tG} v0 by ``scipy.linalg.expm`` (scaling and squaring).
-
-    Near machine precision only where the exponential is well conditioned:
-    the forward error is the round-off times the condition number of e^{tG},
-    which grows with the non-normality of G.  For the generator of an A with
-    eigenvector condition 4.4e6 (family 1, N = 16) it is 100 % off; check
-    such A against the eigenbasis exponential instead, as
-    ``test_ill_conditioned_block_matches_eigen_exponential`` in
-    tests/test_evolution.py does.
-    """
-    G = np.asarray(G)
-    if G.shape[0] > tol.DENSE_CAP:
-        raise CapExceeded(f"dense expm size {G.shape[0]} exceeds cap")
-    if v0.shape[0] != G.shape[0]:
-        raise DimensionMismatch("v0 length does not match generator")
-    if t == 0:
-        return np.asarray(v0, dtype=complex).copy()
-    import scipy.linalg as sla
-
-    return sla.expm(t * G) @ v0
 
 
 def _cgl_coefficients(values: np.ndarray) -> np.ndarray:

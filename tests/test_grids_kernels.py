@@ -9,19 +9,18 @@ from quartic.grids import (
     chebyshev_gauss_nodes,
     fornberg_weights,
     stencil_bands,
-    stencil_derivative_matrix,
     uniform_grid,
 )
 from quartic.kernels import (
     Propagator,
     _phi_blocks,
-    chi_stack,
     convolve_nodes,
     hermite_step_coefficients,
     phi_stack,
     scan_factors,
 )
 from quartic.operators import make_operator
+from references import chi_stack, stencil_derivative_matrix
 
 
 class TestGrids:

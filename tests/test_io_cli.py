@@ -17,16 +17,15 @@ from quartic.io import (
     _CHUNK_CELLS,
     _format_cells,
     _write_rows,
-    format_complex,
     parse_complex,
     read_gridfunction_csv,
     read_operator_file,
     write_gridfunction_csv,
-    write_operator_file,
     write_sweep_csv,
     write_trajectory_csv,
 )
 from quartic.spectral import SweepRecord, SweepReport
+from references import format_complex, write_operator_file
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64,
                    min_value=-1e300, max_value=1e300)
@@ -575,8 +574,6 @@ class TestCliSolve:
             lam -= step
             if abs(step) < 1e-15 * (1 + abs(lam)):
                 break
-        from quartic.io import format_complex, write_operator_file
-
         write_operator_file(tmp_path / "op.txt", A.matrix)
         cfg = write_config(tmp_path / "c.cfg", f"""
 [problem]
@@ -720,8 +717,6 @@ v0 = sine:2
             assert np.max(np.abs(row[1::2] + 1j * row[2::2] - want)) <= 1e-11 * v0_max
 
     def test_angle_gate_exit5(self, tmp_path):
-        from quartic.io import write_operator_file
-
         A = np.diag([-np.exp(1.0j), -np.exp(-1.0j)])
         write_operator_file(tmp_path / "op.txt", A)
         cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
@@ -974,6 +969,11 @@ v0 = sine:1
             "    pass\n"
             "else:\n"
             "    raise AssertionError('quartic.no_such_name resolved')\n"
+            "import importlib, pkgutil\n"
+            "for info in pkgutil.iter_modules(quartic.__path__):\n"
+            "    module = importlib.import_module('quartic.' + info.name)\n"
+            "    missing = [n for n in getattr(module, '__all__', ()) if not hasattr(module, n)]\n"
+            "    assert not missing, (info.name, missing)\n"
         )
 
 
@@ -1008,54 +1008,179 @@ class TestCliVerify:
         assert first == second
 
 
-class TestOperatorsReachability:
-    def test_verify_and_sweep_enter_every_operators_export(self, tmp_path, capsys):
-        """Every name ``quartic.operators`` exports, and ``BCFrame.diagnostics``,
-        runs under ``verify`` or a sweep: the module holds no calculus that
-        only tests reach."""
+# Runs ``quartic.cli.main`` on the (argv, exit code) pairs of the JSON file
+# argv[1] under a profile that records every Python function entered, and
+# writes {"entered": [[file, first line], ...], "exits": [...]} to argv[2].  The profile is installed before ``quartic.cli`` is imported, so
+# the functions that run at import time count too.
+_REACH_CHILD = """
+import json, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+import contextlib, io
+from quartic.cli import main
+with open(sys.argv[1]) as fh:
+    runs = json.load(fh)
+exits = []
+for argv, _ in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(main(argv))
+sys.setprofile(None)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"entered": sorted(entered), "exits": exits}, fh)
+"""
+
+_REACH_CONFIG = """
+[problem]
+a = 0
+b = 3.141592653589793
+k = 0
+bc_family = {bc}
+operator = {operator}
+[grid]
+n_nodes = 16
+kind = {kind}
+[forcing]
+{forcing}
+[solve]
+lambda = {lam}
+phi1 = 0.25
+phi2 = 0
+phi3 = 0.1
+phi4 = -0.05
+tol_residual = 1e-3
+[sweep]
+radius_min = 0.1
+radius_max = 10
+n_radii = {n_radii}
+n_angles = {n_radii}
+n_nodes = {sweep_nodes}
+[evolve]
+scheme = {scheme}
+dt = 0.25
+t_final = 0.5
+v0 = {v0}
+growth_probe = {probe}
+"""
+
+
+class TestReachability:
+    """Every function in ``src/quartic`` runs under some ``quartic`` command:
+    the package holds nothing that only tests reach.  Such code belongs in
+    tests/references.py."""
+
+    # Functions that the runs below need not enter, each with the input that
+    # reaches it and the test that covers it.
+    ALLOWED = {
+        "quartic.__getattr__": "the PEP 562 library entry point quartic.<name> (commands "
+                               "enter it only through the import system's probes); "
+                               "TestCommandImports::test_every_export_resolves",
+        "quartic.bvp._refused_row": "a sweep or contour batch in which one parameter refuses; "
+                                    "test_batch.py::TestBatchRefusals",
+    }
+
+    @staticmethod
+    def _functions(src):
+        """{(file, first line): qualified name} of every def under ``src``;
+        a decorated function's code starts at its first decorator."""
+        import ast
+
+        found = {}
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.realpath(os.path.join(src, name))
+            module = "quartic" + ("" if name == "__init__.py" else "." + name[:-3])
+            with open(path, encoding="utf-8") as fh:
+                todo = [(ast.parse(fh.read()), module)]
+            while todo:
+                node, prefix = todo.pop()
+                for child in ast.iter_child_nodes(node):
+                    qual = prefix
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        qual = f"{prefix}.{child.name}"
+                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                        found[(path, line)] = qual
+                    todo.append((child, qual))
+        return found
+
+    def _runs(self, tmp_path):
+        """(argv, exit code) of the command runs: solve, sweep and evolve on
+        every family for a diagonal and a one-block (Jordan) operator, each
+        scheme, the growth probe, a uniform grid, file and zero data, a
+        power-route sweep, two refused solves and verify."""
+        from test_batch import TestBatchRefusals
+
+        from quartic import tolerances
+
+        write_operator_file(tmp_path / "jordan.txt", [[-1.0, 1.0], [0.0, -1.0]])
+        write_operator_file(tmp_path / "rotated.txt", TestBatchRefusals._operator().matrix)
+        grid = cgl_grid(16, 0.0, np.pi)
+        write_gridfunction_csv(tmp_path / "data.csv", GridFunction(
+            grid, np.vstack([np.sin(grid.nodes), 1j * np.sin(2 * grid.nodes)])))
+        out = str(tmp_path / "out")
+        runs = []
+
+        def add(name, commands, code=0, **fields):
+            body = dict(bc=1, operator="laplacian:2", kind="cgl", lam="-4", n_radii=2,
+                        sweep_nodes=16, scheme="CONTOUR", v0="sine:1", probe="false",
+                        forcing="type = sines\ncoefficients = 1.0, 0.5")
+            body.update(fields)
+            cfg = write_config(tmp_path / f"{name}.cfg", _REACH_CONFIG.format(**body))
+            runs.extend(([command, "--config", cfg, "--out", out], code)
+                        for command in commands)
+            return cfg
+
+        for name, operator in (("laplacian", "laplacian:2"), ("jordan", "file:jordan.txt")):
+            for bc in (1, 2, 3, 4, 5):
+                add(f"{name}{bc}", ("solve", "sweep", "evolve"), bc=bc, operator=operator)
+        for scheme in ("IMPLICIT_EULER", "CRANK_NICOLSON"):
+            add(scheme, ("evolve",), scheme=scheme)
+        add("probe", ("evolve",), probe="true")
+        add("uniform", ("evolve",), kind="uniform")
+        add("zero", ("evolve",), v0="zero")
+        add("files", ("evolve",), v0="file:data.csv", forcing="type = file\npath = data.csv")
+        # one sweep point with dim * N above DENSE_CAP takes the power route
+        add("power", ("sweep",), n_radii=1, sweep_nodes=tolerances.DENSE_CAP // 2 + 1)
+        add("cut", ("solve",), 2, lam="1")  # BranchCut: lambda on the cut
+        add("refused", ("solve",), 3, bc=3, operator="file:rotated.txt",
+            lam=format_complex(TestBatchRefusals.LAM0))  # NotInResolventSet
+        runs.append((["verify", "--config", add("verify", ()), "--out", out, "--seed", "7"], 0))
+        return runs
+
+    def test_commands_enter_every_function(self, tmp_path):
+        import json
+        import subprocess
         import sys
         import time
 
-        from quartic import operators
-        from quartic.bvp import BCFrame
-
-        def codes(obj):
-            if isinstance(obj, type):
-                return set().union(*(codes(v) for v in vars(obj).values()))
-            fn = getattr(obj, "fget", None) or getattr(obj, "func", None) or obj
-            code = getattr(fn, "__code__", None)
-            return {code} if code is not None else set()
-
-        wanted = {name: codes(getattr(operators, name)) for name in operators.__all__}
-        wanted["BCFrame.diagnostics"] = codes(BCFrame.diagnostics)
-        assert all(wanted.values())
-        entered = set()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                entered.add(frame.f_code)
-
-        cfg = write_config(tmp_path / "c.cfg", DEMO.replace(
-            "operator = diag:-1", "operator = laplacian:2") + """
-[sweep]
-radius_min = 1e-1
-radius_max = 1e1
-n_radii = 3
-n_angles = 2
-n_nodes = 24
-""")
+        src = os.path.dirname(cli.__file__)
+        functions = self._functions(src)
+        assert set(self.ALLOWED) <= set(functions.values())
+        runs = self._runs(tmp_path)
+        (tmp_path / "runs.json").write_text(json.dumps(runs))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (os.path.dirname(src), os.environ.get("PYTHONPATH")) if p))
         start = time.perf_counter()
-        sys.setprofile(profile)
-        try:
-            rc_verify = main(["verify", "--config", cfg, "--seed", "7"])
-            rc_sweep = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
-        finally:
-            sys.setprofile(None)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", _REACH_CHILD,
+             str(tmp_path / "runs.json"), str(tmp_path / "result.json")],
+            env=env, capture_output=True, text=True, timeout=120)
         elapsed = time.perf_counter() - start
-        capsys.readouterr()
-        assert rc_verify == 0 and rc_sweep == 0
-        assert [name for name, c in wanted.items() if not c & entered] == []
-        assert elapsed <= 3.0
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert [(argv[0], os.path.basename(argv[2]), code)
+                for (argv, want), code in zip(runs, result["exits"]) if code != want] == []
+        entered = {(os.path.realpath(f), line) for f, line in result["entered"]}
+        missing = sorted(name for key, name in functions.items()
+                         if key not in entered and name not in self.ALLOWED)
+        assert not missing, "only tests enter " + ", ".join(missing)
+        assert elapsed <= 10.0
 
 
 NON_FINITE_SWEEP_EVOLVE = """

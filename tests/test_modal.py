@@ -51,8 +51,8 @@ def _relative_gap(got, ref):
 def _factor_frame(A, shifts, blocks, require_uv=False, c=np.pi):
     """assemble_frame on (0, c) for the factors A + p, A + q and b of the
     shifts (p, q, b): as A's blocks in its block basis (``block_form``: 1 x 1
-    blocks of A's eigenvalues for a trusted eigenbasis), or as the plain
-    matrices A + p I, A + q I and b I (one block in the identity basis)."""
+    blocks of A's eigenvalues for a trusted eigenbasis), or as one block in
+    the identity basis, the matrices A + p I, A + q I and b I."""
     p, q, b = shifts
     if blocks:
         T, V, Vinv, kappa = A.block_form
@@ -60,7 +60,8 @@ def _factor_frame(A, shifts, blocks, require_uv=False, c=np.pi):
         return assemble_frame(T + p * eye, T + q * eye, 0.0 * T + b * eye, c, require_uv,
                               basis=(V, Vinv, kappa))
     eye = np.eye(A.dim)
-    return assemble_frame(A.matrix + p * eye, A.matrix + q * eye, b * eye, c, require_uv)
+    return assemble_frame((A.matrix + p * eye)[None], (A.matrix + q * eye)[None],
+                          (b * eye)[None], c, require_uv, basis=(eye, eye, 1.0))
 
 
 class TestModalMatchesDense:

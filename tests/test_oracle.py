@@ -11,11 +11,11 @@ from quartic.oracle import (
     characteristic_root_solve,
     cheb_diff_matrix,
     collocation_solve,
-    dense_expm,
     dense_generator,
     low_spectrum,
     ode_residual,
 )
+from references import dense_expm
 
 
 class TestDifferentiation:

@@ -23,6 +23,7 @@ from quartic.spectral import (
     SweepGrid,
     run_sweep,
 )
+from references import resolvent_apply
 from spectral_diagnostics import branch_angle_check, decay_diagnostics, generator_sector_check
 from test_grids_kernels import _ill_conditioned
 
@@ -754,6 +755,6 @@ class TestSectorContainment:
         for phi in np.concatenate([mags, -mags[:-1]]):
             for rho in np.logspace(-1, 2, 10):
                 z = rho * np.exp(1j * phi)
-                R = np.column_stack([gen.resolvent_apply(z + shift, e) for e in units])
+                R = np.column_stack([resolvent_apply(gen, z + shift, e) for e in units])
                 norms.append(abs(z) * operator_norm(R))
         assert np.all(np.isfinite(norms)) and max(norms) <= 1e8
