@@ -1101,9 +1101,9 @@ class TestReachability:
                 node, prefix = todo.pop()
                 for child in ast.iter_child_nodes(node):
                     qual = prefix
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                         qual = f"{prefix}.{child.name}"
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if isinstance(child, ast.FunctionDef):
                         line = min([d.lineno for d in child.decorator_list] + [child.lineno])
                         found[(path, line)] = qual
                     todo.append((child, qual))
