@@ -70,6 +70,14 @@ class TestAssembleFrame:
         with pytest.raises(FrameSingular):
             _one_block([[-1.0 + 1j]], [[-1.0 + 1j]], [[0.0]], 1.0)
 
+    def test_basis_is_a_required_keyword(self):
+        P, Q, B = (np.array([[[z]]]) for z in (-1 + 2j, -1 - 2j, 4j))
+        eye = np.eye(1)
+        with pytest.raises(TypeError):
+            assemble_frame(P, Q, B, 1.0)
+        with pytest.raises(TypeError):
+            assemble_frame(P, Q, B, 1.0, False, (eye, eye, 1.0))
+
     def test_long_interval_contractive(self):
         frame = _one_block([[-1 + 2j]], [[-1 - 2j]], [[4j]], 20.0)
         assert frame.diagnostics["norm_t_minus"] < 1.0

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 from decimal import Decimal
 from io import StringIO
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quartic
 from quartic import cli
 from quartic import io as quartic_io
 from quartic.cli import main
@@ -969,12 +972,14 @@ v0 = sine:1
             "    pass\n"
             "else:\n"
             "    raise AssertionError('quartic.no_such_name resolved')\n"
-            "import importlib, pkgutil\n"
-            "for info in pkgutil.iter_modules(quartic.__path__):\n"
-            "    module = importlib.import_module('quartic.' + info.name)\n"
-            "    missing = [n for n in getattr(module, '__all__', ()) if not hasattr(module, n)]\n"
-            "    assert not missing, (info.name, missing)\n"
         )
+
+    @pytest.mark.parametrize("name", sorted(
+        info.name for info in pkgutil.iter_modules(quartic.__path__)))
+    def test_module_exports_resolve(self, name):
+        module = importlib.import_module("quartic." + name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, missing
 
 
 class TestCliVerify:
