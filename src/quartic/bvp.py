@@ -45,6 +45,7 @@ from .errors import (
     NotInResolventSet,
     SingularOrIllConditioned,
     SpectrumOnCut,
+    at_row,
 )
 from .grids import Grid, GridFunction
 from .kernels import Propagator, convolve_nodes, scan_factors
@@ -376,9 +377,7 @@ def _refuse(bad, exc_type, message: str, *values):
     bad = np.atleast_1d(bad)
     if bad.any():
         i = int(np.argmax(bad))
-        exc = exc_type(message.format(*(np.atleast_1d(v)[i] for v in values)))
-        exc.row = i
-        raise exc
+        raise at_row(exc_type(message.format(*(np.atleast_1d(v)[i] for v in values))), i)
 
 
 class _Blocks:
@@ -755,7 +754,9 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     from the row its guard refused (``_refused_row``): the parameters before
     it are assembled as one batch, which raises instead if one of them fails
     a later guard, and the refused parameter is then assembled alone, which
-    raises its own exception.
+    raises its own exception.  That exception carries the batch frame of the
+    parameters before it as ``prefix`` (None when it is the first), so a
+    caller solves them without assembling them again.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     T, V, Vinv, kappa = spec.A.block_form
@@ -767,15 +768,27 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
     except (BranchCut, FrameSingular, SingularOrIllConditioned, SpectrumOnCut) as exc:
         if len(lams) > 1:  # the first refused parameter names the refusal
             row = _refused_row(exc, lams)
-            if row:
-                _lambda_frames(spec, lams[:row])
-            _lambda_frames(spec, lams[row])
+            prefix = _lambda_frames(spec, lams[:row]) if row else None
+            try:
+                _lambda_frames(spec, lams[row])
+            except (BranchCut, NotInResolventSet) as single:
+                single.prefix = prefix
+                raise
         if isinstance(exc, BranchCut):
             raise
         raise NotInResolventSet(f"frame assembly failed at lambda={lams[0]}: {exc}",
                                 lam=lams[0]) from exc
     frame.lam = lams if len(lams) > 1 else complex(lams[0])
     return frame
+
+
+def _batch_size(spec: ProblemSpec, n_nodes: int) -> int:
+    """Parameters of one batch frame on n_nodes grid nodes: each holds
+    dim(A) b entries per node in its R blocks of b x b, and a batch holds at
+    most ``tolerances.BATCH_ENTRIES`` (parameter x block entry x node)
+    entries, or one parameter."""
+    b = spec.A.block_form[0].shape[-1]
+    return max(1, tol.BATCH_ENTRIES // (spec.A.dim * b * n_nodes))
 
 
 # perfbench/make_reference.py builds its frames through this name

@@ -5,6 +5,18 @@ class QuarticError(Exception):
     """Base class for all package errors."""
 
 
+def at_row(exc: QuarticError, row: int) -> QuarticError:
+    """exc, recording as ``row`` the batch row (parameter) it refuses.
+
+    Raise the result directly: an exception raised from a local variable
+    forms a reference cycle with its traceback's frame, which keeps every
+    frame of the traceback, and their arrays, until the garbage collector
+    runs.
+    """
+    exc.row = row
+    return exc
+
+
 class NonFinite(QuarticError):
     """Input matrix or vector contains NaN or Inf entries."""
 

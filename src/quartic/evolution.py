@@ -11,7 +11,8 @@ for wide sectors).  A window has one hyperbola whose mu is fixed by the
 truncation bound at t_s, after Weideman & Trefethen, Math. Comp. 76 (2007),
 and Lopez-Fernandez, Palencia & Schaedle, SINUM 44 (2006).  Each node is one
 resolvent solve of the stationary code path on the distinct data columns,
-v0 and the forcing samples, and a batch of nodes shares one frame.  Every
+v0 and the forcing samples, and a batch of nodes shares one frame, sized by
+the budget that sizes sweep batches (``bvp._batch_size``).  Every
 output of the window is a weighted sum of those solves, and each refinement
 n -> 2n - 1 solves only the new trapezoid midpoints.  A hyperbola whose
 vertex factor e^{t lam} at the window start would pass 1/eps is refused
@@ -42,6 +43,7 @@ import numpy as np
 from .bvp import (
     DERIVATIVE_FAMILIES,
     ProblemSpec,
+    _batch_size,
     _lambda_frames,
     _SOLVERS,
     _solve_family,
@@ -71,15 +73,6 @@ __all__ = [
 ]
 
 _SCHEMES = ("CONTOUR", "IMPLICIT_EULER", "CRANK_NICOLSON")
-
-# Contour nodes solved as one batch frame hold at most this many
-# (node x block entry x grid step) elements: the grid kit, the step weights
-# and the convolution buffers of a batch all scale at most with it, so it
-# bounds a pass's memory whatever its node count.  Data columns are not
-# counted: the frame, its grid kit and its step weights serve every column,
-# and only the data and convolution buffers grow with their number (two for
-# steady forcing).
-CONTOUR_BATCH_ELEMENTS = 1536
 
 # Output times in [t_s, WINDOW_RATIO t_s] share one hyperbola.  Its mu keeps
 # e^{t lam} at the truncated ends below e^{-TAIL_EXPONENT} e^{t vertex} for
@@ -203,13 +196,16 @@ def _node_sums(spec: ProblemSpec, grid: Grid, lams, weights, columns) -> np.ndar
     so no overflow can occur here.  Returns (O, dim, N).  The nodes are
     solved in batches, each one frame over the stacked (node, block) axis
     (``bvp._lambda_frames``) whose guards act per node, solved on all r
-    columns at once.  A batch holds up to CONTOUR_BATCH_ELEMENTS / (dim(A) b
-    x grid steps) nodes, each node's blocks having dim(A) b entries.  A
-    refused node raises ContourTooClose naming the first refused node.
+    columns at once.  A batch holds max(1, BATCH_ENTRIES // (dim(A) b N))
+    nodes (``bvp._batch_size``), each node's blocks having dim(A) b entries
+    per grid node; the grid kit, the step weights and the convolution
+    buffers of a batch scale at most with that budget, so it bounds a pass's
+    memory whatever its node count.  Data columns are not counted: the
+    frame, its grid kit and its step weights serve every column.  A refused
+    node raises ContourTooClose naming the first refused node.
     """
     r, dim, n_grid = columns.shape
-    b = spec.A.block_form[0].shape[-1]
-    size = max(1, CONTOUR_BATCH_ELEMENTS // (dim * b * (n_grid - 1)))
+    size = _batch_size(spec, n_grid)
     data = np.ascontiguousarray(columns.transpose(2, 1, 0))  # (N, dim, r)
     acc = 0.0
     for i in range(0, len(lams), size):

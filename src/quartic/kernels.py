@@ -67,6 +67,14 @@ def _real_product(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return (M @ np.ascontiguousarray(Z).view(float)).view(complex)
 
 
+def _entries(mask: np.ndarray):
+    """An index of the entries where mask holds: ``...`` when it holds
+    everywhere, so indexing takes no masked copy, and None when nowhere."""
+    if mask.all():
+        return ...
+    return mask if mask.any() else None
+
+
 def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
     """phi_0..phi_kmax for complex array z, shape (kmax+1,) + z.shape.
 
@@ -74,27 +82,32 @@ def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
     on the entries with |z| >= PHI_SERIES_RADIUS only.  It divides by z once
     per order, so its error grows like k! eps / |z|^k; inside the radius the
     series phi_k(z) = sum_i z^i / (i+k)! comes from one power matrix times
-    the coefficient table, which is at round-off there.
+    the coefficient table, which is at round-off there.  A stack wholly
+    inside or wholly outside the radius is indexed with ``...``, not through
+    a mask; each entry's arithmetic is the same either way.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < tol.PHI_SERIES_RADIUS
     ez = np.exp(z)
     phi = np.empty((kmax + 1,) + z.shape, dtype=complex)
     phi[0] = ez
-    if not np.all(small):
-        large = ~small
+    large = _entries(~small)
+    if large is not None:
         zl = z[large]
         term = ez[large]
         for k in range(kmax):
             term = (term - 1.0 / factorial(k)) / zl
             phi[k + 1, large] = term
-    if np.any(small):
+    small = _entries(small)
+    if small is not None:
         zs = z[small]
+        flat = zs.reshape(-1)
         powers = np.empty((_SERIES_TERMS, zs.size), dtype=complex)
         powers[0] = 1.0
         for i in range(1, _SERIES_TERMS):
-            np.multiply(powers[i - 1], zs, out=powers[i])
-        phi[1:, small] = _real_product(_series_table(kmax).T, powers)
+            np.multiply(powers[i - 1], flat, out=powers[i])
+        phi[1:, small] = _real_product(_series_table(kmax).T, powers).reshape(
+            (kmax,) + zs.shape)
     return phi
 
 

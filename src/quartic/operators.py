@@ -27,6 +27,7 @@ from .errors import (
     FactorizationFailure,
     NonFinite,
     SpectrumOnCut,
+    at_row,
 )
 
 __all__ = [
@@ -136,9 +137,8 @@ def sqrt_symbols(w: np.ndarray) -> np.ndarray:
         np.abs(w.imag) <= 1e3 * tol.FACTOR_RESIDUAL * scale
     )
     if np.any(on_cut):
-        exc = SpectrumOnCut(f"eigenvalue(s) {w[on_cut]} on the branch cut")
-        exc.row = int(np.argmax(np.atleast_2d(on_cut).any(axis=-1)))
-        raise exc
+        raise at_row(SpectrumOnCut(f"eigenvalue(s) {w[on_cut]} on the branch cut"),
+                     int(np.argmax(np.atleast_2d(on_cut).any(axis=-1))))
     return np.sqrt(w)
 
 

@@ -6,8 +6,9 @@ the scaled ratio (1 + |lambda - vertex|) * ||R(lambda)||, by one of three
 routes (``run_sweep``): per-mode blocks, the assembled resolvent matrix, or
 power iteration with an adjoint frame derived from the forward one.  Every
 frame member is a scalar function of A, so the points of a sweep batch
-like contour nodes: a batch of K = DENSE_CAP // (dim(A) N) points shares one
-batch frame and one grid kit, and each point solves on its own view of them
+like contour nodes: a batch of K = max(1, BATCH_ENTRIES // (dim(A) b N))
+points (``bvp._batch_size``, b the block size) shares one batch frame and one
+grid kit, and each point solves on its own view of them
 (``BCFrame.parameter``); the power route, beyond DENSE_CAP, has K = 1.  A
 batch that refuses is split at its first refused point.  The batches change
 no record: a view equals the frame its point assembles alone.
@@ -37,6 +38,7 @@ from .bvp import (
     BCFrame,
     ProblemSpec,
     _SOLVERS,
+    _batch_size,
     _lambda_frames,
     resolvent_blocks,
     resolvent_matrix,
@@ -268,11 +270,25 @@ def _per_mode_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
     ``weights`` are the N node weights W.  With A's eigenbasis V unitary this
     is the weighted norm of V R_i V^{-1} assembled, since V acts on the
     components and W on the nodes; otherwise it is off by up to cond(V) - 1.
+
+    Only the blocks that can hold the maximum take an SVD.  The weighted
+    blocks are visited in decreasing Frobenius norm, and a block's 2-norm is
+    computed only while its Frobenius norm times 1 + 1e-12 exceeds the
+    largest 2-norm so far.  Since ||M||_2 <= ||M||_F, and the margin covers
+    the rounding of both computed norms, a skipped block cannot exceed that
+    maximum: the result is the maximum over all blocks bit for bit.
     """
     if not np.all(np.isfinite(blocks)):
         raise NonFinite("resolvent blocks have non-finite entries")
     d = np.sqrt(weights)
-    return float(np.max(np.linalg.norm(d[:, None] * blocks / d, 2, axis=(1, 2))))
+    scaled = d[:, None] * blocks / d
+    fro = np.linalg.norm(scaled, axis=(1, 2))
+    best = 0.0
+    for i in np.argsort(-fro):
+        if fro[i] * (1.0 + 1e-12) <= best:
+            break
+        best = max(best, float(np.linalg.norm(scaled[i], 2)))
+    return best
 
 
 def _conjugation_closed(w: np.ndarray) -> bool:
@@ -323,16 +339,18 @@ def run_sweep(
     3.4e-5 relative at N = 24 and 2.3e-7 at N = 48, a small fraction of the
     discretization error itself.
 
-    The evaluated points are taken in batches of
-    K = max(1, DENSE_CAP // (dim(A) N)) in grid order.  A batch of K > 1
-    points assembles one batch frame and one grid kit (``_lambda_frames``),
-    and each point solves on its view (``BCFrame.parameter``), which equals
-    its own frame bit for bit.  The rule keeps a batch kit near
-    2 DENSE_CAP (8 + 2 log2 N) complex entries, and gives the power route
-    K = 1: each power point assembles its own frame.  A batch that refuses
-    (NotInResolventSet or BranchCut) names its first refused point: the
-    points before it make one batch, the refusal is recorded from the
-    exception, and batching resumes after it.  One batch is held at a time.
+    The evaluated points are taken in grid order in batches of
+    K = max(1, BATCH_ENTRIES // (dim(A) b N)) on the dense route, b the
+    block size (``bvp._batch_size``), the budget that sizes contour batches
+    too; the power route takes K = 1, and each power point assembles its own
+    frame.  A batch of K > 1 points assembles one batch frame and one grid
+    kit (``_lambda_frames``), and each point solves on its view
+    (``BCFrame.parameter``), which equals its own frame bit for bit.  A
+    batch that refuses (NotInResolventSet or BranchCut) names its first
+    refused point: the points before it are solved on the frame the refusal
+    assembled for them (the exception's ``prefix``), the refusal is recorded
+    from the exception, and batching resumes after it.  One batch is held at
+    a time.
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")
@@ -341,7 +359,7 @@ def run_sweep(
     weights = np.repeat(grid.weights, spec.A.dim)
     power = spec.A.dim * grid.n > tol.DENSE_CAP
     per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1.0 <= tol.UNITARY_BASIS_GAP
-    size = max(1, tol.DENSE_CAP // (spec.A.dim * grid.n))
+    size = 1 if power else _batch_size(spec, grid.n)
     symmetric = spec.real or (spec.bc_family != 2 and per_mode
                               and _conjugation_closed(spec.A.spectrum))
     partner = _conjugate_partners(lams) if symmetric else {}
@@ -362,14 +380,14 @@ def run_sweep(
         """Records of the leading points of lams[batch]: all of them, from one
         frame and its grid kit, or those up to the first refused point."""
         try:
-            frame = _lambda_frames(spec, lams[batch])
+            frame, refused = _lambda_frames(spec, lams[batch]), []
         except (NotInResolventSet, BranchCut) as exc:
-            bad, note = int(np.flatnonzero(lams[batch] == exc.lam)[0]), type(exc).__name__
-        else:
+            bad = int(np.flatnonzero(lams[batch] == exc.lam)[0])
+            refused = [SweepRecord(lams[batch[bad]], np.nan, np.nan, False, type(exc).__name__)]
+            frame, batch = getattr(exc, "prefix", None), batch[:bad]
+        if batch:
             frame.grid_kit(grid)
-            return [job(lams[i], frame.parameter(j)) for j, i in enumerate(batch)]
-        refused = SweepRecord(lams[batch[bad]], np.nan, np.nan, False, note)
-        return (evaluate(batch[:bad]) if bad else []) + [refused]
+        return [job(lams[i], frame.parameter(j)) for j, i in enumerate(batch)] + refused
 
     by_index = {}
     todo = [i for i in range(len(lams)) if i not in partner]

@@ -1,7 +1,8 @@
 """Shared numeric tolerances and guard thresholds.
 
 The factorization, condition, eigenbasis, unitary-basis, sector,
-series-radius and dense-size guards read these constants.  Other checks keep local literals:
+series-radius and dense-size guards and the batch-frame budget read these
+constants.  Other checks keep local literals:
 bvp's commutation and P - Q - B gaps (1e-10) and branch-cut margin (1e-14),
 ProblemSpec's spectrum-on-ray margin (1e-9) and the oracles' degeneracy
 tests; the verify command scales only its own per-check bounds.
@@ -34,5 +35,13 @@ SECTOR_MARGIN = 0.05
 # truncates at 2^30 / 30! ~ 4e-24 there.
 PHI_SERIES_RADIUS = 2.0
 
-# Default dense-oracle size cap (matrix side dim * n_nodes).
+# Largest matrix side dim * n_nodes that the sweep's dense route and the
+# dense oracles materialize; beyond it the sweep takes power iteration.
 DENSE_CAP = 2000
+
+# Entries (parameter x block entry x grid node) of one batch frame: a batch
+# of sweep points or contour nodes holds max(1, BATCH_ENTRIES // (dim(A) b N))
+# parameters (``bvp._batch_size``).  Its grid kit then holds at most about
+# 2 (8 + 2 log2 N) BATCH_ENTRIES complex entries: 2.3 MB for the 21 nodes of
+# a laplacian:3 batch at N = 64.
+BATCH_ENTRIES = 4096

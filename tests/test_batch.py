@@ -8,6 +8,7 @@ from quartic import evolution
 from quartic.bvp import (
     _SOLVERS,
     ProblemSpec,
+    _batch_size,
     _cut_shifts,
     _lambda_frames,
 )
@@ -330,7 +331,7 @@ class TestContourSumBatches:
         payload = (evolution._forced_payload(grid, sel[0], sel[1:], ts, t) if forced
                    else evolution._Payload(grid, sel[0], t))
         # every A's pass has a batch boundary inside
-        assert evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1)) < 32
+        assert _batch_size(spec, grid.n) < 32
         got = _single_time_sum(spec, payload, columns, 32)
         lam, wgt = _contour_nodes(default_contour(spec), 32, t)
         ref = sum(w * _SOLVERS[1](_per_parameter_frame(spec, -lam_i),
@@ -352,7 +353,7 @@ class TestContourSumBatches:
         monkeypatch.setattr(evolution, "_lambda_frames", recording)
         columns = smooth_field(rng, grid, 3).values[None]
         _single_time_sum(spec, evolution._Payload(grid, np.ones(1), 0.1), columns, 64)
-        budget = evolution.CONTOUR_BATCH_ELEMENTS // (A.dim * (grid.n - 1))
+        budget = _batch_size(spec, grid.n)
         assert sum(sizes) == 64
         assert 1 < max(sizes) <= budget
 
@@ -365,7 +366,7 @@ class TestContourSumBatches:
         lam = -(20.0 + 5.0j * np.arange(1, 25))
         lam[11] = lam[13] = -TestBatchRefusals.LAM0
         columns = smooth_field(rng, grid, 2).values[None]
-        assert evolution.CONTOUR_BATCH_ELEMENTS // (2 * (grid.n - 1)) > 13
+        assert _batch_size(spec, grid.n) > 13
         with pytest.raises(ContourTooClose) as exc:
             evolution._node_sums(spec, grid, lam, np.full((1, 24, 1), 0.1 + 0j), columns)
         assert str(exc.value).startswith(f"contour node {lam[11]}: ")

@@ -302,7 +302,7 @@ class TestConjugatePairs:
 
     def test_contour_evolve_node_count(self, monkeypatch):
         # the contour-evolve case: 13 + 12 pairs left of the vertex over two
-        # passes, 38 of 63 nodes solved in 6 frames of up to 8 nodes
+        # passes, 38 of 63 nodes solved in 2 frames, one per pass
         A = dirichlet_laplacian_modes(3)
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
         grid = cgl_grid(64, 0.0, np.pi)
@@ -317,7 +317,7 @@ class TestConjugatePairs:
 
         monkeypatch.setattr(evolution, "_lambda_frames", counting)
         traj = evolve(EvolutionSpec(spec, 0.1, v0, forcing=lambda t: fvals, dt=0.05))
-        assert (sum(frames), len(frames)) == (38, 6)
+        assert (sum(frames), len(frames)) == (38, 2)
         rho = (1.0 + np.arange(1, 4) ** 2.0) ** 2
         for t, u in traj[1:]:
             assert np.all(u.values.imag == 0.0)

@@ -185,6 +185,22 @@ class TestStepIntegralFunctions:
                 / factorial(k - 1), 0, 1)
             assert abs(got[k] - ref) < 1e-12 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("inside", [True, False], ids=["series", "recurrence"])
+    def test_uniform_stack_matches_mixed(self, inside):
+        # a (63, 60) stack wholly inside (outside) the series radius, as a
+        # contour pass's kit holds, against the same entries computed in a
+        # copy padded with one entry on the other side of the radius
+        from quartic import tolerances
+
+        rng = np.random.default_rng(4)
+        radius = tolerances.PHI_SERIES_RADIUS
+        rho = rng.uniform(0.0, 0.99, (63, 60)) * radius if inside \
+            else rng.uniform(1.01, 40.0, (63, 60)) * radius
+        z = rho * np.exp(1j * rng.uniform(-np.pi, np.pi, (63, 60)))
+        pad = np.append(z.ravel(), 1.5 * radius if inside else 0.5 * radius)
+        want = phi_stack(pad, 6)[:, :-1].reshape((7,) + z.shape)
+        np.testing.assert_array_equal(phi_stack(z, 6), want)
+
     @pytest.mark.parametrize("z", [0.4, -0.3 + 0.2j, -5 + 3j, -60.0, 1e-9])
     def test_chi_against_quadrature(self, z):
         got = chi_stack(np.array([z]), 5)[:, 0]

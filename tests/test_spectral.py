@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quartic.bvp import _SOLVERS, ProblemSpec, _lambda_frames, resolvent_matrix
-from quartic.errors import BranchCut, NonFinite
+from quartic.errors import BranchCut, NonFinite, NotInResolventSet
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import dirichlet_laplacian_modes, make_operator, operator_norm
 from quartic.oracle import dense_generator
@@ -15,6 +15,7 @@ from quartic.spectral import (
     OUTSIDE_SECTOR,
     VERTEX,
     _map_norm_power,
+    _per_mode_norm,
     _ritz_norm,
     _start_vector,
     classify_lambda,
@@ -230,6 +231,12 @@ NORMAL_OPERATORS = {
 }
 
 
+def _unpruned_norm(blocks, weights):
+    """``spectral._per_mode_norm`` with an SVD of every block."""
+    d = np.sqrt(weights)
+    return float(np.max(np.linalg.norm(d[:, None] * blocks / d, 2, axis=(1, 2))))
+
+
 class TestPerModeNorm:
     """Sweep norms of A with a unitary eigenbasis, taken mode by mode."""
 
@@ -309,6 +316,74 @@ class TestPerModeNorm:
         g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0]), n_angles=1, angle_min=np.pi)
         with pytest.raises(NonFinite):
             run_sweep(spec, g, n_nodes=16)
+
+    @staticmethod
+    def _blocks(kind, rng, w):
+        """(6, 24, 24) per-mode blocks of one kind, for the node weights w."""
+        def gauss(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        if kind == "random":
+            return gauss(6, 24, 24) * np.geomspace(1.0, 3.0, 6)[:, None, None]
+        if kind == "rank_one":  # ||M||_2 = ||M||_F
+            return gauss(6, 24, 1) * gauss(6, 1, 24)
+        if kind == "ties":  # equal blocks, and the same block negated
+            M = gauss(24, 24)
+            return np.stack([M, M, -M, 0.5 * M, M, gauss(24, 24)])
+        # crossing: rank-one blocks whose Frobenius norm lies within a few
+        # ulps of the 2-norm of a random block with a larger Frobenius norm
+        d = np.sqrt(w)
+        M = gauss(24, 24)
+        top = np.linalg.norm(d[:, None] * M / d, 2)
+        out = [M]
+        for ulps in (-3, -1, 0, 1, 3):
+            R = gauss(24, 1) * gauss(1, 24)
+            R *= top / np.linalg.norm(d[:, None] * R / d) * (1.0 + ulps * 2.0 ** -52)
+            out.append(R)
+        return np.stack(out)
+
+    @pytest.mark.parametrize("kind", ["random", "rank_one", "ties", "crossing"])
+    def test_pruned_maximum_bit_for_bit(self, kind):
+        # the SVDs skipped by the Frobenius bound change no bit of the maximum
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            w = rng.uniform(0.05, 2.0, 24)
+            blocks = self._blocks(kind, rng, w)
+            assert _per_mode_norm(blocks, w) == _unpruned_norm(blocks, w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pruned_non_finite_raises(self, bad):
+        blocks = np.ones((3, 8, 8), dtype=complex)
+        blocks[2, 7, 0] = bad
+        with pytest.raises(NonFinite):
+            _per_mode_norm(blocks, np.ones(8))
+
+    def test_sweep_dense_svd_count(self, monkeypatch):
+        # perfbench's sweep-dense configuration: dim 4, N = 48, 20 points of
+        # which 12 are evaluated, one batch frame; 23 of their 48 blocks can
+        # hold the maximum
+        from quartic import bvp, spectral
+
+        A = _in_basis(_unitary(1, 4), -np.arange(1, 5.0) ** 2)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 3, 4), n_angles=5)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_per_mode_norm", _unpruned_norm)
+            full = run_sweep(spec, g, n_nodes=48)
+        frames = _counting(monkeypatch, bvp, "assemble_frame")
+        svds, norm = [], np.linalg.norm
+
+        def counting(x, ord=None, axis=None, keepdims=False):
+            if ord == 2:
+                svds.append(1 if axis is None else len(x))
+            return norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "norm", counting)
+        report = run_sweep(spec, g, n_nodes=48)
+        assert len(frames) == 1
+        assert [r.note for r in report.records] == ["dense"] * 20
+        assert report.records == full.records
+        assert sum(svds) == 23
 
 
 def _cond30_6x6():
@@ -512,17 +587,20 @@ def _batched_sweep_case(name):
 
 class TestBatchedSweep:
     """Sweep points in batches of K share one frame and one grid kit, each
-    point solving on its view (``BCFrame.parameter``); a refused batch falls
-    back to one frame per point.  Every record equals the one the point gets
-    on its own frame (K = 1)."""
+    point solving on its view (``BCFrame.parameter``); a refused batch
+    solves the points before the refused one on the frame its refusal
+    assembled for them.  Every record equals the one the point gets on its
+    own frame (K = 1)."""
 
     N = 16
 
     def _sweep(self, monkeypatch, spec, sweep, K):
         from quartic import tolerances
 
-        # DENSE_CAP // (dim N) = K points a batch, every one on the dense route
-        monkeypatch.setattr(tolerances, "DENSE_CAP", K * spec.A.dim * self.N)
+        # BATCH_ENTRIES // (dim b N) = K points a batch, every one on the
+        # dense route
+        b = spec.A.block_form[0].shape[-1]
+        monkeypatch.setattr(tolerances, "BATCH_ENTRIES", K * spec.A.dim * b * self.N)
         return run_sweep(spec, sweep, n_nodes=self.N)
 
     @pytest.mark.parametrize("case", ["normal", "cond30", "jordan", "refusing"])
@@ -557,7 +635,11 @@ class TestBatchedSweep:
 
         def recording(spec_, lams):
             assert all(ref() is None for ref in held), "an earlier frame is still alive"
-            frame = _lambda_frames(spec_, lams)
+            try:
+                frame = _lambda_frames(spec_, lams)
+            except NotInResolventSet as exc:
+                held.append(weakref.ref(exc.prefix.ops.m))  # the refusal's prefix frame
+                raise
             held.append(weakref.ref(frame.ops.m))  # views keep the batch's blocks
             return frame
 
@@ -566,12 +648,48 @@ class TestBatchedSweep:
         assert [r.note for r in report.records] == notes
         assert len(held) == 3  # two batches; the two points before the refused one
 
+    def test_refused_batch_reuses_its_prefix(self, monkeypatch):
+        # one batch of 9 refuses at its 3rd point: the frame of the 2 points
+        # before it, assembled to name the refusal, is the one they solve on
+        from quartic import bvp
+
+        spec, sweep, notes = _batched_sweep_case("refusing")
+        R = spec.A.dim // spec.A.block_form[0].shape[-1]
+        single = self._sweep(monkeypatch, spec, sweep, 1)
+        frames = _counting(monkeypatch, bvp, "assemble_frame")
+        batched = self._sweep(monkeypatch, spec, sweep, 9)
+        assert [len(call[0]) // R for call in frames] == [9, 2, 1, 6]
+        assert [r.note for r in batched.records] == notes
+        assert batched.records == single.records
+
+    def test_batch_size_counts_the_block(self, monkeypatch):
+        # the Jordan block is one 2 x 2 block (b = 2): a parameter holds
+        # dim(A) b = 4 entries per node, against 2 for a diagonal A
+        from quartic import bvp, tolerances
+        from quartic.bvp import _batch_size
+
+        jordan = ProblemSpec(0.0, np.pi, 0.0, make_operator([[-2.0, 1.0], [0.0, -2.0]]), 1)
+        diagonal = ProblemSpec(0.0, np.pi, 0.0, make_operator(np.diag([-1.0, -2.0])), 1)
+        assert jordan.A.block_form[0].shape[-1] == 2
+        assert diagonal.A.block_form[0].shape[-1] == 1
+        monkeypatch.setattr(tolerances, "BATCH_ENTRIES", 4096)
+        assert (_batch_size(jordan, 16), _batch_size(diagonal, 16)) == (64, 128)
+        assert _batch_size(diagonal, 4096) == 1
+        monkeypatch.setattr(tolerances, "BATCH_ENTRIES", 3 * 2 * 2 * self.N)
+        frames = _counting(monkeypatch, bvp, "assemble_frame")
+        g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 3, 4), n_angles=2)
+        report = run_sweep(jordan, g, n_nodes=self.N)
+        assert [r.note for r in report.records] == ["dense"] * 8
+        assert [len(call[0]) for call in frames] == [3, 1]  # one block per point
+
     def test_power_route_batches_of_one(self, monkeypatch, diag3_op):
         from quartic import bvp, tolerances
 
         spec = ProblemSpec(0.0, np.pi, 0.0, diag3_op, 1)
         g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0, 3.0]), n_angles=2)
-        monkeypatch.setattr(tolerances, "DENSE_CAP", 3 * 16 - 1)  # K = max(1, 0)
+        monkeypatch.setattr(tolerances, "DENSE_CAP", 3 * 16 - 1)  # the power route
+        # a budget for every point at once: the power route still takes K = 1
+        monkeypatch.setattr(tolerances, "BATCH_ENTRIES", 10 * 3 * 16)
         frames = _counting(monkeypatch, bvp, "assemble_frame")
         report = run_sweep(spec, g, n_nodes=16)
         assert [r.note for r in report.records] == ["power"] * 4
