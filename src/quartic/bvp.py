@@ -165,8 +165,9 @@ class BCFrame:
     b x b blocks in the basis ``basis`` = (V, V^{-1}) that P, Q and B share:
     b = 1 blocks are eigenvalues in A's eigenbasis, and b = n is one matrix,
     triangular in A's Schur basis from ``_lambda_frames`` (module docstring).
-    The grid kit's stacks keep the trailing (R, b, b): (N, R, b, b)
-    exponentials and (6, J, R, b, b) node weights.  Attribute access
+    Every grid-kit entry is one read-only array with the trailing (R, b, b):
+    (N, R, b, b) exponentials, (6, J, R, b, b) node weights and the scan
+    table (``kernels.scan_factors``).  Attribute access
     ``frame.p``, ``frame.inv_im_el``, ... gives the dense matrix
     V diag(blocks) V^{-1}, built on first use.
     ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
@@ -246,11 +247,11 @@ class BCFrame:
         }
 
     def grid_kit(self, grid: Grid) -> dict:
-        """Grid stacks, cached: for X in "m" and "l", kit[X] holds "exa"
-        e^{(x-a)X}, "ebx" e^{(b-x)X}, "weights", the node weights of the step
-        integrals (``Propagator.step_weights``), and "scans", the
-        ``scan_factors`` of the steps e^{h_j X} forward and reversed.  Solves
-        only read them."""
+        """Grid stacks, cached and read-only: for X in "m" and "l", kit[X]
+        holds "exa" e^{(x-a)X}, "ebx" e^{(b-x)X}, "weights", the node weights
+        of the step integrals (``Propagator.step_weights``), and "scans", the
+        one scan table of the steps e^{h_j X} (``scan_factors``) that both
+        convolutions read."""
         key = grid.nodes.tobytes()
         kit = self._grid_cache.get(key)
         if kit is None:
@@ -258,10 +259,11 @@ class BCFrame:
             hs = np.diff(x)
             kit = {}
             for name, prop in (("m", self.prop_m), ("l", self.prop_l)):
-                steps = prop.exp_stack(hs)
                 kit[name] = {"exa": prop.exp_stack(x - x[0]), "ebx": prop.exp_stack(x[-1] - x),
                              "weights": prop.step_weights(hs),
-                             "scans": (scan_factors(steps), scan_factors(steps[::-1]))}
+                             "scans": scan_factors(prop.exp_stack(hs))}
+                for stack in kit[name].values():
+                    stack.setflags(write=False)
             self._grid_cache[key] = kit
         return kit
 
@@ -284,9 +286,7 @@ class BCFrame:
         R = len(self.ops.eye) // K
         rows = slice(i * R, (i + 1) * R)
         ops = {name: None if x is None else x[rows] for name, x in vars(self.ops).items()}
-        kits = {key: {name: {"exa": s["exa"][:, rows], "ebx": s["ebx"][:, rows],
-                             "weights": s["weights"][:, :, rows],
-                             "scans": tuple(_scan_rows(x, rows) for x in s["scans"])}
+        kits = {key: {name: {item: x[..., rows, :, :] for item, x in s.items()}
                       for name, s in kit.items()}
                 for key, kit in self._grid_cache.items()}
         return BCFrame(n=self.n // K, c=self.c, lam=complex(self.lam[i]),
@@ -306,11 +306,11 @@ class BCFrame:
         """
         if self.lam is not None and np.any(np.asarray(self.lam) == 0):
             raise ValueError("a frame at lambda = 0 has no derived adjoint")
-        b, (V, Vinv) = self.block, self.basis
-        ops = {name: _adjoint_blocks(getattr(self.ops, _ADJOINT_PARTNERS.get(name, name)), b)
+        V, Vinv = self.basis
+        ops = {name: _adjoint_blocks(getattr(self.ops, _ADJOINT_PARTNERS.get(name, name)))
                for name in vars(self.ops)}
         ops["b_op"], ops["binv"] = -ops["b_op"], -ops["binv"]
-        kits = {key: {name: {item: _adjoint_blocks(x, b) for item, x in kit[partner].items()}
+        kits = {key: {name: {item: _adjoint_blocks(x) for item, x in kit[partner].items()}
                       for name, partner in (("m", "l"), ("l", "m"))}
                 for key, kit in self._grid_cache.items()}
         return BCFrame(n=self.n, c=self.c, lam=None if self.lam is None else self.lam.conjugate(),
@@ -325,23 +325,14 @@ _ADJOINT_PARTNERS = {"p": "q", "m": "l", "minv": "linv", "e_cm": "e_cl", "z": "w
 _ADJOINT_PARTNERS.update({v: k for k, v in _ADJOINT_PARTNERS.items()})
 
 
-def _adjoint_blocks(x, b: int):
-    """Read-only blockwise conjugate transpose of a (..., R, b, b) stack or a
-    tuple of them; None stays None.  For b = 1 it only conjugates, which also
-    serves the (J - s, R, 1) scan factors."""
+def _adjoint_blocks(x):
+    """Read-only blockwise conjugate transpose of a (..., R, b, b) stack;
+    None stays None."""
     if x is None:
         return None
-    if isinstance(x, tuple):
-        return tuple(_adjoint_blocks(e, b) for e in x)
-    y = np.conj(x if b == 1 else x.swapaxes(-1, -2))
+    y = np.conj(x.swapaxes(-1, -2))
     y.setflags(write=False)
     return y
-
-
-def _scan_rows(x, rows: slice):
-    """Blocks ``rows`` of ``scan_factors``' output: the (J, R, b, b) steps, or
-    each (J - s, R, 1) factor of the tuple that b = 1 gives."""
-    return tuple(e[:, rows] for e in x) if isinstance(x, tuple) else x[:, rows]
 
 
 def _blockwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:

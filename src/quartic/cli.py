@@ -1,7 +1,8 @@
 """Command-line front end: solve | sweep | evolve | verify.
 
 Exit codes: 0 success; 1 failed verification property; 2 configuration
-error; 3 singular frame during a solve; 4 residual tolerance breach;
+error; 3 singular frame during a solve; 4 residual tolerance breach, or a
+sweep norm whose power iteration did not converge (the CSV is written);
 5 sector-angle gate for time evolution.
 """
 
@@ -82,8 +83,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     out = os.path.join(cfg.output_dir, "sweep.csv")
     write_sweep_csv(out, report)
     print(f"wrote {out}")
-    for key, val in report.summary().items():
+    summary = report.summary()
+    for key, val in summary.items():
         print(f"{key} = {val}")
+    if summary["unconverged"]:
+        print(f"{summary['unconverged']} power-route norms did not converge in the "
+              "iteration cap; their rows hold the last estimate", file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 

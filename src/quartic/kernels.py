@@ -22,13 +22,13 @@ forward weights and only phi_1..phi_6 are evaluated.
 X is a stack of R b x b blocks (``bvp.BCFrame``), and so is every stack
 here: e^{tX} is (..., R, b, b) and the node weights (6, J, R, b, b).  Blocks
 of size 1 are X's eigenvalues: the phi functions come elementwise
-(``phi_stack``), and the recurrence I_{j+1} = e^{h_j X} I_j + c_j runs
-as one log-depth (Hillis-Steele) scan whose step compositions are exact
-elementwise products that a grid kit also computes once per direction
-(``scan_factors``).  Larger blocks take batched ``scipy.linalg.expm`` calls,
-the phi functions through the exponential of augmented blocks, and the plain
-recurrence: composing such steps explicitly multiplies their round-off by
-their non-normality at every pass.
+(``phi_stack``), and the recurrences I_{j+1} = e^{h_j X} I_j + c_j and
+I_j = e^{h_j X} I_{j+1} + c_j run as log-depth (Hillis-Steele) prefix and
+suffix scans that read one table of exact elementwise step compositions,
+computed once per grid kit (``scan_factors``).  Larger blocks take batched
+``scipy.linalg.expm`` calls, the phi functions through the exponential of
+augmented blocks, and the plain recurrences: composing such steps
+explicitly multiplies their round-off by their non-normality at every pass.
 """
 
 from __future__ import annotations
@@ -201,62 +201,67 @@ _PSI_MODEL.setflags(write=False)
 _REFLECT = (3, 4, 5, 0, 1, 2)
 
 
-def scan_factors(steps: np.ndarray):
-    """The factors ``_scan`` applies for the (J, R, b, b) step factors e^{h_j X}.
+def scan_factors(steps: np.ndarray) -> np.ndarray:
+    """The read-only scan table of the (J, R, b, b) step factors e^{h_j X}.
 
-    Blocks of size 1 give a tuple of read-only (J - s, R, 1) arrays, one per
-    pass of the log-depth scan with shift s = 1, 2, 4, ... < J: the
-    compositions of the s steps ending at each j >= s, formed as exact
-    elementwise products.  Composed steps are exponentials with Re <= 0, so
-    they cannot overflow.  Larger blocks are returned as they are; they run
-    the sequential recurrence.  Pass steps[::-1] for the backward scan.
+    Blocks of size 1 give an (L, J, R, 1, 1) table, L = ceil(log2 J), one row
+    per pass of the log-depth scan: row k holds the composition of the 2^k
+    steps that start at each step j, an exact elementwise product, and zeros
+    where fewer steps are left.  Composed steps are exponentials with
+    Re <= 0, so they cannot overflow.  Larger blocks give the steps
+    themselves; they run the sequential recurrences.
     """
     if steps.shape[-1] > 1:
-        return steps
-    factors, e, s = [], steps[1:, :, 0].copy(), 1
-    while len(e):
-        e.setflags(write=False)
-        factors.append(e)
-        e = e[s:] * e[:-s]  # compositions of 2s steps ending at j >= 2s
-        s *= 2
-    return tuple(factors)
+        table = steps.view()
+    else:
+        J = len(steps)
+        table = np.zeros(((J - 1).bit_length(),) + steps.shape, dtype=complex)
+        table[:1] = steps
+        for k in range(1, len(table)):  # row k - 1 at i + s times row k - 1 at i
+            s = 2 ** (k - 1)
+            table[k, :J - 2 * s + 1] = table[k - 1, s:J - s + 1] * table[k - 1, :J - 2 * s + 1]
+    table.setflags(write=False)
+    return table
 
 
-def _scan(factors, y: np.ndarray) -> None:
-    """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), in place, for the
-    steps that ``scan_factors`` prepared.
+def _scan(table: np.ndarray, y: np.ndarray, backward: bool = False) -> None:
+    """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), or with ``backward``
+    y_j <- e_j y_{j+1} + y_j (y_J = 0), in place, for the steps e_j of a
+    ``scan_factors`` table.
 
-    Factors of size-1 blocks run a log-depth (Hillis-Steele) scan: after the
-    pass with shift s, y_j sums the contributions of the 2s steps ending at
-    j.  Larger blocks, with y in blocks (J, R, b, r), run the sequential
+    Size-1 blocks run a log-depth (Hillis-Steele) scan: after the pass with
+    shift s, y_j sums the contributions of the 2s steps ending (backward:
+    starting) at j.  Both directions read the table on positive-stride
+    slices.  Larger blocks, with y in blocks (J, R, b, r), run the sequential
     recurrence, since an explicit composition would amplify round-off by the
     steps' non-normality.
     """
-    if isinstance(factors, np.ndarray):
-        for j in range(1, len(y)):
-            y[j] += factors[j] @ y[j - 1]
+    J = len(y)
+    if table.shape[-1] > 1:
+        for j in range(J - 2, -1, -1) if backward else range(1, J):
+            y[j] += table[j] @ y[j + 1 if backward else j - 1]
         return
     s = 1
-    for e in factors:
-        y[s:] += e * y[:-s]
+    for row in table[..., 0]:
+        if backward:  # the windows that end before the last step
+            y[:-s] += row[:J - s] * y[s:]
+        else:  # the windows that start at i >= 1
+            y[s:] += row[1:J - s + 1] * y[:-s]
         s *= 2
 
 
-def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndarray,
+def convolve_nodes(weights: np.ndarray, scans: np.ndarray, f: np.ndarray, fp: np.ndarray,
                    fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(I+, I-) on the grid, I+(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds and
     I-(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds, each of shape (N, R b, r).
 
     f, fp, fpp: (N, R b, r) node values and first two derivatives of the
     data; weights: the grid's (6, J, R, b, b) node weights from
-    ``Propagator.step_weights``; scans: ``scan_factors`` of the steps
-    e^{h_j X} and of the reversed steps.  The step contributions c_j are sums
-    of weights times node data, the backward ones under the reflection, and
-    the running sums I+(x_{j+1}) = e^{h_j X} I+(x_j) + c_j and I-(x_j) =
-    e^{h_j X} I-(x_{j+1}) + c_j come from ``_scan``.  The backward scan runs
-    forward on a reversed contiguous copy of its contributions, which is
-    copied back: numpy cannot coalesce the passes' loops over a
-    negative-stride view and runs them 2.5-3x slower.
+    ``Propagator.step_weights``; scans: the ``scan_factors`` table of the
+    steps e^{h_j X}.  The step contributions c_j are sums of weights times
+    node data, the backward ones under the reflection, and the running sums
+    I+(x_{j+1}) = e^{h_j X} I+(x_j) + c_j and I-(x_j) = e^{h_j X} I-(x_{j+1})
+    + c_j come from ``_scan`` forward and backward on the one table.
     """
     J, shape, b = len(f) - 1, f.shape, weights.shape[-1]
     if b == 1:
@@ -277,8 +282,6 @@ def convolve_nodes(weights: np.ndarray, scans: tuple, f: np.ndarray, fp: np.ndar
             c_bwd -= tmp
         else:
             c_bwd += tmp
-    _scan(scans[0], c_fwd)
-    tmp[...] = c_bwd[::-1]
-    _scan(scans[1], tmp)
-    c_bwd[...] = tmp[::-1]
+    _scan(scans, c_fwd)
+    _scan(scans, c_bwd, backward=True)
     return fwd.reshape(shape), bwd.reshape(shape)

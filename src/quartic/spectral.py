@@ -180,6 +180,7 @@ class SweepReport:
             "failures": len(self.failures),
             "n_points": len(self.records),
             "upward_flagged_angles": len(self.upward_flags),
+            "unconverged": sum(r.note == "power-unconverged" for r in self.records),
         }
 
 
@@ -220,6 +221,10 @@ def _ritz_norm(w: np.ndarray, x_prev: np.ndarray, x: np.ndarray, bx_prev: np.nda
     return float(np.sqrt(theta)) if theta >= rayleigh * rayleigh else rayleigh
 
 
+class _Unconverged(float):
+    """The last estimate of a power iteration that ran ``max_iter`` steps."""
+
+
 def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
                     rel_tol: float = 1e-6, max_iter: int = 200,
                     frame: BCFrame | None = None) -> float:
@@ -233,8 +238,10 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
     sqrt(<x, Bx>_W / <x, x>_W) moves by at most ``rel_tol``; the reported
     norm is then the Rayleigh-Ritz value on the last two iterates
     (``_ritz_norm``), which needs no further solve: B x_prev is the previous
-    step's z, and B x the last one's.  ``frame``, the forward frame at lam,
-    is assembled when not given.
+    step's z, and B x the last one's.  An iteration that has not converged
+    after ``max_iter`` B-applications returns its last Rayleigh value as an
+    ``_Unconverged``.  ``frame``, the forward frame at lam, is assembled when
+    not given.
     """
     n = spec.A.dim
     solve = _SOLVERS[spec.bc_family]
@@ -261,7 +268,7 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
             return _ritz_norm(w, x_prev, x, z_prev, z, new)
         x_prev, z_prev, est = x, z, new
         x = z / nz
-    return float(est)
+    return _Unconverged(est)
 
 
 def _per_mode_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
@@ -327,6 +334,10 @@ def run_sweep(
     (note "power", ``_map_norm_power``) against the resolvent of the
     conjugate-transposed problem, whose frame each point derives from its
     forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
+    A point whose iteration does not converge keeps its last estimate with
+    the note "power-unconverged".  Families 2 and 4 have no power route,
+    because their formal adjoints have other boundary conditions than the
+    family itself: beyond the cap they raise ValueError before any solve.
 
     When the norm is conjugation-symmetric, ||R(conj lam)|| = ||R(lam)||
     (a real problem, ``ProblemSpec.real``, or A with a unitary eigenbasis and
@@ -358,19 +369,26 @@ def run_sweep(
     lams = sweep.points()
     weights = np.repeat(grid.weights, spec.A.dim)
     power = spec.A.dim * grid.n > tol.DENSE_CAP
+    if power and spec.bc_family in (2, 4):
+        raise ValueError(
+            f"family {spec.bc_family} has no power route: dim(A) * n_nodes = "
+            f"{spec.A.dim * grid.n} exceeds DENSE_CAP = {tol.DENSE_CAP}, and the adjoint "
+            f"of family {spec.bc_family} has other boundary conditions than the family")
     per_mode = spec.A.diagonalizable and spec.A.eig_cond - 1.0 <= tol.UNITARY_BASIS_GAP
     size = 1 if power else _batch_size(spec, grid.n)
     symmetric = spec.real or (spec.bc_family != 2 and per_mode
                               and _conjugation_closed(spec.A.spectrum))
     partner = _conjugate_partners(lams) if symmetric else {}
 
-    def record(lam, nrm):
+    def record(lam, nrm, note="power" if power else "dense"):
         ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
-        return SweepRecord(lam, nrm, ratio, True, "power" if power else "dense")
+        return SweepRecord(lam, float(nrm), ratio, True, note)
 
     def job(lam, frame):
         if power:
-            return record(lam, _map_norm_power(spec, lam, grid, weights, frame=frame))
+            nrm = _map_norm_power(spec, lam, grid, weights, frame=frame)
+            return record(lam, nrm, "power-unconverged" if isinstance(nrm, _Unconverged)
+                          else "power")
         if per_mode:
             return record(lam, _per_mode_norm(resolvent_blocks(spec, lam, grid, frame),
                                               grid.weights))
@@ -397,7 +415,8 @@ def run_sweep(
         todo = todo[len(done):]
     for j, i in partner.items():
         rec = by_index[i]
-        by_index[j] = record(lams[j], rec.norm) if rec.frame_ok else replace(rec, lam=lams[j])
+        by_index[j] = (record(lams[j], rec.norm, rec.note) if rec.frame_ok
+                       else replace(rec, lam=lams[j]))
     records = [by_index[i] for i in range(len(lams))]
 
     good = [r for r in records if r.frame_ok]

@@ -41,7 +41,8 @@ DENSE_CAP = 2000
 
 # Entries (parameter x block entry x grid node) of one batch frame: a batch
 # of sweep points or contour nodes holds max(1, BATCH_ENTRIES // (dim(A) b N))
-# parameters (``bvp._batch_size``).  Its grid kit then holds at most about
-# 2 (8 + 2 log2 N) BATCH_ENTRIES complex entries: 2.3 MB for the 21 nodes of
-# a laplacian:3 batch at N = 64.
+# parameters (``bvp._batch_size``).  A batch of more than one then has a grid
+# kit of at most 2 (8 + ceil(log2 N)) BATCH_ENTRIES complex entries, two
+# exponential stacks, six weight stacks and one scan table per generator:
+# 1.78 MB for the 21 nodes of a laplacian:3 batch at N = 64.
 BATCH_ENTRIES = 4096

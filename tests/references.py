@@ -220,3 +220,32 @@ def write_operator_file(path, matrix: np.ndarray) -> None:
         fh.write(f"dim {A.shape[0]}\n")
         for row in A:
             fh.write(" ".join(format_complex(z) for z in row) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# closed forms, families 1 and 5 at k = 0 on (0, pi)
+#
+# With k = 0 the generator acts on sin(jx) c, for any n x n A, as the matrix
+# (j^2 - A)^2, and sin(jx) satisfies u = u'' = 0 at both ends, which is
+# family 1 and, u'' + S u = 0 for every S, family 5 too.
+
+
+def _sine_symbols(A: np.ndarray, lam: complex, js: np.ndarray) -> np.ndarray:
+    """(j^2 - A)^2 - lam for each j in js: shape (len(js), n, n)."""
+    A = np.asarray(A, dtype=complex)
+    shifted = np.multiply.outer(np.asarray(js, float) ** 2, np.eye(len(A))) - A
+    return shifted @ shifted - lam * np.eye(len(A))
+
+
+def sine_mode_resolvent(A: np.ndarray, lam: complex, j: int, c: np.ndarray) -> np.ndarray:
+    """v with R(lam)(sin(jx) c) = sin(jx) v: v = ((j^2 - A)^2 - lam)^{-1} c."""
+    return np.linalg.solve(_sine_symbols(A, lam, [j])[0], np.asarray(c, dtype=complex))
+
+
+def sine_resolvent_norm(A: np.ndarray, lam: complex, j_max: int = 400) -> float:
+    """||R(lam)|| on L^2((0, pi); C^n) = sup_j ||((j^2 - A)^2 - lam)^{-1}||_2,
+    since the sin(jx) are orthogonal and R(lam) maps each to itself.  The
+    supremum is taken over j <= j_max: the terms fall like j^-4 once j^2
+    passes ||A|| + sqrt|lam|, so it lies at small j."""
+    inv = np.linalg.inv(_sine_symbols(A, lam, np.arange(1, j_max + 1)))
+    return float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))

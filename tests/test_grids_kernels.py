@@ -14,6 +14,7 @@ from quartic.grids import (
 from quartic.kernels import (
     Propagator,
     _phi_blocks,
+    _scan,
     convolve_nodes,
     hermite_step_coefficients,
     phi_stack,
@@ -291,8 +292,8 @@ class TestHermiteModel:
 
 
 def _scans(steps):
-    """The forward and backward scan factors of (J, R, b, b) step factors e^{h_j X}."""
-    return scan_factors(steps), scan_factors(steps[::-1])
+    """The scan table of (J, R, b, b) step factors e^{h_j X}."""
+    return scan_factors(steps)
 
 
 def _blocks(x):
@@ -568,8 +569,97 @@ class TestKitReuse:
         for a, b in zip(after, before):
             assert np.array_equal(a, b)
         if frame.block == 1:  # the cached compositions cannot be written in place
-            factors = kit["m"]["scans"][0] + kit["l"]["scans"][1]
-            assert factors and not any(e.flags.writeable for e in factors)
+            factors = (kit["m"]["scans"], kit["l"]["scans"])
+            assert all(e.size for e in factors) and not any(e.flags.writeable for e in factors)
+
+
+def _sequential_scan(steps, c, backward):
+    """y_j = e_j y_{j-1} + c_j (y_{-1} = 0), or backward y_j = e_j y_{j+1} +
+    c_j (y_J = 0), one step at a time, for (J, R, b, b) steps and (J, R, b, r)
+    contributions."""
+    y = np.zeros_like(c)
+    for j in (range(len(c) - 1, -1, -1) if backward else range(len(c))):
+        k = j + 1 if backward else j - 1
+        y[j] = c[j] + (steps[j] @ y[k] if 0 <= k < len(c) else 0)
+    return y
+
+
+class TestScanTable:
+    """One ``scan_factors`` table serves the prefix and the suffix scan."""
+
+    R, r = 3, 2
+
+    def _steps(self, rng, J, b):
+        z = -rng.uniform(0.0, 2.0, (J, self.R, b, b)) + 1j * rng.normal(size=(J, self.R, b, b))
+        if b == 1:
+            return np.exp(z)  # Re <= 0: exact step exponentials of a stable X
+        return np.exp(z) / (2 * b)  # norm < 1: the recurrence stays bounded
+
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("J", [1, 2, 3, 5, 63, 64])
+    def test_matches_sequential_recurrence(self, rng, J, b):
+        steps = self._steps(rng, J, b)
+        table = scan_factors(steps)
+        c = rng.normal(size=(J, self.R, b, self.r)) + 1j * rng.normal(size=(J, self.R, b, self.r))
+        for backward in (False, True):
+            want = _sequential_scan(steps, c, backward)
+            got = c.copy() if b > 1 else c[:, :, 0].copy()
+            _scan(table, got, backward=backward)
+            got = got.reshape(want.shape)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 5, 63, 64])
+    def test_table_layout(self, rng, J):
+        # row k composes the 2^k steps that start at each step; zeros where
+        # fewer steps are left
+        steps = self._steps(rng, J, 1)
+        table = scan_factors(steps)
+        L = int(np.ceil(np.log2(J)))
+        assert table.shape == (L, J, self.R, 1, 1) and not table.flags.writeable
+        for k in range(L):
+            w = 2 ** k
+            for i in range(J):
+                want = np.prod(steps[i:i + w], axis=0) if i + w <= J else 0.0
+                np.testing.assert_allclose(table[k, i], want, rtol=1e-14, atol=0)
+        dense = self._steps(rng, J, 2)
+        got = scan_factors(dense)
+        assert np.array_equal(got, dense) and not got.flags.writeable
+        assert dense.flags.writeable  # the caller's steps keep their flags
+
+
+class TestKitLayout:
+    """Every grid-kit entry is one read-only array with trailing (R, b, b),
+    on a frame and on its parameter and adjoint views."""
+
+    @pytest.mark.parametrize("A", [np.diag([-1.0, -4.0, -9.0]), [[-2.0, 1.0], [0.0, -2.0]]],
+                             ids=["modal", "dense"])
+    def test_entries_are_read_only_block_stacks(self, A):
+        from quartic.bvp import ProblemSpec, _lambda_frames
+
+        A = make_operator(A)
+        b = 1 if A.diagonalizable else A.dim
+        grid = cgl_grid(24, 0.0, np.pi)
+        batch = _lambda_frames(ProblemSpec(0.0, np.pi, 0.0, A, 1), [-1.0 + 2.0j, -3.0 - 1.0j])
+        batch.grid_kit(grid)
+        for frame, R in ((batch, 2 * A.dim // b), (batch.parameter(1), A.dim // b),
+                         (batch.adjoint(), 2 * A.dim // b)):
+            kit = frame.grid_kit(grid)
+            assert frame._grid_cache[grid.nodes.tobytes()] is kit
+            for gen in "ml":
+                assert set(kit[gen]) == {"exa", "ebx", "weights", "scans"}
+                for x in kit[gen].values():
+                    assert isinstance(x, np.ndarray) and not x.flags.writeable
+                    assert x.shape[-3:] == (R, b, b)
+
+    def test_contour_pass_kit_size(self):
+        # a contour pass under BATCH_ENTRIES: 21 laplacian:3 nodes on N = 64
+        from quartic.bvp import ProblemSpec, _batch_size, _lambda_frames
+        from quartic.operators import dirichlet_laplacian_modes
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, dirichlet_laplacian_modes(3), 1)
+        assert _batch_size(spec, 64) == 21
+        kit = _lambda_frames(spec, -1.0 + 1j * np.arange(1, 22)).grid_kit(cgl_grid(64, 0.0, np.pi))
+        assert sum(x.nbytes for gen in "ml" for x in kit[gen].values()) <= 1.8e6
 
 
 class TestDataDerivatives:

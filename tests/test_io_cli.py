@@ -644,6 +644,59 @@ n_nodes = 12
         assert "k = 1e+154" in err and "vertex -2.5e+307" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("bc", [2, 4])
+    def test_power_route_family_exit2(self, tmp_path, capsys, monkeypatch, bc):
+        # the power route's adjoint frame solves family bc for A^H, which is
+        # not the family's formal adjoint: refused before any solve
+        from quartic import spectral
+
+        def no_frames(*args, **kwargs):
+            raise AssertionError("a frame was assembled")
+
+        monkeypatch.setattr(spectral, "_lambda_frames", no_frames)
+        cfg = write_config(tmp_path / "c.cfg", f"""
+[problem]
+operator = laplacian:6
+bc_family = {bc}
+[sweep]
+radius_min = 1
+radius_max = 10
+n_radii = 2
+n_angles = 1
+exclusion_radius = 0.5
+n_nodes = 344
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"family {bc} has no power route" in err and "DENSE_CAP = 2000" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_unconverged_power_norm_exit4(self, tmp_path, capsys, monkeypatch):
+        from functools import partial
+
+        from quartic import spectral, tolerances
+
+        monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
+        monkeypatch.setattr(spectral, "_map_norm_power",
+                            partial(spectral._map_norm_power, max_iter=1))
+        cfg = write_config(tmp_path / "c.cfg", """
+[problem]
+operator = laplacian:3
+bc_family = 1
+[sweep]
+radius_min = 1
+radius_max = 3
+n_radii = 2
+n_angles = 2
+n_nodes = 16
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert "unconverged = 4" in out.splitlines()
+        assert "4 power-route norms did not converge" in err
+        text = (tmp_path / "sweep.csv").read_text()
+        assert len(text.splitlines()) == 6 and '"unconverged": 4}' in text
+
     def test_threads_flag_and_env_are_ignored(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.cfg", DEMO + """
 [sweep]

@@ -7,7 +7,9 @@ from quartic.errors import BranchCut, NotInResolventSet
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import dirichlet_laplacian_modes, make_operator, operator_norm
 from quartic.oracle import collocation_solve, dense_generator, ode_residual
-from references import embed, resolvent_apply
+from quartic.spectral import SweepGrid, run_sweep
+from references import embed, resolvent_apply, sine_mode_resolvent, sine_resolvent_norm
+from test_grids_kernels import _ill_conditioned
 
 
 class TestScalarResolvent:
@@ -43,6 +45,52 @@ class TestScalarResolvent:
             resolvent_solve(spec, 0.0, f)          # branch point for k = 0
         with pytest.raises(BranchCut):
             resolvent_solve(spec, 3.0, f)          # on the cut
+
+
+class TestSineClosedForm:
+    """Families 1 and 5 at k = 0 against their closed forms on sin(jx) c
+    (``references.sine_mode_resolvent``, ``sine_resolvent_norm``)."""
+
+    # A with b = n (the Jordan block) and with b = 1 (basis condition 1e3):
+    # the one-block and the log-depth scans, forward and backward
+    OPERATORS = {"jordan": (lambda: make_operator([[-1.0, 1.0], [0.0, -1.0]]), [0.3, 1.0]),
+                 "cond1e3": (lambda: _ill_conditioned(1e3), [0.3, 1.0, -0.5, 0.2])}
+
+    # measured 3.4e-10, 3.9e-12, 5.5e-14, 7.4e-16 (Jordan) and 3.4e-10,
+    # 4.5e-12, 7.0e-13, 6.4e-13 (cond 1e3, its kappa eps floor) at N = 32 ..
+    # 256; bounded at N = 256
+    @pytest.mark.parametrize("bc", [1, 5])
+    @pytest.mark.parametrize("op, bound", [("jordan", 1e-14), ("cond1e3", 5e-12)])
+    def test_solve_matches_closed_form(self, op, bound, bc):
+        make, c = self.OPERATORS[op]
+        A = make()
+        assert A.diagonalizable == (op == "cond1e3")
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        errors = []
+        for n in (32, 64, 128, 256):
+            grid = cgl_grid(n, 0.0, np.pi)
+            f = GridFunction(grid, np.outer(c, np.sin(grid.nodes)).astype(complex))
+            want = np.outer(sine_mode_resolvent(A.matrix, -17.0, 1, c), np.sin(grid.nodes))
+            got = resolvent_solve(spec, -17.0, f).values
+            errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        assert errors[0] <= 1e-9 and errors[1] <= 1e-11
+        assert errors[-1] <= bound
+
+    # measured 6.1e-4, 1.2e-5, 1.8e-7 (lambda = -3+2i), 2.3e-3, 4.6e-5,
+    # 7.2e-7 (50+80i) and 8.0e-3, 1.8e-4, 2.9e-6 (-174+985i): rates 5.5-6.0
+    @pytest.mark.parametrize("lam", [-3.0 + 2.0j, 50.0 + 80.0j, -174.0 + 985.0j])
+    def test_dense_sweep_norm_converges(self, lam):
+        A = _ill_conditioned(1e3)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        point = SweepGrid(0.0, np.array([abs(lam)]), np.array([np.angle(lam)]))
+        errors = []
+        for n in (24, 48, 96):
+            rec, = run_sweep(spec, point, n_nodes=n).records
+            assert rec.note == "dense"
+            want = sine_resolvent_norm(A.matrix, rec.lam)
+            errors.append(abs(rec.norm - want) / want)
+        rates = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(rates >= 5.0), rates
 
 
 class TestZeroShiftWithDrift:

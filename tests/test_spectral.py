@@ -518,6 +518,31 @@ class TestPowerRoute:
         for d, p in zip(dense.records, power.records):
             assert p.norm == pytest.approx(d.norm, rel=1e-2)
 
+    def test_unconverged_points_are_flagged(self, monkeypatch):
+        # an iteration cut at max_iter keeps its last estimate and says so,
+        # and a mirrored conjugate partner copies the note
+        from functools import partial
+
+        from quartic import spectral, tolerances
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, dirichlet_laplacian_modes(3), 1)
+        g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0, 3.0]), n_angles=2)
+        monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
+        converged = run_sweep(spec, g, n_nodes=16)
+        monkeypatch.setattr(spectral, "_map_norm_power",
+                            partial(spectral._map_norm_power, max_iter=1))
+        capped = run_sweep(spec, g, n_nodes=16)
+        assert [r.note for r in converged.records] == ["power"] * 4
+        assert converged.summary()["unconverged"] == 0
+        assert [r.note for r in capped.records] == ["power-unconverged"] * 4
+        assert capped.summary()["unconverged"] == 4
+        assert all(r.frame_ok and np.isfinite(r.norm) and type(r.norm) is float
+                   for r in capped.records)
+        partners = _partners(capped)
+        assert len(partners) == 2
+        for j, i in partners.items():
+            assert capped.records[j].norm == capped.records[i].norm
+
     # Largest relative gap to the weighted SVD over ADJOINT_LAMS at N = 96.
     # Family 3 is the sweep-power family.  The bounds of families 1, 2, 4 and 5
     # are 10x their measured gaps (1.8e-7, 1.0, 7.1e-2, 1.8e-7): families 2 and
