@@ -48,7 +48,7 @@ from .errors import (
     at_row,
 )
 from .grids import Grid, GridFunction
-from .kernels import Propagator, convolve_nodes, scan_factors
+from .kernels import Propagator, convolve_nodes
 from .operators import (
     OperatorHandle,
     sector_half_angle,
@@ -166,8 +166,9 @@ class BCFrame:
     b = 1 blocks are eigenvalues in A's eigenbasis, and b = n is one matrix,
     triangular in A's Schur basis from ``_lambda_frames`` (module docstring).
     Every grid-kit entry is one read-only array with the trailing (R, b, b):
-    (N, R, b, b) exponentials, (6, J, R, b, b) node weights and the scan
-    table (``kernels.scan_factors``).  Attribute access
+    (N, R, b, b) exponentials, (6, J, R, b, b) node weights and the
+    convolutions' scan factors (``Propagator.grid_stacks``: the steps for
+    b > 1, segment rows of inverse exponentials for b = 1).  Attribute access
     ``frame.p``, ``frame.inv_im_el``, ... gives the dense matrix
     V diag(blocks) V^{-1}, built on first use.
     ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
@@ -248,22 +249,18 @@ class BCFrame:
 
     def grid_kit(self, grid: Grid) -> dict:
         """Grid stacks, cached and read-only: for X in "m" and "l", kit[X]
-        holds "exa" e^{(x-a)X}, "ebx" e^{(b-x)X}, "weights", the node weights
-        of the step integrals (``Propagator.step_weights``), and "scans", the
-        one scan table of the steps e^{h_j X} (``scan_factors``) that both
-        convolutions read."""
+        holds "exa" e^{(x-a)X}, "ebx" e^{(b-x)X}, "weights", the node
+        weights of the step integrals, and "scans", what both convolutions'
+        running sums read besides (``Propagator.grid_stacks``): the steps
+        e^{h_j X} for b > 1, and for b = 1 the inverse exponentials on X's
+        segments of the grid, whose exponentials are "exa" and "ebx" when
+        one segment spans it.  The segmentation is the kit's, so parameter
+        and adjoint views keep it."""
         key = grid.nodes.tobytes()
         kit = self._grid_cache.get(key)
         if kit is None:
-            x = grid.nodes
-            hs = np.diff(x)
-            kit = {}
-            for name, prop in (("m", self.prop_m), ("l", self.prop_l)):
-                kit[name] = {"exa": prop.exp_stack(x - x[0]), "ebx": prop.exp_stack(x[-1] - x),
-                             "weights": prop.step_weights(hs),
-                             "scans": scan_factors(prop.exp_stack(hs))}
-                for stack in kit[name].values():
-                    stack.setflags(write=False)
+            kit = {name: prop.grid_stacks(grid.nodes)
+                   for name, prop in (("m", self.prop_m), ("l", self.prop_l))}
             self._grid_cache[key] = kit
         return kit
 
@@ -336,9 +333,13 @@ def _adjoint_blocks(x):
 
 
 def _blockwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ each block of len(M) rows of (..., K len(M), r) data."""
-    blocks = v.reshape(v.shape[:-2] + (-1, len(M), v.shape[-1]))
-    return (M @ blocks).reshape(v.shape)
+    """M @ each block of len(M) rows of (..., K len(M), r) data: one matrix
+    product on the (..., K len(M)) rows of single-column data, a batched one
+    otherwise."""
+    n, r = len(M), v.shape[-1]
+    if r == 1:
+        return (v.reshape(-1, n) @ M.T).reshape(v.shape)
+    return (M @ v.reshape(v.shape[:-2] + (-1, n, r))).reshape(v.shape)
 
 
 def _cut_shifts(k: float, lam: complex):
@@ -548,7 +549,7 @@ def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_
     o, ap = frame.ops, frame.apply
     x, x_inv, e_c, g, s = (getattr(o, name) for name in _GENERATORS[generator])
     stacks = kit[generator]
-    fwd, bwd = convolve_nodes(stacks["weights"], stacks["scans"], f, fp, fpp)
+    fwd, bwd = convolve_nodes(stacks, f, fp, fpp)
     k_a, k_b = bwd[0], fwd[-1]
     g_a, g_b = ap(g, v_a), ap(g, v_b)
     gk_a, gk_b = (0.5 * ap(g, ap(x_inv, k)) for k in (k_a, k_b))

@@ -13,7 +13,7 @@ is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -153,11 +153,17 @@ class Grid:
         return bands
 
 
+@lru_cache(maxsize=8)
 def cgl_grid(n: int, a: float, b: float) -> Grid:
-    """Chebyshev-Gauss-Lobatto grid with Clenshaw-Curtis weights."""
+    """Chebyshev-Gauss-Lobatto grid with Clenshaw-Curtis weights, memoized on
+    (n, a, b): its callers share one grid, read-only nodes and weights, and
+    the stencils it caches."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    return Grid(_cgl_nodes(n, a, b), _clenshaw_curtis_weights(n, a, b), "cgl")
+    grid = Grid(_cgl_nodes(n, a, b), _clenshaw_curtis_weights(n, a, b), "cgl")
+    grid.nodes.setflags(write=False)
+    grid.weights.setflags(write=False)
+    return grid
 
 
 def uniform_grid(n: int, a: float, b: float) -> Grid:

@@ -22,13 +22,17 @@ forward weights and only phi_1..phi_6 are evaluated.
 X is a stack of R b x b blocks (``bvp.BCFrame``), and so is every stack
 here: e^{tX} is (..., R, b, b) and the node weights (6, J, R, b, b).  Blocks
 of size 1 are X's eigenvalues: the phi functions come elementwise
-(``phi_stack``), and the recurrences I_{j+1} = e^{h_j X} I_j + c_j and
-I_j = e^{h_j X} I_{j+1} + c_j run as log-depth (Hillis-Steele) prefix and
-suffix scans that read one table of exact elementwise step compositions,
-computed once per grid kit (``scan_factors``).  Larger blocks take batched
-``scipy.linalg.expm`` calls, the phi functions through the exponential of
-augmented blocks, and the plain recurrences: composing such steps
-explicitly multiplies their round-off by their non-normality at every pass.
+(``phi_stack``), and by the semigroup law e^{(x_i - x_j)X} = e^{(x_i - x_s)X}
+e^{-(x_j - x_s)X} the recurrences I_{j+1} = e^{h_j X} I_j + c_j and I_j =
+e^{h_j X} I_{j+1} + c_j become, on each segment [x_s, x_e] of the grid, an
+exponential times one cumulative sum of the contributions scaled by the
+inverse exponentials (``Propagator.grid_stacks``).  A segment spans at most
+|X| (x_e - x_s) <= SEGMENT_EXPONENT, so no factor overflows, and each factor
+is at a few eps, its argument's rounding compensated (``_exp_diff``).
+Larger blocks take batched ``scipy.linalg.expm`` calls,
+the phi functions through the exponential of augmented blocks, and the plain
+recurrences: an inverse or a composition of such steps multiplies their
+round-off by their non-normality.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ __all__ = [
     "phi_stack",
     "Propagator",
     "hermite_step_coefficients",
-    "scan_factors",
     "convolve_nodes",
 ]
 
@@ -125,6 +128,54 @@ def _phi_blocks(hX: np.ndarray, p: int) -> np.ndarray:
     return np.stack([E[..., :b, k * b:(k + 1) * b] for k in range(1, p + 1)])
 
 
+_SPLITTER = 2.0 ** 27 + 1  # Veltkamp's: halves a double's significand
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a exactly and 26-bit hi and lo, whose
+    products are exact."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exp_diff(ends, starts, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """e^{(e - s) X} for each pair of ends and starts (broadcast) and each
+    block of a stack X of 1 x 1 blocks, shape (len, R, 1, 1), into ``out``
+    when given (C-contiguous).
+
+    The offset e - s is rounded with its exact error (Knuth's two-sum), and
+    so is its product with X (Dekker's two-product on Veltkamp halves); the
+    exponential of the rounded argument times 1 + the errors is then at a
+    few eps.  Rounding the argument alone costs eps |(e - s) X|, which the
+    convolutions' inverse exponentials (``Propagator.grid_stacks``) reach
+    at large offsets even where e^{(e - s) X} has not decayed.  Past 1e300,
+    where the halves overflow, the argument goes uncompensated.
+    """
+    e, s = np.broadcast_arrays(np.asarray(ends, dtype=float), np.asarray(starts, dtype=float))
+    t = (e - s).reshape(-1, 1)
+    v = t - e.reshape(t.shape)
+    t_err = (e.reshape(t.shape) - (t - v)) - (s.reshape(t.shape) + v)
+    x = np.ascontiguousarray(X).view(float).reshape(-1)  # Re and Im of each block
+    if out is None:
+        out = np.empty(e.shape + X.shape, dtype=complex)
+    arg = out.reshape(len(t), -1).view(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (t_hi, t_lo), (x_hi, x_lo) = _split(t), _split(x)
+        np.multiply(t, x, out=arg)
+        corr = t_hi * x_hi
+        corr -= arg
+        corr += t_hi * x_lo
+        corr += (t_lo + t_err) * x  # the last two terms of the product's error, merged
+    corr[~np.isfinite(corr)] = 0.0
+    corr = corr.view(complex)
+    corr += 1.0
+    z = arg.view(complex)
+    np.exp(z, out=z)
+    z *= corr
+    return out
+
+
 class Propagator:
     """e^{tX} stacks and exponential step integrals for one X, a stack of R
     b x b blocks; every stack it returns keeps the trailing (R, b, b)."""
@@ -134,14 +185,15 @@ class Propagator:
     def __init__(self, x):
         self.blocks = np.asarray(x, dtype=complex)
 
-    def exp_stack(self, ts: np.ndarray) -> np.ndarray:
-        """e^{t X} for each t in ts: shape (len(ts), R, b, b)."""
-        tx = np.multiply.outer(np.asarray(ts, dtype=float), self.blocks)
+    def exp_stack(self, ends, starts=0.0) -> np.ndarray:
+        """e^{(e - s) X} for each pair of ends and starts (broadcast): shape
+        (len, R, b, b), at a few eps for b = 1 (``_exp_diff``)."""
         if self.blocks.shape[-1] == 1:
-            return np.exp(tx)
+            return _exp_diff(ends, starts, self.blocks)
         import scipy.linalg as sla
 
-        return sla.expm(tx)
+        ts = np.asarray(ends, dtype=float) - np.asarray(starts, dtype=float)
+        return sla.expm(np.multiply.outer(ts, self.blocks))
 
     def step_weights(self, hs: np.ndarray) -> np.ndarray:
         """Node weights G of the forward step integrals over steps of lengths
@@ -155,6 +207,76 @@ class Propagator:
         G = _real_product(_PSI_MODEL.T, phi.reshape(p, -1)).reshape(phi.shape)
         scale = hs ** (1 + _SLOPE_ORDER)[:, None]  # (6, J)
         return G * scale[..., None, None, None]
+
+    def grid_stacks(self, nodes: np.ndarray) -> dict:
+        """X's read-only grid-kit entries on ``nodes``, which
+        ``convolve_nodes`` reads: "exa" e^{(x-a)X}, "ebx" e^{(b-x)X}, the
+        node "weights" of the step integrals, and "scans".
+
+        For blocks larger than 1, "scans" holds the (J, R, b, b) steps
+        e^{h_j X}.  For blocks of size 1 it holds the inverse exponentials
+        of the convolutions' segments (module docstring): when every block
+        has |X| (b - a) <= SEGMENT_EXPONENT, one segment spans the grid, and
+        "scans" is the (2, J, R, 1, 1) rows e^{-(x_{j+1} - a) X} and
+        e^{-(b - x_j) X}, which like "ebx" come from "exa" by the semigroup
+        law; otherwise the rows of ``_segment_rows``.
+        """
+        x = np.asarray(nodes, dtype=float)
+        X, J = self.blocks, len(x) - 1
+        reach = np.max(np.abs(X), initial=0.0) * (x[-1] - x[0])
+        exa = self.exp_stack(x, x[0])
+        if X.shape[-1] > 1:
+            ebx, scans = self.exp_stack(x[-1], x), self.exp_stack(np.diff(x))
+        elif reach <= tol.SEGMENT_EXPONENT:
+            scans = np.empty((2, J) + X.shape, dtype=complex)
+            np.divide(1.0, exa[1:], out=scans[0])
+            np.multiply(exa[:-1], 1.0 / exa[-1], out=scans[1])
+            ebx = np.empty_like(exa)
+            ebx[0] = exa[-1]
+            np.multiply(exa[-1], scans[0], out=ebx[1:])
+        else:
+            span = tol.SEGMENT_EXPONENT * (x[-1] - x[0]) / reach
+            ebx, scans = self.exp_stack(x[-1], x), _segment_rows(x, X, span)
+        stacks = {"exa": exa, "ebx": ebx, "weights": self.step_weights(np.diff(x)),
+                  "scans": scans}
+        for stack in stacks.values():
+            stack.setflags(write=False)
+        return stacks
+
+
+def _segment_rows(x: np.ndarray, X: np.ndarray, span: float) -> np.ndarray:
+    """The "scans" rows of a stack X of 1 x 1 blocks on the nodes x, on
+    segments of the grid no longer than ``span``.
+
+    The steps split into the fewest segments [x_s, x_e] with x_e - x_s <=
+    span (a longer step is a segment of its own), and each step j of a
+    segment has, in a (5, J, R, 1, 1) array, the rows e^{-(x_{j+1} - x_s) X}
+    and e^{-(x_e - x_j) X} (1 on a segment of one step, where they go
+    unused), the exponentials e^{(x_{j+1} - x_s) X} and e^{(x_e - x_j) X},
+    and a row that is 1 on the first step of each segment and 0 elsewhere.
+    The segmentation thus travels with the rows when a kit is sliced or
+    conjugated.
+    """
+    J, starts = len(x) - 1, [0]
+    while True:  # each segment runs to the last node within span, or one step
+        e = max(int(np.searchsorted(x, x[starts[-1]] + span, side="right")) - 1,
+                starts[-1] + 1)
+        if e >= J:
+            break
+        starts.append(e)
+    starts = np.array(starts)
+    ends = np.append(starts[1:], J)
+    seg = np.repeat(np.arange(len(starts)), ends - starts)
+    x_s, x_e = x[starts][seg], x[ends][seg]
+    inner = (ends - starts > 1)[seg]
+    rows = np.empty((5, J) + X.shape, dtype=complex)
+    _exp_diff(np.where(inner, x_s, x[1:]), x[1:], X, out=rows[0])
+    _exp_diff(x[:-1], np.where(inner, x_e, x[:-1]), X, out=rows[1])
+    _exp_diff(x[1:], x_s, X, out=rows[2])
+    _exp_diff(x_e, x[:-1], X, out=rows[3])
+    rows[4] = 0.0
+    rows[4, starts] = 1.0
+    return rows
 
 
 def hermite_step_coefficients(
@@ -201,74 +323,57 @@ _PSI_MODEL.setflags(write=False)
 _REFLECT = (3, 4, 5, 0, 1, 2)
 
 
-def scan_factors(steps: np.ndarray) -> np.ndarray:
-    """The read-only scan table of the (J, R, b, b) step factors e^{h_j X}.
-
-    Blocks of size 1 give an (L, J, R, 1, 1) table, L = ceil(log2 J), one row
-    per pass of the log-depth scan: row k holds the composition of the 2^k
-    steps that start at each step j, an exact elementwise product, and zeros
-    where fewer steps are left.  Composed steps are exponentials with
-    Re <= 0, so they cannot overflow.  Larger blocks give the steps
-    themselves; they run the sequential recurrences.
-    """
-    if steps.shape[-1] > 1:
-        table = steps.view()
-    else:
-        J = len(steps)
-        table = np.zeros(((J - 1).bit_length(),) + steps.shape, dtype=complex)
-        table[:1] = steps
-        for k in range(1, len(table)):  # row k - 1 at i + s times row k - 1 at i
-            s = 2 ** (k - 1)
-            table[k, :J - 2 * s + 1] = table[k - 1, s:J - s + 1] * table[k - 1, :J - 2 * s + 1]
-    table.setflags(write=False)
-    return table
+def _accumulate(y: np.ndarray, inv: np.ndarray, ex: np.ndarray, carry) -> None:
+    """y_i <- ex_i (carry + sum_{k <= i} inv_k y_k) along axis 0, in place."""
+    y *= inv
+    y[0] += carry
+    np.cumsum(y, axis=0, out=y)
+    y *= ex
 
 
-def _scan(table: np.ndarray, y: np.ndarray, backward: bool = False) -> None:
+def _scan(steps: np.ndarray, y: np.ndarray, backward: bool = False) -> None:
     """y_j <- e_j y_{j-1} + y_j along axis 0 (y_{-1} = 0), or with ``backward``
-    y_j <- e_j y_{j+1} + y_j (y_J = 0), in place, for the steps e_j of a
-    ``scan_factors`` table.
+    y_j <- e_j y_{j+1} + y_j (y_J = 0), in place, for (J, R, b, b) steps e_j
+    and y in blocks (J, R, b, r): the sequential recurrence of b > 1."""
+    for j in range(len(y) - 2, -1, -1) if backward else range(1, len(y)):
+        y[j] += steps[j] @ y[j + 1 if backward else j - 1]
 
-    Size-1 blocks run a log-depth (Hillis-Steele) scan: after the pass with
-    shift s, y_j sums the contributions of the 2s steps ending (backward:
-    starting) at j.  Both directions read the table on positive-stride
-    slices.  Larger blocks, with y in blocks (J, R, b, r), run the sequential
-    recurrence, since an explicit composition would amplify round-off by the
-    steps' non-normality.
-    """
-    J = len(y)
-    if table.shape[-1] > 1:
-        for j in range(J - 2, -1, -1) if backward else range(1, J):
-            y[j] += table[j] @ y[j + 1 if backward else j - 1]
+
+def _segmented_sums(stacks: dict, fwd: np.ndarray, bwd: np.ndarray) -> None:
+    """I+ and I- in place from the contributions in fwd[1:] and bwd[:-1],
+    for b = 1, segment by segment (``Propagator.grid_stacks``); the end
+    value of each segment carries into the next."""
+    rows = stacks["scans"][..., 0]
+    if len(rows) == 2:  # one segment: its exponentials are exa and ebx
+        _accumulate(fwd[1:], rows[0], stacks["exa"][1:, ..., 0], 0.0)
+        _accumulate(bwd[-2::-1], rows[1, ::-1], stacks["ebx"][-2::-1, ..., 0], 0.0)
         return
-    s = 1
-    for row in table[..., 0]:
-        if backward:  # the windows that end before the last step
-            y[:-s] += row[:J - s] * y[s:]
-        else:  # the windows that start at i >= 1
-            y[s:] += row[1:J - s + 1] * y[:-s]
-        s *= 2
+    starts = np.flatnonzero(rows[4, :, 0, 0].real)
+    bounds = list(zip(starts, [*starts[1:], len(rows[0])]))
+    for s, e in bounds:
+        if e - s == 1:
+            fwd[e] += rows[2, s] * fwd[s]
+        else:
+            _accumulate(fwd[s + 1:e + 1], rows[0, s:e], rows[2, s:e], fwd[s])
+    for s, e in reversed(bounds):
+        if e - s == 1:
+            bwd[s] += rows[3, s] * bwd[e]
+        else:
+            back = slice(e - 1, s - 1 if s else None, -1)
+            _accumulate(bwd[back], rows[1, back], rows[3, back], bwd[e])
 
 
-def convolve_nodes(weights: np.ndarray, scans: np.ndarray, f: np.ndarray, fp: np.ndarray,
+def _contributions(weights: np.ndarray, f: np.ndarray, fp: np.ndarray,
                    fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(I+, I-) on the grid, I+(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds and
-    I-(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds, each of shape (N, R b, r).
-
-    f, fp, fpp: (N, R b, r) node values and first two derivatives of the
-    data; weights: the grid's (6, J, R, b, b) node weights from
-    ``Propagator.step_weights``; scans: the ``scan_factors`` table of the
-    steps e^{h_j X}.  The step contributions c_j are sums of weights times
-    node data, the backward ones under the reflection, and the running sums
-    I+(x_{j+1}) = e^{h_j X} I+(x_j) + c_j and I-(x_j) = e^{h_j X} I-(x_{j+1})
-    + c_j come from ``_scan`` forward and backward on the one table.
-    """
-    J, shape, b = len(f) - 1, f.shape, weights.shape[-1]
+    """The step contributions c_j of both convolutions: (J + 1, ...) arrays
+    holding the forward ones in rows 1..J and the backward ones, sums of the
+    reflected weights, in rows 0..J-1, blocked (J + 1, R, b, r) for b > 1."""
+    J, b = len(f) - 1, weights.shape[-1]
     if b == 1:
         G, mul = weights[..., 0], np.multiply
     else:
         G, mul = weights, np.matmul
-        f, fp, fpp = (x.reshape(len(x), -1, b, shape[-1]) for x in (f, fp, fpp))
+        f, fp, fpp = (x.reshape(len(x), -1, b, x.shape[-1]) for x in (f, fp, fpp))
     data = (f[:-1], fp[:-1], fpp[:-1], f[1:], fp[1:], fpp[1:])
     fwd = np.zeros((J + 1,) + f.shape[1:], dtype=complex)
     bwd = np.zeros_like(fwd)
@@ -282,6 +387,32 @@ def convolve_nodes(weights: np.ndarray, scans: np.ndarray, f: np.ndarray, fp: np
             c_bwd -= tmp
         else:
             c_bwd += tmp
-    _scan(scans, c_fwd)
-    _scan(scans, c_bwd, backward=True)
-    return fwd.reshape(shape), bwd.reshape(shape)
+    return fwd, bwd
+
+
+def convolve_nodes(stacks: dict, f: np.ndarray, fp: np.ndarray,
+                   fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I+, I-) on the grid, I+(x_i) = int_a^{x_i} e^{(x_i - s) X} f(s) ds and
+    I-(x_i) = int_{x_i}^b e^{(s - x_i) X} f(s) ds, each of shape (N, R b, r).
+
+    f, fp, fpp: (N, R b, r) node values and first two derivatives of the
+    data; stacks: X's grid-kit entries (``Propagator.grid_stacks``), of which
+    the node weights, "scans" and, for b = 1, "exa" and "ebx" are read.  The
+    step contributions c_j are sums of weights times node data, the backward
+    ones under the reflection.  For b = 1, on each segment [x_s, x_e],
+
+        I+(x_i) = e^{(x_i - x_s) X} [I+(x_s) + sum_{s <= j < i} c_j e^{-(x_{j+1} - x_s) X}],
+        I-(x_i) = e^{(x_e - x_i) X} [I-(x_e) + sum_{i <= j < e} c_j e^{-(x_e - x_j) X}],
+
+    one cumulative sum per direction and segment; a segment of one step
+    takes its step e^{h X} directly.  For b > 1 the running sums I+(x_{j+1})
+    = e^{h_j X} I+(x_j) + c_j and I-(x_j) = e^{h_j X} I-(x_{j+1}) + c_j run
+    step by step.
+    """
+    fwd, bwd = _contributions(stacks["weights"], f, fp, fpp)
+    if stacks["weights"].shape[-1] == 1:
+        _segmented_sums(stacks, fwd, bwd)
+    else:
+        _scan(stacks["scans"], fwd[1:])
+        _scan(stacks["scans"], bwd[:-1], backward=True)
+    return fwd.reshape(f.shape), bwd.reshape(f.shape)

@@ -356,12 +356,13 @@ def run_sweep(
     too; the power route takes K = 1, and each power point assembles its own
     frame.  A batch of K > 1 points assembles one batch frame and one grid
     kit (``_lambda_frames``), and each point solves on its view
-    (``BCFrame.parameter``), which equals its own frame bit for bit.  A
-    batch that refuses (NotInResolventSet or BranchCut) names its first
-    refused point: the points before it are solved on the frame the refusal
-    assembled for them (the exception's ``prefix``), the refusal is recorded
-    from the exception, and batching resumes after it.  One batch is held at
-    a time.
+    (``BCFrame.parameter``), which equals its own frame bit for bit while
+    the batch's convolutions run one segment
+    (``kernels.Propagator.grid_stacks``).  A batch that refuses
+    (NotInResolventSet or BranchCut) names its first refused point: the
+    points before it are solved on the frame the refusal assembled for them
+    (the exception's ``prefix``), the refusal is recorded from the
+    exception, and batching resumes after it.  One batch is held at a time.
     """
     if spec.bc_family in DERIVATIVE_FAMILIES and sweep.exclusion_radius <= 0:
         raise ValueError(f"families {DERIVATIVE_FAMILIES} need exclusion_radius > 0")

@@ -1,8 +1,8 @@
 """Shared numeric tolerances and guard thresholds.
 
 The factorization, condition, eigenbasis, unitary-basis, sector,
-series-radius and dense-size guards and the batch-frame budget read these
-constants.  Other checks keep local literals:
+series-radius and dense-size guards, the convolution segments and the
+batch-frame budget read these constants.  Other checks keep local literals:
 bvp's commutation and P - Q - B gaps (1e-10) and branch-cut margin (1e-14),
 ProblemSpec's spectrum-on-ray margin (1e-9) and the oracles' degeneracy
 tests; the verify command scales only its own per-check bounds.
@@ -35,6 +35,12 @@ SECTOR_MARGIN = 0.05
 # truncates at 2^30 / 30! ~ 4e-24 there.
 PHI_SERIES_RADIUS = 2.0
 
+# Largest |X| (x_e - x_s) of a segment [x_s, x_e] of the b = 1 convolutions
+# (``kernels.Propagator.grid_stacks``): a segment's exponentials and their
+# inverses stay within e^{+-64}, far from overflow at e^709.  Their arguments'
+# rounding, up to 64 eps, is compensated (``kernels._exp_diff``).
+SEGMENT_EXPONENT = 64.0
+
 # Largest matrix side dim * n_nodes that the sweep's dense route and the
 # dense oracles materialize; beyond it the sweep takes power iteration.
 DENSE_CAP = 2000
@@ -42,7 +48,8 @@ DENSE_CAP = 2000
 # Entries (parameter x block entry x grid node) of one batch frame: a batch
 # of sweep points or contour nodes holds max(1, BATCH_ENTRIES // (dim(A) b N))
 # parameters (``bvp._batch_size``).  A batch of more than one then has a grid
-# kit of at most 2 (8 + ceil(log2 N)) BATCH_ENTRIES complex entries, two
-# exponential stacks, six weight stacks and one scan table per generator:
-# 1.78 MB for the 21 nodes of a laplacian:3 batch at N = 64.
+# kit of at most 20 BATCH_ENTRIES complex entries, two exponential stacks, six
+# weight stacks and two inverse-exponential rows per generator (26 when the
+# convolutions run more than one segment, SEGMENT_EXPONENT): 1.27 MB for the
+# 21 nodes of a laplacian:3 batch at N = 64.
 BATCH_ENTRIES = 4096

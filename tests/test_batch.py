@@ -152,6 +152,26 @@ class TestParameterViews:
                             self._check(g_fac, w_fac, tol)
                 self._check(_SOLVERS[3](view, f).values, _SOLVERS[3](own, f).values, tol)
 
+    def test_multi_segment_views_equal_batch_rows(self, rng):
+        # laplacian:40 on (0, pi) has |m| c of about 126 here: the kit runs
+        # three segments on the 47 steps, and each view, which keeps them,
+        # solves its batch rows bit for bit
+        A = dirichlet_laplacian_modes(40)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(48, 0.0, np.pi)
+        lams = [-1.0 + 2.0j, 30.0 - 5.0j, -200.0 + 900.0j, 0.5j, 1000.0 + 1.0j]
+        batch = _lambda_frames(spec, lams)
+        kit = batch.grid_kit(grid)
+        assert np.count_nonzero(kit["m"]["scans"][4, :, 0, 0, 0]) == 3
+        fields = [smooth_field(rng, grid, A.dim).values for _ in lams]
+        rows = _SOLVERS[1](batch, GridFunction(grid, np.concatenate(fields))).values
+        for i, want in enumerate(rows.reshape(len(lams), A.dim, grid.n)):
+            view = batch.parameter(i)
+            np.testing.assert_array_equal(view.grid_kit(grid)["m"]["scans"],
+                                          kit["m"]["scans"][..., i * A.dim:(i + 1) * A.dim, :, :])
+            np.testing.assert_array_equal(_SOLVERS[1](view, GridFunction(grid, fields[i])).values,
+                                          want)
+
     def test_view_computes_a_new_grid_kit(self, rng):
         spec = ProblemSpec(0.0, np.pi, 0.0, _operator("cond30"), 1)
         lams = [-1.0 + 2.0j, -30.0 - 4.0j, 5.0 + 9.0j]

@@ -13,12 +13,13 @@ from quartic.grids import (
 )
 from quartic.kernels import (
     Propagator,
+    _contributions,
     _phi_blocks,
     _scan,
+    _segmented_sums,
     convolve_nodes,
     hermite_step_coefficients,
     phi_stack,
-    scan_factors,
 )
 from quartic.operators import make_operator
 from references import chi_stack, stencil_derivative_matrix
@@ -48,6 +49,13 @@ class TestGrids:
         g = cgl_grid(64, 0.0, np.pi)
         f = GridFunction(g, np.sin(g.nodes)[None, :])
         assert f.norm() == pytest.approx(np.sqrt(np.pi / 2), rel=1e-10)
+
+    def test_cgl_grid_is_shared_and_read_only(self):
+        # the sweep rebuilds the grid its config built: both get one grid
+        g = cgl_grid(344, 0.0, np.pi)
+        assert cgl_grid(344, 0.0, np.pi) is g and cgl_grid(344, 0.0, 2.0) is not g
+        assert not g.nodes.flags.writeable and not g.weights.flags.writeable
+        assert np.array_equal(g.weights, _clenshaw_curtis_weights(344, 0.0, np.pi))
 
     def test_first_kind_nodes_interior(self):
         x = chebyshev_gauss_nodes(10, 0.0, 1.0)
@@ -291,11 +299,6 @@ class TestHermiteModel:
                 assert val == pytest.approx(p(nodes[j] + sigma * h), abs=1e-12)
 
 
-def _scans(steps):
-    """The scan table of (J, R, b, b) step factors e^{h_j X}."""
-    return scan_factors(steps)
-
-
 def _blocks(x):
     """(..., n) eigenvalue stacks as (..., n, 1, 1) blocks; (..., n, n)
     matrix stacks as one block, (..., 1, n, n)."""
@@ -334,12 +337,10 @@ def _step_contributions(nodes, d, weights):
 class TestConvolution:
     def _run(self, op, nodes, fn, d1fn, d2fn):
         prop = Propagator(op.matrix[None])
-        hs = np.diff(nodes)
         f = np.array([np.atleast_1d(fn(x)) for x in nodes])[:, :, None]
         fp = np.array([np.atleast_1d(d1fn(x)) for x in nodes])[:, :, None]
         fpp = np.array([np.atleast_1d(d2fn(x)) for x in nodes])[:, :, None]
-        fwd, bwd = convolve_nodes(prop.step_weights(hs), _scans(prop.exp_stack(hs)),
-                                  f, fp, fpp)
+        fwd, bwd = convolve_nodes(prop.grid_stacks(nodes), f, fp, fpp)
         return fwd[:, :, 0], bwd[:, :, 0]
 
     def test_scalar_sine_closed_form(self):
@@ -413,7 +414,7 @@ def _loop_convolution(nodes, d, exp_steps, weights, backward):
 
 
 class TestConvolutionScan:
-    """The log-depth scan against the step-by-step reference recurrence, on
+    """The running sums against the step-by-step reference recurrence, on
     random node data whose step weights psi (forward) and chi (backward) are
     computed here from the eigenvalues."""
 
@@ -430,7 +431,7 @@ class TestConvolutionScan:
         psi, chi = (np.moveaxis(a, 0, 1) for a in _psi_chi(z))  # (J, 6, n)
         if modal:
             est = np.exp(z)
-            node_weights = Propagator(w[:, None, None]).step_weights(hs)
+            stacks = Propagator(w[:, None, None]).grid_stacks(nodes)
         else:
             V = np.eye(n) + 0.3 * rng.normal(size=(n, n))
             Vinv = np.linalg.inv(V)
@@ -438,18 +439,19 @@ class TestConvolutionScan:
             if not stiff:  # steps that do not commute pin the composition order
                 est = est + 0.1 * rng.normal(size=(J, n, n))
             psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
-            node_weights = Propagator((V @ np.diag(w) @ Vinv)[None]).step_weights(hs)
+            stacks = {"weights": Propagator((V @ np.diag(w) @ Vinv)[None]).step_weights(hs),
+                      "scans": _blocks(est)}
         data = tuple(rng.normal(size=(J + 1, n, r)) + 1j * rng.normal(size=(J + 1, n, r))
                      for _ in range(3))
         d = hermite_step_coefficients(nodes, *data)
-        return nodes, data, d, est, node_weights, (psi, chi)
+        return nodes, data, d, est, stacks, (psi, chi)
 
     @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
     @pytest.mark.parametrize("J", [1, 2, 3, 5, 128])
     @pytest.mark.parametrize("r", [1, 7])
     def test_matches_loop(self, rng, modal, J, r):
-        nodes, data, d, est, node_weights, weights = self._case(rng, J, r, modal)
-        got = convolve_nodes(node_weights, _scans(_blocks(est)), *data)
+        nodes, data, d, est, stacks, weights = self._case(rng, J, r, modal)
+        got = convolve_nodes(stacks, *data)
         for g, w, backward in zip(got, weights, (False, True)):
             ref = _loop_convolution(nodes, d, est, w, backward)
             assert g.shape == (J + 1, self.N_DIM, r)
@@ -457,10 +459,10 @@ class TestConvolutionScan:
 
     @pytest.mark.parametrize("modal", [True, False], ids=["modal", "dense"])
     def test_stiff_steps_underflow(self, rng, modal):
-        nodes, data, d, est, node_weights, weights = self._case(rng, 40, 2, modal, stiff=True)
+        nodes, data, d, est, stacks, weights = self._case(rng, 40, 2, modal, stiff=True)
         if modal:
             assert np.count_nonzero(est[:, :2] == 0) == 80
-        got = convolve_nodes(node_weights, _scans(_blocks(est)), *data)
+        got = convolve_nodes(stacks, *data)
         for g, w, backward in zip(got, weights, (False, True)):
             ref = _loop_convolution(nodes, d, est, w, backward)
             assert np.all(np.isfinite(g))
@@ -468,12 +470,10 @@ class TestConvolutionScan:
 
     def test_inputs_not_modified(self, rng):
         for modal in (True, False):
-            _, data, _, est, node_weights, _ = self._case(rng, 9, 2, modal)
-            scans = _scans(_blocks(est))
-            inputs = (*data, est, node_weights) + tuple(
-                e for scan in scans for e in (scan if isinstance(scan, tuple) else (scan,)))
+            _, data, _, est, stacks, _ = self._case(rng, 9, 2, modal)
+            inputs = (*data, est, *stacks.values())
             copies = [a.copy() for a in inputs]
-            convolve_nodes(node_weights, scans, *data)
+            convolve_nodes(stacks, *data)
             for a, b in zip(inputs, copies):
                 assert np.array_equal(a, b)
 
@@ -481,8 +481,7 @@ class TestConvolutionScan:
 class TestNodeWeights:
     """Step contributions from the node weights against h_j sum_m W_jm d_jm,
     with d from hermite_step_coefficients and W = psi (forward) or chi
-    (backward, the reflected weights).  Zero step factors make the
-    convolutions return the contributions themselves."""
+    (backward, the reflected weights)."""
 
     N = 17  # uniform steps of h = 1/16
 
@@ -490,20 +489,18 @@ class TestNodeWeights:
         nodes = np.linspace(0.0, 1.0, self.N)
         hs = np.diff(nodes)
         w = z / hs[0]
-        n, J = len(w), len(hs)
+        n = len(w)
         psi, chi = (np.moveaxis(a, 0, 1) for a in _psi_chi(np.multiply.outer(hs, w)))
         if dense:
             V = np.eye(n) + 0.2 * rng.normal(size=(n, n))
             Vinv = np.linalg.inv(V)
             psi, chi = (np.einsum("ij,tmj,jk->tmik", V, a, Vinv) for a in (psi, chi))
             prop = Propagator((V @ np.diag(w) @ Vinv)[None])
-            zero_steps = np.zeros((J, 1, n, n))
         else:
             prop = Propagator(w[:, None, None])
-            zero_steps = np.zeros((J, n, 1, 1))
         data = tuple(rng.normal(size=(self.N, n, 3)) + 1j * rng.normal(size=(self.N, n, 3))
                      for _ in range(3))
-        fwd, bwd = convolve_nodes(prop.step_weights(hs), _scans(zero_steps), *data)
+        fwd, bwd = (c.reshape(self.N, n, 3) for c in _contributions(prop.step_weights(hs), *data))
         d = hermite_step_coefficients(nodes, *data)
         return ((fwd[1:], _step_contributions(nodes, d, psi)),
                 (bwd[:-1], _step_contributions(nodes, d, chi)))
@@ -568,7 +565,7 @@ class TestKitReuse:
         assert len(after) == len(before)
         for a, b in zip(after, before):
             assert np.array_equal(a, b)
-        if frame.block == 1:  # the cached compositions cannot be written in place
+        if frame.block == 1:  # the cached scan rows cannot be written in place
             factors = (kit["m"]["scans"], kit["l"]["scans"])
             assert all(e.size for e in factors) and not any(e.flags.writeable for e in factors)
 
@@ -585,46 +582,73 @@ def _sequential_scan(steps, c, backward):
 
 
 class TestScanTable:
-    """One ``scan_factors`` table serves the prefix and the suffix scan."""
+    """For b > 1 the steps themselves serve the prefix and the suffix
+    recurrence."""
 
     R, r = 3, 2
 
-    def _steps(self, rng, J, b):
-        z = -rng.uniform(0.0, 2.0, (J, self.R, b, b)) + 1j * rng.normal(size=(J, self.R, b, b))
-        if b == 1:
-            return np.exp(z)  # Re <= 0: exact step exponentials of a stable X
-        return np.exp(z) / (2 * b)  # norm < 1: the recurrence stays bounded
-
-    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("b", [2])
     @pytest.mark.parametrize("J", [1, 2, 3, 5, 63, 64])
     def test_matches_sequential_recurrence(self, rng, J, b):
-        steps = self._steps(rng, J, b)
-        table = scan_factors(steps)
+        z = -rng.uniform(0.0, 2.0, (J, self.R, b, b)) + 1j * rng.normal(size=(J, self.R, b, b))
+        steps = np.exp(z) / (2 * b)  # norm < 1: the recurrence stays bounded
         c = rng.normal(size=(J, self.R, b, self.r)) + 1j * rng.normal(size=(J, self.R, b, self.r))
         for backward in (False, True):
             want = _sequential_scan(steps, c, backward)
-            got = c.copy() if b > 1 else c[:, :, 0].copy()
-            _scan(table, got, backward=backward)
-            got = got.reshape(want.shape)
+            got = c.copy()
+            _scan(steps, got, backward=backward)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("J", [1, 2, 3, 5, 63, 64])
-    def test_table_layout(self, rng, J):
-        # row k composes the 2^k steps that start at each step; zeros where
-        # fewer steps are left
-        steps = self._steps(rng, J, 1)
-        table = scan_factors(steps)
-        L = int(np.ceil(np.log2(J)))
-        assert table.shape == (L, J, self.R, 1, 1) and not table.flags.writeable
-        for k in range(L):
-            w = 2 ** k
-            for i in range(J):
-                want = np.prod(steps[i:i + w], axis=0) if i + w <= J else 0.0
-                np.testing.assert_allclose(table[k, i], want, rtol=1e-14, atol=0)
-        dense = self._steps(rng, J, 2)
-        got = scan_factors(dense)
-        assert np.array_equal(got, dense) and not got.flags.writeable
-        assert dense.flags.writeable  # the caller's steps keep their flags
+
+class TestSegmentedSums:
+    """The b = 1 running sums, cumulative sums on the segments of
+    ``Propagator.grid_stacks``, against the step-by-step recurrences of the
+    kit's own steps e^{h_j X}, on Chebyshev grids of J steps on (0, 1)."""
+
+    # |X| c = 60 (one segment), an oscillatory X with |Im X| >> |Re X| at
+    # |X| c = 150, and a stiff X at |X| c = 1e4, where steps underflow
+    GENERATORS = {
+        "one-segment": np.array([-60.0, -1.0 + 2.0j, -30.0 - 40.0j]),
+        "oscillatory": np.array([-0.5 + 150.0j, -0.1 - 90.0j, -2.0 + 30.0j]),
+        "stiff": np.array([-1e4, -6e3 + 8e3j, -3.0 + 1.0j]),
+    }
+
+    @pytest.mark.parametrize("r", [1, 5])
+    @pytest.mark.parametrize("J", [1, 2, 3, 63, 64])
+    @pytest.mark.parametrize("case", list(GENERATORS))
+    def test_matches_sequential_recurrence(self, rng, case, J, r):
+        X = self.GENERATORS[case]
+        nodes = cgl_grid(J + 1, 0.0, 1.0).nodes
+        prop = Propagator(X[:, None, None])
+        c = rng.normal(size=(J, len(X), 1, r)) + 1j * rng.normal(size=(J, len(X), 1, r))
+        fwd = np.zeros((J + 1, len(X), r), dtype=complex)
+        bwd = np.zeros_like(fwd)
+        fwd[1:], bwd[:-1] = c[:, :, 0], c[:, :, 0]
+        stacks = prop.grid_stacks(nodes)  # a RuntimeWarning fails the test (pyproject)
+        _segmented_sums(stacks, fwd, bwd)
+        segments = (1 if len(stacks["scans"]) == 2
+                    else np.count_nonzero(stacks["scans"][4, :, 0, 0, 0]))
+        assert (segments == 1) == (case == "one-segment" or J == 1)
+        steps = prop.exp_stack(np.diff(nodes))
+        for got, backward in ((fwd[1:], False), (bwd[:-1], True)):
+            want = _sequential_scan(steps, c, backward)[:, :, 0]
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_segments_are_the_fewest_within_the_bound(self):
+        # a kit spanning |X| c = 150 on 64 steps: every segment stays within
+        # SEGMENT_EXPONENT and no two neighbours would
+        from quartic.tolerances import SEGMENT_EXPONENT
+
+        X = self.GENERATORS["oscillatory"]
+        x = cgl_grid(65, 0.0, 1.0).nodes
+        scans = Propagator(X[:, None, None]).grid_stacks(x)["scans"]
+        starts = np.flatnonzero(scans[4, :, 0, 0, 0])
+        ends = np.append(starts[1:], 64)
+        spans = np.max(np.abs(X)) * (x[ends] - x[starts])
+        assert starts[0] == 0 and len(starts) == 3
+        assert np.all(spans <= SEGMENT_EXPONENT)
+        assert np.all(spans[:-1] + spans[1:] > SEGMENT_EXPONENT)
 
 
 class TestKitLayout:
@@ -660,6 +684,17 @@ class TestKitLayout:
         assert _batch_size(spec, 64) == 21
         kit = _lambda_frames(spec, -1.0 + 1j * np.arange(1, 22)).grid_kit(cgl_grid(64, 0.0, np.pi))
         assert sum(x.nbytes for gen in "ml" for x in kit[gen].values()) <= 1.8e6
+
+    def test_contour_pass_kit_holds_two_scan_rows(self):
+        # one segment: the inverse exponentials are the only scan rows, and
+        # the kit measured 1.27e6 bytes (1.78e6 with the log-depth table)
+        from quartic.bvp import ProblemSpec, _lambda_frames
+        from quartic.operators import dirichlet_laplacian_modes
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, dirichlet_laplacian_modes(3), 1)
+        kit = _lambda_frames(spec, -1.0 + 1j * np.arange(1, 22)).grid_kit(cgl_grid(64, 0.0, np.pi))
+        assert all(kit[gen]["scans"].shape == (2, 63, 63, 1, 1) for gen in "ml")
+        assert sum(x.nbytes for gen in "ml" for x in kit[gen].values()) <= 1.55e6
 
 
 class TestDataDerivatives:
@@ -748,6 +783,7 @@ class TestDenseRouteConvolution:
                 if i < J:
                     E = prop.exp_stack(x[i:J] - x[i])[:, 0]
                     ref_bwd[i] = np.einsum("jab,jbr->ar", E, c_bwd[i:])
-            got_fwd, got_bwd = convolve_nodes(prop.step_weights(hs), _scans(est), fv, *derivs)
+            got_fwd, got_bwd = convolve_nodes({"weights": prop.step_weights(hs), "scans": est},
+                                              fv, *derivs)
             for got, ref in ((got_fwd, ref_fwd), (got_bwd, ref_bwd)):
                 assert np.max(np.abs(got - ref)) <= 1e-4 * np.max(np.abs(ref))

@@ -1171,7 +1171,7 @@ class TestReachability:
         """(argv, exit code) of the command runs: solve, sweep and evolve on
         every family for a diagonal and a one-block (Jordan) operator, each
         scheme, the growth probe, a uniform grid, file and zero data, a
-        power-route sweep, two refused solves and verify."""
+        power-route sweep, a stiff sweep, two refused solves and verify."""
         from test_batch import TestBatchRefusals
 
         from quartic import tolerances
@@ -1205,6 +1205,8 @@ class TestReachability:
         add("files", ("evolve",), v0="file:data.csv", forcing="type = file\npath = data.csv")
         # one sweep point with dim * N above DENSE_CAP takes the power route
         add("power", ("sweep",), n_radii=1, sweep_nodes=tolerances.DENSE_CAP // 2 + 1)
+        # |X| c = 126 > SEGMENT_EXPONENT: the convolutions run several segments
+        add("stiff", ("sweep",), operator="laplacian:40")
         add("cut", ("solve",), 2, lam="1")  # BranchCut: lambda on the cut
         add("refused", ("solve",), 3, bc=3, operator="file:rotated.txt",
             lam=format_complex(TestBatchRefusals.LAM0))  # NotInResolventSet

@@ -52,7 +52,7 @@ class TestSineClosedForm:
     (``references.sine_mode_resolvent``, ``sine_resolvent_norm``)."""
 
     # A with b = n (the Jordan block) and with b = 1 (basis condition 1e3):
-    # the one-block and the log-depth scans, forward and backward
+    # the one-block recurrences and the segmented sums, forward and backward
     OPERATORS = {"jordan": (lambda: make_operator([[-1.0, 1.0], [0.0, -1.0]]), [0.3, 1.0]),
                  "cond1e3": (lambda: _ill_conditioned(1e3), [0.3, 1.0, -0.5, 0.2])}
 
