@@ -2,7 +2,7 @@
 
 Exit codes: 0 success; 1 failed verification property; 2 configuration
 error; 3 singular frame during a solve; 4 residual tolerance breach, or a
-sweep norm whose power iteration did not converge (the CSV is written);
+sweep norm whose Lanczos iteration did not converge (the CSV is written);
 5 sector-angle gate for time evolution.
 """
 

@@ -333,13 +333,17 @@ def write_solution_csv(path, gf: GridFunction, residuals: dict | None = None) ->
 
 
 def write_sweep_csv(path, report) -> None:
-    """Fixed column order, then a JSON-like summary block as comments."""
+    """Fixed column order, then a JSON-like summary block as comments.
+
+    ``converged`` is 0 on a refused row and on a power-route norm whose
+    iteration did not converge (note "power-unconverged"), 1 otherwise."""
     import json
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lambda_re,lambda_im,resolvent_norm,ratio,frame_ok\n")
-        cells = [(r.lam.real, r.lam.imag, r.norm, r.ratio, r.frame_ok) for r in report.records]
-        _write_rows(fh, [np.array(cells, dtype=float).reshape(-1)], 5)
+        fh.write("lambda_re,lambda_im,resolvent_norm,ratio,frame_ok,converged\n")
+        cells = [(r.lam.real, r.lam.imag, r.norm, r.ratio, r.frame_ok,
+                  r.frame_ok and r.note != "power-unconverged") for r in report.records]
+        _write_rows(fh, [np.array(cells, dtype=float).reshape(-1)], 6)
         fh.write("# summary " + json.dumps(report.summary()) + "\n")
 
 

@@ -37,7 +37,6 @@ round-off by their non-normality.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -52,16 +51,6 @@ __all__ = [
 ]
 
 _SERIES_TERMS = 30
-
-
-@lru_cache(maxsize=16)
-def _series_table(kmax: int) -> np.ndarray:
-    """Read-only coefficients of z^0..z^{_SERIES_TERMS-1} (rows) in the
-    small-|z| series of phi_1..phi_kmax (columns), 1/(i+k)!."""
-    inv_fact = np.array([1.0 / factorial(j) for j in range(_SERIES_TERMS + kmax)])
-    table = inv_fact[np.arange(_SERIES_TERMS)[:, None] + np.arange(1, kmax + 1)]
-    table.setflags(write=False)
-    return table
 
 
 def _real_product(M: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -83,11 +72,13 @@ def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
 
     phi_0 = e^z, and the upward recurrence phi_{k+1} = (phi_k - 1/k!)/z runs
     on the entries with |z| >= PHI_SERIES_RADIUS only.  It divides by z once
-    per order, so its error grows like k! eps / |z|^k; inside the radius the
-    series phi_k(z) = sum_i z^i / (i+k)! comes from one power matrix times
-    the coefficient table, which is at round-off there.  A stack wholly
-    inside or wholly outside the radius is indexed with ``...``, not through
-    a mask; each entry's arithmetic is the same either way.
+    per order, so its error grows like k! eps / |z|^k; inside the radius
+    phi_kmax(z) = sum_i z^i / (i+kmax)! is summed by Horner steps over its
+    _SERIES_TERMS terms, and the lower orders follow downward by
+    phi_k = z phi_{k+1} + 1/k!, which is at round-off there.  Every entry
+    takes the same number of terms.  A stack wholly inside or wholly outside
+    the radius is indexed with ``...``, not through a mask; each entry's
+    arithmetic is the same either way.
     """
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < tol.PHI_SERIES_RADIUS
@@ -104,13 +95,15 @@ def phi_stack(z: np.ndarray, kmax: int) -> np.ndarray:
     small = _entries(small)
     if small is not None:
         zs = z[small]
-        flat = zs.reshape(-1)
-        powers = np.empty((_SERIES_TERMS, zs.size), dtype=complex)
-        powers[0] = 1.0
-        for i in range(1, _SERIES_TERMS):
-            np.multiply(powers[i - 1], flat, out=powers[i])
-        phi[1:, small] = _real_product(_series_table(kmax).T, powers).reshape(
-            (kmax,) + zs.shape)
+        term = np.full(zs.shape, 1.0 / factorial(_SERIES_TERMS - 1 + kmax), dtype=complex)
+        for i in range(_SERIES_TERMS - 2, -1, -1):
+            term *= zs
+            term += 1.0 / factorial(i + kmax)
+        phi[kmax, small] = term
+        for k in range(kmax - 1, 0, -1):
+            term *= zs
+            term += 1.0 / factorial(k)
+            phi[k, small] = term
     return phi
 
 

@@ -4,7 +4,7 @@ The sweep walks a polar grid around the branch vertex -k^2/4 and records the
 weighted resolvent norm of the fourth-order generator on the sample grid and
 the scaled ratio (1 + |lambda - vertex|) * ||R(lambda)||, by one of three
 routes (``run_sweep``): per-mode blocks, the assembled resolvent matrix, or
-power iteration with an adjoint frame derived from the forward one.  Every
+a Lanczos iteration with an adjoint frame derived from the forward one.  Every
 frame member is a scalar function of A, so the points of a sweep batch
 like contour nodes: a batch of K = max(1, BATCH_ENTRIES // (dim(A) b N))
 points (``bvp._batch_size``, b the block size) shares one batch frame and one
@@ -195,53 +195,28 @@ def _start_vector(size: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u[0::2])) * np.exp(2j * np.pi * u[1::2])
 
 
-def _ritz_norm(w: np.ndarray, x_prev: np.ndarray, x: np.ndarray, bx_prev: np.ndarray,
-               bx: np.ndarray, rayleigh: float) -> float:
-    """sqrt of the largest Rayleigh-Ritz value of B on span{x_prev, x} in the
-    W-inner product, given B x_prev and B x: the 2 x 2 pencil
-    (Q^H W B Q, Q^H W Q) on Q = [x_prev, x], with the Hermitian part of the
-    projected B.  Falls back to ``rayleigh`` when the Gram matrix is not
-    numerically positive definite or the Ritz value lies below it.  The Gram
-    matrix counts as singular when x is W-parallel to x_prev to within
-    sin^2 <= 1e4 eps: the pencil then scales the rounding of B x by 1/sin^2,
-    and for a nearly rank-one B, whose iterates agree to rounding, it gave
-    values up to 18 % too large."""
-    q, bq = np.stack([x_prev, x], axis=1), np.stack([bx_prev, bx], axis=1)
-    wq = w[:, None] * q
-    h = wq.conj().T @ bq
-    gram = wq.conj().T @ q
-    try:
-        L = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return rayleigh
-    if abs(L[1, 1]) ** 2 <= 1e4 * np.finfo(float).eps * gram[1, 1].real:
-        return rayleigh
-    c = np.linalg.inv(L)
-    theta = np.linalg.eigvalsh(c @ (0.5 * (h + h.conj().T)) @ c.conj().T)[-1]
-    return float(np.sqrt(theta)) if theta >= rayleigh * rayleigh else rayleigh
-
-
 class _Unconverged(float):
-    """The last estimate of a power iteration that ran ``max_iter`` steps."""
+    """The last estimate of a Lanczos iteration that ran ``max_iter`` steps."""
 
 
-def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
-                    rel_tol: float = 1e-6, max_iter: int = 200,
-                    frame: BCFrame | None = None) -> float:
-    """Norm estimate without materialization: power iteration on B = R~* R.
+def _map_norm_lanczos(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
+                      rel_tol: float = 1e-7, max_iter: int = 40,
+                      frame: BCFrame | None = None) -> float:
+    """Norm estimate without materialization: Lanczos on B = R~* R.
 
     R~ is the resolvent of A^H at conj(lam), whose frame and grid kit are
     derived from the forward ones (``BCFrame.adjoint``); for the normal
     surrogates it is the exact discrete adjoint up to quadrature asymmetry.
-    ``w`` holds the norm's quadrature weights; the start vector comes from
-    ``_start_vector``.  The iteration stops when the Rayleigh value
-    sqrt(<x, Bx>_W / <x, x>_W) moves by at most ``rel_tol``; the reported
-    norm is then the Rayleigh-Ritz value on the last two iterates
-    (``_ritz_norm``), which needs no further solve: B x_prev is the previous
-    step's z, and B x the last one's.  An iteration that has not converged
-    after ``max_iter`` B-applications returns its last Rayleigh value as an
-    ``_Unconverged``.  ``frame``, the forward frame at lam, is assembled when
-    not given.
+    ``w`` holds the norm's quadrature weights.  From ``_start_vector`` the
+    iteration builds a W-orthonormal Krylov basis Q of B, each new B q
+    W-orthogonalized against every earlier q twice, and estimates the norm
+    as sqrt of the largest eigenvalue of the Hermitian part of Q^H W B Q:
+    B is W-self-adjoint only up to the quadrature's asymmetry.  One step is
+    one B-application, a forward and an adjoint solve.  The iteration stops
+    when the estimate moves by at most ``rel_tol``, or when the residual
+    vanishes (Q spans an invariant subspace); one that has not stopped after
+    ``max_iter`` steps returns its last estimate as an ``_Unconverged``.
+    ``frame``, the forward frame at lam, is assembled when not given.
     """
     n = spec.A.dim
     solve = _SOLVERS[spec.bc_family]
@@ -254,20 +229,30 @@ def _map_norm_power(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
         gv = GridFunction(grid, v.reshape(grid.n, n).T)
         return solve(adj_frame, solve(frame, gv)).values.T.reshape(-1)
 
-    x = _start_vector(n * grid.n)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(max_iter):
-        z = apply(x)
-        ray = np.vdot(x, w * z).real / np.vdot(x, w * x).real
-        new = float(np.sqrt(max(ray, 0.0)))
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            return 0.0
-        if est > 0 and abs(new - est) <= rel_tol * est:
-            return _ritz_norm(w, x_prev, x, z_prev, z, new)
-        x_prev, z_prev, est = x, z, new
-        x = z / nz
+    def w_norm(v):
+        return float(np.sqrt(np.vdot(v, w * v).real))
+
+    # rows of Q and B Q, touched only as they are filled, and the projected
+    # matrix Q^H W B Q, extended by one row and column per step
+    Q = np.empty((max_iter, n * grid.n), dtype=complex)
+    BQ = np.empty_like(Q)
+    h = np.empty((max_iter, max_iter), dtype=complex)
+    q, est = _start_vector(n * grid.n), 0.0
+    for k in range(max_iter):
+        Q[k] = q / w_norm(q)
+        BQ[k] = apply(Q[k])
+        WQh = (w * Q[:k + 1]).conj()
+        h[:k + 1, k] = WQh @ BQ[k]
+        h[k, :k] = BQ[:k] @ WQh[k]
+        hk = h[:k + 1, :k + 1]
+        new = float(np.sqrt(max(np.linalg.eigvalsh(0.5 * (hk + hk.conj().T))[-1], 0.0)))
+        q = BQ[k]
+        for _ in range(2):
+            q = q - (WQh @ q) @ Q[:k + 1]
+        if (w_norm(q) <= np.finfo(float).eps * w_norm(BQ[k])
+                or (est > 0 and abs(new - est) <= rel_tol * est)):
+            return new
+        est = new
     return _Unconverged(est)
 
 
@@ -330,9 +315,9 @@ def run_sweep(
     for A with a unitary eigenbasis (eig_cond - 1 <= UNITARY_BASIS_GAP) it is
     the largest weighted norm of the per-mode blocks (``resolvent_blocks``),
     and for every other A the weighted SVD of the materialized resolvent
-    (``resolvent_matrix``).  Beyond the cap norms come from power iteration
-    (note "power", ``_map_norm_power``) against the resolvent of the
-    conjugate-transposed problem, whose frame each point derives from its
+    (``resolvent_matrix``).  Beyond the cap norms come from a Lanczos
+    iteration (note "power", ``_map_norm_lanczos``) against the resolvent of
+    the conjugate-transposed problem, whose frame each point derives from its
     forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
     A point whose iteration does not converge keeps its last estimate with
     the note "power-unconverged".  Families 2 and 4 have no power route,
@@ -387,7 +372,7 @@ def run_sweep(
 
     def job(lam, frame):
         if power:
-            nrm = _map_norm_power(spec, lam, grid, weights, frame=frame)
+            nrm = _map_norm_lanczos(spec, lam, grid, weights, frame=frame)
             return record(lam, nrm, "power-unconverged" if isinstance(nrm, _Unconverged)
                           else "power")
         if per_mode:

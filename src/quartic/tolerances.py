@@ -31,8 +31,10 @@ SECTOR_MARGIN = 0.05
 
 # |z|-threshold separating the series evaluation of the exponential step
 # integrals from the upward recurrence.  The recurrence loses about
-# k! eps / |z|^k at order k (2.5e-15 for phi_6 at |z| = 2); the 30-term series
-# truncates at 2^30 / 30! ~ 4e-24 there.
+# k! eps / |z|^k at order k (2.5e-15 for phi_6 at |z| = 2).  Inside it the
+# top order's 30-term series, summed by Horner steps, truncates at
+# 2^30 / 30! ~ 4e-24 relative or less, and the downward recurrence
+# phi_k = z phi_{k+1} + 1/k! scales a relative error by |z| / (k+1) < 1.
 PHI_SERIES_RADIUS = 2.0
 
 # Largest |X| (x_e - x_s) of a segment [x_s, x_e] of the b = 1 convolutions
@@ -42,7 +44,7 @@ PHI_SERIES_RADIUS = 2.0
 SEGMENT_EXPONENT = 64.0
 
 # Largest matrix side dim * n_nodes that the sweep's dense route and the
-# dense oracles materialize; beyond it the sweep takes power iteration.
+# dense oracles materialize; beyond it the sweep takes a Lanczos iteration.
 DENSE_CAP = 2000
 
 # Entries (parameter x block entry x grid node) of one batch frame: a batch

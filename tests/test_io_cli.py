@@ -364,14 +364,15 @@ class TestCellFormatter:
     def test_sweep_csv(self, tmp_path):
         records = [SweepRecord(-0.5 + 2.25j, 1.25, 3.5, True, "dense"),
                    SweepRecord(1e-300 - 0.1j, np.nan, np.inf, False, "failed"),
-                   SweepRecord(complex(-0.0, 1e17), 0.30000000000000004, 1e-5, True, "power")]
+                   SweepRecord(complex(-0.0, 1e17), 0.30000000000000004, 1e-5, True, "power"),
+                   SweepRecord(2.0 - 1.0j, 0.75, 2.5, True, "power-unconverged")]
         report = SweepReport(grid=None, records=records, c_empirical=1.0, failures=[],
                              r_observed=0.5)
         write_sweep_csv(tmp_path / "s.csv", report)
-        want = ["lambda_re,lambda_im,resolvent_norm,ratio,frame_ok"]
-        for r in records:
+        want = ["lambda_re,lambda_im,resolvent_norm,ratio,frame_ok,converged"]
+        for r, converged in zip(records, (1, 0, 1, 0)):
             want.append(f"{r.lam.real:.17g},{r.lam.imag:.17g},{r.norm:.17g},"
-                        f"{r.ratio:.17g},{int(r.frame_ok)}")
+                        f"{r.ratio:.17g},{int(r.frame_ok)},{converged}")
         lines = (tmp_path / "s.csv").read_text().splitlines()
         assert lines[:-1] == want
         assert lines[-1].startswith("# summary ")
@@ -613,7 +614,7 @@ n_nodes = 24
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 0
         text = (tmp_path / "sweep.csv").read_text()
-        assert text.splitlines()[0] == "lambda_re,lambda_im,resolvent_norm,ratio,frame_ok"
+        assert text.splitlines()[0] == "lambda_re,lambda_im,resolvent_norm,ratio,frame_ok,converged"
         assert "# summary" in text
 
     def test_exit_zero_despite_failures_for_clamped_family(self, tmp_path):
@@ -677,8 +678,8 @@ n_nodes = 344
         from quartic import spectral, tolerances
 
         monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
-        monkeypatch.setattr(spectral, "_map_norm_power",
-                            partial(spectral._map_norm_power, max_iter=1))
+        monkeypatch.setattr(spectral, "_map_norm_lanczos",
+                            partial(spectral._map_norm_lanczos, max_iter=1))
         cfg = write_config(tmp_path / "c.cfg", """
 [problem]
 operator = laplacian:3
