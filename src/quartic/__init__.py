@@ -22,7 +22,7 @@ _EXPORTS = {
             "resolvent_solve", "solve_bc1", "solve_bc2", "solve_bc3", "solve_bc4",
             "solve_bc5"),
     "evolution": ("EvolutionSpec", "evolve", "growth_bound_probe",
-                  "semigroup_apply_contour", "variation_of_constants_check"),
+                  "semigroup_apply_contour"),
     "grids": ("Grid", "GridFunction", "cgl_grid", "uniform_grid"),
     "operators": ("OperatorHandle", "dirichlet_laplacian_modes", "make_operator",
                   "operator_norm"),

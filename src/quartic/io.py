@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import Grid, GridFunction
+from .kernels import _split
 
 __all__ = [
     "parse_complex",
@@ -113,14 +114,7 @@ def read_operator_file(path) -> np.ndarray:
 
 
 _CHUNK_CELLS = 1 << 11  # cells formatted and written at a time
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit mantissas
 _K_MIN, _K_MAX = -250, 280  # 10**k for k = 16 - X, |X| <= 262
-
-
-def _split(a):
-    big = _SPLIT * a
-    high = big - (big - a)
-    return high, a - high
 
 
 def _powers_of_ten():

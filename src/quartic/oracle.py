@@ -143,30 +143,17 @@ def _frame_bc2_operator(A: OperatorHandle, k: float, lam: complex) -> np.ndarray
     return np.asarray(A.matrix) - (k / 2.0) * np.eye(A.dim) + 1j * s * np.eye(A.dim)
 
 
-def collocation_solve(
-    spec,
-    lam: complex,
-    f: GridFunction,
-    bc_operator: str = "frame",
-) -> GridFunction:
+def collocation_solve(spec, lam: complex, f: GridFunction) -> GridFunction:
     """Direct dense solve of the shifted fourth-order problem, homogeneous BCs.
 
-    ``bc_operator`` selects the second-order boundary operator for the
-    families that carry one: "frame" matches the representation formulas
-    (parameter-shifted factor), "fixed" uses the base operator itself (the
-    generator's own domain).  The two coincide for families without it.
+    The boundary operator S of the u'' + S u conditions (families 2 and 5)
+    is the representation formulas' factor P(lam) (``_frame_bc2_operator``).
     """
     if f.grid.kind != "cgl":
         raise DimensionMismatch("collocation oracle needs a CGL grid")
     coeff2, coeff0 = _coeffs_from_A(spec.A, spec.k)
-    if bc_operator == "frame":
-        S = _frame_bc2_operator(spec.A, spec.k, lam)
-    elif bc_operator == "fixed":
-        S = np.asarray(spec.A.matrix)
-    else:
-        raise ValueError("bc_operator must be 'frame' or 'fixed'")
     sys_ = _build_system(f.grid.n, f.grid.a, f.grid.b, coeff2, coeff0,
-                         spec.bc_family, S)
+                         spec.bc_family, _frame_bc2_operator(spec.A, spec.k, lam))
     M = sys_.full(lam)
     # the raw system is badly row-scaled (fourth-derivative rows); row
     # equilibration keeps the singularity test and the solve meaningful
@@ -218,21 +205,22 @@ class DenseGenerator:
         return w[self.iidx]
 
 
-def dense_generator(spec, n_nodes: int, bc_operator: str = "fixed") -> DenseGenerator:
+def dense_generator(spec, n_nodes: int) -> DenseGenerator:
     """Matrix of the generator with boundary rows eliminated exactly.
 
     The boundary block solves the four condition rows for the dofs at the
     two extreme node pairs; the downsampled operator rows then close on the
     remaining dofs (a Schur complement against the mass of the embedding).
+    The boundary operator S of the u'' + S u conditions (families 2 and 5)
+    is A itself: the generator's own domain.
     """
     if n_nodes * spec.A.dim > tol.DENSE_CAP:
         raise CapExceeded(
             f"dense generator size {n_nodes * spec.A.dim} exceeds cap {tol.DENSE_CAP}"
         )
     coeff2, coeff0 = _coeffs_from_A(spec.A, spec.k)
-    S = np.asarray(spec.A.matrix) if bc_operator == "fixed" else \
-        _frame_bc2_operator(spec.A, spec.k, 0.0)
-    sys_ = _build_system(n_nodes, spec.a, spec.b, coeff2, coeff0, spec.bc_family, S)
+    sys_ = _build_system(n_nodes, spec.a, spec.b, coeff2, coeff0, spec.bc_family,
+                         np.asarray(spec.A.matrix))
     Rb = sys_.R[:, sys_.bidx]
     Ri = sys_.R[:, sys_.iidx]
     condb = np.linalg.cond(Rb)

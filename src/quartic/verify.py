@@ -26,10 +26,11 @@ checks, with the path each one exercises:
   ``oracle.characteristic_root_solve``;
 - collocation_crosscheck: ``bvp.resolvent_solve`` against
   ``oracle.collocation_solve``;
-- variation_of_constants_scalar/_modal:
-  ``evolution.variation_of_constants_check``;
 - contour_vs_exact_mode, semigroup_law_contour:
   ``evolution.semigroup_apply_contour``;
+- forced_contour_steady/_ramp: ``evolution.evolve`` on the CONTOUR scheme
+  with steady and linearly growing forcing (the forcing transform,
+  ``_forced_payload``) against the Duhamel formula in closed form;
 - generator_low_modes: ``oracle.dense_generator`` and ``low_spectrum``;
 - sweep_per_mode_norm: ``spectral.run_sweep`` against
   ``operators.operator_norm`` of ``bvp.resolvent_matrix``.
@@ -57,7 +58,7 @@ from .bvp import (
     solve_bc4,
     solve_bc5,
 )
-from .evolution import semigroup_apply_contour, variation_of_constants_check
+from .evolution import EvolutionSpec, evolve, semigroup_apply_contour
 from .grids import GridFunction, cgl_grid
 from .operators import make_operator, operator_norm
 from .oracle import ScalarForcing, characteristic_root_solve, collocation_solve, dense_generator, low_spectrum
@@ -229,21 +230,11 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
                     / max(np.max(np.abs(u_c.values)), 1e-30))
     add("collocation_crosscheck", worst, 1e-6)
 
-    # variation of constants
-    res = variation_of_constants_check([[-1.0]], [[-2.0]], [[-1.0]], [1.0],
-                                       np.linspace(0.0, 1.0, 7))
-    add("variation_of_constants_scalar", res, 1e-10)
-    d1 = -np.array([1.0, 2.0, 3.0, 1.5, 2.5])
-    d2 = d1 - np.array([0.5, 0.2, 0.9, 0.4, 0.1])
-    res = variation_of_constants_check(np.diag(d1), np.diag(d2),
-                                       np.diag(d2 - d1), rng.normal(size=5),
-                                       np.linspace(0.0, 2.0, 5))
-    add("variation_of_constants_modal", res, 1e-8)
-
     # contour semigroup vs dense exponential on a small instance
     spec1 = ProblemSpec(0.0, np.pi, 0.0, A1, 1)
     grid48 = cgl_grid(48, 0.0, np.pi)
-    v0 = GridFunction(grid48, np.sin(grid48.nodes)[None, :].astype(complex))
+    sine = np.sin(grid48.nodes)[None, :].astype(complex)
+    v0 = GridFunction(grid48, sine)
     u_c = semigroup_apply_contour(spec1, 0.4, v0, n_points=24)
     exact = np.exp(-4 * 0.4) * v0.values
     add("contour_vs_exact_mode", np.max(np.abs(u_c.values - exact)), 1e-6)
@@ -252,6 +243,19 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     u_full = semigroup_apply_contour(spec1, 1.0, v0, n_points=24)
     add("semigroup_law_contour", np.max(np.abs(u_a.values - u_full.values))
         / max(np.max(np.abs(u_full.values)), 1e-30), 1e-5)
+
+    # the contour's forcing transform against the Duhamel formula: G sin x =
+    # -4 sin x, so e^{-4t} v0 + int_0^t e^{-4(t-s)} f(s) ds in closed form,
+    # for steady forcing and for a ramp, which reaches the slope terms
+    for name, forcing, duhamel in (
+            ("forced_contour_steady", lambda t: 0.7 * sine,
+             lambda t: (1.0 - np.exp(-4.0 * t)) * 0.7 / 4.0),
+            ("forced_contour_ramp", lambda t: 0.7 * t * sine,
+             lambda t: 0.7 * (t / 4.0 - (1.0 - np.exp(-4.0 * t)) / 16.0))):
+        traj = evolve(EvolutionSpec(spec1, 1.0, v0, forcing=forcing, dt=0.25,
+                                    contour_points=24))
+        add(name, max(np.max(np.abs(u.values - (np.exp(-4.0 * t) + duhamel(t)) * sine))
+                      for t, u in traj[1:]), 1e-9)
 
     # dense generator anchor: lowest modes of the value/second-derivative family
     gen = dense_generator(spec1, 48)

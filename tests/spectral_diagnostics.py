@@ -85,15 +85,14 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
     }
 
 
-def generator_sector_check(spec: ProblemSpec, n_nodes: int = 48,
-                           bc_operator: str = "fixed") -> dict:
+def generator_sector_check(spec: ProblemSpec, n_nodes: int = 48) -> dict:
     """Eigenvalues of the dense surrogate shifted by the vertex.
 
     Reports the largest |arg| over the shifted spectrum and the largest
     relative imaginary part; the sector containment claim is that the former
     stays within 2*theta_a plus the probe margin.
     """
-    gen = dense_generator(spec, n_nodes, bc_operator=bc_operator)
+    gen = dense_generator(spec, n_nodes)
     evs = np.linalg.eigvals(gen.minus_generator) + spec.k**2 / 4.0
     mags = np.maximum(np.abs(evs), 1e-300)
     args = np.abs(np.angle(evs))

@@ -12,7 +12,6 @@ from quartic.evolution import (
     evolve,
     growth_bound_probe,
     semigroup_apply_contour,
-    variation_of_constants_check,
 )
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import dirichlet_laplacian_modes, make_operator
@@ -23,6 +22,7 @@ from references import (
     embed,
     project,
     resolvent_apply,
+    sine_semigroup_norm,
     write_operator_file,
 )
 from test_batch import _operator, _relative_gap, _single_time_sum
@@ -523,22 +523,20 @@ class TestEvolve:
 class TestGrowthBound:
     def test_mode_decay_gives_unit_constant(self, scalar_op):
         spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
-        m_fit, flag, samples = growth_bound_probe(spec, np.linspace(0, 2, 9))
+        m_fit, samples = growth_bound_probe(spec, np.linspace(0, 2, 9))
         assert m_fit == pytest.approx(1.0, abs=1e-9)
-        assert not flag
         assert samples[0] == (0.0, 1.0)
 
     def test_drift_envelope_dominates(self, scalar_op):
         spec = ProblemSpec(0.0, np.pi, 2.0, scalar_op, 1)
-        m_fit, flag, samples = growth_bound_probe(spec, np.linspace(0, 1.5, 7))
-        assert not flag
+        m_fit, samples = growth_bound_probe(spec, np.linspace(0, 1.5, 7))
         for t, nrm in samples:
             assert nrm <= m_fit * np.exp(t * 1.0) + 1e-8
 
     def test_fit_stable_under_grid_refinement(self, scalar_op):
         spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
-        m1, _, _ = growth_bound_probe(spec, np.linspace(0, 2, 9))
-        m2, _, _ = growth_bound_probe(spec, np.linspace(0, 2, 17))
+        m1, _ = growth_bound_probe(spec, np.linspace(0, 2, 9))
+        m2, _ = growth_bound_probe(spec, np.linspace(0, 2, 17))
         assert abs(m1 - m2) <= 0.05 * m1
 
     def test_families34_rejected(self, scalar_op):
@@ -546,36 +544,23 @@ class TestGrowthBound:
         with pytest.raises(ValueError):
             growth_bound_probe(spec, [0.0, 1.0])
 
-
-class TestVariationOfConstants:
-    def test_scalar_closed_form(self):
-        r = variation_of_constants_check([[-1.0]], [[-2.0]], [[-1.0]], [1.0],
-                                         np.linspace(0, 1, 9))
-        assert r <= 1e-10
-
-    def test_zero_perturbation(self, rng):
-        L1 = np.diag([-1.0, -2.0])
-        r = variation_of_constants_check(L1, L1, np.zeros((2, 2)),
-                                         rng.normal(size=2), [0.0, 0.5, 1.0])
-        assert r <= 1e-12
-
-    def test_commuting_diagonal_pair(self, rng):
-        d1 = -rng.uniform(0.5, 3.0, 5)
-        b = -rng.uniform(0.1, 0.8, 5)
-        r = variation_of_constants_check(np.diag(d1), np.diag(d1 + b), np.diag(b),
-                                         rng.normal(size=5), np.linspace(0, 2, 5))
-        assert r <= 1e-8
-
-    def test_noncommuting_quadrature_path(self, rng):
-        L1 = np.array([[-2.0, 0.4], [0.0, -1.0]])
-        B = np.array([[0.0, 0.0], [0.3, 0.0]])
-        r = variation_of_constants_check(L1, L1 + B, B, np.array([1.0, -0.5]),
-                                         [0.3, 0.9])
-        assert r <= 1e-8
-
-    def test_mismatched_sum_rejected(self):
-        with pytest.raises(ValueError):
-            variation_of_constants_check([[-1.0]], [[-2.0]], [[5.0]], [1.0], [0.5])
+    @pytest.mark.parametrize("cond", [
+        1e2,
+        # the probe's dense expm fits M = 2.70e4 where the norm reaches 6.06e5
+        pytest.param(4.4e6, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP direction 12: the growth probe's scipy expm "
+                                "of the dense generator is wrong on a strongly "
+                                "non-normal A")),
+    ])
+    def test_non_normal_samples_match_closed_form(self, cond):
+        """Every sampled ||e^{tG}|| of a family-1 problem whose A has
+        eigenvector condition ``cond`` against sup_j ||e^{-t(j^2 - A)^2}||_2."""
+        A = _ill_conditioned(cond)
+        _, samples = growth_bound_probe(ProblemSpec(0.0, np.pi, 0.0, A, 1),
+                                        np.linspace(0, 0.5, 9))
+        for t, nrm in samples:
+            want = sine_semigroup_norm(A.matrix, t)
+            assert abs(nrm - want) <= 1e-4 * want
 
 
 class TestCompatibility:

@@ -806,6 +806,20 @@ growth_probe = {value}
         assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "growth_bound_M = " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("bc_family = 1", "bc_family = 3", "growth bound probe excludes families"),
+        ("operator = diag:-1", "operator = laplacian:60", "dense generator size 2400"),
+    ])
+    def test_refused_growth_probe_exits_2_before_solving(self, tmp_path, capsys,
+                                                         old, new, message):
+        cfg = self._growth_probe_config(tmp_path, "true")
+        body = (tmp_path / "c.cfg").read_text()
+        assert old in body
+        write_config(tmp_path / "c.cfg", body.replace(old, new))
+        assert main(["evolve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     @pytest.mark.parametrize("value", ["maybe", ""])
     def test_growth_probe_junk_exits_2(self, tmp_path, capsys, value):
         cfg = self._growth_probe_config(tmp_path, value)

@@ -75,7 +75,7 @@ class TestCollocation:
         grid = cgl_grid(48, 0.0, np.pi)
         f = GridFunction(grid, np.sin(grid.nodes)[None, :].astype(complex))
         with pytest.raises(SingularSystem):
-            collocation_solve(spec, 4.0 + 1e-14j, f, bc_operator="fixed")
+            collocation_solve(spec, 4.0 + 1e-14j, f)
 
 
 class TestDenseGenerator:

@@ -102,7 +102,7 @@ class TestZeroShiftWithDrift:
         grid = cgl_grid(64, 0.0, np.pi)
         f = smooth_field(rng, grid, 3)
         u = resolvent_solve(spec, 0.0, f)   # direct factorization path
-        u_ref = collocation_solve(spec, 0.0, f, bc_operator="frame")
+        u_ref = collocation_solve(spec, 0.0, f)
         rel = np.max(np.abs(u.values - u_ref.values)) / np.max(np.abs(u_ref.values))
         assert rel <= 1e-6
 
