@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import smooth_field
 from quartic import evolution
@@ -561,6 +562,53 @@ class TestGrowthBound:
         for t, nrm in samples:
             want = sine_semigroup_norm(A.matrix, t)
             assert abs(nrm - want) <= 1e-4 * want
+
+
+class TestDuhamel:
+    """CONTOUR trajectories with forcing against the Duhamel formula
+    e^{tG} v0 + int_0^t e^{(t-s)G} f(s) ds in closed form.  On family 1 with
+    k = 0, G sin(jx) e = -(j^2 - A)^2 sin(jx) e, so each mode evolves under
+    the matrix M_j = (j^2 - A)^2."""
+
+    @pytest.mark.parametrize("forcing, duhamel", [
+        pytest.param(lambda t: 0.7, lambda t: 0.7 * (1.0 - np.exp(-4.0 * t)) / 4.0,
+                     id="steady"),
+        pytest.param(lambda t: 0.7 * t,
+                     lambda t: 0.7 * (t / 4.0 - (1.0 - np.exp(-4.0 * t)) / 16.0),
+                     id="ramp"),
+    ])
+    def test_scalar_mode_closed_form(self, scalar_op, forcing, duhamel):
+        spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
+        grid = cgl_grid(48, 0.0, np.pi)
+        v0 = sine_mode(grid)
+        traj = evolve(EvolutionSpec(spec, 1.0, v0,
+                                    forcing=lambda t: forcing(t) * v0.values,
+                                    dt=0.25, contour_points=24))
+        assert len(traj) == 5
+        for t, u in traj[1:]:
+            want = (np.exp(-4.0 * t) + duhamel(t)) * v0.values
+            assert np.max(np.abs(u.values - want)) <= 1e-9
+
+    def test_non_normal_system_two_modes(self):
+        """v0 on mode 1 and a ramp forcing on mode 2 with a triangular A, so
+        the mode matrices do not commute with the data's directions."""
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        spec = ProblemSpec(0.0, np.pi, 0.0, make_operator(A), 1)
+        grid = cgl_grid(48, 0.0, np.pi)
+        e0, F = np.array([1.0, -0.5]), np.array([0.3, 0.8])
+        s1, s2 = np.sin(grid.nodes), np.sin(2 * grid.nodes)
+        eye = np.eye(2)
+        M1, M2 = (eye - A) @ (eye - A), (4 * eye - A) @ (4 * eye - A)
+        M2inv = np.linalg.inv(M2)
+        v0 = GridFunction(grid, (e0[:, None] * s1).astype(complex))
+        traj = evolve(EvolutionSpec(
+            spec, 1.0, v0, forcing=lambda t: (t * F[:, None] * s2).astype(complex),
+            dt=0.25, contour_points=24))
+        for t, u in traj[1:]:
+            # int_0^t e^{-(t-s) M2} s F ds = M2^{-1} t F - M2^{-2} (I - e^{-t M2}) F
+            ramp = M2inv @ (t * F) - M2inv @ M2inv @ (eye - expm(-t * M2)) @ F
+            want = (expm(-t * M1) @ e0)[:, None] * s1 + ramp[:, None] * s2
+            assert np.max(np.abs(u.values - want)) <= 1e-9
 
 
 class TestCompatibility:
