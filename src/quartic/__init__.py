@@ -18,11 +18,9 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bvp": ("BCFrame", "ProblemSpec", "assemble_frame", "particular_solution_F",
-            "resolvent_solve", "solve_bc1", "solve_bc2", "solve_bc3", "solve_bc4",
-            "solve_bc5"),
-    "evolution": ("EvolutionSpec", "evolve", "growth_bound_probe",
-                  "semigroup_apply_contour"),
+    "bvp": ("BCFrame", "ProblemSpec", "assemble_frame", "resolvent_solve", "solve_bc1",
+            "solve_bc2", "solve_bc3", "solve_bc4", "solve_bc5"),
+    "evolution": ("EvolutionSpec", "evolve", "growth_bound_probe"),
     "grids": ("Grid", "GridFunction", "cgl_grid", "uniform_grid"),
     "operators": ("OperatorHandle", "dirichlet_laplacian_modes", "make_operator",
                   "operator_norm"),

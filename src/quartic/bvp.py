@@ -64,7 +64,6 @@ __all__ = [
     "ProblemSpec",
     "BCFrame",
     "assemble_frame",
-    "particular_solution_F",
     "solve_bc1",
     "solve_bc2",
     "solve_bc3",
@@ -585,7 +584,7 @@ def _zero_phi(n: int):
     return (z, z, z, z)
 
 
-def _frame_phi(frame: BCFrame, phi, bc: int = 1):
+def _frame_phi(frame: BCFrame, phi, bc: int):
     """Boundary data as four (n, 1) columns in the frame's coordinates.
 
     Each phi has frame.n entries: on a batch frame, one block per parameter.
@@ -600,17 +599,6 @@ def _frame_phi(frame: BCFrame, phi, bc: int = 1):
     if bc == 5:
         p3, p4 = p3 - frame.apply(frame.ops.p, p1), p4 - frame.apply(frame.ops.p, p2)
     return p1, p2, p3, p4
-
-
-def particular_solution_F(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
-    """The particular solution with value/second-derivative boundary data.
-
-    With homogeneous data the result vanishes at both endpoints together
-    with its second derivative.
-    """
-    fv = frame.to_modes(_field_to_internal(f))
-    part = _particular(frame, f.grid, fv, _frame_phi(frame, phi))
-    return _internal_to_field(f.grid, frame.from_modes(part["F"]))
 
 
 def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> np.ndarray:
@@ -824,8 +812,8 @@ def resolvent_matrix(spec: ProblemSpec, lam: complex, grid: Grid,
     Degrees of freedom are node-major blocks of dim(A) components; the
     matrix is V diag(R_r) V^{-1} assembled from ``resolvent_blocks``.  The
     sweep takes the norm of this matrix unless A's eigenbasis is unitary,
-    where the largest per-mode block norm is the same number for a fraction
-    of the work (``spectral.run_sweep``).
+    where the norm of the stack of per-mode blocks (``operators.operator_norm``)
+    is the same number for a fraction of the work (``spectral.run_sweep``).
     """
     if frame is None:
         frame = _lambda_frames(spec, lam)

@@ -66,7 +66,6 @@ __all__ = [
     "EvolutionSpec",
     "ContourParams",
     "default_contour",
-    "semigroup_apply_contour",
     "evolve",
     "growth_bound_probe",
 ]
@@ -298,21 +297,6 @@ def _contour_outputs(spec: ProblemSpec, ts: np.ndarray, v0: GridFunction, f_samp
     return out
 
 
-def semigroup_apply_contour(spec: ProblemSpec, t: float, v0: GridFunction,
-                            n_points: int = 32, rel_tol: float = 1e-6) -> GridFunction:
-    """e^{tG} v0 by hyperbola quadrature with self-error control.
-
-    ``evolve``'s contour path on the one output time t: refines n_points
-    nodes n -> 2n - 1 at fixed mu until the change is below rel_tol times
-    max(|e^{tG} v0|, |v0|); raises QuadratureNotConverged if the budget runs
-    out.
-    """
-    if t <= 0:
-        raise ValueError("contour evaluation needs t > 0")
-    vals = _contour_outputs(spec, np.array([0.0, t]), v0, None, n_points, rel_tol)
-    return GridFunction(v0.grid, vals[0])
-
-
 @dataclass(frozen=True)
 class _Payload:
     """Transformed data of one output time t at the contour nodes.
@@ -385,7 +369,8 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     each node once on the distinct data columns among v0 and the forcing
     samples, and every output time of a window (``ContourParams.window``)
     weighs those solves with its own transform of v0 and the
-    piecewise-linear forcing (``_forced_payload``).
+    piecewise-linear forcing (``_forced_payload``).  Its outputs lie dt
+    apart (8 of them without dt), so dt = t_final gives the one at t_final.
     """
     spec = espec.problem
     _gate_angle(spec)

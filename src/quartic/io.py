@@ -295,7 +295,7 @@ def read_gridfunction_csv(path) -> GridFunction:
 
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        rows = [ln.strip() for ln in fh if ln.strip()]
+        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     m = re.match(
         r"# gridfunc a=(\S+) b=(\S+) n=(\d+) dim=(\d+) kind=(\S+)", header
     )

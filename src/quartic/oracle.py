@@ -178,19 +178,16 @@ class DenseGenerator:
     """Dense surrogate of the fourth-order generator on interior dofs.
 
     ``minus_generator`` is the matrix of -G (positive spectrum for the
-    diagonal negative surrogates); ``embed_matrix`` maps interior dofs to
-    all node values, and ``project_matrix`` maps forcing values to the
-    reduced right-hand side that (-G - lam)^{-1} solves.  ``stiffness`` and
-    ``mass`` form the pencil with -G = mass^{-1} stiffness, and ``E_rows``
-    maps forcing values to its right-hand side; ``low_spectrum`` solves
-    through that pencil.
+    diagonal negative surrogates), and ``embed_matrix`` maps interior dofs
+    to all node values.  ``stiffness`` and ``mass`` form the pencil with
+    -G = mass^{-1} stiffness, and ``E_rows`` maps forcing values to its
+    right-hand side; ``low_spectrum`` solves through that pencil.
     """
 
     grid: Grid
     dim: int
     minus_generator: np.ndarray
     embed_matrix: np.ndarray
-    project_matrix: np.ndarray
     iidx: np.ndarray
     stiffness: np.ndarray
     mass: np.ndarray
@@ -233,13 +230,11 @@ def dense_generator(spec, n_nodes: int) -> DenseGenerator:
     T[sys_.bidx] = Sb
     mass = sys_.E @ T
     stiff = sys_.E @ sys_.K @ T
-    mass_inv = np.linalg.inv(mass)
     return DenseGenerator(
         grid=sys_.grid,
         dim=spec.A.dim,
-        minus_generator=mass_inv @ stiff,
+        minus_generator=np.linalg.inv(mass) @ stiff,
         embed_matrix=T,
-        project_matrix=mass_inv @ sys_.E,
         iidx=sys_.iidx,
         stiffness=stiff,
         mass=mass,

@@ -43,7 +43,7 @@ from .bvp import (
     resolvent_blocks,
     resolvent_matrix,
 )
-from .errors import BranchCut, NonFinite, NotInResolventSet
+from .errors import BranchCut, NotInResolventSet
 from .grids import Grid, GridFunction, cgl_grid
 from .operators import _outside_closed_sector, operator_norm
 
@@ -256,33 +256,6 @@ def _map_norm_lanczos(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray
     return _Unconverged(est)
 
 
-def _per_mode_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
-    """max_i ||W^{1/2} R_i W^{-1/2}||_2 over (n, N, N) per-mode blocks R_i.
-
-    ``weights`` are the N node weights W.  With A's eigenbasis V unitary this
-    is the weighted norm of V R_i V^{-1} assembled, since V acts on the
-    components and W on the nodes; otherwise it is off by up to cond(V) - 1.
-
-    Only the blocks that can hold the maximum take an SVD.  The weighted
-    blocks are visited in decreasing Frobenius norm, and a block's 2-norm is
-    computed only while its Frobenius norm times 1 + 1e-12 exceeds the
-    largest 2-norm so far.  Since ||M||_2 <= ||M||_F, and the margin covers
-    the rounding of both computed norms, a skipped block cannot exceed that
-    maximum: the result is the maximum over all blocks bit for bit.
-    """
-    if not np.all(np.isfinite(blocks)):
-        raise NonFinite("resolvent blocks have non-finite entries")
-    d = np.sqrt(weights)
-    scaled = d[:, None] * blocks / d
-    fro = np.linalg.norm(scaled, axis=(1, 2))
-    best = 0.0
-    for i in np.argsort(-fro):
-        if fro[i] * (1.0 + 1e-12) <= best:
-            break
-        best = max(best, float(np.linalg.norm(scaled[i], 2)))
-    return best
-
-
 def _conjugation_closed(w: np.ndarray) -> bool:
     """Every conj(w_i) lies within make_operator's eigenpair tolerance of
     some w_j."""
@@ -312,13 +285,14 @@ def run_sweep(
     Requires a positive exclusion radius for the clamped/derivative families
     (DERIVATIVE_FAMILIES); per-parameter frame failures become findings.
     While dim(A) * n_nodes <= DENSE_CAP every norm is exact (note "dense"):
-    for A with a unitary eigenbasis (eig_cond - 1 <= UNITARY_BASIS_GAP) it is
-    the largest weighted norm of the per-mode blocks (``resolvent_blocks``),
-    and for every other A the weighted SVD of the materialized resolvent
-    (``resolvent_matrix``).  Beyond the cap norms come from a Lanczos
-    iteration (note "power", ``_map_norm_lanczos``) against the resolvent of
-    the conjugate-transposed problem, whose frame each point derives from its
-    forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
+    the weighted norm (``operators.operator_norm``) of the per-mode blocks
+    (``resolvent_blocks``) for A with a unitary eigenbasis
+    (eig_cond - 1 <= UNITARY_BASIS_GAP), and of the materialized resolvent
+    (``resolvent_matrix``) for every other A.  Beyond the cap norms come
+    from a Lanczos iteration (note "power", ``_map_norm_lanczos``) against
+    the resolvent of the conjugate-transposed problem, whose frame each
+    point derives from its forward frame (``BCFrame.adjoint``), so A is
+    factored once per sweep.
     A point whose iteration does not converge keeps its last estimate with
     the note "power-unconverged".  Families 2 and 4 have no power route,
     because their formal adjoints have other boundary conditions than the
@@ -376,8 +350,8 @@ def run_sweep(
             return record(lam, nrm, "power-unconverged" if isinstance(nrm, _Unconverged)
                           else "power")
         if per_mode:
-            return record(lam, _per_mode_norm(resolvent_blocks(spec, lam, grid, frame),
-                                              grid.weights))
+            return record(lam, operator_norm(resolvent_blocks(spec, lam, grid, frame),
+                                             grid.weights))
         return record(lam, operator_norm(resolvent_matrix(spec, lam, grid, frame), weights))
 
     def evaluate(batch):

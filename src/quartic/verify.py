@@ -19,21 +19,21 @@ checks, with the path each one exercises:
   ``classify_lambda_by_argument``;
 - factor_difference_identity, resolvent_product_identity:
   ``bvp.frame_identity_residual`` and ``resolvent_product_residual``;
-- homogeneous_particular_boundary: ``bvp.particular_solution_F`` under
+- homogeneous_particular_boundary: ``bvp.solve_bc1`` under
   ``bvp.boundary_residuals``;
 - family5_reduction, linearity_family2..4: ``bvp.solve_bc1``-``solve_bc5``;
 - scalar_oracle_crosscheck: every family against
   ``oracle.characteristic_root_solve``;
 - collocation_crosscheck: ``bvp.resolvent_solve`` against
   ``oracle.collocation_solve``;
-- contour_vs_exact_mode, semigroup_law_contour:
-  ``evolution.semigroup_apply_contour``;
+- contour_vs_exact_mode, semigroup_law_contour: ``evolution.evolve`` on
+  the CONTOUR scheme with the one output time t (dt = t);
 - forced_contour_steady/_ramp: ``evolution.evolve`` on the CONTOUR scheme
   with steady and linearly growing forcing (the forcing transform,
   ``_forced_payload``) against the Duhamel formula in closed form;
 - generator_low_modes: ``oracle.dense_generator`` and ``low_spectrum``;
-- sweep_per_mode_norm: ``spectral.run_sweep`` against
-  ``operators.operator_norm`` of ``bvp.resolvent_matrix``.
+- sweep_per_mode_norm: ``spectral.run_sweep``'s norms of per-mode blocks
+  against ``operators.operator_norm`` of ``bvp.resolvent_matrix``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .bvp import (
     _lambda_frames,
     boundary_residuals,
     frame_identity_residual,
-    particular_solution_F,
     resolvent_matrix,
     resolvent_product_residual,
     resolvent_solve,
@@ -58,7 +57,7 @@ from .bvp import (
     solve_bc4,
     solve_bc5,
 )
-from .evolution import EvolutionSpec, evolve, semigroup_apply_contour
+from .evolution import EvolutionSpec, evolve
 from .grids import GridFunction, cgl_grid
 from .operators import make_operator, operator_norm
 from .oracle import ScalarForcing, characteristic_root_solve, collocation_solve, dense_generator, low_spectrum
@@ -182,7 +181,7 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     grid = cgl_grid(64, 0.0, np.pi)
     f = _random_smooth_field(rng, grid, 3)
     frame = _lambda_frames(ProblemSpec(0.0, np.pi, 0.0, A, 1), -6.0)
-    F = particular_solution_F(frame, f)
+    F = solve_bc1(frame, f)
     res = boundary_residuals(grid, F, [np.zeros(3)] * 4, 1, frame.p)
     add("homogeneous_particular_boundary", max(res.values()) / max(f.norm(), 1e-30), 1e-8)
 
@@ -235,12 +234,15 @@ def run_verification(seed: int = 1234, tol_scale: float = 1.0) -> tuple[list, fl
     grid48 = cgl_grid(48, 0.0, np.pi)
     sine = np.sin(grid48.nodes)[None, :].astype(complex)
     v0 = GridFunction(grid48, sine)
-    u_c = semigroup_apply_contour(spec1, 0.4, v0, n_points=24)
+
+    def semigroup(t, v):  # e^{tG} v, the contour's one output at t
+        return evolve(EvolutionSpec(spec1, t, v, dt=t, contour_points=24))[-1][1]
+
+    u_c = semigroup(0.4, v0)
     exact = np.exp(-4 * 0.4) * v0.values
     add("contour_vs_exact_mode", np.max(np.abs(u_c.values - exact)), 1e-6)
-    u_ab = semigroup_apply_contour(spec1, 0.7, v0, n_points=24)
-    u_a = semigroup_apply_contour(spec1, 0.3, u_ab, n_points=24)
-    u_full = semigroup_apply_contour(spec1, 1.0, v0, n_points=24)
+    u_a = semigroup(0.3, semigroup(0.7, v0))
+    u_full = semigroup(1.0, v0)
     add("semigroup_law_contour", np.max(np.abs(u_a.values - u_full.values))
         / max(np.max(np.abs(u_full.values)), 1e-30), 1e-5)
 

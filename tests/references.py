@@ -58,7 +58,7 @@ def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
     """
     fv = frame.to_modes(_field_to_internal(f))
     part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
-    alphas = _mode_coefficients(frame, part, _frame_phi(frame, phi), 2)
+    alphas = _mode_coefficients(frame, part, _frame_phi(frame, phi, 2), 2)
     return tuple(frame.from_modes(a)[:, 0] for a in alphas)
 
 
@@ -175,8 +175,9 @@ def embed(gen: DenseGenerator, u_inner: np.ndarray) -> np.ndarray:
 
 def project(gen: DenseGenerator, f_values: np.ndarray) -> np.ndarray:
     """The reduced right-hand side of a forcing field: (-G - lam)^{-1}
-    project(f) solves the problem."""
-    return gen.project_matrix @ np.asarray(f_values, dtype=complex).T.reshape(-1)
+    project(f) solves the problem: mass^{-1} E_rows f."""
+    fvec = np.asarray(f_values, dtype=complex).T.reshape(-1)
+    return np.linalg.solve(gen.mass, gen.E_rows @ fvec)
 
 
 def resolvent_apply(gen: DenseGenerator, lam: complex, f_values: np.ndarray) -> np.ndarray:
@@ -223,42 +224,45 @@ def write_operator_file(path, matrix: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, families 1 and 5 at k = 0 on (0, pi)
+# closed forms, families 1 and 5 on (0, pi)
 #
-# With k = 0 the generator acts on sin(jx) c, for any n x n A, as the matrix
-# (j^2 - A)^2, and sin(jx) satisfies u = u'' = 0 at both ends, which is
-# family 1 and, u'' + S u = 0 for every S, family 5 too.
+# -G = d^4 + (2A - k) d^2 + A^2 - kA acts on sin(jx) c, for any n x n A, as
+# the matrix (j^2 - A)(j^2 - A + k), and sin(jx) satisfies u = u'' = 0 at
+# both ends, which is family 1 and, u'' + S u = 0 for every S, family 5 too.
 
 
-def _sine_symbols(A: np.ndarray, lam: complex, js: np.ndarray) -> np.ndarray:
-    """(j^2 - A)^2 - lam for each j in js: shape (len(js), n, n)."""
+def _sine_symbols(A: np.ndarray, lam: complex, js: np.ndarray, k: float = 0.0) -> np.ndarray:
+    """(j^2 - A)(j^2 - A + k) - lam for each j in js: shape (len(js), n, n)."""
     A = np.asarray(A, dtype=complex)
-    shifted = np.multiply.outer(np.asarray(js, float) ** 2, np.eye(len(A))) - A
-    return shifted @ shifted - lam * np.eye(len(A))
+    eye = np.eye(len(A))
+    shifted = np.multiply.outer(np.asarray(js, float) ** 2, eye) - A
+    return shifted @ (shifted + k * eye) - lam * eye
 
 
-def sine_mode_resolvent(A: np.ndarray, lam: complex, j: int, c: np.ndarray) -> np.ndarray:
-    """v with R(lam)(sin(jx) c) = sin(jx) v: v = ((j^2 - A)^2 - lam)^{-1} c."""
-    return np.linalg.solve(_sine_symbols(A, lam, [j])[0], np.asarray(c, dtype=complex))
+def sine_mode_resolvent(A: np.ndarray, lam: complex, j: int, c: np.ndarray,
+                        k: float = 0.0) -> np.ndarray:
+    """v with R(lam)(sin(jx) c) = sin(jx) v: v = ((j^2 - A)(j^2 - A + k) - lam)^{-1} c."""
+    return np.linalg.solve(_sine_symbols(A, lam, [j], k)[0], np.asarray(c, dtype=complex))
 
 
-def sine_resolvent_norm(A: np.ndarray, lam: complex, j_max: int = 400) -> float:
-    """||R(lam)|| on L^2((0, pi); C^n) = sup_j ||((j^2 - A)^2 - lam)^{-1}||_2,
+def sine_resolvent_norm(A: np.ndarray, lam: complex, j_max: int = 400, k: float = 0.0) -> float:
+    """||R(lam)|| on L^2((0, pi); C^n) = sup_j ||((j^2 - A)(j^2 - A + k) - lam)^{-1}||_2,
     since the sin(jx) are orthogonal and R(lam) maps each to itself.  The
     supremum is taken over j <= j_max: the terms fall like j^-4 once j^2
-    passes ||A|| + sqrt|lam|, so it lies at small j."""
-    inv = np.linalg.inv(_sine_symbols(A, lam, np.arange(1, j_max + 1)))
+    passes ||A|| + |k| + sqrt|lam|, so it lies at small j."""
+    inv = np.linalg.inv(_sine_symbols(A, lam, np.arange(1, j_max + 1), k))
     return float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))
 
 
-def sine_semigroup_norm(A: np.ndarray, t: float, j_max: int = 50) -> float:
-    """||e^{tG}|| on L^2((0, pi); C^n) = sup_j ||e^{-t(j^2 - A)^2}||_2 for a
-    diagonalizable A = V diag(w) V^{-1}, each term V e^{-t(j^2 - w)^2} V^{-1}.
-    The eigenbasis keeps it accurate where A is far from normal: scaling and
-    squaring of (j^2 - A)^2 (``scipy.linalg.expm``) loses every digit on the
-    eig_cond 4.4e6 A.  The terms fall once (j^2 - max Re w)^2 t passes
-    ln cond(V), so the supremum lies at small j."""
+def sine_semigroup_norm(A: np.ndarray, t: float, j_max: int = 50, k: float = 0.0) -> float:
+    """||e^{tG}|| on L^2((0, pi); C^n) = sup_j ||e^{-t(j^2 - A)(j^2 - A + k)}||_2
+    for a diagonalizable A = V diag(w) V^{-1}, each term
+    V e^{-t(j^2 - w)(j^2 - w + k)} V^{-1}.  The eigenbasis keeps it accurate
+    where A is far from normal: scaling and squaring of the symbol
+    (``scipy.linalg.expm``) loses every digit on the eig_cond 4.4e6 A.  The
+    terms fall once t times the symbol passes ln cond(V), so the supremum
+    lies at small j."""
     w, V = np.linalg.eig(np.asarray(A, dtype=complex))
-    decay = np.exp(-t * (np.arange(1, j_max + 1)[:, None] ** 2 - w) ** 2)  # (j_max, n)
-    terms = (V * decay[:, None, :]) @ np.linalg.inv(V)
+    s = np.arange(1, j_max + 1)[:, None] ** 2 - w  # (j_max, n)
+    terms = (V * np.exp(-t * s * (s + k))[:, None, :]) @ np.linalg.inv(V)
     return float(np.max(np.linalg.norm(terms, 2, axis=(1, 2))))

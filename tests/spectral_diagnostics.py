@@ -7,7 +7,6 @@ import numpy as np
 from quartic.bvp import ProblemSpec, _field_to_internal, _lambda_frames, _particular, _zero_phi
 from quartic.errors import BranchCut
 from quartic.grids import GridFunction, cgl_grid
-from quartic.operators import operator_norm
 from quartic.oracle import dense_generator
 
 
@@ -47,11 +46,11 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
     for lam in lam_samples:
         frame = _lambda_frames(spec, lam)
         dist = abs(lam + spec.k**2 / 4.0)
-        ml = operator_norm(frame.m @ np.linalg.inv(frame.l))
-        lm = operator_norm(frame.l @ np.linalg.inv(frame.m))
-        m2e = operator_norm(frame.m @ frame.m @ frame.e_cm)
-        l2e = operator_norm(frame.l @ frame.l @ frame.e_cl)
-        ecm = operator_norm(frame.e_cm)
+        ml = np.linalg.norm(frame.m @ np.linalg.inv(frame.l), 2)
+        lm = np.linalg.norm(frame.l @ np.linalg.inv(frame.m), 2)
+        m2e = np.linalg.norm(frame.m @ frame.m @ frame.e_cm, 2)
+        l2e = np.linalg.norm(frame.l @ frame.l @ frame.e_cl, 2)
+        ecm = np.linalg.norm(frame.e_cm, 2)
         part = _particular(frame, grid, frame.to_modes(_field_to_internal(f)),
                            _zero_phi(frame.n))
         v0n = GridFunction(grid, frame.from_modes(part["v0"])[:, :, 0].T).norm()

@@ -24,6 +24,7 @@ from quartic.io import (
     read_gridfunction_csv,
     read_operator_file,
     write_gridfunction_csv,
+    write_solution_csv,
     write_sweep_csv,
     write_trajectory_csv,
 )
@@ -134,11 +135,17 @@ class TestOperatorFile:
 
 
 class TestGridFunctionFile:
-    def test_roundtrip(self, tmp_path, rng):
+    # solve's output, with the residual comment lines it appends, reads back
+    # as v0 = file:... or file forcing
+    @pytest.mark.parametrize("write", [
+        write_gridfunction_csv,
+        lambda path, gf: write_solution_csv(path, gf, {"u(a)": 1.5e-12, "interior_ode": 3e-9}),
+    ], ids=["gridfunction", "solution"])
+    def test_roundtrip(self, tmp_path, rng, write):
         grid = cgl_grid(20, 0.0, np.pi)
         gf = GridFunction(grid, rng.normal(size=(2, 20)) + 1j * rng.normal(size=(2, 20)))
         path = tmp_path / "f.csv"
-        write_gridfunction_csv(path, gf)
+        write(path, gf)
         back = read_gridfunction_csv(path)
         assert np.array_equal(back.values, gf.values)
         assert np.allclose(back.grid.nodes, grid.nodes)

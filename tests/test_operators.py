@@ -273,7 +273,7 @@ class TestOperatorNorm:
         assert operator_norm(np.eye(3), np.ones(3)) == pytest.approx(1.0)
 
     def test_diag(self):
-        assert operator_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
+        assert operator_norm(np.diag([3.0, -4.0]), np.ones(2)) == pytest.approx(4.0)
 
     def test_power_iteration_oracle(self, rng):
         M = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))

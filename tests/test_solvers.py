@@ -11,7 +11,6 @@ from quartic.bvp import (
     bc_conditions,
     boundary_residuals,
     condition_value,
-    particular_solution_F,
     solve_bc1,
     solve_bc2,
     solve_bc3,
@@ -35,14 +34,14 @@ class TestParticularSolution:
     def test_zero_data_gives_zero(self):
         frame, _, _ = scalar_frame()
         grid = cgl_grid(40, 0.0, np.pi)
-        F = particular_solution_F(frame, GridFunction.zeros(grid, 1))
+        F = solve_bc1(frame, GridFunction.zeros(grid, 1))
         assert np.max(np.abs(F.values)) == 0.0
 
     def test_constant_forcing_matches_characteristic_oracle(self):
         frame, p, q = scalar_frame(lam=-4.0)
         grid = cgl_grid(200, 0.0, np.pi)
         forcing = ScalarForcing(poly=[1.0])
-        F = particular_solution_F(frame, forcing.sample(grid))
+        F = solve_bc1(frame, forcing.sample(grid))
         ref = characteristic_root_solve(p, q, 0.0, np.pi, 1, (0, 0, 0, 0), forcing)
         assert np.max(np.abs(F.values[0] - ref(grid.nodes))) <= 1e-6
 
@@ -50,7 +49,7 @@ class TestParticularSolution:
         frame, _, _ = scalar_frame(lam=-7.0)
         grid = cgl_grid(96, 0.0, np.pi)
         f = smooth_field(rng, grid, 1)
-        F = particular_solution_F(frame, f)
+        F = solve_bc1(frame, f)
         res = boundary_residuals(grid, F, [np.zeros(1)] * 4, 1, frame.p)
         assert max(res.values()) <= 1e-8 * f.norm()
 
@@ -59,7 +58,7 @@ class TestParticularSolution:
         grid = cgl_grid(96, 0.0, np.pi)
         f = smooth_field(rng, grid, 1)
         phi = [rng.normal(size=1) + 1j * rng.normal(size=1) for _ in range(4)]
-        F = particular_solution_F(frame, f, phi)
+        F = solve_bc1(frame, f, phi)
         res = boundary_residuals(grid, F, phi, 1, frame.p)
         assert max(res.values()) <= 1e-7 * max(f.norm(), 1.0)
 
@@ -111,7 +110,7 @@ class TestEndpointDerivative:
         grid = cgl_grid(120, 0.0, np.pi)
         f = smooth_field(rng, grid, 1)
         fa, fb = fprime_boundary(frame, f)
-        F = particular_solution_F(frame, f)
+        F = solve_bc1(frame, f)
         D1 = stencil_derivative_matrix(grid.nodes, 1)
         slopes = F.values @ D1.T
         assert abs(slopes[0, 0] - fa[0]) <= 1e-7 * max(abs(fa[0]), 1.0)
@@ -276,7 +275,7 @@ class TestFamilyTwoBookkeeping:
         phi = [rng.normal(size=1) + 1j * rng.normal(size=1) for _ in range(4)]
         a1, a2, a3, a4 = family2_coefficients(frame, f, phi)
         u = solve_bc2(frame, f, phi)
-        F = particular_solution_F(frame, f)
+        F = solve_bc1(frame, f)
         x = grid.nodes
         m = frame.m[0, 0]
         l = frame.l[0, 0]

@@ -15,7 +15,6 @@ from quartic.spectral import (
     OUTSIDE_SECTOR,
     VERTEX,
     _map_norm_lanczos,
-    _per_mode_norm,
     _start_vector,
     classify_lambda,
     classify_lambda_by_argument,
@@ -211,19 +210,6 @@ def _assembled_norms(spec, report, n_nodes, paired=False):
             for j, r in enumerate(report.records) if r.frame_ok]
 
 
-def _counting_operator_norm(monkeypatch):
-    from quartic import spectral
-
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return operator_norm(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "operator_norm", counting)
-    return calls
-
-
 NORMAL_OPERATORS = {
     "rotated": lambda: _in_basis(_unitary(5, 3), [-1.0, -4.0, -9.0]),
     "laplacian3": lambda: dirichlet_laplacian_modes(3),
@@ -231,7 +217,8 @@ NORMAL_OPERATORS = {
 
 
 def _unpruned_norm(blocks, weights):
-    """``spectral._per_mode_norm`` with an SVD of every block."""
+    """``operators.operator_norm`` of a stack of blocks with an SVD of every
+    block."""
     d = np.sqrt(weights)
     return float(np.max(np.linalg.norm(d[:, None] * blocks / d, 2, axis=(1, 2))))
 
@@ -242,7 +229,7 @@ class TestPerModeNorm:
     @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("op", sorted(NORMAL_OPERATORS))
     def test_matches_assembled_norm_and_failures(self, monkeypatch, op, bc):
-        from quartic import tolerances
+        from quartic import spectral, tolerances
 
         A = NORMAL_OPERATORS[op]()
         assert A.eig_cond - 1.0 <= tolerances.UNITARY_BASIS_GAP
@@ -251,7 +238,7 @@ class TestPerModeNorm:
         # branch cut of k = 0.5: a refusal both routes must record alike
         g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-2, 3, 5), n_angles=3,
                             exclusion_radius=5e-3 if bc in (3, 4) else 0.0)
-        calls = _counting_operator_norm(monkeypatch)
+        calls = _counting(monkeypatch, spectral, "resolvent_matrix")
         per_mode = run_sweep(spec, g, n_nodes=24)
         assert calls == []
         monkeypatch.setattr(tolerances, "UNITARY_BASIS_GAP", -1.0)
@@ -283,6 +270,8 @@ class TestPerModeNorm:
 
     @pytest.mark.parametrize("case", ["cond30", "jordan"])
     def test_non_normal_keeps_assembled_route(self, monkeypatch, case):
+        from quartic import spectral
+
         if case == "jordan":
             A = make_operator([[-2.0, 1.0], [0.0, -2.0]])
             assert not A.diagonalizable
@@ -294,7 +283,7 @@ class TestPerModeNorm:
             assert A.diagonalizable and A.eig_cond > 2.0
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
         g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 2, 3), n_angles=2)
-        calls = _counting_operator_norm(monkeypatch)
+        calls = _counting(monkeypatch, spectral, "resolvent_matrix")
         rep = run_sweep(spec, g, n_nodes=20)
         assert not rep.failures
         assert len(calls) == len(rep.records) - len(_partners(rep))
@@ -348,14 +337,14 @@ class TestPerModeNorm:
         for _ in range(20):
             w = rng.uniform(0.05, 2.0, 24)
             blocks = self._blocks(kind, rng, w)
-            assert _per_mode_norm(blocks, w) == _unpruned_norm(blocks, w)
+            assert operator_norm(blocks, w) == _unpruned_norm(blocks, w)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pruned_non_finite_raises(self, bad):
         blocks = np.ones((3, 8, 8), dtype=complex)
         blocks[2, 7, 0] = bad
         with pytest.raises(NonFinite):
-            _per_mode_norm(blocks, np.ones(8))
+            operator_norm(blocks, np.ones(8))
 
     def test_sweep_dense_svd_count(self, monkeypatch):
         # perfbench's sweep-dense configuration: dim 4, N = 48, 20 points of
@@ -367,7 +356,7 @@ class TestPerModeNorm:
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
         g = make_sweep_grid(0.0, 0.0, radii=np.logspace(-1, 3, 4), n_angles=5)
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_per_mode_norm", _unpruned_norm)
+            m.setattr(spectral, "operator_norm", _unpruned_norm)
             full = run_sweep(spec, g, n_nodes=48)
         frames = _counting(monkeypatch, bvp, "assemble_frame")
         svds, norm = [], np.linalg.norm
@@ -572,7 +561,7 @@ class TestPowerRoute:
         grid = cgl_grid(256, 0.0, np.pi)
         w = np.repeat(grid.weights, A.dim)
         lams = [-174.1 + 984.7j, 939.0 + 343.0j, -1000.0, 43.6 + 15.9j]
-        want = [_per_mode_norm(resolvent_blocks(spec, lam, grid), grid.weights) for lam in lams]
+        want = [operator_norm(resolvent_blocks(spec, lam, grid), grid.weights) for lam in lams]
         solves = []
         solve = spectral._SOLVERS[1]
         monkeypatch.setitem(spectral._SOLVERS, 1, lambda *a: solves.append(a) or solve(*a))
@@ -926,5 +915,5 @@ class TestSectorContainment:
             for rho in np.logspace(-1, 2, 10):
                 z = rho * np.exp(1j * phi)
                 R = np.column_stack([resolvent_apply(gen, z + shift, e) for e in units])
-                norms.append(abs(z) * operator_norm(R))
+                norms.append(abs(z) * np.linalg.norm(R, 2))
         assert np.all(np.isfinite(norms)) and max(norms) <= 1e8
