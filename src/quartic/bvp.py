@@ -29,6 +29,13 @@ the family formulas run on that longer axis unchanged, so K resolvent solves
 cost one.  Every guard of the frame assembly compares per parameter row,
 with the per-parameter thresholds, so a batch refuses exactly when one of its
 parameters would.
+
+Every solve goes through a ``ResolventMap``, one frame, grid and family
+applied to node-major (N, n, r) data, r right-hand sides on the N nodes and
+n = frame.n rows: in the frame's coordinates (``solve_modes``), or in X's
+with boundary data (``apply``; ``apply_field`` on a GridFunction), the path
+of ``solve_bc1``-``solve_bc5``.  ``adjoint`` gives the map of A^H at
+conj(lambda) on the frame ``BCFrame.adjoint`` derives.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ __all__ = [
     "ProblemSpec",
     "BCFrame",
     "assemble_frame",
+    "ResolventMap",
     "solve_bc1",
     "solve_bc2",
     "solve_bc3",
@@ -502,19 +510,6 @@ def assemble_frame(P, Q, B, c: float, require_uv: bool = False, *,
                    prop_m=prop_m, prop_l=prop_l)
 
 
-# ---------------------------------------------------------------------------
-# sampled-field plumbing
-
-
-def _field_to_internal(f: GridFunction) -> np.ndarray:
-    """(dim, N) -> (N, dim, 1)."""
-    return np.ascontiguousarray(f.values.T)[:, :, None]
-
-
-def _internal_to_field(grid: Grid, vals: np.ndarray) -> GridFunction:
-    return GridFunction(grid, vals[:, :, 0].T)
-
-
 def _data_derivatives(grid: Grid, fv: np.ndarray):
     """First two x-derivatives of sampled data via local stencils.
 
@@ -621,12 +616,6 @@ def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> n
     return u + part["F"]
 
 
-def _solve_public(frame, f, phi, bc):
-    fv = frame.to_modes(_field_to_internal(f))
-    vals = _solve_family(frame, f.grid, fv, _frame_phi(frame, phi, bc), bc)
-    return _internal_to_field(f.grid, frame.from_modes(vals))
-
-
 def _mode_coefficients(frame: BCFrame, part: dict, phi, bc: int):
     """Coefficients (a1, a2, a3, a4) of e^{(x-a)M} (a1 + a3), e^{(b-x)M} (a3 - a1),
     e^{(x-a)L} (a2 + a4) and e^{(b-x)L} (a4 - a2) in the family 2-4 solutions.
@@ -671,29 +660,60 @@ def _mode_coefficients(frame: BCFrame, part: dict, phi, bc: int):
     return tuple(alphas)
 
 
+@dataclass(frozen=True)
+class ResolventMap:
+    """The family's solve on one frame and grid (module docstring)."""
+
+    frame: BCFrame
+    grid: Grid
+    family: int
+
+    def solve_modes(self, fv: np.ndarray) -> np.ndarray:
+        """(N, n, r) data in the frame's coordinates, zero boundary data."""
+        return _solve_family(self.frame, self.grid, fv, _zero_phi(self.frame.n), self.family)
+
+    def apply(self, v: np.ndarray, phi=None) -> np.ndarray:
+        """(N, n, r) data and boundary data ``phi`` (as ``_frame_phi`` takes
+        it) in X's coordinates."""
+        frame, bc = self.frame, self.family
+        u = _solve_family(frame, self.grid, frame.to_modes(v), _frame_phi(frame, phi, bc), bc)
+        return frame.from_modes(u)
+
+    def apply_field(self, f: GridFunction, phi=None) -> GridFunction:
+        """``apply`` to the (dim, N) samples of f as one right-hand side."""
+        u = self.apply(np.ascontiguousarray(f.values.T)[:, :, None], phi)
+        return GridFunction(f.grid, u[:, :, 0].T)
+
+    def adjoint(self) -> ResolventMap:
+        """The same family's map on ``frame.adjoint()``, built after the
+        forward grid kit, from which the adjoint derives its own."""
+        self.frame.grid_kit(self.grid)
+        return ResolventMap(self.frame.adjoint(), self.grid, self.family)
+
+
 def solve_bc1(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
     """Value / second-derivative conditions at both endpoints."""
-    return _solve_public(frame, f, phi, 1)
+    return ResolventMap(frame, f.grid, 1).apply_field(f, phi)
 
 
 def solve_bc2(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
     """Derivative / (u'' + P u) conditions at both endpoints."""
-    return _solve_public(frame, f, phi, 2)
+    return ResolventMap(frame, f.grid, 2).apply_field(f, phi)
 
 
 def solve_bc3(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
     """Value / derivative (clamped-type) conditions at both endpoints."""
-    return _solve_public(frame, f, phi, 3)
+    return ResolventMap(frame, f.grid, 3).apply_field(f, phi)
 
 
 def solve_bc4(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
     """Derivative / second-derivative conditions at both endpoints."""
-    return _solve_public(frame, f, phi, 4)
+    return ResolventMap(frame, f.grid, 4).apply_field(f, phi)
 
 
 def solve_bc5(frame: BCFrame, f: GridFunction, phi=None) -> GridFunction:
     """Value / (u'' + P u) conditions; reduces to the first family."""
-    return _solve_public(frame, f, phi, 5)
+    return ResolventMap(frame, f.grid, 5).apply_field(f, phi)
 
 
 _SOLVERS = {1: solve_bc1, 2: solve_bc2, 3: solve_bc3, 4: solve_bc4, 5: solve_bc5}
@@ -776,13 +796,9 @@ _lambda_frame = _lambda_frames
 
 
 def resolvent_solve(spec: ProblemSpec, lam: complex, f: GridFunction) -> GridFunction:
-    """u = (-G - lam I)^{-1} f for the fourth-order generator G of the family.
-
-    Builds the parameter frame and dispatches to the matching family solver
-    with homogeneous boundary data.
-    """
-    frame = _lambda_frames(spec, lam)
-    return _SOLVERS[spec.bc_family](frame, f)
+    """u = (-G - lam I)^{-1} f for the fourth-order generator G of the family:
+    the family solver on the parameter's frame, with zero boundary data."""
+    return _SOLVERS[spec.bc_family](_lambda_frames(spec, lam), f)
 
 
 def resolvent_blocks(spec: ProblemSpec, lam: complex, grid: Grid,
@@ -800,8 +816,7 @@ def resolvent_blocks(spec: ProblemSpec, lam: complex, grid: Grid,
         frame = _lambda_frames(spec, lam)
     n, N, b = frame.n, grid.n, frame.block
     deltas = np.tile(np.eye(N * b, dtype=complex).reshape(N, 1, b, N * b), (1, n // b, 1, 1))
-    sol = _solve_family(frame, grid, deltas.reshape(N, n, N * b), _zero_phi(n),
-                        spec.bc_family)
+    sol = ResolventMap(frame, grid, spec.bc_family).solve_modes(deltas.reshape(N, n, N * b))
     return sol.reshape(N, n // b, b, N * b).transpose(1, 0, 2, 3).reshape(n // b, N * b, N * b)
 
 

@@ -43,11 +43,10 @@ import numpy as np
 from .bvp import (
     DERIVATIVE_FAMILIES,
     ProblemSpec,
+    ResolventMap,
     _batch_size,
     _lambda_frames,
     _SOLVERS,
-    _solve_family,
-    _zero_phi,
 )
 from .errors import (
     BranchCut,
@@ -211,7 +210,7 @@ def _node_sums(spec: ProblemSpec, grid: Grid, lams, weights, columns) -> np.ndar
         try:
             frame = _lambda_frames(spec, -nodes)
             fv = np.tile(frame.to_modes(data), (1, len(nodes), 1))
-            u = _solve_family(frame, grid, fv, _zero_phi(frame.n), spec.bc_family)
+            u = ResolventMap(frame, grid, spec.bc_family).solve_modes(fv)
         except NotInResolventSet as exc:
             node = -exc.lam if exc.lam is not None else nodes[0]
             raise ContourTooClose(f"contour node {node}: {exc}") from exc

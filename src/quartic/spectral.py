@@ -3,26 +3,13 @@
 The sweep walks a polar grid around the branch vertex -k^2/4 and records the
 weighted resolvent norm of the fourth-order generator on the sample grid and
 the scaled ratio (1 + |lambda - vertex|) * ||R(lambda)||, by one of three
-routes (``run_sweep``): per-mode blocks, the assembled resolvent matrix, or
-a Lanczos iteration with an adjoint frame derived from the forward one.  Every
-frame member is a scalar function of A, so the points of a sweep batch
-like contour nodes: a batch of K = max(1, BATCH_ENTRIES // (dim(A) b N))
-points (``bvp._batch_size``, b the block size) shares one batch frame and one
-grid kit, and each point solves on its own view of them
-(``BCFrame.parameter``); the power route, beyond DENSE_CAP, has K = 1.  A
-batch that refuses is split at its first refused point.  The batches change
-no record: a view equals the frame its point assembles alone.
-
-A real problem (``ProblemSpec.real``), or A with a unitary eigenbasis and a
-spectrum closed under conjugation (family 2 excepted), has
-||R(conj lambda)|| = ||R(lambda)||, the identity that makes a real matrix's
-pseudospectra mirror-symmetric.  The symmetric angles of ``make_sweep_grid``
-then come in exact conjugate pairs, and the sweep evaluates one point of
-each pair.  The discrete norms at lambda and conj(lambda) differ only by
-the factor-order asymmetry (P and Q swap), measured at most 3.4e-5 relative
-at N = 24 and 2.3e-7 at N = 48.
-Per-parameter failures are collected as findings, not fatal errors: for the
-clamped/derivative families they witness the excluded ball around the vertex.
+routes: per-mode blocks, the assembled resolvent matrix, or a Lanczos
+iteration (``krylov_norm``) on the point's resolvent map
+(``bvp.ResolventMap``) and its adjoint.  ``run_sweep`` gives the rules: which
+route a sweep takes, how its points share batch frames, and which conjugate
+pairs it evaluates once.  Per-parameter failures are collected as findings,
+not fatal errors: for the clamped/derivative families they witness the
+excluded ball around the vertex.
 """
 
 from __future__ import annotations
@@ -35,16 +22,15 @@ import numpy as np
 from . import tolerances as tol
 from .bvp import (
     DERIVATIVE_FAMILIES,
-    BCFrame,
     ProblemSpec,
-    _SOLVERS,
+    ResolventMap,
     _batch_size,
     _lambda_frames,
     resolvent_blocks,
     resolvent_matrix,
 )
 from .errors import BranchCut, NotInResolventSet
-from .grids import Grid, GridFunction, cgl_grid
+from .grids import cgl_grid
 from .operators import _outside_closed_sector, operator_norm
 
 __all__ = [
@@ -199,48 +185,41 @@ class _Unconverged(float):
     """The last estimate of a Lanczos iteration that ran ``max_iter`` steps."""
 
 
-def _map_norm_lanczos(spec: ProblemSpec, lam: complex, grid: Grid, w: np.ndarray,
-                      rel_tol: float = 1e-7, max_iter: int = 40,
-                      frame: BCFrame | None = None) -> float:
-    """Norm estimate without materialization: Lanczos on B = R~* R.
+def krylov_norm(apply, apply_adjoint, w: np.ndarray, start: np.ndarray,
+                rel_tol: float = 1e-7, max_iter: int = 40) -> float:
+    """Weighted 2-norm of a linear map from its applications: Lanczos on
+    B = apply_adjoint o apply.
 
-    R~ is the resolvent of A^H at conj(lam), whose frame and grid kit are
-    derived from the forward ones (``BCFrame.adjoint``); for the normal
-    surrogates it is the exact discrete adjoint up to quadrature asymmetry.
-    ``w`` holds the norm's quadrature weights.  From ``_start_vector`` the
-    iteration builds a W-orthonormal Krylov basis Q of B, each new B q
-    W-orthogonalized against every earlier q twice, and estimates the norm
-    as sqrt of the largest eigenvalue of the Hermitian part of Q^H W B Q:
-    B is W-self-adjoint only up to the quadrature's asymmetry.  One step is
-    one B-application, a forward and an adjoint solve.  The iteration stops
+    ``start``, the first Krylov vector, has the layout both callables take
+    and return (the sweep's: node-major (N, dim(A), 1) data in X's
+    coordinates, ``bvp.ResolventMap.apply``).  ``w`` is the flat vector of
+    the inner product's weights, one per entry of start in its flat order, and
+    ``apply_adjoint`` is ``apply``'s adjoint in it, for a resolvent only up
+    to quadrature asymmetry.  The iteration builds a W-orthonormal Krylov
+    basis Q of B, each new B q W-orthogonalized against every earlier q
+    twice, and estimates the norm as sqrt of the largest eigenvalue of the
+    Hermitian part of Q^H W B Q.  One step is one B-application.  It stops
     when the estimate moves by at most ``rel_tol``, or when the residual
     vanishes (Q spans an invariant subspace); one that has not stopped after
     ``max_iter`` steps returns its last estimate as an ``_Unconverged``.
-    ``frame``, the forward frame at lam, is assembled when not given.
     """
-    n = spec.A.dim
-    solve = _SOLVERS[spec.bc_family]
-    if frame is None:
-        frame = _lambda_frames(spec, lam)
-    frame.grid_kit(grid)  # before adjoint(), which derives its kit from this one
-    adj_frame = frame.adjoint()
+    shape = np.shape(start)
 
-    def apply(v):  # B v on node-major vectors
-        gv = GridFunction(grid, v.reshape(grid.n, n).T)
-        return solve(adj_frame, solve(frame, gv)).values.T.reshape(-1)
+    def b_apply(v):
+        return apply_adjoint(apply(v.reshape(shape))).reshape(-1)
 
     def w_norm(v):
         return float(np.sqrt(np.vdot(v, w * v).real))
 
     # rows of Q and B Q, touched only as they are filled, and the projected
     # matrix Q^H W B Q, extended by one row and column per step
-    Q = np.empty((max_iter, n * grid.n), dtype=complex)
+    Q = np.empty((max_iter, w.size), dtype=complex)
     BQ = np.empty_like(Q)
     h = np.empty((max_iter, max_iter), dtype=complex)
-    q, est = _start_vector(n * grid.n), 0.0
+    q, est = np.reshape(start, -1), 0.0
     for k in range(max_iter):
         Q[k] = q / w_norm(q)
-        BQ[k] = apply(Q[k])
+        BQ[k] = b_apply(Q[k])
         WQh = (w * Q[:k + 1]).conj()
         h[:k + 1, k] = WQh @ BQ[k]
         h[k, :k] = BQ[:k] @ WQh[k]
@@ -289,10 +268,11 @@ def run_sweep(
     (``resolvent_blocks``) for A with a unitary eigenbasis
     (eig_cond - 1 <= UNITARY_BASIS_GAP), and of the materialized resolvent
     (``resolvent_matrix``) for every other A.  Beyond the cap norms come
-    from a Lanczos iteration (note "power", ``_map_norm_lanczos``) against
-    the resolvent of the conjugate-transposed problem, whose frame each
-    point derives from its forward frame (``BCFrame.adjoint``), so A is
-    factored once per sweep.
+    from a Lanczos iteration (note "power", ``krylov_norm``) on the point's
+    resolvent map (``bvp.ResolventMap``) and its adjoint, the map of the
+    conjugate-transposed problem, whose frame each point derives from its
+    forward frame (``BCFrame.adjoint``), so A is factored once per sweep.
+    Every point starts from one vector, drawn once (``_start_vector``).
     A point whose iteration does not converge keeps its last estimate with
     the note "power-unconverged".  Families 2 and 4 have no power route,
     because their formal adjoints have other boundary conditions than the
@@ -339,6 +319,8 @@ def run_sweep(
     symmetric = spec.real or (spec.bc_family != 2 and per_mode
                               and _conjugation_closed(spec.A.spectrum))
     partner = _conjugate_partners(lams) if symmetric else {}
+    if power:  # one Krylov start vector serves every point
+        start = _start_vector(spec.A.dim * grid.n).reshape(grid.n, spec.A.dim, 1)
 
     def record(lam, nrm, note="power" if power else "dense"):
         ratio = (1.0 + abs(lam - sweep.vertex)) * nrm
@@ -346,7 +328,8 @@ def run_sweep(
 
     def job(lam, frame):
         if power:
-            nrm = _map_norm_lanczos(spec, lam, grid, weights, frame=frame)
+            fwd = ResolventMap(frame, grid, spec.bc_family)
+            nrm = krylov_norm(fwd.apply, fwd.adjoint().apply, weights, start)
             return record(lam, nrm, "power-unconverged" if isinstance(nrm, _Unconverged)
                           else "power")
         if per_mode:

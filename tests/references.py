@@ -17,7 +17,6 @@ import numpy as np
 from quartic import tolerances as tol
 from quartic.bvp import (
     BCFrame,
-    _field_to_internal,
     _frame_phi,
     _mode_coefficients,
     _particular,
@@ -40,7 +39,7 @@ def fprime_boundary(frame: BCFrame, f: GridFunction):
     full-interval kernel integrals), never by differencing F itself.
     """
     o, ap = frame.ops, frame.apply
-    fv = frame.to_modes(_field_to_internal(f))
+    fv = frame.to_modes(f.values.T[:, :, None])
     part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
     zk1, zk2 = ap(o.z, part["k1"]), ap(o.z, part["k2"])
     e2zk1, e2zk2 = (ap(o.e_cm, ap(o.e_cm, v)) for v in (zk1, zk2))
@@ -56,7 +55,7 @@ def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
     exponential mode stacks in the assembled solution (the solver's own
     ``_mode_coefficients``), in X's coordinates.
     """
-    fv = frame.to_modes(_field_to_internal(f))
+    fv = frame.to_modes(f.values.T[:, :, None])
     part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
     alphas = _mode_coefficients(frame, part, _frame_phi(frame, phi, 2), 2)
     return tuple(frame.from_modes(a)[:, 0] for a in alphas)

@@ -4,7 +4,7 @@ containment of the dense surrogate's spectrum."""
 
 import numpy as np
 
-from quartic.bvp import ProblemSpec, _field_to_internal, _lambda_frames, _particular, _zero_phi
+from quartic.bvp import ProblemSpec, _lambda_frames, _particular, _zero_phi
 from quartic.errors import BranchCut
 from quartic.grids import GridFunction, cgl_grid
 from quartic.oracle import dense_generator
@@ -51,7 +51,7 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
         m2e = np.linalg.norm(frame.m @ frame.m @ frame.e_cm, 2)
         l2e = np.linalg.norm(frame.l @ frame.l @ frame.e_cl, 2)
         ecm = np.linalg.norm(frame.e_cm, 2)
-        part = _particular(frame, grid, frame.to_modes(_field_to_internal(f)),
+        part = _particular(frame, grid, frame.to_modes(f.values.T[:, :, None]),
                            _zero_phi(frame.n))
         v0n = GridFunction(grid, frame.from_modes(part["v0"])[:, :, 0].T).norm()
         fpn = float(np.linalg.norm(frame.from_modes(part["fpa"]))

@@ -685,8 +685,7 @@ n_nodes = 344
         from quartic import spectral, tolerances
 
         monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
-        monkeypatch.setattr(spectral, "_map_norm_lanczos",
-                            partial(spectral._map_norm_lanczos, max_iter=1))
+        monkeypatch.setattr(spectral, "krylov_norm", partial(spectral.krylov_norm, max_iter=1))
         cfg = write_config(tmp_path / "c.cfg", """
 [problem]
 operator = laplacian:3

@@ -5,7 +5,6 @@ from conftest import frame_at, smooth_field
 from quartic.bvp import (
     ProblemSpec,
     _data_derivatives,
-    _field_to_internal,
     _lambda_frames,
     _second_order,
     bc_conditions,
@@ -76,7 +75,7 @@ class TestSecondOrderStage:
         frame = _lambda_frames(ProblemSpec(0.0, np.pi, 0.0, op, 1), lam)
         assert (frame.block == 1) == op.diagonalizable
         grid = cgl_grid(64, 0.0, np.pi)
-        fv = frame.to_modes(_field_to_internal(smooth_field(rng, grid, op.dim)))
+        fv = frame.to_modes(smooth_field(rng, grid, op.dim).values.T[:, :, None])
         v_a, v_b = (frame.to_modes(rng.normal(size=(op.dim, 1))
                                    + 1j * rng.normal(size=(op.dim, 1))) for _ in range(2))
         v, vp, vpp, _, _ = _second_order(frame, frame.grid_kit(grid), generator, fv,

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quartic.bvp import _SOLVERS, ProblemSpec, _lambda_frames, resolvent_blocks, resolvent_matrix
+from quartic.bvp import (
+    _SOLVERS,
+    ProblemSpec,
+    ResolventMap,
+    _lambda_frames,
+    resolvent_matrix,
+)
 from quartic.errors import BranchCut, NonFinite, NotInResolventSet
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import dirichlet_laplacian_modes, make_operator, operator_norm
@@ -14,15 +20,15 @@ from quartic.spectral import (
     INSIDE_SECTOR,
     OUTSIDE_SECTOR,
     VERTEX,
-    _map_norm_lanczos,
     _start_vector,
     classify_lambda,
     classify_lambda_by_argument,
+    krylov_norm,
     make_sweep_grid,
     SweepGrid,
     run_sweep,
 )
-from references import resolvent_apply
+from references import resolvent_apply, sine_resolvent_norm
 from spectral_diagnostics import branch_angle_check, decay_diagnostics, generator_sector_check
 from test_grids_kernels import _ill_conditioned
 
@@ -409,6 +415,14 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _lanczos_norm(spec, lam, grid, w, **kwargs):
+    """A power-route sweep point: ``krylov_norm`` on the resolvent map at lam
+    and its adjoint, from the sweep's start vector."""
+    fwd = ResolventMap(_lambda_frames(spec, lam), grid, spec.bc_family)
+    start = _start_vector(w.size).reshape(grid.n, spec.A.dim, 1)
+    return krylov_norm(fwd.apply, fwd.adjoint().apply, w, start, **kwargs)
+
+
 class TestPowerRoute:
     """Power-route sweep points: the adjoint frame is derived from the
     forward one with its grid kit (``BCFrame.adjoint``), and the reported
@@ -517,8 +531,7 @@ class TestPowerRoute:
         g = make_sweep_grid(0.0, 0.0, radii=np.array([1.0, 3.0]), n_angles=2)
         monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
         converged = run_sweep(spec, g, n_nodes=16)
-        monkeypatch.setattr(spectral, "_map_norm_lanczos",
-                            partial(spectral._map_norm_lanczos, max_iter=1))
+        monkeypatch.setattr(spectral, "krylov_norm", partial(spectral.krylov_norm, max_iter=1))
         capped = run_sweep(spec, g, n_nodes=16)
         assert [r.note for r in converged.records] == ["power"] * 4
         assert converged.summary()["unconverged"] == 0
@@ -545,29 +558,28 @@ class TestPowerRoute:
         w = np.repeat(grid.weights, A.dim)
         for lam in ADJOINT_LAMS:
             want = operator_norm(resolvent_matrix(spec, lam, grid), w)
-            got = _map_norm_lanczos(spec, lam, grid, w)
+            got = _lanczos_norm(spec, lam, grid, w)
             assert abs(got - want) <= bound * want
 
     def test_clustered_singular_values(self, monkeypatch):
         # laplacian:30 at N = 256, where many singular values of R(lam) lie
         # close together: power iteration stalled 1.53e-4 low at -174.1+984.7i
-        # after 200 B-applications.  The per-mode norm is exact for this
-        # unitary basis; at 939+343i estimates sit at 7.9-8.2e-9, the route's
-        # adjoint-asymmetry floor.
-        from quartic import spectral
+        # after 200 B-applications.  A is normal with a known spectrum, so
+        # the norm is 1/min_ij |(i^2 + j^2)^2 - lam|; the estimates sit
+        # 3.1e-13 to 1.2e-9 below it, and 6.4e-10 to 8.2e-9 below the
+        # discrete per-mode norm, the route's adjoint-asymmetry floor.
+        from quartic import bvp
 
         A = dirichlet_laplacian_modes(30)
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
         grid = cgl_grid(256, 0.0, np.pi)
         w = np.repeat(grid.weights, A.dim)
-        lams = [-174.1 + 984.7j, 939.0 + 343.0j, -1000.0, 43.6 + 15.9j]
-        want = [operator_norm(resolvent_blocks(spec, lam, grid), grid.weights) for lam in lams]
-        solves = []
-        solve = spectral._SOLVERS[1]
-        monkeypatch.setitem(spectral._SOLVERS, 1, lambda *a: solves.append(a) or solve(*a))
-        for lam, ref in zip(lams, want):
+        i, j = np.arange(1, 31)[:, None], np.arange(1, 300)[None, :]
+        solves = _counting(monkeypatch, bvp.ResolventMap, "apply")
+        for lam in [-174.1 + 984.7j, 939.0 + 343.0j, -1000.0, 43.6 + 15.9j]:
+            ref = 1.0 / np.min(np.abs((i * i + j * j) ** 2 - lam))
             solves.clear()
-            got = _map_norm_lanczos(spec, lam, grid, w)
+            got = _lanczos_norm(spec, lam, grid, w)
             assert type(got) is float  # not an _Unconverged
             assert abs(got - ref) <= 1e-8 * ref
             assert len(solves) <= 2 * 40  # one forward and one adjoint solve per B
@@ -577,15 +589,13 @@ class TestPowerRoute:
         # rel_tol = 0 never stops on movement: with dim(A) N = 12 the basis
         # spans an invariant subspace of B within 12 steps, and the estimate
         # is returned there, not as an _Unconverged
-        from quartic import spectral
+        from quartic import bvp
 
         spec = ProblemSpec(0.0, np.pi, 0.0, scalar_op, 1)
         grid = cgl_grid(12, 0.0, np.pi)
         want = operator_norm(resolvent_matrix(spec, lam, grid), grid.weights)
-        solves = []
-        solve = spectral._SOLVERS[1]
-        monkeypatch.setitem(spectral._SOLVERS, 1, lambda *a: solves.append(a) or solve(*a))
-        got = _map_norm_lanczos(spec, lam, grid, grid.weights, rel_tol=0.0)
+        solves = _counting(monkeypatch, bvp.ResolventMap, "apply")
+        got = _lanczos_norm(spec, lam, grid, grid.weights, rel_tol=0.0)
         assert type(got) is float
         assert len(solves) <= 2 * 12
         # the route's adjoint is exact only up to quadrature asymmetry
@@ -598,6 +608,59 @@ class TestPowerRoute:
         np.testing.assert_array_equal(x, _start_vector(1000))
         # standard complex Gaussians: E|x|^2 = 2
         assert abs(np.mean(np.abs(x) ** 2) - 2.0) < 0.3
+
+    def test_one_start_vector_per_sweep(self, monkeypatch):
+        # three power points on the sweep-power family draw the start vector
+        # once, and each norm is bit for bit the norm its point computes from
+        # a start vector of its own
+        from quartic import spectral, tolerances
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, _cond30_6x6(), 3)
+        g = make_sweep_grid(0.0, 0.0, radii=np.array([0.6, 0.95, 1.5]), n_angles=1,
+                            exclusion_radius=0.5)
+        grid = cgl_grid(24, 0.0, np.pi)
+        w = np.repeat(grid.weights, spec.A.dim)
+        want = [_lanczos_norm(spec, lam, grid, w) for lam in g.points()]
+        monkeypatch.setattr(tolerances, "DENSE_CAP", 10)
+        draws = _counting(monkeypatch, spectral, "_start_vector")
+        report = run_sweep(spec, g, n_nodes=24)
+        assert len(draws) == 1
+        assert [r.note for r in report.records] == ["power"] * 3
+        assert [r.norm for r in report.records] == want
+
+    # dim 30, spectrum -1 .. -900 in a real basis with singular values
+    # geomspace(1, 1e3, 30) (eig_cond 831), N = 256: measured gaps 1.5e-10 to
+    # 6.8e-10 at the three large lam and 5.4e-8 and 2.0e-8 at 43.6+15.9i and
+    # 2+3i, where the rel_tol stop sets them (the same at N = 128)
+    def test_non_normal_dim30_against_closed_form(self):
+        rng = np.random.default_rng(30)
+        q1, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        q2, _ = np.linalg.qr(rng.normal(size=(30, 30)))
+        A = _in_basis(q1 @ np.diag(np.geomspace(1.0, 1e3, 30)) @ q2, -np.arange(1, 31.0) ** 2)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
+        grid = cgl_grid(256, 0.0, np.pi)
+        w = np.repeat(grid.weights, A.dim)
+        for lam in [-174.1 + 984.7j, 939.0 + 343.0j, -1000.0, 43.6 + 15.9j, 2.0 + 3.0j]:
+            got = _lanczos_norm(spec, lam, grid, w)
+            want = sine_resolvent_norm(A.matrix, lam)
+            assert type(got) is float  # not an _Unconverged
+            assert abs(got - want) <= 1e-6 * want
+
+
+class TestKrylovNorm:
+    """``krylov_norm`` on an explicit operator and its exact W-adjoint."""
+
+    # measured 4.1e-11 to 3.5e-9 relative in 10-15 steps
+    @pytest.mark.parametrize("seed", range(5))
+    def test_explicit_operator(self, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        w = rng.uniform(0.1, 1.0, 40)
+        got = krylov_norm(lambda v: M @ v, lambda v: M.conj().T @ (w * v) / w, w,
+                          _start_vector(40))
+        want = operator_norm(M, w)
+        assert type(got) is float  # not an _Unconverged
+        assert abs(got - want) <= 1e-7 * want
 
 
 def _batched_sweep_case(name):
