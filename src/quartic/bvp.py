@@ -36,6 +36,12 @@ n = frame.n rows: in the frame's coordinates (``solve_modes``), or in X's
 with boundary data (``apply``; ``apply_field`` on a GridFunction), the path
 of ``solve_bc1``-``solve_bc5``.  ``adjoint`` gives the map of A^H at
 conj(lambda) on the frame ``BCFrame.adjoint`` derives.
+
+Every family starts from the partial fraction F = B^{-1} (W_Q - W_P), one
+second-order stage per factor (``_particular``).  It is symmetric in (P, Q),
+which conj(lambda) swaps, so a real problem's solves at lambda and
+conj(lambda) are conjugates to round-off, and ``apply`` solves real data at
+a real lambda left of the vertex from one stage (``BCFrame.conjugate``).
 """
 
 from __future__ import annotations
@@ -154,8 +160,8 @@ class ProblemSpec:
         """A real and bc_family != 2: then R(conj lam) f = conj(R(lam) conj f).
 
         Family 2's boundary operator u'' + P u moves with lam, so it is never
-        real in this sense.  The discrete solves at lam and conj(lam) agree
-        only up to their factor-order asymmetry (P and Q swap).
+        real in this sense.  The discrete solves keep the identity to
+        round-off (module docstring).
         """
         return self.bc_family != 2 and not np.any(np.imag(self.A.matrix))
 
@@ -179,7 +185,7 @@ class BCFrame:
     ``frame.p``, ``frame.inv_im_el``, ... gives the dense matrix
     V diag(blocks) V^{-1}, built on first use.
     ``uinv``/``vinv`` are None when the guarded inversion of U or V refused
-    (recorded in ``uv_ok``).
+    (recorded in ``uv_ok``).  ``real_a``: A is real (``conjugate``).
 
     A batch frame (``_lambda_frames``) stacks the blocks of its K parameters
     in turn; ``n`` is then K n, ``lam`` the array of the K parameters, data
@@ -199,8 +205,14 @@ class BCFrame:
     uv_ok: bool
     prop_m: Propagator
     prop_l: Propagator
+    real_a: bool = False
     _dense: dict = field(default_factory=dict, repr=False)
     _grid_cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def conjugate(self) -> bool:
+        """Q = conj(P) in X's coordinates: A real, one parameter, B = 2 i s imaginary."""
+        return self.real_a and np.ndim(self.lam) == 0 and not self.ops.b_op.real.any()
 
     @property
     def block(self) -> int:
@@ -296,7 +308,7 @@ class BCFrame:
         return BCFrame(n=self.n // K, c=self.c, lam=complex(self.lam[i]),
                        ops=SimpleNamespace(**ops), basis=self.basis, uv_ok=self.uv_ok,
                        prop_m=Propagator(ops["m"]), prop_l=Propagator(ops["l"]),
-                       _grid_cache=kits)
+                       real_a=self.real_a, _grid_cache=kits)
 
     def adjoint(self) -> BCFrame:
         """The frame of A^H at conj(lam), derived with no assembly.
@@ -320,7 +332,7 @@ class BCFrame:
         return BCFrame(n=self.n, c=self.c, lam=None if self.lam is None else self.lam.conjugate(),
                        ops=SimpleNamespace(**ops), basis=(Vinv.conj().T, V.conj().T),
                        uv_ok=self.uv_ok, prop_m=Propagator(ops["m"]), prop_l=Propagator(ops["l"]),
-                       _grid_cache=kits)
+                       real_a=self.real_a, _grid_cache=kits)
 
 
 # Partner members under ``BCFrame.adjoint``; the others are their own partners.
@@ -516,16 +528,13 @@ def _data_derivatives(grid: Grid, fv: np.ndarray):
     The grid's stencil bands act on the (N, 2nr) real view of the complex
     (N, n, r) data: each node's (2, w) weights times its (w, 2nr) window of
     rows gives both orders at once, O(w N n r) work and no N x N matrix.
+    The product is written order-major, so each derivative is contiguous.
     """
     idx, weights = grid.stencils
     flat = np.ascontiguousarray(fv, dtype=complex).reshape(len(fv), -1).view(float)
-    d = weights @ flat[idx]
-    return tuple(d[:, k].view(complex).reshape(fv.shape) for k in (0, 1))
-
-
-# Each generator's frame members: X, X^{-1}, e^{cX}, (I - e^{2cX})^{-1} and the
-# quadratic factor S = -X^2 (l = -sqrt(-Q), m = -sqrt(-P)).
-_GENERATORS = {"l": ("l", "linv", "e_cl", "w", "q"), "m": ("m", "minv", "e_cm", "z", "p")}
+    d = np.empty((2,) + flat.shape)
+    np.matmul(weights, flat[idx], out=d.transpose(1, 0, 2))
+    return tuple(x.view(complex).reshape(fv.shape) for x in d)
 
 
 def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_b):
@@ -537,41 +546,42 @@ def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_
     e^{(x-a)X} c_a + e^{(b-x)X} c_b + X^{-1} (I+ + I-) / 2, the endpoint values
     fixing c_a, c_b through (I - e^{2cX})^{-1}.  Both integrals come from the
     kit's node weights applied to (f, f', f'') (``convolve_nodes``), so the
-    stage builds no polynomial model of its own.  Returns (v, v', v'', I-(a),
-    I+(b)).
+    stage builds no polynomial model of its own.  Returns (v, v'(a), v'(b)).
     """
     o, ap = frame.ops, frame.apply
-    x, x_inv, e_c, g, s = (getattr(o, name) for name in _GENERATORS[generator])
+    # X, X^{-1}, e^{cX} and (I - e^{2cX})^{-1}, for l = -sqrt(-Q) or m = -sqrt(-P)
+    x, x_inv, e_c, g = ((o.l, o.linv, o.e_cl, o.w) if generator == "l"
+                        else (o.m, o.minv, o.e_cm, o.z))
     stacks = kit[generator]
     fwd, bwd = convolve_nodes(stacks, f, fp, fpp)
     k_a, k_b = bwd[0], fwd[-1]
-    g_a, g_b = ap(g, v_a), ap(g, v_b)
-    gk_a, gk_b = (0.5 * ap(g, ap(x_inv, k)) for k in (k_a, k_b))
-    c_a = g_a - ap(e_c, g_b) - gk_a + ap(e_c, gk_b)
-    c_b = -ap(e_c, g_a) + g_b + ap(e_c, gk_a) - gk_b
-    e_a, e_b = ap(stacks["exa"], c_a), ap(stacks["ebx"], c_b)
-    v = e_a + e_b + 0.5 * ap(x_inv, fwd + bwd)
-    vp = ap(x, e_a) - ap(x, e_b) + 0.5 * (fwd - bwd)
-    return v, vp, -ap(s, v) + f, k_a, k_b
+    d_a, d_b = (ap(g, v_end - 0.5 * ap(x_inv, k)) for v_end, k in ((v_a, k_a), (v_b, k_b)))
+    c_a, c_b = d_a - ap(e_c, d_b), d_b - ap(e_c, d_a)
+    v = ap(stacks["exa"], c_a) + ap(stacks["ebx"], c_b) + 0.5 * ap(x_inv, fwd + bwd)
+    return v, ap(x, c_a - ap(e_c, c_b)) - 0.5 * k_a, ap(x, ap(e_c, c_a) - c_b) + 0.5 * k_b
 
 
-def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi) -> dict:
-    """Particular solution F_{Phi,f} and its building blocks on the grid.
+def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, real: bool = False):
+    """(F, F'(a), F'(b)) of the particular solution F_{Phi,f}, from fv
+    (N, n, r) and phi, four (n, 1) columns, in the frame's coordinates.
 
-    fv has shape (N, n, r) and phi is a 4-tuple of (n, 1) columns (broadcast
-    over the r right-hand sides), both in the frame's coordinates.
-    The two second-order solves follow (d^2 + P)(d^2 + Q): first
-    v0'' + Q v0 = f with v0 = F'' + P F at the endpoints, then F'' + P F = v0.
-    Returns every object the family solvers need, in the same coordinates.
+    F = B^{-1} (W_Q - W_P): W_Q = F'' + P F solves w'' + Q w = f (generator l)
+    with w = phi3 + P phi1, phi4 + P phi2 at the ends, W_P = F'' + Q F the
+    same with P and Q swapped (generator m), and F' combines their slopes
+    alike.  Next to the vertex the difference loses |P| / |B| of round-off.
+    With ``real`` (``ResolventMap.apply``) W_P = conj(W_Q) in X's coordinates
+    and B = 2 i s, so F = Im(W_Q) / s: the three come back real in X's.
     """
     o, ap = frame.ops, frame.apply
     kit = frame.grid_kit(grid)
     p1, p2, p3, p4 = phi
-    v0, v0p, v0pp, _, _ = _second_order(frame, kit, "l", fv, *_data_derivatives(grid, fv),
-                                        p3 + ap(o.p, p1), p4 + ap(o.p, p2))
-    F, Fp, _, k1, k2 = _second_order(frame, kit, "m", v0, v0p, v0pp, p1, p2)
-    return {"F": F, "v0": v0, "k1": k1, "k2": k2, "kit": kit,
-            "fpa": Fp[0], "fpb": Fp[-1]}
+    derivs = _data_derivatives(grid, fv)
+    w_q = _second_order(frame, kit, "l", fv, *derivs, p3 + ap(o.p, p1), p4 + ap(o.p, p2))
+    if real:
+        s = 0.5 * o.b_op[0, 0, 0].imag
+        return tuple(frame.from_modes(w).imag / s for w in w_q)
+    w_p = _second_order(frame, kit, "m", fv, *derivs, p3 + ap(o.q, p1), p4 + ap(o.q, p2))
+    return tuple(ap(o.binv, wq - wp) for wq, wp in zip(w_q, w_p))
 
 
 def _zero_phi(n: int):
@@ -596,35 +606,38 @@ def _frame_phi(frame: BCFrame, phi, bc: int):
     return p1, p2, p3, p4
 
 
-def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int) -> np.ndarray:
-    """Dispatch on the boundary family; fv is (N, n, r) and phi four (n, 1)
-    columns from _frame_phi, all in the frame's coordinates.  Families 2-4 add
-    to the homogeneous particular solution F the four mode stacks weighted by
-    _mode_coefficients."""
+def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int, real=False):
+    """Dispatch on the boundary family: fv (N, n, r), phi four (n, 1) columns
+    from _frame_phi and u in the frame's coordinates, or u real in X's with
+    ``real`` (``_particular``).  Families 2-4 add to the homogeneous particular
+    solution F the four mode stacks weighted by _mode_coefficients."""
     if bc in (1, 5):  # family 5 data arrives reduced to family 1 data
-        return _particular(frame, grid, fv, phi)["F"]
+        return _particular(frame, grid, fv, phi, real)[0]
     if bc in DERIVATIVE_FAMILIES and not frame.uv_ok:
         raise FrameSingular(
             "derivative-family solve needs invertible interval operators; "
             "the parameter may belong to the spectrum"
         )
-    part = _particular(frame, grid, fv, _zero_phi(frame.n))
-    a1, a2, a3, a4 = _mode_coefficients(frame, part, phi, bc)
-    ap, m, l = frame.apply, part["kit"]["m"], part["kit"]["l"]
+    F, *slopes = _particular(frame, grid, fv, _zero_phi(frame.n), real)
+    if real:
+        slopes = [frame.to_modes(fp) for fp in slopes]
+    a1, a2, a3, a4 = _mode_coefficients(frame, *slopes, phi, bc)
+    ap, kit = frame.apply, frame.grid_kit(grid)
+    m, l = kit["m"], kit["l"]
     u = (ap(m["exa"], a1 + a3) + ap(m["ebx"], a3 - a1)
          + ap(l["exa"], a2 + a4) + ap(l["ebx"], a4 - a2))
-    return u + part["F"]
+    return frame.from_modes(u).real + F if real else u + F
 
 
-def _mode_coefficients(frame: BCFrame, part: dict, phi, bc: int):
+def _mode_coefficients(frame: BCFrame, fpa, fpb, phi, bc: int):
     """Coefficients (a1, a2, a3, a4) of e^{(x-a)M} (a1 + a3), e^{(b-x)M} (a3 - a1),
     e^{(x-a)L} (a2 + a4) and e^{(b-x)L} (a4 - a2) in the family 2-4 solutions.
 
     Each family splits its data into a slope pair, the derivative conditions
     (phi3, phi4) in family 3 and (phi1, phi2) in families 2 and 4, and a data
     pair, the other two.  The parity s = +1 gives (a1, a2) and s = -1 gives
-    (a3, a4) from pt_s = (slope_a + s slope_b - F'(a) - s F'(b)) / 2 and
-    d_s = data_a - s data_b.
+    (a3, a4) from pt_s = (slope_a + s slope_b - fpa - s fpb) / 2, fpa = F'(a)
+    and fpb = F'(b), and d_s = data_a - s data_b.
 
     Families 3 and 4 share one formula over the generator pairs (X, Y^{-1}):
     (L, M^{-1}) gives M's coefficient, +1/2 B^{-1}(L + M) W_s r, and (M, L^{-1})
@@ -638,7 +651,6 @@ def _mode_coefficients(frame: BCFrame, part: dict, phi, bc: int):
     a_M = (I + s e^{cM})^{-1} (M^{-1} pt_s - (I + s e^{cL}) L M^{-1} a_L).
     """
     o, ap, eye = frame.ops, frame.apply, frame.ops.eye
-    fpa, fpb = part["fpa"], part["fpb"]
     slope, data = (phi[2:], phi[:2]) if bc == 3 else (phi[:2], phi[2:])
     w = (o.uinv, o.vinv) if bc == 3 else (o.vinv, o.uinv)  # W_s at s = +1, -1
     alphas = []
@@ -674,9 +686,13 @@ class ResolventMap:
 
     def apply(self, v: np.ndarray, phi=None) -> np.ndarray:
         """(N, n, r) data and boundary data ``phi`` (as ``_frame_phi`` takes
-        it) in X's coordinates."""
+        it) in X's coordinates.  Real data and no phi on a ``conjugate``
+        frame, family 2 excepted, have a real solution from one factor."""
         frame, bc = self.frame, self.family
-        u = _solve_family(frame, self.grid, frame.to_modes(v), _frame_phi(frame, phi, bc), bc)
+        fv = frame.to_modes(v)
+        if phi is None and bc != 2 and frame.conjugate and not np.any(v.imag):
+            return _solve_family(frame, self.grid, fv, _zero_phi(frame.n), bc, True) + 0j
+        u = _solve_family(frame, self.grid, fv, _frame_phi(frame, phi, bc), bc)
         return frame.from_modes(u)
 
     def apply_field(self, f: GridFunction, phi=None) -> GridFunction:
@@ -779,6 +795,7 @@ def _lambda_frames(spec: ProblemSpec, lams) -> BCFrame:
         raise NotInResolventSet(f"frame assembly failed at lambda={lams[0]}: {exc}",
                                 lam=lams[0]) from exc
     frame.lam = lams if len(lams) > 1 else complex(lams[0])
+    frame.real_a = not np.any(np.imag(spec.A.matrix))
     return frame
 
 

@@ -26,11 +26,8 @@ u'' + P u moves with lam, so it solves every node.
 
 The implicit schemes solve at the real shift -1/dt (-2/dt for Crank-Nicolson).
 There a real problem's R(lam) f = conj(R(conj lam) conj f) = conj(R(lam) f)
-for real f: the resolvent maps real data to real data.  So a step of a real
-problem whose right-hand side has no imaginary part keeps only the real part
-of its solve, as the contour keeps the real part of its sums, and the
-trajectory is exactly real instead of carrying the solves' round-off
-imaginary parts.
+for real f, so a step of a real problem with a real right-hand side solves
+one factor and comes back exactly real (``bvp.ResolventMap.apply``).
 """
 
 from __future__ import annotations
@@ -237,11 +234,9 @@ def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
     th < 0 left of the vertex (Re lam <= vertex, i.e. sin beta cosh th >= 1),
     doubles the weight of its index partner -th in the symmetric linspace
     and returns the real part of its sum.  Nodes right of the vertex are all
-    solved: the discrete solves at lam and conj(lam) are conjugates only up
-    to their discretization's asymmetry (P and Q swap), about 1e-13 relative
-    on resolved data, and e^{t lam} there amplifies it up to
-    e^{VERTEX_EXPONENT}.  Family 2's boundary operator u'' + P u moves with
-    lam, so it is not paired.
+    solved, though their solves at lam and conj(lam) are conjugates to
+    round-off too.  Family 2's boundary operator u'' + P u moves with lam, so
+    it is not paired.
     """
     grid = payloads[0].grid
     real = spec.real and not np.any(columns.imag)
@@ -361,10 +356,7 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     """Trajectory of the Cauchy problem at the scheme's time nodes.
 
     Returns a list of (t, GridFunction) including t = 0.  Implicit schemes
-    reuse one resolvent frame across all steps, and a step of a real problem
-    (``ProblemSpec.real``) with a real right-hand side keeps only the real
-    part of its solve: the resolvent at the real shift maps real data to real
-    data, so its imaginary part is round-off.  The contour scheme solves
+    reuse one resolvent frame across all steps.  The contour scheme solves
     each node once on the distinct data columns among v0 and the forcing
     samples, and every output time of a window (``ContourParams.window``)
     weighs those solves with its own transform of v0 and the
@@ -374,7 +366,6 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
     spec = espec.problem
     _gate_angle(spec)
     grid = espec.v0.grid
-    n = spec.A.dim
 
     if espec.scheme == "CONTOUR":
         n_out = max(int(round(espec.t_final / espec.dt)), 1) if espec.dt else 8
@@ -391,20 +382,13 @@ def evolve(espec: EvolutionSpec, rel_tol: float = 1e-6):
         frame = _lambda_frames(spec, shift)
     except (NotInResolventSet, BranchCut, ValueError) as exc:
         raise StepRejected(f"scheme shift {shift} rejected: {exc}") from exc
-    solver = _SOLVERS[spec.bc_family]
-
     def f_at(t):
         if espec.forcing is None:
-            return np.zeros((n, grid.n), dtype=complex)
+            return np.zeros_like(espec.v0.values)
         return np.asarray(espec.forcing(t), dtype=complex)
 
-    real = spec.real
-
     def solve(rhs):
-        w = solver(frame, GridFunction(grid, rhs)).values
-        if real and not rhs.imag.any():
-            w.imag = 0.0  # in place: v stays complex, so no step casts it
-        return w
+        return _SOLVERS[spec.bc_family](frame, GridFunction(grid, rhs)).values
 
     traj = [(0.0, espec.v0.copy())]
     v = espec.v0.values.copy()

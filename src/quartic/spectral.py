@@ -284,10 +284,8 @@ def run_sweep(
     excepted), only the first point of each exact conjugate pair in grid
     order is evaluated.  Its partner copies the norm, note and
     frame_ok, refusals included, and takes its ratio from its own lambda.
-    A direct evaluation at conj(lambda) differs from the copy only by the
-    discretization's factor-order asymmetry (P and Q swap): measured at most
-    3.4e-5 relative at N = 24 and 2.3e-7 at N = 48, a small fraction of the
-    discretization error itself.
+    A direct evaluation at conj(lambda) gives the copy to round-off: the
+    solve is symmetric in P and Q, which conj(lambda) swaps (``bvp``).
 
     The evaluated points are taken in grid order in batches of
     K = max(1, BATCH_ENTRIES // (dim(A) b N)) on the dense route, b the

@@ -17,6 +17,7 @@ import numpy as np
 from quartic import tolerances as tol
 from quartic.bvp import (
     BCFrame,
+    _data_derivatives,
     _frame_phi,
     _mode_coefficients,
     _particular,
@@ -25,7 +26,7 @@ from quartic.bvp import (
 )
 from quartic.errors import CapExceeded, DimensionMismatch
 from quartic.grids import GridFunction, stencil_bands
-from quartic.kernels import _SERIES_TERMS, _real_product
+from quartic.kernels import _SERIES_TERMS, _real_product, convolve_nodes
 from quartic.oracle import DenseGenerator, _build_system, _coeffs_from_A
 
 # ---------------------------------------------------------------------------
@@ -35,16 +36,26 @@ from quartic.oracle import DenseGenerator, _build_system, _coeffs_from_A
 def fprime_boundary(frame: BCFrame, f: GridFunction):
     """Endpoint first derivatives of the homogeneous particular solution.
 
-    Evaluated from the closed-form derivative expression (exponentials and
-    full-interval kernel integrals), never by differencing F itself.
+    The partial fraction F = B^{-1} (W_Q - W_P) gives F' = B^{-1} (W_Q' - W_P').
+    Each stage W_X (X = l for W_Q, m for W_P; zero end values) has the
+    closed-form endpoint slopes of its own exponentials and full-interval
+    kernel integrals I-(a) and I+(b), with g = (I - e^{2cX})^{-1} and
+    e = e^{cX}; F itself is never differenced.
     """
     o, ap = frame.ops, frame.apply
     fv = frame.to_modes(f.values.T[:, :, None])
-    part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
-    zk1, zk2 = ap(o.z, part["k1"]), ap(o.z, part["k2"])
-    e2zk1, e2zk2 = (ap(o.e_cm, ap(o.e_cm, v)) for v in (zk1, zk2))
-    fa = -0.5 * (zk1 + e2zk1) + ap(o.e_cm, zk2) - 0.5 * part["k1"]
-    fb = -ap(o.e_cm, zk1) + 0.5 * (zk2 + e2zk2) + 0.5 * part["k2"]
+    kit = frame.grid_kit(f.grid)
+    derivs = _data_derivatives(f.grid, fv)
+    slopes = []
+    for generator, g, e in (("l", o.w, o.e_cl), ("m", o.z, o.e_cm)):
+        fwd, bwd = convolve_nodes(kit[generator], fv, *derivs)
+        k_a, k_b = bwd[0], fwd[-1]
+        gk_a, gk_b = ap(g, k_a), ap(g, k_b)
+        e2gk_a, e2gk_b = (ap(e, ap(e, v)) for v in (gk_a, gk_b))
+        slopes.append((-0.5 * (gk_a + e2gk_a) + ap(e, gk_b) - 0.5 * k_a,
+                       -ap(e, gk_a) + 0.5 * (gk_b + e2gk_b) + 0.5 * k_b))
+    (qa, qb), (pa, pb) = slopes
+    fa, fb = ap(o.binv, qa - pa), ap(o.binv, qb - pb)
     return frame.from_modes(fa)[:, 0], frame.from_modes(fb)[:, 0]
 
 
@@ -56,8 +67,8 @@ def family2_coefficients(frame: BCFrame, f: GridFunction, phi=None):
     ``_mode_coefficients``), in X's coordinates.
     """
     fv = frame.to_modes(f.values.T[:, :, None])
-    part = _particular(frame, f.grid, fv, _zero_phi(frame.n))
-    alphas = _mode_coefficients(frame, part, _frame_phi(frame, phi, 2), 2)
+    _, fpa, fpb = _particular(frame, f.grid, fv, _zero_phi(frame.n))
+    alphas = _mode_coefficients(frame, fpa, fpb, _frame_phi(frame, phi, 2), 2)
     return tuple(frame.from_modes(a)[:, 0] for a in alphas)
 
 

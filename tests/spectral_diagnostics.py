@@ -4,7 +4,14 @@ containment of the dense surrogate's spectrum."""
 
 import numpy as np
 
-from quartic.bvp import ProblemSpec, _lambda_frames, _particular, _zero_phi
+from quartic.bvp import (
+    ProblemSpec,
+    _data_derivatives,
+    _lambda_frames,
+    _particular,
+    _second_order,
+    _zero_phi,
+)
 from quartic.errors import BranchCut
 from quartic.grids import GridFunction, cgl_grid
 from quartic.oracle import dense_generator
@@ -51,11 +58,14 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
         m2e = np.linalg.norm(frame.m @ frame.m @ frame.e_cm, 2)
         l2e = np.linalg.norm(frame.l @ frame.l @ frame.e_cl, 2)
         ecm = np.linalg.norm(frame.e_cm, 2)
-        part = _particular(frame, grid, frame.to_modes(f.values.T[:, :, None]),
-                           _zero_phi(frame.n))
-        v0n = GridFunction(grid, frame.from_modes(part["v0"])[:, :, 0].T).norm()
-        fpn = float(np.linalg.norm(frame.from_modes(part["fpa"]))
-                    + np.linalg.norm(frame.from_modes(part["fpb"])))
+        fv = frame.to_modes(f.values.T[:, :, None])
+        _, fpa, fpb = _particular(frame, grid, fv, _zero_phi(frame.n))
+        # v0 = F'' + P F = W_Q, the l stage of the partial fraction
+        zero = _zero_phi(frame.n)[0]
+        v0 = _second_order(frame, frame.grid_kit(grid), "l", fv, *_data_derivatives(grid, fv),
+                           zero, zero)[0]
+        v0n = GridFunction(grid, frame.from_modes(v0)[:, :, 0].T).norm()
+        fpn = float(np.linalg.norm(frame.from_modes(fpa)) + np.linalg.norm(frame.from_modes(fpb)))
         rows.append({
             "lam": lam, "dist": dist, "ml": ml, "lm": lm,
             "m2ecm": m2e, "l2ecl": l2e, "ecm": ecm,

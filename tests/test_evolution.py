@@ -333,10 +333,9 @@ class TestConjugatePairs:
     @pytest.mark.parametrize("name", ["laplacian3", "rotation", "cond30"])
     def test_matches_all_node_sums(self, monkeypatch, rng, name, bc):
         # time-dependent forcing, 4 outputs.  The solves at lam and conj(lam)
-        # differ by their discretization's asymmetry, which the pairing moves
-        # into the real part and the all-node sums keep as a spurious
-        # imaginary part of the same size: measured gaps 6e-11 to 1.8e-10,
-        # imaginary parts 4e-11 to 1.7e-10
+        # are conjugates to round-off (the partial-fraction solve is
+        # symmetric in P and Q), so the all-node sums carry only a round-off
+        # imaginary part: measured gaps and imaginary parts 1.4e-15 to 6.2e-13
         A = _real_operator(name)
         spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
         grid = cgl_grid(64, 0.0, np.pi)
@@ -375,9 +374,9 @@ class TestConjugatePairs:
         assert closed == (case != "real")
 
     def test_decayed_solution_right_of_vertex(self):
-        # e^{-25 t} sin 2x over one window [t_s, 8 t_s]: e^{t lam} right of
-        # the vertex amplifies the 1e-13 mismatch of the solves at lam and
-        # conj(lam), so pairing there too misses by 1.8e-10
+        # e^{-25 t} sin 2x over one window [t_s, 8 t_s], where e^{t lam}
+        # right of the vertex amplifies the round-off of every node solve:
+        # measured 9.3e-14
         A = dirichlet_laplacian_modes(1)
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
         grid = cgl_grid(32, 0.0, np.pi)

@@ -9,6 +9,7 @@ from quartic.operators import dirichlet_laplacian_modes, make_operator, operator
 from quartic.oracle import collocation_solve, dense_generator, ode_residual
 from quartic.spectral import SweepGrid, run_sweep
 from references import embed, resolvent_apply, sine_mode_resolvent, sine_resolvent_norm
+from test_evolution import _real_operator
 from test_grids_kernels import _ill_conditioned
 
 
@@ -188,3 +189,63 @@ class TestResolventIdentity:
         r1, r2 = (resolvent_matrix(spec, lam, grid) for lam in (l1, l2))
         defect = np.linalg.norm(r1 - r2 - (l1 - l2) * r1 @ r2, 2) / np.linalg.norm(r1 - r2, 2)
         assert defect <= 1e-9
+
+
+class TestPartialFractionSolve:
+    """The particular solution F = B^{-1} (W_Q - W_P) (``bvp._particular``)
+    and its one-factor form F = Im(W_Q) / s on a conjugate frame."""
+
+    # B = 2 i s vanishes at the vertex, so a complex lambda loses |P| / |B|
+    # of round-off there; measured 5.1e-12 to 4.3e-11 at the complex lambdas
+    # and 2.5e-14 at lambda = -1e-8 (one-factor form)
+    @pytest.mark.parametrize("bc", [1, 5])
+    @pytest.mark.parametrize("lam", [1e-8j, -1e-10 + 1e-12j, -1e-8])
+    @pytest.mark.parametrize("name", ["diag4", "laplacian30"])
+    def test_near_vertex_matches_closed_form(self, name, lam, bc):
+        A = (make_operator(np.diag([-1.0, -4.0, -9.0, -16.0])) if name == "diag4"
+             else dirichlet_laplacian_modes(30))
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        grid = cgl_grid(128, 0.0, np.pi)
+        c = np.linspace(1.0, 2.0, A.dim)
+        f = GridFunction(grid, np.outer(c, np.sin(grid.nodes)))
+        want = np.outer(sine_mode_resolvent(A.matrix, lam, 1, c), np.sin(grid.nodes))
+        got = resolvent_solve(spec, lam, f).values
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    # the form is symmetric in (P, Q), which conj(lambda) swaps: measured 0
+    # (families 1 and 5) to 1.5e-16
+    @pytest.mark.parametrize("n", [24, 48])
+    @pytest.mark.parametrize("bc", [1, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["laplacian3", "cond30"])
+    def test_conjugation_exact(self, rng, name, bc, n):
+        spec = ProblemSpec(0.0, np.pi, 0.0, _real_operator(name), bc)
+        grid = cgl_grid(n, 0.0, np.pi)
+        f = smooth_field(rng, grid, spec.A.dim)
+        for lam in (-3.0 + 2.0j, 5.0 - 7.0j, 40.0 + 10.0j):
+            u = resolvent_solve(spec, lam, f).values
+            f_conj = GridFunction(grid, f.values.conj())
+            u_conj = resolvent_solve(spec, np.conj(lam), f_conj).values
+            assert np.linalg.norm(u_conj - u.conj()) <= 1e-14 * np.linalg.norm(u)
+
+    # real data takes the one-factor form (one second-order stage), complex
+    # data the general one (two), and linearity ties them: measured <= 8.7e-16
+    @pytest.mark.parametrize("shift", [-10.0, -20.0], ids=["euler", "crank_nicolson"])
+    @pytest.mark.parametrize("bc", [1, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["laplacian3", "cond30"])
+    def test_one_factor_branch_by_linearity(self, monkeypatch, rng, name, bc, shift):
+        from quartic import bvp
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, _real_operator(name), bc)
+        grid = cgl_grid(48, 0.0, np.pi)
+        rmap = bvp.ResolventMap(bvp._lambda_frames(spec, shift), grid, bc)
+        assert rmap.frame.conjugate
+        f = smooth_field(rng, grid, spec.A.dim).values.real.T[:, :, None].astype(complex)
+        stages = []
+        stage = bvp._second_order
+        monkeypatch.setattr(bvp, "_second_order", lambda *a: stages.append(a[2]) or stage(*a))
+        u = rmap.apply(f)
+        assert stages == ["l"] and not np.any(u.imag)
+        rot = np.exp(0.7j)
+        u_rot = rmap.apply(rot * f) / rot
+        assert stages == ["l", "l", "m"]
+        assert np.linalg.norm(u_rot - u) <= 1e-12 * np.linalg.norm(u)
