@@ -19,10 +19,10 @@ vertex factor e^{t lam} at the window start would pass 1/eps is refused
 before any node is solved: the sum's round-off would exceed the data.
 
 A real problem (``ProblemSpec.real`` and real data) has R(conj lam) =
-conj R(lam), so the hyperbola's terms at th and -th are conjugates and each
-such pair left of the vertex is solved once, at th > 0, with twice the
-weight; its outputs are exactly real.  Family 2's boundary operator
-u'' + P u moves with lam, so it solves every node.
+conj R(lam), so the hyperbola's terms at th and -th are conjugates and every
+such pair, on either side of the vertex, is solved once, at th > 0, with
+twice the weight; its outputs are exactly real.  Family 2's boundary
+operator u'' + P u moves with lam, so it solves every node.
 
 The implicit schemes solve at the real shift -1/dt (-2/dt for Crank-Nicolson).
 There a real problem's R(lam) f = conj(R(conj lam) conj f) = conj(R(lam) f)
@@ -230,23 +230,20 @@ def _window_sums(spec: ProblemSpec, mu: float, payloads, columns, n_points: int,
     QuadratureNotConverged after MAX_REFINEMENTS passes.
 
     A real problem (``ProblemSpec.real`` and every data column real) pairs
-    nodes: its terms at th and -th are conjugates, so a pass drops each node
-    th < 0 left of the vertex (Re lam <= vertex, i.e. sin beta cosh th >= 1),
-    doubles the weight of its index partner -th in the symmetric linspace
-    and returns the real part of its sum.  Nodes right of the vertex are all
-    solved, though their solves at lam and conj(lam) are conjugates to
-    round-off too.  Family 2's boundary operator u'' + P u moves with lam, so
-    it is not paired.
+    nodes: its terms at th and -th are conjugates, so a pass drops every
+    node th < 0 (Im lam < 0), on both sides of the vertex, doubles the
+    weight of its partner -th in the symmetric linspace and returns the real
+    part of its sum; a midpoint th = 0 keeps weight 1.  Family 2's boundary
+    operator u'' + P u moves with lam, so it is not paired.
     """
     grid = payloads[0].grid
     real = spec.real and not np.any(columns.imag)
 
     def pass_sum(th, h):
         lam, wgt = params.at(mu, th, h)
-        if real:
-            drop = np.flatnonzero(np.sin(params.beta) * np.cosh(th[:len(th) // 2]) >= 1.0)
-            wgt[len(th) - 1 - drop] *= 2.0
-            lam, wgt = np.delete(lam, drop), np.delete(wgt, drop)
+        if real:  # th ascending and symmetric: keep th >= 0, each th > 0 twice
+            lam, wgt = lam[len(th) // 2:], wgt[len(th) // 2:]
+            wgt[len(th) % 2:] *= 2.0
         weights = np.stack([p.transform(lam) * wgt[:, None] for p in payloads])
         sums = _node_sums(spec, grid, lam, weights, columns)
         return sums.real if real else sums

@@ -22,6 +22,8 @@ which writes exactly the bytes of ``"%.17g" % x``:
   product the error could carry across one, is not fast; so D is the
   correctly rounded mantissa of every fast cell.  A carry to 10**17 becomes
   10**16 with X + 1.
+- D's digits: the first, then the 16 below it four at a time from _QUADS,
+  "0000".."9999" as uint32 values whose four bytes are the digits.
 - The 'g' layout follows from D and X: fixed for -4 <= X < 17, otherwise
   d.ddde+dd; trailing zeros are stripped, integer digits never.
 - Cells that are not fast (nan, +-inf, subnormal or out of range, near
@@ -38,10 +40,13 @@ which writes exactly the bytes of ``"%.17g" % x``:
   file (``_write_complex_rows``).  np.signbit sends a -0 imaginary part,
   which prints "-0", to the interleaved path, so the bytes are the same
   either way.
-- Cells are formatted and written _CHUNK_CELLS = 2**11 at a time, whatever
-  the row width, so memory stays flat.  At that size every temporary stays
-  below glibc's default 128 KiB mmap threshold, so no chunk page-faults its
-  work arrays in afresh.
+- A cell's text fills a 32-byte slot with 0 as filler; one
+  ``bytes.translate`` drops a chunk's filler.
+- Cells are formatted and written _CHUNK_CELLS = 2752 at a time, whatever
+  the row width, so memory stays flat.  The largest temporary, the slots, is
+  then 86 KiB, below glibc's default 128 KiB mmap threshold, so no chunk
+  page-faults its work arrays in afresh; the tests' 2801-cell rows still
+  straddle chunks.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ def read_operator_file(path) -> np.ndarray:
     return out
 
 
-_CHUNK_CELLS = 1 << 11  # cells formatted and written at a time
+_CHUNK_CELLS = 2752  # cells formatted and written at a time
 _K_MIN, _K_MAX = -250, 280  # 10**k for k = 16 - X, |X| <= 262
 
 
@@ -150,8 +155,9 @@ def _layouts():
 
 _POW_HI, _POW_LO, _POW_HH, _POW_HL = _powers_of_ten()
 _TEXT, _POINT, _KMIN = _layouts()
-# "00".."99" as uint16 whose two bytes are the digits, in either byte order
+# "00".."99" as uint16 and "0000".."9999" as uint32 whose bytes are the digits
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_QUADS = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view(np.uint32).ravel()
 _R = np.arange(18, dtype=np.uint8)[:, None]
 
 
@@ -208,20 +214,16 @@ def _format_cells(x: np.ndarray, start: int, ncells: int, seps=None) -> str:
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     X += carry
-    # the 17 digits, digit j in row j + 1: the first, then two at a time
+    # the 17 digits, digit j in row j + 1: the first, then four at a time
     dig = np.zeros((19, n), np.uint8)
-    top = D // 10 ** 8
-    dig[1] = 48 + top // 10 ** 8
-    row = 2
-    for part in (top % 10 ** 8, D - top * 10 ** 8):
-        high = part // 10 ** 4
-        for four in (high, part - high * 10 ** 4):
-            hundreds = four // 100
-            for two in (hundreds, four - hundreds * 100):
-                pair = _PAIRS.take(two).view(np.uint8)
-                dig[row] = pair[0::2]
-                dig[row + 1] = pair[1::2]
-                row += 2
+    top, eight = D // 10 ** 16, D // 10 ** 8
+    dig[1] = 48 + top
+    quads = np.empty((n, 4), np.uint32)
+    for j, part in enumerate((eight - top * 10 ** 8, D - eight * 10 ** 8)):
+        four = part // 10 ** 4
+        quads[:, 2 * j] = _QUADS.take(four)
+        quads[:, 2 * j + 1] = _QUADS.take(part - four * 10 ** 4)
+    dig[2:18] = quads.view(np.uint8).T
     nd = ((dig[1:18] != 48) * _R[1:]).max(axis=0)  # digits left after stripping
     dig[1, zero] = 48  # ±0 was formatted as 1
     # 32 output rows, one per column of a cell's text, with 0 as filler: sign,
@@ -247,8 +249,7 @@ def _format_cells(x: np.ndarray, start: int, ncells: int, seps=None) -> str:
     if slow.size:
         cells = "".join(("%.17g" % v).ljust(29, "\0") for v in x[slow].tolist())
         out[:29, slow] = np.frombuffer(cells.encode(), np.uint8).reshape(-1, 29).T
-    flat = out.T.reshape(-1)
-    return flat[flat != 0].tobytes().decode("ascii")
+    return out.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _write_rows(fh, pieces, ncells: int, seps=None) -> None:

@@ -302,11 +302,11 @@ def _window_sums_beside_all_nodes(monkeypatch, espec):
 
 
 class TestConjugatePairs:
-    """A real problem solves one node of each conjugate pair left of the vertex."""
+    """A real problem solves one node of each conjugate pair."""
 
     def test_contour_evolve_node_count(self, monkeypatch):
-        # the contour-evolve case: 13 + 12 pairs left of the vertex over two
-        # passes, 38 of 63 nodes solved in 2 frames, one per pass
+        # the contour-evolve case: 15 pairs and the midpoint th = 0, then 16
+        # pairs, 32 of 63 nodes solved in 2 frames, one per pass
         A = dirichlet_laplacian_modes(3)
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 1)
         grid = cgl_grid(64, 0.0, np.pi)
@@ -321,7 +321,7 @@ class TestConjugatePairs:
 
         monkeypatch.setattr(evolution, "_lambda_frames", counting)
         traj = evolve(EvolutionSpec(spec, 0.1, v0, forcing=lambda t: fvals, dt=0.05))
-        assert (sum(frames), len(frames)) == (38, 2)
+        assert (sum(frames), len(frames)) == (32, 2)
         rho = (1.0 + np.arange(1, 4) ** 2.0) ** 2
         for t, u in traj[1:]:
             assert np.all(u.values.imag == 0.0)
@@ -353,7 +353,7 @@ class TestConjugatePairs:
     @pytest.mark.parametrize("case", ["real", "family2", "complex_A", "complex_v0"])
     def test_pairs_only_real_problems(self, monkeypatch, case):
         # every solved node's conjugate is solved too, unless the problem is
-        # real and outside family 2
+        # real and outside family 2; then no solved node has Im lam < 0
         A = make_operator(np.diag([-1.0, -4.0]) + (0.3j if case == "complex_A" else 0.0))
         spec = ProblemSpec(0.0, np.pi, 0.0, A, 2 if case == "family2" else 1)
         grid = cgl_grid(24, 0.0, np.pi)
@@ -363,7 +363,7 @@ class TestConjugatePairs:
         lams = []
 
         def counting(spec_, nodes):
-            lams.extend(np.atleast_1d(nodes))
+            lams.extend(-np.atleast_1d(nodes))  # a node's frame is at -lam
             return _lambda_frames(spec_, nodes)
 
         monkeypatch.setattr(evolution, "_lambda_frames", counting)
@@ -372,6 +372,8 @@ class TestConjugatePairs:
         gap = np.min(np.abs(lams[:, None] - np.conj(lams)[None, :]), axis=1)
         closed = np.all(gap <= 1e-12 * np.abs(lams))
         assert closed == (case != "real")
+        if case == "real":
+            assert np.all(lams.imag >= 0.0)
 
     def test_decayed_solution_right_of_vertex(self):
         # e^{-25 t} sin 2x over one window [t_s, 8 t_s], where e^{t lam}

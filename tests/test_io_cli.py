@@ -19,6 +19,7 @@ from quartic.grids import GridFunction, cgl_grid
 from quartic.io import (
     _CHUNK_CELLS,
     _format_cells,
+    _separators,
     _write_rows,
     parse_complex,
     read_gridfunction_csv,
@@ -298,6 +299,43 @@ class TestCellFormatter:
     def test_bit_patterns_property(self, patterns, ncells, start):
         x = _bits(patterns)
         assert _formatted(x, ncells, start) == _reference(x, ncells, start)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_pieces_across_chunks_property(self, data):
+        # 1-3 pieces of whole rows, up to 3 chunks and 7 cells in all (often
+        # within 7 cells of a chunk boundary), written with either separator
+        # table: "," or a newline, or a real stream's "," after x, ",0," after
+        # each real part and ",0\n" at the row end
+        ncells = data.draw(st.integers(1, 4000), label="ncells")
+        real = data.draw(st.booleans(), label="real")
+        near = st.builds(lambda k, d: k * _CHUNK_CELLS + d, st.integers(1, 3), st.integers(-7, 7))
+        total = data.draw(st.integers(1, 3 * _CHUNK_CELLS + 7) | near, label="total cells")
+        rows = max(1, total // ncells)
+        cuts = sorted(data.draw(st.lists(st.integers(0, rows), max_size=2), label="cuts"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        x = _bits(np.random.default_rng(seed).integers(0, 2**64, rows * ncells, dtype=np.uint64))
+        fh = StringIO()
+        _write_rows(fh, np.split(x, np.multiply(cuts, ncells)), ncells,
+                    _separators(ncells, real))
+        got = fh.getvalue()
+
+        def sep(j):
+            end = j == ncells - 1
+            if not real:
+                return "\n" if end else ","
+            return "," + "0" * (j > 0) + ("\n" if end else "," * (j > 0))
+
+        seps = [sep(j) for j in range(ncells)]
+        want = ["%.17g" % v + seps[j % ncells] for j, v in enumerate(x.tolist())]
+        if got != "".join(want):
+            at = 0
+            for j, cell in enumerate(want):
+                if not got.startswith(cell, at):
+                    pytest.fail(f"{ncells}-cell rows, real={real}: cell {j} {x[j]!r} "
+                                f"reads {got[at:at + len(cell)]!r}, not {cell!r}")
+                at += len(cell)
+            pytest.fail(f"{len(got) - at} characters after the last cell")
 
     def test_million_random_bit_patterns(self):
         x = _bits(np.random.default_rng(14402).integers(0, 2**64, size=10**6,
