@@ -35,7 +35,12 @@ applied to node-major (N, n, r) data, r right-hand sides on the N nodes and
 n = frame.n rows: in the frame's coordinates (``solve_modes``), or in X's
 with boundary data (``apply``; ``apply_field`` on a GridFunction), the path
 of ``solve_bc1``-``solve_bc5``.  ``adjoint`` gives the map of A^H at
-conj(lambda) on the frame ``BCFrame.adjoint`` derives.
+conj(lambda) on the frame ``BCFrame.adjoint`` derives.  The per-block
+resolvent blocks (``resolvent_blocks``), discrete Green's kernels, are the
+family's solve of the unit tile, a unit delta at each node and block index:
+the same end constants, mode coefficients and assembly, but with step
+contributions from the grid's step band (``kernels.convolve_units``) instead
+of N b delta columns and their stencil derivatives.
 
 Every family starts from the partial fraction F = B^{-1} (W_Q - W_P), one
 second-order stage per factor (``_particular``).  It is symmetric in (P, Q),
@@ -61,7 +66,7 @@ from .errors import (
     at_row,
 )
 from .grids import Grid, GridFunction
-from .kernels import Propagator, convolve_nodes
+from .kernels import Propagator, convolve_nodes, convolve_units
 from .operators import (
     OperatorHandle,
     sector_half_angle,
@@ -537,23 +542,23 @@ def _data_derivatives(grid: Grid, fv: np.ndarray):
     return tuple(x.view(complex).reshape(fv.shape) for x in d)
 
 
-def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_b):
+def _second_order(frame: BCFrame, kit: dict, generator: str, conv, v_a, v_b):
     """v'' - X^2 v = f with v(a) = v_a, v(b) = v_b, X the ``generator`` "l" or "m".
 
-    f, fp, fpp are (N, n, r) data and its first two x-derivatives, v_a, v_b
-    (n, r) columns, all in the frame's coordinates.  With I+(x) =
-    int_a^x e^{(x-s)X} f ds and I-(x) = int_x^b e^{(s-x)X} f ds, v is
-    e^{(x-a)X} c_a + e^{(b-x)X} c_b + X^{-1} (I+ + I-) / 2, the endpoint values
-    fixing c_a, c_b through (I - e^{2cX})^{-1}.  Both integrals come from the
-    kit's node weights applied to (f, f', f'') (``convolve_nodes``), so the
-    stage builds no polynomial model of its own.  Returns (v, v'(a), v'(b)).
+    ``conv`` = (I+, I-) of the data f on the grid, I+(x) = int_a^x e^{(x-s)X}
+    f ds and I-(x) = int_x^b e^{(s-x)X} f ds, (N, n, r) arrays, and v_a, v_b
+    are (n, r) columns, all in the frame's coordinates.  v is e^{(x-a)X} c_a +
+    e^{(b-x)X} c_b + X^{-1} (I+ + I-) / 2, the endpoint values fixing c_a,
+    c_b through (I - e^{2cX})^{-1}.  Both integrals come from the kit's node
+    weights (``_stage_convolutions``), so the stage builds no polynomial
+    model of its own.  Returns (v, v'(a), v'(b)).
     """
     o, ap = frame.ops, frame.apply
     # X, X^{-1}, e^{cX} and (I - e^{2cX})^{-1}, for l = -sqrt(-Q) or m = -sqrt(-P)
     x, x_inv, e_c, g = ((o.l, o.linv, o.e_cl, o.w) if generator == "l"
                         else (o.m, o.minv, o.e_cm, o.z))
     stacks = kit[generator]
-    fwd, bwd = convolve_nodes(stacks, f, fp, fpp)
+    fwd, bwd = conv
     k_a, k_b = bwd[0], fwd[-1]
     d_a, d_b = (ap(g, v_end - 0.5 * ap(x_inv, k)) for v_end, k in ((v_a, k_a), (v_b, k_b)))
     c_a, c_b = d_a - ap(e_c, d_b), d_b - ap(e_c, d_a)
@@ -561,9 +566,29 @@ def _second_order(frame: BCFrame, kit: dict, generator: str, f, fp, fpp, v_a, v_
     return v, ap(x, c_a - ap(e_c, c_b)) - 0.5 * k_a, ap(x, ap(e_c, c_a) - c_b) + 0.5 * k_b
 
 
-def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, real: bool = False):
+def _stage_convolutions(kit: dict, grid: Grid, fv, generators: str):
+    """(I+, I-) on the grid for the stage of each generator in
+    ``generators``, in turn.
+
+    fv is (N, n, r) data in the frame's coordinates, convolved stage by stage
+    (``kernels.convolve_nodes``) from the stencil derivatives all stages
+    share (``_data_derivatives``), or None for the unit tile: a unit delta at
+    each node and block index in every block at once, N b columns, whose
+    stages are convolved at once from the grid's step band
+    (``kernels.convolve_units``).
+    """
+    if fv is None:
+        yield from convolve_units([kit[g] for g in generators], grid.step_band)
+        return
+    fp, fpp = _data_derivatives(grid, fv)
+    for g in generators:
+        yield convolve_nodes(kit[g], fv, fp, fpp)
+
+
+def _particular(frame: BCFrame, grid: Grid, fv, phi, real: bool = False):
     """(F, F'(a), F'(b)) of the particular solution F_{Phi,f}, from fv
-    (N, n, r) and phi, four (n, 1) columns, in the frame's coordinates.
+    (N, n, r) data or None for the unit tile (``_stage_convolutions``) and
+    phi, four (n, 1) columns, in the frame's coordinates.
 
     F = B^{-1} (W_Q - W_P): W_Q = F'' + P F solves w'' + Q w = f (generator l)
     with w = phi3 + P phi1, phi4 + P phi2 at the ends, W_P = F'' + Q F the
@@ -574,13 +599,13 @@ def _particular(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, real: bool = Fa
     """
     o, ap = frame.ops, frame.apply
     kit = frame.grid_kit(grid)
+    convs = _stage_convolutions(kit, grid, fv, "l" if real else "lm")
     p1, p2, p3, p4 = phi
-    derivs = _data_derivatives(grid, fv)
-    w_q = _second_order(frame, kit, "l", fv, *derivs, p3 + ap(o.p, p1), p4 + ap(o.p, p2))
+    w_q = _second_order(frame, kit, "l", next(convs), p3 + ap(o.p, p1), p4 + ap(o.p, p2))
     if real:
         s = 0.5 * o.b_op[0, 0, 0].imag
         return tuple(frame.from_modes(w).imag / s for w in w_q)
-    w_p = _second_order(frame, kit, "m", fv, *derivs, p3 + ap(o.q, p1), p4 + ap(o.q, p2))
+    w_p = _second_order(frame, kit, "m", next(convs), p3 + ap(o.q, p1), p4 + ap(o.q, p2))
     return tuple(ap(o.binv, wq - wp) for wq, wp in zip(w_q, w_p))
 
 
@@ -606,10 +631,11 @@ def _frame_phi(frame: BCFrame, phi, bc: int):
     return p1, p2, p3, p4
 
 
-def _solve_family(frame: BCFrame, grid: Grid, fv: np.ndarray, phi, bc: int, real=False):
-    """Dispatch on the boundary family: fv (N, n, r), phi four (n, 1) columns
-    from _frame_phi and u in the frame's coordinates, or u real in X's with
-    ``real`` (``_particular``).  Families 2-4 add to the homogeneous particular
+def _solve_family(frame: BCFrame, grid: Grid, fv, phi, bc: int, real=False):
+    """Dispatch on the boundary family: fv (N, n, r) or None for the unit
+    tile (``_stage_convolutions``), phi four (n, 1) columns from _frame_phi
+    and u in the frame's coordinates, or u real in X's with ``real``
+    (``_particular``).  Families 2-4 add to the homogeneous particular
     solution F the four mode stacks weighted by _mode_coefficients."""
     if bc in (1, 5):  # family 5 data arrives reduced to family 1 data
         return _particular(frame, grid, fv, phi, real)[0]
@@ -822,18 +848,21 @@ def resolvent_blocks(spec: ProblemSpec, lam: complex, grid: Grid,
                      frame: BCFrame | None = None) -> np.ndarray:
     """Per-block resolvent blocks R_r of a frame, shape (R, N b, N b).
 
-    A frame decouples its R blocks, so one solve with N b columns (a unit
-    delta at each node and block index, in every block at once) gives them
-    all: R_r[(x, i), (y, j)] is block r's component i at node x for a unit
-    delta in its component j at node y.  The resolvent on the grid is
-    V diag(R_r) V^{-1} with V the frame's basis; for b = 1 the R_r are the
-    (dim(A), N, N) per-mode blocks in A's eigenbasis.
+    A frame decouples its R blocks, so the family's solve of the unit tile
+    (a unit delta at each node and block index, in every block at once; N b
+    columns) gives them all: R_r[(x, i), (y, j)] is block r's component i at
+    node x for a unit delta in its component j at node y, a discrete Green's
+    kernel.  The tile never exists: its step contributions are the kit's node
+    weights times the grid's step band (``kernels.convolve_units``), and the
+    end constants, mode coefficients and assembly are every solve's own
+    (``_solve_family``).  The resolvent on the grid is V diag(R_r) V^{-1}
+    with V the frame's basis; for b = 1 the R_r are the (dim(A), N, N)
+    per-mode blocks in A's eigenbasis.
     """
     if frame is None:
         frame = _lambda_frames(spec, lam)
     n, N, b = frame.n, grid.n, frame.block
-    deltas = np.tile(np.eye(N * b, dtype=complex).reshape(N, 1, b, N * b), (1, n // b, 1, 1))
-    sol = ResolventMap(frame, grid, spec.bc_family).solve_modes(deltas.reshape(N, n, N * b))
+    sol = _solve_family(frame, grid, None, _zero_phi(n), spec.bc_family)
     return sol.reshape(N, n // b, b, N * b).transpose(1, 0, 2, 3).reshape(n // b, N * b, N * b)
 
 
@@ -842,10 +871,12 @@ def resolvent_matrix(spec: ProblemSpec, lam: complex, grid: Grid,
     """Materialize f -> resolvent_solve(f) as a dense matrix on the grid.
 
     Degrees of freedom are node-major blocks of dim(A) components; the
-    matrix is V diag(R_r) V^{-1} assembled from ``resolvent_blocks``.  The
-    sweep takes the norm of this matrix unless A's eigenbasis is unitary,
-    where the norm of the stack of per-mode blocks (``operators.operator_norm``)
-    is the same number for a fraction of the work (``spectral.run_sweep``).
+    matrix is V diag(R_r) V^{-1} assembled from ``resolvent_blocks``, whose
+    solve takes the unit tile's step contributions from the grid's step band,
+    not from N b delta columns.  The sweep takes the norm of this matrix
+    unless A's eigenbasis is unitary, where the norm of the stack of per-mode
+    blocks (``operators.operator_norm``) is the same number for a fraction of
+    the work (``spectral.run_sweep``).
     """
     if frame is None:
         frame = _lambda_frames(spec, lam)

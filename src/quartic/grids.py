@@ -7,7 +7,8 @@ path independent of the global spectral differentiation matrices used by the
 collocation oracle.  Each grid caches its stencils as bands, one window of
 nearest nodes and one weight row per derivative order at every node
 (``Grid.stencils``), so applying them costs O(width N) and no N x N matrix
-is built.
+is built, and the same bands give every unit delta's data on each step
+(``Grid.step_band``).
 """
 
 from __future__ import annotations
@@ -151,6 +152,39 @@ class Grid:
         for a in bands:
             a.setflags(write=False)
         return bands
+
+    @cached_property
+    def step_band(self) -> tuple[np.ndarray, np.ndarray]:
+        """The step data of every unit delta, as bands: (start, table), cached
+        read-only.
+
+        Step j reads the node data (f_j, f'_j, f''_j, f_{j+1}, f'_{j+1},
+        f''_{j+1}) (``kernels``).  For a unit delta at node y they are rows j
+        and j + 1 of I, D1 and D2, the stencil matrices, at column y: nonzero
+        only where y lies in the union of nodes j's and j + 1's stencil
+        windows.  W is the widest such union, start (J,) its first node clipped
+        so that the W nodes start[j] .. start[j] + W - 1 stay on the grid, and
+        table (6, J, W) holds datum k of step j for the delta at node
+        start[j] + w.  Windows of width w that move by at most one node per
+        node make W = min(w + 1, N): 8 for the 7-point stencils.  Dense
+        derivatives, with every window the whole grid, give W = N, and the
+        band is then as wide as the delta tile it replaces.
+        """
+        idx, weights = self.stencils
+        first = np.minimum(idx[:-1, 0], idx[1:, 0])
+        width = int(np.max(np.maximum(idx[:-1, -1], idx[1:, -1]) - first)) + 1
+        start = np.minimum(first, self.n - width)
+        steps = np.arange(self.n - 1)
+        table = np.zeros((6, len(steps), width))
+        for end in (0, 1):  # node j + end of step j
+            node = steps + end
+            table[3 * end, steps, node - start] = 1.0
+            cols = idx[node] - start[:, None]
+            table[3 * end + 1, steps[:, None], cols] = weights[node, 0]
+            table[3 * end + 2, steps[:, None], cols] = weights[node, 1]
+        for a in (start, table):
+            a.setflags(write=False)
+        return start, table
 
 
 @lru_cache(maxsize=8)

@@ -19,6 +19,17 @@ int_0^1 e^{z(1-u)} p(1-u) du is the forward one on the reflected model,
 whose node data swap the two ends and negate the slopes, so it reuses the
 forward weights and only phi_1..phi_6 are evaluated.
 
+The step contributions, weights times node data, have two sources that feed
+the same running sums (``_running_sums``).  Data sampled on the grid brings
+its node values and stencil derivatives (``convolve_nodes``).  The unit tile
+of per-block resolvent blocks, a unit delta at each node and block index,
+brings none: a delta's data on step j are nonzero only on the two nodes'
+stencil windows, W nodes in all, so the contributions of all N b columns are
+the weights times the grid's (6, J, W) step band (``grids.Grid.step_band``),
+scattered into the zero tile (``convolve_units``).  They cost O(J W R b^2)
+instead of the tile's O(J N R b^3), a saving that dense derivatives (W = N)
+would undo.
+
 X is a stack of R b x b blocks (``bvp.BCFrame``), and so is every stack
 here: e^{tX} is (..., R, b, b) and the node weights (6, J, R, b, b).  Blocks
 of size 1 are X's eigenvalues: the phi functions come elementwise
@@ -48,6 +59,7 @@ __all__ = [
     "Propagator",
     "hermite_step_coefficients",
     "convolve_nodes",
+    "convolve_units",
 ]
 
 _SERIES_TERMS = 30
@@ -356,31 +368,68 @@ def _segmented_sums(stacks: dict, fwd: np.ndarray, bwd: np.ndarray) -> None:
             _accumulate(bwd[back], rows[1, back], rows[3, back], bwd[e])
 
 
-def _contributions(weights: np.ndarray, f: np.ndarray, fp: np.ndarray,
-                   fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The step contributions c_j of both convolutions: (J + 1, ...) arrays
-    holding the forward ones in rows 1..J and the backward ones, sums of the
-    reflected weights, in rows 0..J-1, blocked (J + 1, R, b, r) for b > 1."""
-    J, b = len(f) - 1, weights.shape[-1]
-    if b == 1:
-        G, mul = weights[..., 0], np.multiply
-    else:
-        G, mul = weights, np.matmul
-        f, fp, fpp = (x.reshape(len(x), -1, b, x.shape[-1]) for x in (f, fp, fpp))
-    data = (f[:-1], fp[:-1], fpp[:-1], f[1:], fp[1:], fpp[1:])
-    fwd = np.zeros((J + 1,) + f.shape[1:], dtype=complex)
-    bwd = np.zeros_like(fwd)
-    c_fwd, c_bwd = fwd[1:], bwd[:J]
+def _accumulate_steps(weights: np.ndarray, data, mul, c_fwd: np.ndarray,
+                      c_bwd: np.ndarray) -> None:
+    """c_fwd = sum_k mul(G[k], data[k]) and c_bwd = sum_k +-mul(G[REFLECT[k]],
+    data[k]), the slopes negated, each summed in place in k order."""
     tmp = np.empty_like(c_fwd)
     for k, x in enumerate(data):
-        mul(G[k], x, out=tmp)
+        mul(weights[k], x, out=tmp)
         c_fwd += tmp
-        mul(G[_REFLECT[k]], x, out=tmp)
+        mul(weights[_REFLECT[k]], x, out=tmp)
         if _SLOPE_ORDER[k] == 1:
             c_bwd -= tmp
         else:
             c_bwd += tmp
+
+
+def _contributions(weights: np.ndarray, f: np.ndarray, fp: np.ndarray,
+                   fpp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step contributions c_j of both convolutions of (N, R b, r) node
+    data: (J + 1, R, b, r) arrays holding the forward ones in rows 1..J and
+    the backward ones, sums of the reflected weights, in rows 0..J-1."""
+    J, b = len(f) - 1, weights.shape[-1]
+    mul = np.multiply if b == 1 else np.matmul
+    f, fp, fpp = (x.reshape(len(x), -1, b, x.shape[-1]) for x in (f, fp, fpp))
+    data = (f[:-1], fp[:-1], fpp[:-1], f[1:], fp[1:], fpp[1:])
+    fwd = np.zeros((J + 1,) + f.shape[1:], dtype=complex)
+    bwd = np.zeros_like(fwd)
+    _accumulate_steps(weights, data, mul, fwd[1:], bwd[:J])
     return fwd, bwd
+
+
+def _unit_contributions(weights: np.ndarray, start: np.ndarray, table: np.ndarray,
+                        fwd: np.ndarray, bwd: np.ndarray) -> None:
+    """The step contributions of the unit tile, a unit delta at each node y
+    and block index i in every block at once (N b columns (y, i)), from the
+    grid's step band (``grids.Grid.step_band``), written into the zero
+    (J + 1, R, b, N, b) arrays fwd and bwd, in ``_contributions``' rows.
+
+    Step j's data are nonzero only for the W deltas at nodes start[j] ..
+    start[j] + W - 1, whose data are the band's table[:, j].  Datum k of the
+    delta in column (y, i) enters through column i of G[k], so step j's
+    contributions to those W b columns are the node weights times the table
+    row, summed over k in ``_contributions``' order: the same products and
+    sums, bit for bit, on the columns where the data can be nonzero.
+    """
+    _, J, R, b, _ = weights.shape
+    near = np.zeros((2, J, table.shape[-1], R, b, b), dtype=complex)
+    data = table[..., None, None, None]  # (6, J, W, 1, 1, 1)
+    _accumulate_steps(weights[:, :, None], data, np.multiply, near[0], near[1])
+    cols = start[:, None] + np.arange(table.shape[-1])
+    for c, rows in ((fwd[1:], near[0]), (bwd[:J], near[1])):
+        c.transpose(0, 3, 1, 2, 4)[np.arange(J)[:, None], cols] = rows
+
+
+def _running_sums(stacks: dict, fwd: np.ndarray, bwd: np.ndarray) -> None:
+    """I+ and I- in place from (J + 1, R, b, r) contributions: the b = 1
+    cumulative sums of ``_segmented_sums``, or the b > 1 recurrences of
+    ``_scan``."""
+    if stacks["weights"].shape[-1] == 1:
+        _segmented_sums(stacks, fwd[:, :, 0], bwd[:, :, 0])
+    else:
+        _scan(stacks["scans"], fwd[1:])
+        _scan(stacks["scans"], bwd[:-1], backward=True)
 
 
 def convolve_nodes(stacks: dict, f: np.ndarray, fp: np.ndarray,
@@ -392,7 +441,9 @@ def convolve_nodes(stacks: dict, f: np.ndarray, fp: np.ndarray,
     data; stacks: X's grid-kit entries (``Propagator.grid_stacks``), of which
     the node weights, "scans" and, for b = 1, "exa" and "ebx" are read.  The
     step contributions c_j are sums of weights times node data, the backward
-    ones under the reflection.  For b = 1, on each segment [x_s, x_e],
+    ones under the reflection (``_contributions``; ``convolve_units`` takes
+    them from the grid's step band instead).  The running sums
+    (``_running_sums``) are then, for b = 1, on each segment [x_s, x_e],
 
         I+(x_i) = e^{(x_i - x_s) X} [I+(x_s) + sum_{s <= j < i} c_j e^{-(x_{j+1} - x_s) X}],
         I-(x_i) = e^{(x_e - x_i) X} [I-(x_e) + sum_{i <= j < e} c_j e^{-(x_e - x_j) X}],
@@ -403,9 +454,26 @@ def convolve_nodes(stacks: dict, f: np.ndarray, fp: np.ndarray,
     step by step.
     """
     fwd, bwd = _contributions(stacks["weights"], f, fp, fpp)
-    if stacks["weights"].shape[-1] == 1:
-        _segmented_sums(stacks, fwd, bwd)
-    else:
-        _scan(stacks["scans"], fwd[1:])
-        _scan(stacks["scans"], bwd[:-1], backward=True)
+    _running_sums(stacks, fwd, bwd)
     return fwd.reshape(f.shape), bwd.reshape(f.shape)
+
+
+def convolve_units(kits, band) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``convolve_nodes`` of the unit tile, the N b columns of unit deltas at
+    each node and block index in every block at once, from the grid's step
+    band (``grids.Grid.step_band``), for the grid-kit stacks of each
+    generator in ``kits``: a list of (I+, I-), each of shape (N, R b, N b)
+    and equal bit for bit to ``convolve_nodes`` of the tile and its stencil
+    derivatives.
+
+    The running sums are ``convolve_nodes``' own.  All the convolutions are
+    views of one zero array, allocated once and freed together, so that
+    repeated solves reuse the heap instead of growing and trimming it around
+    each stage.
+    """
+    _, J, R, b, _ = kits[0]["weights"].shape
+    tiles = np.zeros((len(kits), 2, J + 1, R, b, J + 1, b), dtype=complex)
+    for stacks, (fwd, bwd) in zip(kits, tiles):
+        _unit_contributions(stacks["weights"], *band, fwd, bwd)
+        _running_sums(stacks, *(c.reshape(J + 1, R, b, -1) for c in (fwd, bwd)))
+    return [tuple(c.reshape(J + 1, R * b, -1) for c in pair) for pair in tiles]

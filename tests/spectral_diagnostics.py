@@ -6,10 +6,10 @@ import numpy as np
 
 from quartic.bvp import (
     ProblemSpec,
-    _data_derivatives,
     _lambda_frames,
     _particular,
     _second_order,
+    _stage_convolutions,
     _zero_phi,
 )
 from quartic.errors import BranchCut
@@ -62,7 +62,8 @@ def decay_diagnostics(spec: ProblemSpec, lam_samples) -> dict:
         _, fpa, fpb = _particular(frame, grid, fv, _zero_phi(frame.n))
         # v0 = F'' + P F = W_Q, the l stage of the partial fraction
         zero = _zero_phi(frame.n)[0]
-        v0 = _second_order(frame, frame.grid_kit(grid), "l", fv, *_data_derivatives(grid, fv),
+        kit = frame.grid_kit(grid)
+        v0 = _second_order(frame, kit, "l", next(_stage_convolutions(kit, grid, fv, "l")),
                            zero, zero)[0]
         v0n = GridFunction(grid, frame.from_modes(v0)[:, :, 0].T).norm()
         fpn = float(np.linalg.norm(frame.from_modes(fpa)) + np.linalg.norm(frame.from_modes(fpb)))

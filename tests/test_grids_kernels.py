@@ -111,6 +111,25 @@ class TestStencilBands:
         assert all(np.array_equal(a, b) for a, b in zip(stencil_bands(grid.nodes),
                                                          (idx, weights)))
 
+    @pytest.mark.parametrize("make", [cgl_grid, uniform_grid], ids=["cgl", "uniform"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 48])
+    def test_step_band_holds_every_deltas_step_data(self, make, n):
+        # datum k of step j for the delta at node y is row j + k // 3 of I,
+        # D1 or D2 at column y, zero outside the band's W = min(8, n) nodes
+        grid = make(n, 0.0, np.pi)
+        start, table = grid.step_band
+        width = min(8, n)
+        assert table.shape == (6, n - 1, width) and start.shape == (n - 1,)
+        assert not start.flags.writeable and not table.flags.writeable
+        rows = (np.eye(n), _per_order_matrix(grid.nodes, 1), _per_order_matrix(grid.nodes, 2))
+        for j in range(n - 1):
+            cols = start[j] + np.arange(width)
+            assert 0 <= cols[0] and cols[-1] < n
+            for k in range(6):
+                row = rows[k % 3][j + k // 3]
+                assert np.array_equal(table[k, j], row[cols])
+                assert not np.any(np.delete(row, cols))
+
     def test_node_cap_allocates_no_dense_matrix(self):
         import tracemalloc
 
@@ -579,6 +598,38 @@ def _sequential_scan(steps, c, backward):
         k = j + 1 if backward else j - 1
         y[j] = c[j] + (steps[j] @ y[k] if 0 <= k < len(c) else 0)
     return y
+
+
+class TestUnitConvolution:
+    """``convolve_units`` from the grid's step band against ``convolve_nodes``
+    of the unit tile it stands for and the tile's stencil derivatives: the
+    same products and sums, so the same bits."""
+
+    GENERATORS = {
+        "one-segment": np.array([-6.0, -1.0 + 2.0j, -3.0 - 4.0j])[:, None, None],
+        "stiff": np.array([-1e3, -6e2 + 8e2j, -3.0 + 1.0j])[:, None, None],  # several segments
+        "blocks": np.array([[[-1.0, 1.0], [0.0, -1.0]], [[-2.0 + 1.0j, 0.5], [0.0, -3.0]]]),
+    }
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 24])
+    @pytest.mark.parametrize("case", list(GENERATORS))
+    def test_matches_tile_bit_for_bit(self, case, n):
+        from quartic.bvp import _data_derivatives
+        from quartic.kernels import convolve_units
+
+        X = self.GENERATORS[case]
+        R, b = X.shape[:2]
+        grid = cgl_grid(n, 0.0, 1.0)
+        kits = [Propagator(Y).grid_stacks(grid.nodes) for Y in (X, 0.5j * X)]
+        tile = np.tile(np.eye(n * b, dtype=complex).reshape(n, 1, b, n * b), (1, R, 1, 1))
+        tile = tile.reshape(n, R * b, n * b)
+        derivs = _data_derivatives(grid, tile)
+        got = convolve_units(kits, grid.step_band)
+        assert len(got) == len(kits)
+        for stacks, pair in zip(kits, got):
+            for g, ref in zip(pair, convolve_nodes(stacks, tile, *derivs)):
+                assert g.shape == ref.shape == (n, R * b, n * b)
+                assert np.array_equal(g, ref)
 
 
 class TestScanTable:

@@ -234,9 +234,13 @@ class TestRealStreams:
     real parts, the imaginary cells coming from the separator table, and
     writes the interleaved path's bytes."""
 
-    # trajectory rows of 61 and 3001 > _CHUNK_CELLS real cells, grid-function
-    # rows of 4 and 3: every chunk after the first starts mid-row
-    SHAPES = [(4, 3, 20), (4, 2, 1500), (3, 20), (2, 1500)]
+    # trajectory rows of 61 and 1 + 2 WIDE > _CHUNK_CELLS real cells,
+    # grid-function rows of 4 and 1 + DIM: every chunk after the first starts
+    # mid-row.  WIDE and DIM follow the chunk (1500 nodes and 2 components at
+    # 2752 cells): 1 + DIM does not divide it.
+    WIDE = _CHUNK_CELLS // 2 + 124
+    DIM = next(d for d in range(2, 64) if _CHUNK_CELLS % (1 + d))
+    SHAPES = [(4, 3, 20), (4, 2, WIDE), (3, 20), (DIM, WIDE)]
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_interleaved(self, tmp_path, rng, shape):
@@ -393,10 +397,12 @@ class TestCellFormatter:
         assert _formatted(x, ncells=7) == _reference(x, ncells=7)
 
     def test_rows_wider_than_a_chunk(self, tmp_path, rng):
-        # 1 + 2 * 2 * 700 cells a row: rows straddle the formatter's chunks
-        grid = cgl_grid(700, 0.0, 1.0)
+        # 1 + 2 * 2 * n cells a row: rows straddle the formatter's chunks
+        # (n = 700 at 2752 cells)
+        n = _CHUNK_CELLS // 4 + 12
+        grid = cgl_grid(n, 0.0, 1.0)
         assert 1 + 4 * grid.n > _CHUNK_CELLS
-        traj = [(t, GridFunction(grid, _edge_values(rng, 2, 700))) for t in (0.0, 0.5, 1.0)]
+        traj = [(t, GridFunction(grid, _edge_values(rng, 2, n))) for t in (0.0, 0.5, 1.0)]
         write_trajectory_csv(tmp_path / "t.csv", traj, grid, "CONTOUR")
         lines = (tmp_path / "t.csv").read_text().splitlines()
         assert len(lines) == 4

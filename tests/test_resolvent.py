@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import smooth_field
-from quartic.bvp import ProblemSpec, resolvent_matrix, resolvent_solve
+from quartic.bvp import (
+    ProblemSpec,
+    ResolventMap,
+    _lambda_frames,
+    resolvent_blocks,
+    resolvent_matrix,
+    resolvent_solve,
+)
 from quartic.errors import BranchCut, NotInResolventSet
 from quartic.grids import GridFunction, cgl_grid
 from quartic.operators import dirichlet_laplacian_modes, make_operator, operator_norm
 from quartic.oracle import collocation_solve, dense_generator, ode_residual
 from quartic.spectral import SweepGrid, run_sweep
 from references import embed, resolvent_apply, sine_mode_resolvent, sine_resolvent_norm
+from test_batch import _operator as _batch_operator
 from test_evolution import _real_operator
 from test_grids_kernels import _ill_conditioned
 
@@ -249,3 +257,78 @@ class TestPartialFractionSolve:
         u_rot = rmap.apply(rot * f) / rot
         assert stages == ["l", "l", "m"]
         assert np.linalg.norm(u_rot - u) <= 1e-12 * np.linalg.norm(u)
+
+
+def _unit_tile(frame, N):
+    """(N, n, N b) data: a unit delta at each node and block index, in every
+    block of the frame at once, column (y, j) for node y and index j."""
+    n, b = frame.n, frame.block
+    tile = np.tile(np.eye(N * b, dtype=complex).reshape(N, 1, b, N * b), (1, n // b, 1, 1))
+    return tile.reshape(N, n, N * b)
+
+
+def _blocks_from_delta_solves(spec, grid, frame):
+    """``resolvent_blocks`` by its definition: the family's solve of the unit
+    tile, one column per node and block index."""
+    n, N, b = frame.n, grid.n, frame.block
+    sol = ResolventMap(frame, grid, spec.bc_family).solve_modes(_unit_tile(frame, N))
+    return sol.reshape(N, n // b, b, N * b).transpose(1, 0, 2, 3).reshape(n // b, N * b, N * b)
+
+
+class TestResolventBlocks:
+    """``resolvent_blocks`` takes its step contributions from the grid's step
+    band (``kernels.convolve_units``), not from a solve of the unit tile; its
+    blocks match the tile's solve on every family and block size, on one-
+    and three-segment kits, and on batch-frame parameter views."""
+
+    N = 48
+    LAMS = (-2.0 + 1.5j, 30.0 - 40.0j)
+
+    @staticmethod
+    def _operator(name):
+        if name == "laplacian3":  # b = 1, one convolution segment
+            return dirichlet_laplacian_modes(3)
+        if name == "laplacian40":  # b = 1, three segments at N = 48
+            return dirichlet_laplacian_modes(40)
+        if name == "cond30":  # b = 1 in a basis of condition 30
+            return _batch_operator("cond30")
+        if name == "illcond":  # eig_cond 4.4e6: b = n
+            return _batch_operator("illcond")
+        return make_operator([[-1.0, 1.0], [0.0, -1.0]])  # Jordan block: b = n
+
+    # measured 0: the band's products and sums are the tile's, bit for bit
+    @pytest.mark.parametrize("bc", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["laplacian3", "cond30", "jordan", "illcond", "laplacian40"])
+    def test_matches_delta_solves(self, name, bc):
+        A = self._operator(name)
+        spec = ProblemSpec(0.0, np.pi, 0.0, A, bc)
+        grid = cgl_grid(self.N, 0.0, np.pi)
+        batch = _lambda_frames(spec, self.LAMS)
+        b = 1 if name.startswith("laplacian") or name == "cond30" else A.dim
+        assert batch.block == b
+        scans = batch.grid_kit(grid)["m"]["scans"]
+        segments = 1 if b > 1 or len(scans) == 2 else np.count_nonzero(scans[4, :, 0, 0, 0].real)
+        assert segments == (3 if name == "laplacian40" else 1)
+        for i, lam in enumerate(self.LAMS):
+            for frame in (_lambda_frames(spec, lam), batch.parameter(i)):
+                got = resolvent_blocks(spec, lam, grid, frame)
+                want = _blocks_from_delta_solves(spec, grid, frame)
+                assert got.shape == (A.dim // b, self.N * b, self.N * b)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["laplacian3", "jordan"])
+    def test_takes_no_delta_solve(self, monkeypatch, name):
+        from quartic import bvp
+
+        spec = ProblemSpec(0.0, np.pi, 0.0, self._operator(name), 3)
+        grid = cgl_grid(24, 0.0, np.pi)
+        frame = _lambda_frames(spec, self.LAMS[0])
+        want = _blocks_from_delta_solves(spec, grid, frame)
+
+        def poisoned(*args, **kwargs):
+            raise AssertionError("resolvent_blocks solved the unit tile")
+
+        monkeypatch.setattr(bvp, "_data_derivatives", poisoned)
+        monkeypatch.setattr(bvp.ResolventMap, "solve_modes", poisoned)
+        assert np.array_equal(resolvent_blocks(spec, self.LAMS[0], grid, frame), want)
+        resolvent_matrix(spec, self.LAMS[0], grid, frame)  # the assembled route too

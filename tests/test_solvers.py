@@ -4,9 +4,9 @@ import pytest
 from conftest import frame_at, smooth_field
 from quartic.bvp import (
     ProblemSpec,
-    _data_derivatives,
     _lambda_frames,
     _second_order,
+    _stage_convolutions,
     bc_conditions,
     boundary_residuals,
     condition_value,
@@ -78,8 +78,9 @@ class TestSecondOrderStage:
         fv = frame.to_modes(smooth_field(rng, grid, op.dim).values.T[:, :, None])
         v_a, v_b = (frame.to_modes(rng.normal(size=(op.dim, 1))
                                    + 1j * rng.normal(size=(op.dim, 1))) for _ in range(2))
-        v, vpa, vpb = _second_order(frame, frame.grid_kit(grid), generator, fv,
-                                    *_data_derivatives(grid, fv), v_a, v_b)
+        kit = frame.grid_kit(grid)
+        conv = next(_stage_convolutions(kit, grid, fv, generator))
+        v, vpa, vpb = _second_order(frame, kit, generator, conv, v_a, v_b)
         for got, want in ((v[0], v_a), (v[-1], v_b)):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         # v'' from the ODE on every node and the returned end slopes, against
